@@ -37,7 +37,7 @@ from .experiments import (
     search_k,
 )
 from .exact_oracle import expected_value_activation, expected_value_threshold
-from .instance import Instance, load_instance, make_instance, opt_law
+from .instance import Instance, OptLaw, instance_from_json, make_instance, opt_law
 from .monte_carlo import McConfig, estimate_expected_value
 from .policies import ActivationPolicy, AdaptiveTwoThreshold, ValueBuckets
 
@@ -99,13 +99,22 @@ def _resolve_outdir(args: argparse.Namespace) -> str:
 # ----------------------------------------------------------- input loading
 
 
-def _load_instance(path: str, k_override: int | None) -> Instance:
+def _read_json(path: str, what: str):
     if not os.path.exists(path):
-        raise ConfigError(f"instance file not found: {path}")
+        raise ConfigError(f"{what} file not found: {path}")
+    if os.path.isdir(path):
+        raise ConfigError(f"{what} path is a directory, not a file: {path}")
     try:
-        inst = load_instance(path)
+        with open(path) as fh:
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: line {exc.lineno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _load_instance(path: str, k_override: int | None) -> Instance:
+    inst = instance_from_json(_read_json(path, "instance"))
     if k_override is not None:
         if k_override < 1:
             raise ConfigError("--k must be a positive integer")
@@ -149,21 +158,11 @@ def _activation_from_json(obj: dict, n: int) -> ActivationPolicy:
     return ActivationPolicy(tuple(breakpoints), tuple(tables))
 
 
-def _build_cli_policy(args: argparse.Namespace, inst: Instance):
-    opt = opt_law(inst)
+def _build_cli_policy(args: argparse.Namespace, inst: Instance, opt: OptLaw):
     if args.algorithm_class == "activation":
         if not args.policy:
             raise ConfigError("--class activation needs --policy pointing at a table file")
-        if not os.path.exists(args.policy):
-            raise ConfigError(f"policy file not found: {args.policy}")
-        try:
-            with open(args.policy) as fh:
-                spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"malformed JSON in {args.policy}: line {exc.lineno}: {exc.msg}"
-            ) from exc
-        return _activation_from_json(spec, inst.n)
+        return _activation_from_json(_read_json(args.policy, "policy"), inst.n)
     if args.algorithm_class == "adaptive" and args.epsilon is None:
         raise ConfigError("--class adaptive needs --epsilon")
     eps = args.epsilon if args.epsilon is not None else 0.1
@@ -180,7 +179,7 @@ def _mc_config(args: argparse.Namespace) -> McConfig:
 def _cmd_eval(args: argparse.Namespace, outdir: str) -> int:
     inst = _load_instance(args.instance, args.k)
     opt = opt_law(inst)
-    policy = _build_cli_policy(args, inst)
+    policy = _build_cli_policy(args, inst, opt)
     evaluator = args.evaluator
     if isinstance(policy, AdaptiveTwoThreshold) and evaluator == "exact":
         evaluator = "mc"  # no product-form oracle for the adaptive rule
@@ -260,12 +259,12 @@ def _cmd_dominance(args: argparse.Namespace, outdir: str) -> int:
         raise ConfigError("dominance needs --epsilon")
     inst = _load_instance(args.instance, args.k)
     opt = opt_law(inst)
-    policy = _build_cli_policy(args, inst)
+    policy = _build_cli_policy(args, inst, opt)
     evaluator = args.evaluator
     if isinstance(policy, AdaptiveTwoThreshold) and evaluator == "exact":
         evaluator = "mc"
     mc = _mc_config(args) if evaluator == "mc" else None
-    report = dominance_check(inst, policy, args.epsilon, evaluator=evaluator, mc=mc)
+    report = dominance_check(inst, policy, args.epsilon, evaluator=evaluator, mc=mc, opt=opt)
     _write_csv(
         os.path.join(outdir, "results.csv"),
         ("quantile", "x", "p_alg", "p_opt_scaled", "margin"),

@@ -82,6 +82,8 @@ class Distribution:
             raise InvalidInstanceError("discrete distribution needs at least one atom")
         xs = np.array([v for v, _ in items])
         masses = np.array([p for _, p in items])
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(masses))):
+            raise InvalidInstanceError("atom values and masses must be finite")
         if np.any(masses <= 0):
             raise InvalidInstanceError("atom masses must be positive")
         if np.any(xs < 0):
@@ -104,6 +106,8 @@ class Distribution:
             raise InvalidInstanceError("piecewise CDF needs at least two points")
         xs = np.array([x for x, _ in pts])
         Fs = np.array([F for _, F in pts])
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(Fs))):
+            raise InvalidInstanceError("cdf points must be finite")
         if np.any(np.diff(xs) <= 0):
             raise InvalidInstanceError("cdf breakpoints must be strictly increasing in x")
         if np.any(np.diff(Fs) < 0):
@@ -357,13 +361,16 @@ def distribution_from_json(obj: dict) -> Distribution:
         kind = obj["type"]
     except (TypeError, KeyError) as exc:
         raise InvalidInstanceError(f"distribution JSON needs a 'type' field: {obj!r}") from exc
-    if kind == "discrete":
-        atoms = [(float(v), float(p)) for v, p in obj["atoms"]]
-        return Distribution.discrete(atoms, tol=1e-9)
-    if kind == "piecewise":
-        points = [(float(x), float(F)) for x, F in obj["points"]]
-        return Distribution.piecewise(points, tol=1e-9)
-    raise InvalidInstanceError(f"unknown distribution type {kind!r}")
+    builders = {"discrete": ("atoms", Distribution.discrete),
+                "piecewise": ("points", Distribution.piecewise)}
+    if not isinstance(kind, str) or kind not in builders:
+        raise InvalidInstanceError(f"unknown distribution type {kind!r}")
+    key, build = builders[kind]
+    try:
+        pairs = [(float(a), float(b)) for a, b in obj[key]]
+    except (TypeError, KeyError, ValueError) as exc:
+        raise InvalidInstanceError(f"{kind} law needs '{key}' as number pairs: {exc}") from exc
+    return build(pairs, tol=1e-9)
 
 
 def loads_distribution(text: str) -> Distribution:

@@ -184,14 +184,17 @@ def dominance_check(
     epsilon: float,
     evaluator: str = "exact",
     mc: McConfig | None = None,
+    opt: OptLaw | None = None,
 ) -> DominanceReport:
     """Pr[ALG > x] vs (1 - eps) * Pr[OPT > x] on an OPT-quantile grid.
 
     The grid is the 99 percentile points plus the case boundaries where the
     sufficiency proofs switch: the OPT median, quantile 1 - 1/k, and, for the
-    adaptive policy, the tau1/tau2 quantiles.
+    adaptive policy, the tau1/tau2 quantiles.  ``opt`` is the instance's OPT
+    law when the caller has already built it.
     """
-    opt = opt_law(inst)
+    if opt is None:
+        opt = opt_law(inst)
     qs = [i / 100.0 for i in range(1, 100)]
     qs += [0.5, 1.0 - 1.0 / inst.copies]
     if isinstance(policy, AdaptiveTwoThreshold):
@@ -516,7 +519,7 @@ class LemmaSuiteReport:
 
     @property
     def all_hold(self) -> bool:
-        return (
+        return bool(
             min(
                 self.min_slack_product,
                 self.min_slack_pair_root,

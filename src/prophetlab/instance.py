@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -64,11 +65,11 @@ class OptLaw:
         self.expected_value = self._tail_integral()
         self._quantile_cache: dict[float, RandomizedThreshold] = {}
 
-    # exact product CDF, independent of the materialized grid
-    def cdf(self, x: float) -> float:
+    # exact product CDF, independent of the materialized grid; vectorized
+    def cdf(self, x):
         out = 1.0
         for d in self.base:
-            out *= float(d.cdf(x))
+            out = out * d.cdf(x)
         return out
 
     def cdf_left(self, x: float) -> float:
@@ -100,57 +101,91 @@ class OptLaw:
         return total
 
     def quantile_threshold(self, q: float) -> RandomizedThreshold:
-        """(tau, accept_prob) with Pr[OPT rejected] exactly q under the
-        randomized-tiebreak semantics (product of per-distribution rejections)."""
-        if not (0.0 <= q < 1.0):
-            raise InvalidQuantileError(f"quantile must be in [0, 1), got {q!r}")
-        hit = self._quantile_cache.get(q)
-        if hit is not None:
-            return hit
-        grid = np.unique(np.concatenate([d.xs for d in self.base]))
-        Fr = np.array([self.cdf(x) for x in grid])
-        j = int(np.searchsorted(Fr, q, side="left"))
-        j = min(j, len(grid) - 1)
-        tau = float(grid[j])
-        Fl_j = self.cdf_left(tau)
-        if j > 0 and Fl_j > q and Fl_j > Fr[j - 1]:
-            # crossed strictly inside the segment: bisect the continuous product
-            lo, hi = float(grid[j - 1]), tau
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi:
-                    break
-                if self.cdf(mid) >= q:
-                    hi = mid
-                else:
-                    lo = mid
-            rt = RandomizedThreshold(hi, 0.0)
-        else:
-            # atom of the product law at tau: solve the accept probability
-            lo_a, hi_a = 0.0, 1.0
+        """(tau, accept_prob) with Pr[OPT rejected] exactly q; see ``quantile_thresholds``."""
+        return self.quantile_thresholds((q,))[0]
 
-            def rejected(a: float) -> float:
-                out = 1.0
-                for d in self.base:
-                    out *= d.cdf_left(tau) + (1.0 - a) * d.point_mass(tau)
-                return out
+    def quantile_thresholds(self, qs: Sequence[float]) -> list[RandomizedThreshold]:
+        """One randomized threshold per q, each with Pr[OPT rejected] exactly q
+        under the randomized-tiebreak semantics (product of per-distribution
+        rejections).
 
-            if rejected(0.0) <= q:
-                rt = RandomizedThreshold(tau, 0.0)
-            elif rejected(1.0) >= q:
-                rt = RandomizedThreshold(tau, 1.0)
-            else:
-                for _ in range(200):
-                    mid = 0.5 * (lo_a + hi_a)
-                    if mid <= lo_a or mid >= hi_a:
-                        break
-                    if rejected(mid) > q:
-                        lo_a = mid
-                    else:
-                        hi_a = mid
-                rt = RandomizedThreshold(tau, hi_a)
-        self._quantile_cache[q] = rt
-        return rt
+        All misses of the cache are solved together: a crossing strictly
+        inside a segment of the product CDF is bisected on tau, a crossing at
+        an atom of the product law is bisected on the accept probability.
+        Factors multiply in base order and every comparison is the one of the
+        scalar search, so each result equals solving its q alone, bit for bit."""
+        for q in qs:
+            if not (0.0 <= q < 1.0):
+                raise InvalidQuantileError(f"quantile must be in [0, 1), got {q!r}")
+        misses = sorted({q for q in qs if q not in self._quantile_cache})
+        if misses:
+            solved = self._solve_quantiles(np.array(misses, dtype=float))
+            self._quantile_cache.update(zip(misses, solved))
+        return [self._quantile_cache[q] for q in qs]
+
+    def _solve_quantiles(self, q: np.ndarray) -> list[RandomizedThreshold]:
+        grid, Fr, Fl = self.dist.xs, self.dist.Fr, self.dist.Fl
+        j = np.minimum(np.searchsorted(Fr, q, side="left"), len(grid) - 1)
+        prev = np.maximum(j - 1, 0)
+        tau = grid[j]
+        accept = np.zeros_like(q)
+        inside = (j > 0) & (Fl[j] > q) & (Fl[j] > Fr[prev])
+        if inside.any():
+            qi = q[inside]
+            tau[inside] = _bisect(grid[prev[inside]], tau[inside],
+                                  lambda x: self.cdf(x) >= qi)
+        atom = ~inside
+        if atom.any():
+            accept[atom] = self._atom_accept(j[atom], q[atom])
+        return [RandomizedThreshold(float(t), float(a)) for t, a in zip(tau, accept)]
+
+    @cached_property
+    def _grid_left_masses(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each base law's left CDF and atom mass at the points of ``dist.xs``."""
+        grid = self.dist.xs
+        left = np.array([[d.cdf_left(x) for x in grid] for d in self.base])
+        mass = np.array([[d.point_mass(x) for x in grid] for d in self.base])
+        return left, mass
+
+    def _atom_accept(self, j: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Accept probability a at the atom tau = dist.xs[j]:
+        prod_i (Fl_i(tau) + (1 - a) m_i(tau)) = q, clipped to [0, 1]."""
+        left, mass = self._grid_left_masses
+        left, mass = left[:, j], mass[:, j]
+
+        def rejected(a, idx=slice(None)):
+            out = np.ones_like(a)
+            for fl, m in zip(left[:, idx], mass[:, idx]):
+                out *= fl + (1.0 - a) * m
+            return out
+
+        accept = np.zeros_like(q)
+        partial = ~(rejected(np.zeros_like(q)) <= q)
+        full = partial & (rejected(np.ones_like(q)) >= q)
+        accept[full] = 1.0
+        solve = np.flatnonzero(partial & ~full)
+        if solve.size:
+            qs = q[solve]
+            accept[solve] = _bisect(np.zeros_like(qs), np.ones_like(qs),
+                                    lambda a: ~(rejected(a, solve) > qs))
+        return accept
+
+
+def _bisect(lo: np.ndarray, hi: np.ndarray, at_or_below) -> np.ndarray:
+    """Elementwise bisection: ``hi`` moves to the midpoint where
+    ``at_or_below(mid)`` holds, ``lo`` elsewhere.  Each element stops once its
+    midpoint is no longer strictly inside (lo, hi), or after 200 steps, and
+    returns its ``hi``."""
+    active = np.ones(lo.shape, dtype=bool)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        active &= (mid > lo) & (mid < hi)
+        if not active.any():
+            break
+        down = at_or_below(mid)
+        hi = np.where(active & down, mid, hi)
+        lo = np.where(active & ~down, mid, lo)
+    return hi
 
 
 def opt_law(inst: Instance) -> OptLaw:
@@ -213,9 +248,11 @@ def instance_to_json(inst: Instance) -> dict:
 def instance_from_json(obj: dict) -> Instance:
     try:
         base = [distribution_from_json(d) for d in obj["base"]]
-        copies = int(obj["copies"])
+        copies = obj["copies"]
     except (TypeError, KeyError) as exc:
         raise InvalidInstanceError(f"instance JSON needs 'base' and 'copies': {exc}") from exc
+    if isinstance(copies, float) and copies.is_integer():
+        copies = int(copies)
     return make_instance(base, copies)
 
 

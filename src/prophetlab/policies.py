@@ -182,13 +182,10 @@ def make_blind_schedule(opt: OptLaw, k: int, grid_resolution: int = 512) -> Thre
     switch = 2.0 / k
     if switch >= 1.0:
         return make_single_threshold(opt)
-    breaks = [0.0, switch]
-    thresholds = [opt.quantile_threshold(0.5)]
     grid = np.linspace(switch, 1.0, grid_resolution + 1)
-    for left in grid[:-1]:
-        thresholds.append(opt.quantile_threshold(1.0 / (left * k)))
-    breaks.extend(grid[1:])
-    return ThresholdSchedule(tuple(breaks), tuple(thresholds), nonincreasing=True)
+    thresholds = opt.quantile_thresholds([0.5, *(1.0 / (grid[:-1] * k))])
+    breaks = (0.0, switch, *grid[1:])
+    return ThresholdSchedule(breaks, tuple(thresholds), nonincreasing=True)
 
 
 def make_adaptive(opt: OptLaw, inst: Instance, epsilon: float) -> AdaptiveTwoThreshold:
@@ -197,8 +194,7 @@ def make_adaptive(opt: OptLaw, inst: Instance, epsilon: float) -> AdaptiveTwoThr
         raise InvalidParameterError(f"epsilon must be in (0, 1/e], got {epsilon!r}")
     ell = math.ceil(math.sqrt(math.log(1.0 / epsilon)) - 1e-12)
     ell = max(ell, 1)
-    tau1 = opt.quantile_threshold(0.75)
-    tau2 = opt.quantile_threshold(math.exp(-ell))
+    tau1, tau2 = opt.quantile_thresholds((0.75, math.exp(-ell)))
     q = tuple(d.reject_prob(tau2) for d in inst.base)
     return AdaptiveTwoThreshold(float(epsilon), ell, tau1, tau2, q, inst.copies)
 

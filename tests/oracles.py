@@ -1,15 +1,20 @@
-"""Brute-force enumeration oracles for tiny all-discrete instances.
+"""Slow reference implementations that pin the fast code paths.
 
-Everything here is deliberately slow and dumb: sums over value assignments,
-time-piece assignments, and within-piece arrival orders.  Feasible only for
-N = n * k <= 5 rewards with small supports, which is exactly the regime the
-unit tests use to pin the fast evaluators.
+The enumeration oracles are deliberately slow and dumb: sums over value
+assignments, time-piece assignments, and within-piece arrival orders.
+Feasible only for N = n * k <= 5 rewards with small supports, which is
+exactly the regime the unit tests use to pin the fast evaluators.
+
+``reference_quantile_threshold`` is the scalar, one-q-at-a-time OPT quantile
+search that ``OptLaw.quantile_thresholds`` must reproduce bit for bit.
 """
 
 import itertools
 import math
 
-from prophetlab import ActivationPolicy, Instance, ThresholdSchedule
+import numpy as np
+
+from prophetlab import ActivationPolicy, Instance, RandomizedThreshold, ThresholdSchedule
 
 
 def atoms(d):
@@ -92,3 +97,46 @@ def enumerate_opt_value(base) -> float:
         math.prod(p for _, p in vals) * max(v for v, _ in vals)
         for vals in itertools.product(*supports)
     )
+
+
+def reference_quantile_threshold(opt, q: float) -> RandomizedThreshold:
+    """Scalar OPT quantile search: rebuild the product CDF on the merged grid,
+    then bisect either tau inside a segment or the accept probability at an
+    atom, up to 200 steps each."""
+    grid = np.unique(np.concatenate([d.xs for d in opt.base]))
+    Fr = np.array([opt.cdf(x) for x in grid])
+    j = min(int(np.searchsorted(Fr, q, side="left")), len(grid) - 1)
+    tau = float(grid[j])
+    Fl_j = opt.cdf_left(tau)
+    if j > 0 and Fl_j > q and Fl_j > Fr[j - 1]:
+        lo, hi = float(grid[j - 1]), tau
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            if opt.cdf(mid) >= q:
+                hi = mid
+            else:
+                lo = mid
+        return RandomizedThreshold(hi, 0.0)
+
+    def rejected(a: float) -> float:
+        out = 1.0
+        for d in opt.base:
+            out *= d.cdf_left(tau) + (1.0 - a) * d.point_mass(tau)
+        return out
+
+    if rejected(0.0) <= q:
+        return RandomizedThreshold(tau, 0.0)
+    if rejected(1.0) >= q:
+        return RandomizedThreshold(tau, 1.0)
+    lo_a, hi_a = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo_a + hi_a)
+        if mid <= lo_a or mid >= hi_a:
+            break
+        if rejected(mid) > q:
+            lo_a = mid
+        else:
+            hi_a = mid
+    return RandomizedThreshold(tau, hi_a)

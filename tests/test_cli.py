@@ -112,6 +112,30 @@ class TestErrors:
         bad.write_text("{\"base\": [")
         assert run(["eval", "--instance", str(bad), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"base": [{"type": "discrete", "atoms": [[NaN, 0.5], [1.0, 0.5]]}], "copies": 1}',
+            '{"base": [{"type": "discrete", "atoms": [[0.0, NaN], [1.0, 0.5]]}], "copies": 1}',
+            '{"base": [{"type": "discrete", "atoms": [[0.0, 0.5], [Infinity, 0.5]]}], "copies": 1}',
+            '{"base": [{"type": "discrete", "atoms": [[0.0, 0.5], [1.0, 0.5]]}], "copies": 3.7}',
+        ],
+        ids=["nan-value", "nan-mass", "infinite-value", "fractional-copies"],
+    )
+    def test_malformed_instance_exits_1_with_one_line(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "run"
+        assert run(["eval", "--instance", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (out / "summary.json").exists()
+
+    def test_instance_directory_exits_1(self, tmp_path, capsys):
+        assert run(["eval", "--instance", str(tmp_path), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "directory" in err and err.count("\n") == 1
+
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 1
 

@@ -3,10 +3,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from prophetlab import Distribution, InvalidParameterError, make_instance, opt_law
 from prophetlab.experiments import (
+    LemmaSuiteReport,
     build_policy,
     dominance_check,
     hardness_general,
@@ -114,3 +116,11 @@ class TestLemmaSuite:
         a = lemma_suite(seed=11, trials=10, monotone_trials=5)
         b = lemma_suite(seed=11, trials=10, monotone_trials=5)
         assert a.rows == b.rows
+
+    def test_all_hold_is_a_json_bool(self):
+        # summary.json carries it, and json.dump rejects numpy.bool_; long runs
+        # leave numpy floats in the slacks and the symmetric gap
+        assert type(lemma_suite(0, trials=20).all_hold) is bool
+        zero = np.float64(0.0)
+        report = LemmaSuiteReport(1, 0, zero, zero, zero, zero, zero, zero, ())
+        assert type(report.all_hold) is bool

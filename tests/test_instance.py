@@ -4,16 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_quantile_threshold
+from test_distributions import discrete_laws, piecewise_laws
 
 from prophetlab import (
     Distribution,
     InvalidInstanceError,
+    InvalidQuantileError,
+    OptLaw,
     instance_from_json,
     instance_to_json,
     make_instance,
     opt_law,
     sample_arrivals,
 )
+from prophetlab.experiments import regression_instances
 
 ATOM1 = Distribution.discrete([(1.0, 1.0)])
 COIN = Distribution.discrete([(0.0, 0.5), (1.0, 0.5)])
@@ -61,6 +68,69 @@ class TestOptLaw:
         inst = make_instance(two_type_base(p, eps), 1)
         closed = 1.0 + math.sqrt(eps) - p * math.sqrt(eps)
         assert opt_law(inst).expected_value == pytest.approx(closed, abs=1e-9)
+
+
+def _bits(rt):
+    return rt.tau.hex(), rt.accept_prob.hex()
+
+
+def _blind_quantiles(k: int) -> list[float]:
+    """The 1 + 512 quantiles of the blind schedule for k copies (just the
+    median when the schedule collapses to one threshold)."""
+    if 2.0 / k >= 1.0:
+        return [0.5]
+    grid = np.linspace(2.0 / k, 1.0, 513)
+    return [0.5, *(1.0 / (grid[:-1] * k))]
+
+
+class TestQuantileThresholds:
+    @pytest.mark.parametrize(
+        "base", [pytest.param(base, id=name) for name, base in regression_instances()]
+    )
+    def test_product_tables_match_scalar_products(self, base):
+        opt = OptLaw(base)
+        grid = np.unique(np.concatenate([d.xs for d in base]))
+        np.testing.assert_array_equal(opt.dist.xs, grid)
+        assert [x.hex() for x in opt.dist.Fr] == [opt.cdf(x).hex() for x in grid]
+        assert [x.hex() for x in opt.dist.Fl] == [opt.cdf_left(x).hex() for x in grid]
+
+    @pytest.mark.parametrize("k", [1, 2, 6, 64])
+    def test_blind_grids_match_reference_bitwise(self, k):
+        qs = _blind_quantiles(k)
+        for name, base in regression_instances():
+            got = OptLaw(base).quantile_thresholds(qs)
+            ref = OptLaw(base)
+            for q, rt in zip(qs, got):
+                assert _bits(rt) == _bits(reference_quantile_threshold(ref, q)), (name, q)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(discrete_laws() | piecewise_laws(), min_size=1, max_size=3),
+        st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), max_size=20),
+    )
+    def test_random_bases_match_reference_and_reject_q(self, base, extra):
+        opt = OptLaw(base)
+        # the product CDF's own values put q exactly on atoms and segment ends
+        qs = [float(v) for v in np.concatenate([opt.dist.Fr, opt.dist.Fl]) if v < 1.0] + extra
+        for q, rt in zip(qs, opt.quantile_thresholds(qs)):
+            assert _bits(rt) == _bits(reference_quantile_threshold(opt, q))
+            rejected = math.prod(d.reject_prob(rt) for d in base)
+            assert rejected == pytest.approx(q, abs=1e-12)
+
+    def test_batch_keeps_order_and_duplicates(self):
+        opt = OptLaw(regression_instances()[7][1])
+        qs = [0.9, 0.1, 0.5, 0.1]
+        batch = opt.quantile_thresholds(qs)
+        fresh = OptLaw(opt.base)
+        assert batch == [fresh.quantile_threshold(q) for q in qs]
+        assert batch[1] is batch[3]
+
+    @pytest.mark.parametrize("bad", [1.0, -0.1, float("nan")])
+    def test_batch_with_bad_quantile_raises(self, bad):
+        opt = OptLaw([COIN, ATOM1])
+        with pytest.raises(InvalidQuantileError):
+            opt.quantile_thresholds([0.25, bad, 0.5])
+        assert opt.quantile_thresholds([]) == []
 
 
 class TestSampleArrivals:
