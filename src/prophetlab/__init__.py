@@ -25,24 +25,14 @@ from .errors import (
     ProphetLabError,
     TooLargeInstanceError,
 )
-from .exact_oracle import (
-    ExactEvaluator,
-    IntegrationConfig,
-    expected_value_activation,
-    expected_value_threshold,
-    exceedance_activation,
-    exceedance_threshold,
-    optimal_online_dp,
-    p_tau_multi,
-    p_tau_single,
-)
+from .exact_oracle import ExactEvaluator, optimal_online_dp, p_tau_multi, p_tau_single
+from .experiments import exceedance, expected_value
 from .instance import (
     ArrivalSequence,
     Instance,
     OptLaw,
     instance_from_json,
     instance_to_json,
-    load_instance,
     make_instance,
     opt_law,
     sample_arrivals,

@@ -29,6 +29,7 @@ from .experiments import (
     DominanceReport,
     build_policy,
     dominance_check,
+    expected_value,
     hardness_activation,
     hardness_general,
     hardness_time_based,
@@ -36,10 +37,9 @@ from .experiments import (
     paper_bound_k,
     search_k,
 )
-from .exact_oracle import expected_value_activation, expected_value_threshold
 from .instance import Instance, OptLaw, instance_from_json, make_instance, opt_law
-from .monte_carlo import McConfig, estimate_expected_value
-from .policies import ActivationPolicy, AdaptiveTwoThreshold, ValueBuckets
+from .monte_carlo import McConfig
+from .policies import ActivationPolicy, ValueBuckets
 
 OUTPUT_DIR_ENV = "PROPHETLAB_OUT"
 
@@ -180,16 +180,7 @@ def _cmd_eval(args: argparse.Namespace, outdir: str) -> int:
     inst = _load_instance(args.instance, args.k)
     opt = opt_law(inst)
     policy = _build_cli_policy(args, inst, opt)
-    evaluator = args.evaluator
-    if isinstance(policy, AdaptiveTwoThreshold) and evaluator == "exact":
-        evaluator = "mc"  # no product-form oracle for the adaptive rule
-    if evaluator == "exact":
-        if isinstance(policy, ActivationPolicy):
-            res = expected_value_activation(inst, policy)
-        else:
-            res = expected_value_threshold(inst, policy)
-    else:
-        res = estimate_expected_value(inst, policy, _mc_config(args))
+    res = expected_value(inst, policy, args.evaluator, _mc_config(args))
     _write_csv(
         os.path.join(outdir, "results.csv"),
         ("k", "estimate", "half_width", "method", "replications", "seed"),
@@ -218,13 +209,12 @@ def _cmd_search_k(args: argparse.Namespace, outdir: str) -> int:
     if args.algorithm_class == "activation":
         raise ConfigError("search-k supports the single, blind, and adaptive classes")
     inst = _load_instance(args.instance, None)
-    mc = _mc_config(args) if (args.evaluator == "mc" or args.algorithm_class == "adaptive") else None
     result = search_k(
         list(inst.base),
         args.epsilon,
         args.algorithm_class,
         evaluator=args.evaluator,
-        mc=mc,
+        mc=_mc_config(args),
         grid_resolution=args.grid,
     )
     _write_csv(
@@ -260,11 +250,9 @@ def _cmd_dominance(args: argparse.Namespace, outdir: str) -> int:
     inst = _load_instance(args.instance, args.k)
     opt = opt_law(inst)
     policy = _build_cli_policy(args, inst, opt)
-    evaluator = args.evaluator
-    if isinstance(policy, AdaptiveTwoThreshold) and evaluator == "exact":
-        evaluator = "mc"
-    mc = _mc_config(args) if evaluator == "mc" else None
-    report = dominance_check(inst, policy, args.epsilon, evaluator=evaluator, mc=mc, opt=opt)
+    report = dominance_check(
+        inst, policy, args.epsilon, evaluator=args.evaluator, mc=_mc_config(args), opt=opt
+    )
     _write_csv(
         os.path.join(outdir, "results.csv"),
         ("quantile", "x", "p_alg", "p_opt_scaled", "margin"),

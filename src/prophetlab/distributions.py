@@ -11,7 +11,6 @@ exist for every law.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -53,6 +52,21 @@ class RandomizedThreshold:
         if av.value > self.tau:
             return True
         return av.value == self.tau and av.tiebreak < self.accept_prob
+
+    # the questions every acceptance rule answers against a law ``d``
+
+    def accepted_mass(self, d: Distribution) -> float:
+        """Pr[accepted]."""
+        return d.accept_prob(self)
+
+    def accepted_mean(self, d: Distribution) -> float:
+        """E[V * 1{accepted}]."""
+        return d.mean_accepted(self)
+
+    def accepted_mass_above(self, d: Distribution, xs: np.ndarray) -> np.ndarray:
+        """Pr[accepted and V > x] for each x of ``xs``."""
+        w = 1.0 - np.asarray(d.cdf(np.maximum(self.tau, xs)))
+        return w + (self.tau > xs) * (self.accept_prob * d.point_mass(self.tau))
 
 
 class Distribution:
@@ -177,10 +191,6 @@ class Distribution:
             return float(self.Fr[j] - self.Fl[j])
         return 0.0
 
-    def prob_above(self, x: float) -> float:
-        """Pr[V > x] (strict)."""
-        return 1.0 - float(self.cdf(x))
-
     # ---------------------------------------------------- randomized thresholds
 
     def reject_prob(self, rt: RandomizedThreshold) -> float:
@@ -189,13 +199,6 @@ class Distribution:
 
     def accept_prob(self, rt: RandomizedThreshold) -> float:
         return 1.0 - self.reject_prob(rt)
-
-    def prob_accept_above(self, rt: RandomizedThreshold, x: float) -> float:
-        """Pr[accepted and accepted value > x]."""
-        out = self.prob_above(max(rt.tau, x))
-        if rt.tau > x:
-            out += rt.accept_prob * self.point_mass(rt.tau)
-        return out
 
     def mean_accepted(self, rt: RandomizedThreshold) -> float:
         """E[V * 1{accepted}]."""
@@ -273,11 +276,6 @@ class Distribution:
 
 
 # ---------------------------------------------------------------------- ops
-
-
-def cdf(d: Distribution, x: float) -> float:
-    """Pr[V <= x] under d."""
-    return float(d.cdf(x))
 
 
 def quantile_threshold(d: Distribution, q: float) -> RandomizedThreshold:
@@ -371,7 +369,3 @@ def distribution_from_json(obj: dict) -> Distribution:
     except (TypeError, KeyError, ValueError) as exc:
         raise InvalidInstanceError(f"{kind} law needs '{key}' as number pairs: {exc}") from exc
     return build(pairs, tol=1e-9)
-
-
-def loads_distribution(text: str) -> Distribution:
-    return distribution_from_json(json.loads(text))

@@ -14,98 +14,83 @@ discrete instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .distributions import Distribution, RandomizedThreshold
-from .errors import InvalidInstanceError, TooLargeInstanceError
+from .distributions import Distribution
+from .errors import InvalidInstanceError, PolicyMismatchError, TooLargeInstanceError
 from .instance import Instance
-from .policies import ActivationPolicy, ThresholdSchedule, ValueBuckets
+from .policies import ThresholdSchedule, check_shape
 from .results import EvalResult
 
 __all__ = [
-    "IntegrationConfig",
-    "StopProbQuery",
     "p_tau_single",
     "p_tau_multi",
-    "expected_value_threshold",
-    "exceedance_threshold",
-    "expected_value_activation",
-    "exceedance_activation",
     "ExactEvaluator",
     "optimal_online_dp",
     "optimal_online_value",
 ]
 
 _LOG_FLOOR = 1e-300
+_ABS_TOL = 1e-9  # the half-width reported with an exact expected value
 
 
-@dataclass(frozen=True)
-class IntegrationConfig:
-    abs_tol: float = 1e-9
-
-
-@dataclass(frozen=True)
-class StopProbQuery:
-    schedule: ThresholdSchedule
-    dist_multiset: tuple[tuple[Distribution, int], ...]
-    t: float
+def _stop_before(breaks: np.ndarray, rates: Iterable[float], t: float) -> float:
+    """Pr[one reward is accepted strictly before t] from its per-piece accept rates."""
+    total = 0.0
+    for lo, hi, rate in zip(breaks[:-1], breaks[1:], rates):
+        hi = min(hi, t)
+        if hi <= lo:
+            break
+        total += (hi - lo) * rate
+    return min(total, 1.0)
 
 
 def p_tau_single(schedule: ThresholdSchedule, d: Distribution, t: float) -> float:
     """Pr[the threshold policy stops strictly before time t] for one reward."""
-    breaks = np.asarray(schedule.breakpoints)
-    total = 0.0
-    for r, rt in enumerate(schedule.thresholds):
-        lo, hi = breaks[r], min(breaks[r + 1], t)
-        if hi <= lo:
-            break
-        total += (hi - lo) * d.accept_prob(rt)
-    return min(total, 1.0)
+    rates = (rt.accepted_mass(d) for rt in schedule.thresholds)
+    return _stop_before(np.asarray(schedule.breakpoints), rates, t)
 
 
-def p_tau_multi(query: StopProbQuery) -> float:
-    """1 - prod over the multiset of (1 - p_tau_single)."""
+def p_tau_multi(
+    schedule: ThresholdSchedule, dist_multiset: Sequence[tuple[Distribution, int]], t: float
+) -> float:
+    """1 - prod over the (law, multiplicity) multiset of (1 - p_tau_single)."""
     out = 1.0
-    for d, mult in query.dist_multiset:
+    for d, mult in dist_multiset:
         if mult < 1:
             raise InvalidInstanceError("multiplicities must be >= 1")
-        out *= (1.0 - p_tau_single(query.schedule, d, query.t)) ** mult
+        out *= (1.0 - p_tau_single(schedule, d, t)) ** mult
     return 1.0 - out
 
 
 # ----------------------------------------------------------- the integrator
 
 
-def _bucket_bounds(vb: ValueBuckets):
-    lows = (-math.inf,) + vb.edges
-    highs = vb.edges + (math.inf,)
-    return zip(lows, highs, vb.probs)
-
-
 class ExactEvaluator:
     """Caches the per-identity stop intensities of a policy on an instance.
 
-    Works for ThresholdSchedule and ActivationPolicy; the adaptive
-    two-threshold policy couples all arrival times and has no product-form
-    stop probability, so it is Monte Carlo only.
+    Works for every policy with a per-(piece, identity) ``rule``: threshold
+    schedules and activation policies.  The adaptive two-threshold policy
+    couples all arrival times and has no product-form stop probability, so
+    it is Monte Carlo only.
     """
 
-    def __init__(self, inst: Instance, policy, config: IntegrationConfig | None = None):
+    def __init__(self, inst: Instance, policy):
+        if not hasattr(policy, "rule"):
+            raise PolicyMismatchError(
+                f"{type(policy).__name__} has no exact evaluator; estimate it by Monte Carlo"
+            )
+        check_shape(policy, inst.n, inst.copies)
         self.inst = inst
-        self.policy = policy
-        self.config = config or IntegrationConfig()
         self.breaks = np.asarray(policy.breakpoints, dtype=float)
         n, m = inst.n, len(self.breaks) - 1
-        self.rate = np.empty((n, m))
-        for i, d in enumerate(inst.base):
-            for r in range(m):
-                self.rate[i, r] = self._accept_prob(d, i, r)
+        self._rules = [[policy.rule(r, i) for r in range(m)] for i in range(n)]
+        self.rate = self._weights(lambda rule, d: rule.accepted_mass(d))
         lens = np.diff(self.breaks)
-        self.cum = np.concatenate(
+        cum = np.concatenate(
             [np.zeros((n, 1)), np.cumsum(self.rate * lens[None, :], axis=1)], axis=1
         )
         N = inst.total_rewards
@@ -113,131 +98,46 @@ class ExactEvaluator:
         nodes, wts = leggauss(g)
         mids = (self.breaks[:-1] + self.breaks[1:]) / 2.0
         halves = lens / 2.0
-        self._tnodes = mids[:, None] + halves[:, None] * nodes[None, :]  # (m, g)
-        self._wts = wts
-        self._halves = halves
+        tnodes = mids[:, None] + halves[:, None] * nodes[None, :]  # (m, g)
         # survivor products at the nodes (independent of the value weights)
-        p = self.cum[:, :-1, None] + self.rate[:, :, None] * (
-            self._tnodes[None, :, :] - self.breaks[:-1][None, :, None]
+        p = cum[:, :-1, None] + self.rate[:, :, None] * (
+            tnodes[None, :, :] - self.breaks[:-1][None, :, None]
         )
         s = np.clip(1.0 - p, 0.0, 1.0)
         logs = np.log(np.maximum(s, _LOG_FLOOR))  # (n, m, g)
-        k = inst.copies
-        logtot = k * logs.sum(axis=0)
-        self._others = np.exp(logtot[None, :, :] - logs)  # (n, m, g): s_i^(k-1) prod s_j^k
+        logtot = inst.copies * logs.sum(axis=0)
+        others = np.exp(logtot[None, :, :] - logs)  # (n, m, g): s_i^(k-1) prod s_j^k
+        # (n, m): int over piece r of others_i, exact by Gauss-Legendre
+        self._piece_int = (others @ wts) * halves[None, :]
 
-    # per-identity, per-piece acceptance quantities -------------------------
-
-    def _accept_prob(self, d: Distribution, i: int, r: int) -> float:
-        if isinstance(self.policy, ThresholdSchedule):
-            return d.accept_prob(self.policy.thresholds[r])
-        vb = self.policy.tables[r][i]
-        return sum(p * d.mass_between(max(lo, 0.0), hi) for lo, hi, p in _bucket_bounds(vb) if p)
-
-    def _value_weight(self, d: Distribution, i: int, r: int) -> float:
-        if isinstance(self.policy, ThresholdSchedule):
-            return d.mean_accepted(self.policy.thresholds[r])
-        vb = self.policy.tables[r][i]
-        return sum(p * d.mean_between(max(lo, 0.0), hi) for lo, hi, p in _bucket_bounds(vb) if p)
-
-    def _exceed_weight(self, d: Distribution, i: int, r: int, x: float) -> float:
-        if isinstance(self.policy, ThresholdSchedule):
-            return d.prob_accept_above(self.policy.thresholds[r], x)
-        vb = self.policy.tables[r][i]
-        return sum(
-            p * d.mass_between_above(max(lo, 0.0), hi, x) for lo, hi, p in _bucket_bounds(vb) if p
-        )
-
-    # integrals -------------------------------------------------------------
-
-    def _sum_weighted(self, weight: np.ndarray) -> float:
-        """sum_i k * int_0^1 weight_i(piece(t)) * others_i(t) dt, exact."""
-        piece_int = self._others @ self._wts  # (n, m): inner GL sums
-        piece_int = piece_int * self._halves[None, :]
-        return float(self.inst.copies * np.sum(weight * piece_int))
+    def _weights(self, question, lead: tuple[int, ...] = ()) -> np.ndarray:
+        """question(rule, law) at every (identity, piece), on the last two axes."""
+        weight = np.empty((*lead, len(self._rules), len(self.breaks) - 1))
+        for i, (d, rules) in enumerate(zip(self.inst.base, self._rules)):
+            for r, rule in enumerate(rules):
+                weight[..., i, r] = question(rule, d)
+        return weight
 
     def expected_value(self) -> EvalResult:
-        weight = np.empty_like(self.rate)
-        for i, d in enumerate(self.inst.base):
-            for r in range(weight.shape[1]):
-                weight[i, r] = self._value_weight(d, i, r)
-        return EvalResult(self._sum_weighted(weight), self.config.abs_tol, "exact")
-
-    def exceedance(self, x: float) -> float:
-        weight = np.empty_like(self.rate)
-        for i, d in enumerate(self.inst.base):
-            for r in range(weight.shape[1]):
-                weight[i, r] = self._exceed_weight(d, i, r, x)
-        return min(self._sum_weighted(weight), 1.0)
+        """E[selected value] = sum_i k * int_0^1 mean_i(piece(t)) * others_i(t) dt, exact."""
+        weight = self._weights(lambda rule, d: rule.accepted_mean(d))
+        val = float(self.inst.copies * np.sum(weight * self._piece_int))
+        return EvalResult(val, _ABS_TOL, "exact")
 
     def exceedance_many(self, xs) -> np.ndarray:
         """Pr[selected value > x] for a vector of x, sharing the cached nodes."""
         xs = np.asarray(xs, dtype=float)
-        n, m = self.rate.shape
-        weight = np.empty((len(xs), n, m))
-        for i, d in enumerate(self.inst.base):
-            for r in range(m):
-                if isinstance(self.policy, ThresholdSchedule):
-                    rt = self.policy.thresholds[r]
-                    w = 1.0 - np.asarray(d.cdf(np.maximum(rt.tau, xs)))
-                    w = w + (rt.tau > xs) * (rt.accept_prob * d.point_mass(rt.tau))
-                    weight[:, i, r] = w
-                else:
-                    weight[:, i, r] = [self._exceed_weight(d, i, r, x) for x in xs]
-        piece_int = (self._others @ self._wts) * self._halves[None, :]
-        vals = self.inst.copies * np.einsum("xim,im->x", weight, piece_int)
+        weight = self._weights(lambda rule, d: rule.accepted_mass_above(d, xs), (len(xs),))
+        vals = self.inst.copies * np.einsum("xim,im->x", weight, self._piece_int)
         return np.minimum(vals, 1.0)
 
     def no_stop_prob(self, t: float = 1.0) -> float:
         """Pr[no reward accepted strictly before t], exact in log space."""
         out = 0.0
-        for i, d in enumerate(self.inst.base):
-            if isinstance(self.policy, ThresholdSchedule):
-                p = p_tau_single(self.policy, d, t)
-            else:
-                p = self._p_single_activation(i, t)
+        for rates in self.rate:
+            p = _stop_before(self.breaks, rates, t)
             out += self.inst.copies * math.log(max(1.0 - p, _LOG_FLOOR))
         return math.exp(out)
-
-    def stop_prob(self, t: float = 1.0) -> float:
-        """Pr[some reward accepted strictly before t]."""
-        return 1.0 - self.no_stop_prob(t)
-
-    def _p_single_activation(self, i: int, t: float) -> float:
-        total = 0.0
-        for r in range(len(self.breaks) - 1):
-            lo, hi = self.breaks[r], min(self.breaks[r + 1], t)
-            if hi <= lo:
-                break
-            total += (hi - lo) * self.rate[i, r]
-        return min(total, 1.0)
-
-
-def expected_value_threshold(
-    inst: Instance, schedule: ThresholdSchedule, config: IntegrationConfig | None = None
-) -> EvalResult:
-    """Exact E[ALG] for a threshold schedule."""
-    return ExactEvaluator(inst, schedule, config).expected_value()
-
-
-def exceedance_threshold(
-    inst: Instance, schedule: ThresholdSchedule, x: float, config: IntegrationConfig | None = None
-) -> float:
-    """Exact Pr[the threshold policy selects a value > x]."""
-    return ExactEvaluator(inst, schedule, config).exceedance(x)
-
-
-def expected_value_activation(
-    inst: Instance, act: ActivationPolicy, config: IntegrationConfig | None = None
-) -> EvalResult:
-    """Exact E[ALG] for an activation policy."""
-    return ExactEvaluator(inst, act, config).expected_value()
-
-
-def exceedance_activation(
-    inst: Instance, act: ActivationPolicy, x: float, config: IntegrationConfig | None = None
-) -> float:
-    return ExactEvaluator(inst, act, config).exceedance(x)
 
 
 # --------------------------------------------------------------------- DP

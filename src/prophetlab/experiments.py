@@ -25,19 +25,13 @@ import numpy as np
 
 from .distributions import Distribution, RandomizedThreshold, nth_root, product_max
 from .errors import InvalidParameterError
-from .exact_oracle import (
-    ExactEvaluator,
-    StopProbQuery,
-    expected_value_threshold,
-    optimal_online_value,
-    p_tau_multi,
-    p_tau_single,
-)
+from .exact_oracle import ExactEvaluator, optimal_online_value, p_tau_multi, p_tau_single
 from .instance import Instance, OptLaw, make_instance, opt_law
 from .monte_carlo import McConfig, estimate_exceedance, estimate_expected_value
 from .policies import (
     ActivationPolicy,
     AdaptiveTwoThreshold,
+    Policy,
     ThresholdSchedule,
     ValueBuckets,
     make_adaptive,
@@ -48,6 +42,8 @@ from .policies import (
 from .results import EvalResult
 
 __all__ = [
+    "expected_value",
+    "exceedance",
     "KSearchResult",
     "DominanceReport",
     "TwoTypeHardnessReport",
@@ -64,6 +60,45 @@ __all__ = [
 ]
 
 _CLASSES = ("single", "blind", "adaptive")
+
+
+# ------------------------------------------------------ the evaluation seam
+
+_DEFAULT_MC = McConfig(replications=200_000, master_seed=20_240_501)
+
+
+def _route(policy: Policy, method: str, mc: McConfig | None) -> tuple[str, McConfig]:
+    """The method that evaluates ``policy``: the adaptive rule has no
+    product-form oracle, so it always goes to Monte Carlo."""
+    if method not in ("exact", "mc"):
+        raise InvalidParameterError(f"unknown evaluation method {method!r}")
+    if isinstance(policy, AdaptiveTwoThreshold):
+        method = "mc"
+    return method, mc if mc is not None else _DEFAULT_MC
+
+
+def expected_value(
+    inst: Instance, policy: Policy, method: str = "exact", mc: McConfig | None = None
+) -> EvalResult:
+    """E[selected value] of ``policy`` on ``inst``: exact where the policy has
+    a product form, else Monte Carlo under ``mc`` (a fixed default seed when
+    omitted)."""
+    method, mc = _route(policy, method, mc)
+    if method == "exact":
+        return ExactEvaluator(inst, policy).expected_value()
+    return estimate_expected_value(inst, policy, mc)
+
+
+def exceedance(
+    inst: Instance, policy: Policy, xs, method: str = "exact", mc: McConfig | None = None
+) -> list[EvalResult]:
+    """Pr[selected value > x] for each x of ``xs``, routed as ``expected_value``.
+    Exact results carry a half-width of 0; Monte Carlo simulates once for all x."""
+    method, mc = _route(policy, method, mc)
+    if method == "exact":
+        return [EvalResult(float(p), 0.0, "exact")
+                for p in ExactEvaluator(inst, policy).exceedance_many(xs)]
+    return estimate_exceedance(inst, policy, xs, mc)
 
 
 # ------------------------------------------------------------ k-search
@@ -133,10 +168,6 @@ def search_k(
 ) -> KSearchResult:
     """Scan k = 1, 2, ... for the first k whose class policy reaches
     (1 - epsilon) * E[OPT] (minus the evaluator's half-width)."""
-    if algorithm_class == "adaptive" and evaluator == "exact":
-        evaluator = "mc"  # no product-form oracle for the adaptive policy
-    if evaluator == "mc" and mc is None:
-        mc = McConfig(replications=200_000, master_seed=20_240_501)
     opt = OptLaw(base)
     target = (1.0 - epsilon) * opt.expected_value
     per_k: list[tuple[int, EvalResult]] = []
@@ -144,10 +175,7 @@ def search_k(
     for k in range(1, cap + 1):
         inst = make_instance(base, k)
         policy = build_policy(inst, opt, algorithm_class, epsilon, grid_resolution)
-        if evaluator == "exact":
-            res = expected_value_threshold(inst, policy)
-        else:
-            res = estimate_expected_value(inst, policy, mc)
+        res = expected_value(inst, policy, evaluator, mc)
         per_k.append((k, res))
         if res.estimate >= target - res.half_width:
             found = k
@@ -191,7 +219,8 @@ def dominance_check(
     The grid is the 99 percentile points plus the case boundaries where the
     sufficiency proofs switch: the OPT median, quantile 1 - 1/k, and, for the
     adaptive policy, the tau1/tau2 quantiles.  ``opt`` is the instance's OPT
-    law when the caller has already built it.
+    law when the caller has already built it.  The report's evaluator is the
+    one that ran: "mc" for the adaptive policy whatever was asked.
     """
     if opt is None:
         opt = opt_law(inst)
@@ -202,22 +231,15 @@ def dominance_check(
     qs = sorted({q for q in qs if 0.0 <= q < 1.0})
     xs = np.asarray(opt.dist.ppf(np.asarray(qs)), dtype=float)
     p_opt = np.array([opt.prob_above(x) for x in xs])
-    if evaluator == "exact":
-        ev = ExactEvaluator(inst, policy)
-        p_alg = ev.exceedance_many(xs)
-        hw = 0.0
-    else:
-        if mc is None:
-            mc = McConfig(replications=200_000, master_seed=20_240_501)
-        ests = [estimate_exceedance(inst, policy, float(x), mc) for x in xs]
-        p_alg = np.array([e.estimate for e in ests])
-        hw = max(e.half_width for e in ests)
+    ests = exceedance(inst, policy, xs, evaluator, mc)
+    p_alg = np.array([e.estimate for e in ests])
     scaled = (1.0 - epsilon) * p_opt
     rows = tuple(
         (float(q), float(x), float(a), float(s), float(a - s))
         for q, x, a, s in zip(qs, xs, p_alg, scaled)
     )
-    return DominanceReport(epsilon, evaluator, rows, hw)
+    ran = "exact" if ests[0].method == "exact" else "mc"
+    return DominanceReport(epsilon, ran, rows, max(e.half_width for e in ests))
 
 
 # ------------------------------------------------- regression instances
@@ -271,10 +293,10 @@ _LOW = RandomizedThreshold(0.5, 0.0)  # accepts both nonzero values
 
 def _switch_schedule(t: float) -> ThresholdSchedule:
     if t <= 0.0:
-        return ThresholdSchedule((0.0, 1.0), (_LOW,), nonincreasing=True)
+        return ThresholdSchedule((0.0, 1.0), (_LOW,))
     if t >= 1.0:
-        return ThresholdSchedule((0.0, 1.0), (_HIGH,), nonincreasing=True)
-    return ThresholdSchedule((0.0, t, 1.0), (_HIGH, _LOW), nonincreasing=True)
+        return ThresholdSchedule((0.0, 1.0), (_HIGH,))
+    return ThresholdSchedule((0.0, t, 1.0), (_HIGH, _LOW))
 
 
 def _channel_gap(q_no_stop: float, q_low: float, p, s, eps):
@@ -302,6 +324,10 @@ def hardness_time_based(k: int = 25, grid_points: int = 1001) -> TwoTypeHardness
     Every nonincreasing time-based policy on a {0, 1, 1+sqrt(eps)} instance
     reduces to 'accept only the top value until t, anything nonzero after'.
     """
+    if not isinstance(k, (int, np.integer)) or k < 2:
+        raise InvalidParameterError(
+            f"time-based hardness needs an integer k >= 2 (p = 1/k must be below 1), got {k!r}"
+        )
     with mp.workdps(80):
         L = _fixed_point_L(k)
         eps = mp.exp(-L)
@@ -424,6 +450,7 @@ class GeneralHardnessReport:
     ceiling_log_gap: float  # ln(ceiling - DP); ceiling = 1 + s - s/4^k
     three_p_ok: bool
     certified: bool
+    dps: int  # decimal digits the DP ran at
 
 
 def hardness_general(k: int = 4, k_max: int = 20) -> GeneralHardnessReport:
@@ -435,7 +462,9 @@ def hardness_general(k: int = 4, k_max: int = 20) -> GeneralHardnessReport:
         for kk in range(1, k_max + 1)
     )
     bad = Fraction(fact(k) ** 2, fact(2 * k))
-    with mp.workdps(60):
+    # eps = e^(-4k^2) lies 4k^2 / ln 10 decimal digits below 1; 30 guard digits on top
+    dps = max(60, math.ceil(4 * k * k / math.log(10)) + 30)
+    with mp.workdps(dps):
         p = mp.exp(mp.mpf(-2 * k))
         s = mp.exp(mp.mpf(-2 * k * k))
         eps = s * s
@@ -458,6 +487,7 @@ def hardness_general(k: int = 4, k_max: int = 20) -> GeneralHardnessReport:
             float(mp.log(ceiling_gap)) if ceiling_gap > 0 else float("nan"),
             bool(3 * p < mp.mpf(1) / 4**k),
             bool(gap > 0 and ceiling_gap >= 0),
+            dps,
         )
     return report
 
@@ -554,9 +584,9 @@ def lemma_suite(seed: int, trials: int = 200, monotone_trials: int = 100) -> Lem
         F2 = F1 if trial % 10 == 9 else _random_distribution(rng)
         prod = product_max([F1, F2], extra_points=taus)
         root = nth_root(prod, 2, extra_points=taus)
-        p_pair = p_tau_multi(StopProbQuery(sched, ((F1, 1), (F2, 1)), t))
-        p_prod = p_tau_multi(StopProbQuery(sched, ((prod, 1),), t))
-        p_root = p_tau_multi(StopProbQuery(sched, ((root, 2),), t))
+        p_pair = p_tau_multi(sched, ((F1, 1), (F2, 1)), t)
+        p_prod = p_tau_multi(sched, ((prod, 1),), t)
+        p_root = p_tau_multi(sched, ((root, 2),), t)
         slack_product = p_pair - p_prod
         slack_root = p_root - p_pair
         if F2 is F1:
@@ -565,8 +595,8 @@ def lemma_suite(seed: int, trials: int = 200, monotone_trials: int = 100) -> Lem
         Fs = [_random_distribution(rng) for _ in range(n)]
         prod_n = product_max(Fs, extra_points=taus)
         root_n = nth_root(prod_n, n, extra_points=taus)
-        p_all = p_tau_multi(StopProbQuery(sched, tuple((F, 1) for F in Fs), t))
-        p_root_n = p_tau_multi(StopProbQuery(sched, ((root_n, n),), t))
+        p_all = p_tau_multi(sched, [(F, 1) for F in Fs], t)
+        p_root_n = p_tau_multi(sched, ((root_n, n),), t)
         slack_corollary = p_root_n - p_all
         # reach observation: conditioning on one designated reward arriving
         # exactly at t removes its factor from the no-stop product
@@ -583,7 +613,7 @@ def lemma_suite(seed: int, trials: int = 200, monotone_trials: int = 100) -> Lem
         base = [_random_distribution(rng) for _ in range(int(rng.integers(1, 3)))]
         inst = make_instance(base, int(rng.integers(1, 4)))
         sched = _random_schedule(rng, pieces=int(rng.integers(2, 4)))
-        before = expected_value_threshold(inst, sched).estimate
-        after = expected_value_threshold(inst, sort_nonincreasing(sched)).estimate
+        before = expected_value(inst, sched).estimate
+        after = expected_value(inst, sort_nonincreasing(sched)).estimate
         s5 = min(s5, after - before)
     return LemmaSuiteReport(trials, seed, s1, s2, s3, s4, s5, sym_gap, tuple(rows))

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -198,7 +197,7 @@ class ArrivalSequence:
     """One realized draw of all n*k rewards, sorted by arrival time.
 
     Time ties (possible in floating point) are broken by (identity, copy)
-    index order; tied positions are recorded in ``tie_positions``."""
+    index order."""
 
     n: int
     copies: int
@@ -207,7 +206,6 @@ class ArrivalSequence:
     copy_index: np.ndarray
     values: np.ndarray
     tiebreaks: np.ndarray
-    tie_positions: tuple[int, ...] = field(default=())
 
     def __len__(self) -> int:
         return len(self.times)
@@ -224,17 +222,14 @@ def sample_arrivals(inst: Instance, rng: np.random.Generator) -> ArrivalSequence
         values[identities == i] = d.sample_values(rng, k)
     tiebreaks = rng.random(N)
     order = np.lexsort((copy_index, identities, times))
-    ts = times[order]
-    ties = tuple(int(p) for p in np.nonzero(np.diff(ts) == 0)[0])
     return ArrivalSequence(
         n=n,
         copies=k,
-        times=ts,
+        times=times[order],
         identities=identities[order],
         copy_index=copy_index[order],
         values=values[order],
         tiebreaks=tiebreaks[order],
-        tie_positions=ties,
     )
 
 
@@ -254,8 +249,3 @@ def instance_from_json(obj: dict) -> Instance:
     if isinstance(copies, float) and copies.is_integer():
         copies = int(copies)
     return make_instance(base, copies)
-
-
-def load_instance(path: str) -> Instance:
-    with open(path) as fh:
-        return instance_from_json(json.load(fh))

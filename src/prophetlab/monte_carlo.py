@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution
 from .errors import InvalidParameterError, PolicyMismatchError
 from .instance import Instance
 from .policies import (
@@ -21,6 +20,7 @@ from .policies import (
     AdaptiveTwoThreshold,
     Policy,
     ThresholdSchedule,
+    check_shape,
 )
 from .results import EvalResult
 
@@ -42,15 +42,6 @@ class McConfig:
             raise InvalidParameterError("replications must be >= 1")
         if self.ci_method not in ("normal", "hoeffding"):
             raise InvalidParameterError(f"unknown ci_method {self.ci_method!r}")
-
-
-def _check_policy(inst: Instance, policy: Policy) -> None:
-    if isinstance(policy, ActivationPolicy) and policy.n != inst.n:
-        raise PolicyMismatchError(f"policy has {policy.n} identities, instance {inst.n}")
-    if isinstance(policy, AdaptiveTwoThreshold) and (
-        policy.n != inst.n or policy.copies != inst.copies
-    ):
-        raise PolicyMismatchError("adaptive policy shape differs from instance")
 
 
 def _block_rng(master_seed: int, block: int) -> np.random.Generator:
@@ -121,53 +112,63 @@ def _simulate_block(inst: Instance, policy: Policy, rng: np.random.Generator, nr
     return selected, any_accept
 
 
-def _run(inst: Instance, policy: Policy, cfg: McConfig, statistic) -> EvalResult:
-    _check_policy(inst, policy)
+def _run(inst: Instance, policy: Policy, cfg: McConfig, reduce, cap: float | None = None):
+    """One simulation.  ``reduce(selected, stopped)`` turns each block into
+    the (sum, sum of squares) of its statistic: two floats, or two arrays with
+    one entry per statistic.  The sums add up in block order; the result is
+    one estimate per entry.  ``cap`` bounds the statistic for Hoeffding
+    (default: the value cap)."""
+    check_shape(policy, inst.n, inst.copies)
+    value_cap = cfg.value_cap if cfg.value_cap is not None else inst.support_max
+    if cfg.ci_method == "hoeffding" and value_cap < inst.support_max:
+        raise InvalidParameterError("value_cap must cover the instance support")
     R = cfg.replications
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    block = 0
+    total = total_sq = 0.0
+    done = block = 0
     while done < R:
         nrep = min(_BLOCK, R - done)
-        rng = _block_rng(cfg.master_seed, block)
-        selected, stopped = _simulate_block(inst, policy, rng, nrep)
-        xs = statistic(selected, stopped)
-        total += float(xs.sum())
-        total_sq += float((xs * xs).sum())
+        selected, stopped = _simulate_block(inst, policy, _block_rng(cfg.master_seed, block), nrep)
+        s, s2 = reduce(selected, stopped)
+        total = total + s
+        total_sq = total_sq + s2
         done += nrep
         block += 1
-    mean = total / R
-    if cfg.ci_method == "hoeffding":
-        cap = cfg.value_cap if cfg.value_cap is not None else inst.support_max
-        if cap < inst.support_max:
-            raise InvalidParameterError("value_cap must cover the instance support")
-        hw = cap * math.sqrt(math.log(2.0 / 0.01) / (2.0 * R))
-    else:
-        var = max(total_sq / R - mean * mean, 0.0)
-        hw = _Z99 * math.sqrt(var / R)
-    return EvalResult(mean, hw, "monte-carlo", replications=R, seed=cfg.master_seed)
+    results = []
+    for t, t2 in zip(np.atleast_1d(total), np.atleast_1d(total_sq)):
+        mean = float(t) / R
+        if cfg.ci_method == "hoeffding":
+            hw = (value_cap if cap is None else cap) * math.sqrt(math.log(2.0 / 0.01) / (2.0 * R))
+        else:
+            var = max(float(t2) / R - mean * mean, 0.0)
+            hw = _Z99 * math.sqrt(var / R)
+        results.append(EvalResult(mean, hw, "monte-carlo", replications=R, seed=cfg.master_seed))
+    return results
+
+
+def _moments(xs: np.ndarray) -> tuple[float, float]:
+    return float(xs.sum()), float((xs * xs).sum())
 
 
 def estimate_expected_value(inst: Instance, policy: Policy, cfg: McConfig) -> EvalResult:
     """Mean selected value over the replications."""
-    return _run(inst, policy, cfg, lambda selected, stopped: selected)
+    return _run(inst, policy, cfg, lambda selected, stopped: _moments(selected))[0]
 
 
-def estimate_exceedance(inst: Instance, policy: Policy, x: float, cfg: McConfig) -> EvalResult:
-    """Fraction of replications selecting a value > x (Hoeffding cap is 1)."""
-    res = _run(inst, policy, cfg, lambda selected, stopped: (selected > x).astype(float))
-    return _probability_ci(res, cfg)
+def estimate_exceedance(inst: Instance, policy: Policy, xs, cfg: McConfig) -> list[EvalResult]:
+    """Fraction of replications selecting a value > x, for each x of ``xs``
+    (Hoeffding cap is 1).  One simulation serves every x: each block's
+    counts are exact integers, so each estimate equals a run for its x alone."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+
+    def counts(selected, stopped):
+        above = (len(selected) - np.searchsorted(np.sort(selected), xs, side="right")) * 1.0
+        return above, above  # a 0/1 statistic squares to itself
+
+    return _run(inst, policy, cfg, counts, cap=1.0)
 
 
 def estimate_no_stop(inst: Instance, policy: Policy, cfg: McConfig) -> EvalResult:
     """Fraction of replications selecting nothing."""
-    res = _run(inst, policy, cfg, lambda selected, stopped: (~stopped).astype(float))
-    return _probability_ci(res, cfg)
-
-
-def _probability_ci(res: EvalResult, cfg: McConfig) -> EvalResult:
-    if cfg.ci_method != "hoeffding":
-        return res
-    hw = math.sqrt(math.log(2.0 / 0.01) / (2.0 * res.replications))
-    return EvalResult(res.estimate, hw, res.method, res.replications, res.seed)
+    return _run(
+        inst, policy, cfg, lambda selected, stopped: _moments((~stopped).astype(float)), cap=1.0
+    )[0]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -29,18 +29,36 @@ __all__ = [
     "make_blind_schedule",
     "make_adaptive",
     "run_policy",
+    "check_shape",
     "switch_time_S",
     "sort_nonincreasing",
 ]
 
 
+class _TimePieces:
+    """Time pieces [s_r, s_{r+1}) of ``self.breakpoints``, 0 = s_0 < ... < s_m = 1.
+
+    A piecewise policy answers ``rule(piece, identity)`` with the acceptance
+    rule of that cell: a ``RandomizedThreshold`` or ``ValueBuckets``, both of
+    which report accepted mass, accepted mean, accepted mass above x, and
+    ``accepts(AugmentedValue)``.
+    """
+
+    @property
+    def num_pieces(self) -> int:
+        return len(self.breakpoints) - 1
+
+    def piece_at(self, t: float) -> int:
+        j = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
+        return min(max(j, 0), self.num_pieces - 1)
+
+
 @dataclass(frozen=True)
-class ThresholdSchedule:
+class ThresholdSchedule(_TimePieces):
     """Breakpoints 0 = s_0 < ... < s_m = 1 with one randomized threshold per piece."""
 
     breakpoints: tuple[float, ...]
     thresholds: tuple[RandomizedThreshold, ...]
-    nonincreasing: bool = False
 
     def __post_init__(self):
         if len(self.breakpoints) != len(self.thresholds) + 1:
@@ -50,13 +68,9 @@ class ThresholdSchedule:
         if any(b >= c for b, c in zip(self.breakpoints, self.breakpoints[1:])):
             raise InvalidParameterError("breakpoints must be strictly increasing")
 
-    @property
-    def num_pieces(self) -> int:
-        return len(self.thresholds)
-
-    def piece_at(self, t: float) -> int:
-        j = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return min(max(j, 0), self.num_pieces - 1)
+    def rule(self, piece: int, identity: int) -> RandomizedThreshold:
+        """The same threshold for every identity."""
+        return self.thresholds[piece]
 
     def threshold_at(self, t: float) -> RandomizedThreshold:
         return self.thresholds[self.piece_at(t)]
@@ -84,9 +98,34 @@ class ValueBuckets:
     def prob(self, v: float) -> float:
         return self.probs[int(np.searchsorted(self.edges, v, side="right"))]
 
+    def _bounds(self) -> list[tuple[float, float, float]]:
+        """(lo, hi, prob) of each bucket that activates, lo clipped at 0."""
+        lows = (-math.inf,) + self.edges
+        highs = self.edges + (math.inf,)
+        return [(max(lo, 0.0), hi, p) for lo, hi, p in zip(lows, highs, self.probs) if p]
+
+    def accepts(self, av: AugmentedValue) -> bool:
+        return av.tiebreak < self.prob(av.value)
+
+    def accepted_mass(self, d: Distribution) -> float:
+        """Pr[accepted]."""
+        return sum(p * d.mass_between(lo, hi) for lo, hi, p in self._bounds())
+
+    def accepted_mean(self, d: Distribution) -> float:
+        """E[V * 1{accepted}]."""
+        return sum(p * d.mean_between(lo, hi) for lo, hi, p in self._bounds())
+
+    def accepted_mass_above(self, d: Distribution, xs: np.ndarray) -> np.ndarray:
+        """Pr[accepted and V > x] for each x of ``xs``."""
+        bounds = self._bounds()
+        return np.array(
+            [sum(p * d.mass_between_above(lo, hi, x) for lo, hi, p in bounds) for x in xs],
+            dtype=float,
+        )
+
 
 @dataclass(frozen=True)
-class ActivationPolicy:
+class ActivationPolicy(_TimePieces):
     """Per-identity activation tables, piecewise constant in time."""
 
     breakpoints: tuple[float, ...]
@@ -97,17 +136,15 @@ class ActivationPolicy:
             raise InvalidParameterError("activation pieces must cover [0, 1]")
         if len(self.tables) != len(self.breakpoints) - 1:
             raise InvalidParameterError("need one table per time piece")
+        if len({len(row) for row in self.tables}) != 1:
+            raise InvalidParameterError("every time piece needs the same identities")
 
     @property
     def n(self) -> int:
         return len(self.tables[0])
 
-    def piece_at(self, t: float) -> int:
-        j = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return min(max(j, 0), len(self.tables) - 1)
-
-    def prob(self, identity: int, v: float, t: float) -> float:
-        return self.tables[self.piece_at(t)][identity].prob(v)
+    def rule(self, piece: int, identity: int) -> ValueBuckets:
+        return self.tables[piece][identity]
 
     @classmethod
     def constant(cls, buckets_per_identity: Sequence[ValueBuckets]) -> "ActivationPolicy":
@@ -165,7 +202,7 @@ class StopOutcome:
 
 def make_single_threshold(opt: OptLaw) -> ThresholdSchedule:
     """The blind single-threshold rule at the OPT median."""
-    return ThresholdSchedule((0.0, 1.0), (opt.quantile_threshold(0.5),), nonincreasing=True)
+    return ThresholdSchedule((0.0, 1.0), (opt.quantile_threshold(0.5),))
 
 
 def make_blind_schedule(opt: OptLaw, k: int, grid_resolution: int = 512) -> ThresholdSchedule:
@@ -185,7 +222,7 @@ def make_blind_schedule(opt: OptLaw, k: int, grid_resolution: int = 512) -> Thre
     grid = np.linspace(switch, 1.0, grid_resolution + 1)
     thresholds = opt.quantile_thresholds([0.5, *(1.0 / (grid[:-1] * k))])
     breaks = (0.0, switch, *grid[1:])
-    return ThresholdSchedule(breaks, tuple(thresholds), nonincreasing=True)
+    return ThresholdSchedule(breaks, tuple(thresholds))
 
 
 def make_adaptive(opt: OptLaw, inst: Instance, epsilon: float) -> AdaptiveTwoThreshold:
@@ -211,45 +248,38 @@ def sort_nonincreasing(schedule: ThresholdSchedule) -> ThresholdSchedule:
     for r in order:
         breaks.append(breaks[-1] + float(lengths[r]))
     breaks[-1] = 1.0
-    return ThresholdSchedule(
-        tuple(breaks), tuple(schedule.thresholds[r] for r in order), nonincreasing=True
-    )
+    return ThresholdSchedule(tuple(breaks), tuple(schedule.thresholds[r] for r in order))
 
 
 # ---------------------------------------------------------------- execution
 
 
-def _check_shape(policy: Policy, seq: ArrivalSequence) -> None:
-    if isinstance(policy, ActivationPolicy) and policy.n != seq.n:
-        raise PolicyMismatchError(f"policy has {policy.n} identities, sequence has {seq.n}")
-    if isinstance(policy, AdaptiveTwoThreshold):
-        if policy.n != seq.n or policy.copies != seq.copies:
-            raise PolicyMismatchError(
-                f"adaptive policy built for (n={policy.n}, k={policy.copies}), "
-                f"sequence has (n={seq.n}, k={seq.copies})"
-            )
+def check_shape(policy: Policy, n: int, copies: int) -> None:
+    """Raise PolicyMismatchError unless ``policy`` runs on n identities with
+    ``copies`` copies each: an activation policy fixes n, the adaptive rule
+    fixes n and k, a threshold schedule fits every shape."""
+    want = (getattr(policy, "n", n), getattr(policy, "copies", copies))
+    if want != (n, copies):
+        raise PolicyMismatchError(
+            f"policy built for (n={want[0]}, k={want[1]}), instance has (n={n}, k={copies})"
+        )
 
 
-def run_policy(policy: Policy, seq: ArrivalSequence, rng=None) -> StopOutcome:
+def run_policy(policy: Policy, seq: ArrivalSequence) -> StopOutcome:
     """Scan the events in time order and return the first acceptance.
 
     Threshold and activation decisions consume the event's own tiebreak, so
-    the outcome is a pure function of (policy, seq); ``rng`` is unused and
-    kept for signature symmetry with stochastic policy classes.
+    the outcome is a pure function of (policy, seq).
     """
-    _check_shape(policy, seq)
+    check_shape(policy, seq.n, seq.copies)
     if isinstance(policy, AdaptiveTwoThreshold):
         return _run_adaptive(policy, seq)
     for pos in range(len(seq)):
         t = float(seq.times[pos])
-        v = float(seq.values[pos])
-        u = float(seq.tiebreaks[pos])
-        if isinstance(policy, ThresholdSchedule):
-            accept = policy.threshold_at(t).accepts(AugmentedValue(v, u))
-        else:
-            accept = u < policy.prob(int(seq.identities[pos]), v, t)
-        if accept:
-            return StopOutcome(True, t, v, (int(seq.identities[pos]), int(seq.copy_index[pos])))
+        i = int(seq.identities[pos])
+        av = AugmentedValue(float(seq.values[pos]), float(seq.tiebreaks[pos]))
+        if policy.rule(policy.piece_at(t), i).accepts(av):
+            return StopOutcome(True, t, av.value, (i, int(seq.copy_index[pos])))
     return StopOutcome.none()
 
 

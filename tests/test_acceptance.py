@@ -20,7 +20,7 @@ from prophetlab import (
     ThresholdSchedule,
     estimate_expected_value,
     estimate_no_stop,
-    expected_value_threshold,
+    expected_value,
     make_instance,
     opt_law,
 )
@@ -55,7 +55,7 @@ def _sufficiency(algorithm_class, margin_tol):
             inst = make_instance(list(base), k)
             opt = opt_law(inst)
             policy = build_policy(inst, opt, algorithm_class, eps)
-            value = expected_value_threshold(inst, policy).estimate
+            value = expected_value(inst, policy).estimate
             worst_gap = min(worst_gap, value - (1.0 - eps) * opt.expected_value)
             report = dominance_check(inst, policy, eps)
             worst_margin = min(worst_margin, report.min_margin)
@@ -140,7 +140,7 @@ def test_05_oracle_vs_brute_force_and_mc():
                 inst = make_instance([pool[i] for i in ids], k)
                 for sched in schedules:
                     err = abs(
-                        expected_value_threshold(inst, sched).estimate
+                        expected_value(inst, sched).estimate
                         - enumerate_expected_value(inst, sched)
                     )
                     worst = max(worst, err)
@@ -155,7 +155,7 @@ def test_05_oracle_vs_brute_force_and_mc():
         sched = ThresholdSchedule(
             (0.0, 1.0), (RandomizedThreshold(float(rng.choice([0.0, 0.5, 1.0, 2.0])), float(rng.random())),)
         )
-        exact = expected_value_threshold(inst, sched).estimate
+        exact = expected_value(inst, sched).estimate
         res = estimate_expected_value(inst, sched, McConfig(200_000, 9_000 + trial))
         # 99% CI, one retry allowed; the 1e-12 floor covers constant-reward
         # instances where the CI width is exactly zero but the quadrature

@@ -136,6 +136,14 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "directory" in err and err.count("\n") == 1
 
+    def test_time_based_hardness_k1_exits_1_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["hardness", "--class", "time-based", "--k", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "k >= 2 (p = 1/k must be below 1)" in err
+        assert not (out / "summary.json").exists()
+
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 1
 

@@ -15,11 +15,12 @@ from prophetlab import (
     ActivationPolicy,
     Distribution,
     ExactEvaluator,
+    PolicyMismatchError,
     RandomizedThreshold,
     ThresholdSchedule,
-    exceedance_threshold,
-    expected_value_activation,
-    expected_value_threshold,
+    exceedance,
+    expected_value,
+    make_adaptive,
     make_instance,
     nth_root,
     opt_law,
@@ -27,7 +28,6 @@ from prophetlab import (
     p_tau_multi,
     p_tau_single,
 )
-from prophetlab.exact_oracle import StopProbQuery
 from prophetlab.policies import ValueBuckets
 
 COIN = Distribution.discrete([(0.0, 0.5), (1.0, 0.5)])
@@ -37,6 +37,11 @@ ATOM1 = Distribution.discrete([(1.0, 1.0)])
 
 def const_schedule(tau, accept_prob=0.0):
     return ThresholdSchedule((0.0, 1.0), (RandomizedThreshold(tau, accept_prob),))
+
+
+def exceedance_at(inst, policy, x):
+    (res,) = exceedance(inst, policy, [x])
+    return res.estimate
 
 
 class TestPTau:
@@ -51,12 +56,11 @@ class TestPTau:
         assert p_tau_single(const_schedule(0.5), COIN, 1.0) == pytest.approx(0.5)
 
     def test_multi_single_entry(self):
-        q = StopProbQuery(const_schedule(0.5), ((COIN, 1),), 0.7)
-        assert p_tau_multi(q) == pytest.approx(p_tau_single(const_schedule(0.5), COIN, 0.7))
+        got = p_tau_multi(const_schedule(0.5), ((COIN, 1),), 0.7)
+        assert got == pytest.approx(p_tau_single(const_schedule(0.5), COIN, 0.7))
 
     def test_multi_two_coins(self):
-        q = StopProbQuery(const_schedule(0.5), ((COIN, 2),), 1.0)
-        assert p_tau_multi(q) == pytest.approx(0.75)
+        assert p_tau_multi(const_schedule(0.5), ((COIN, 2),), 1.0) == pytest.approx(0.75)
 
     def test_root_copy_closed_form(self):
         # OPT-median threshold on n k root copies:
@@ -69,18 +73,18 @@ class TestPTau:
         sched = ThresholdSchedule((0.0, 1.0), (rt,))
         q = root.reject_prob(rt)
         for t in (0.25, 0.7, 1.0):
-            got = p_tau_multi(StopProbQuery(sched, ((root, n * k),), t))
+            got = p_tau_multi(sched, ((root, n * k),), t)
             assert got == pytest.approx(1.0 - (1.0 - t + t * q) ** (n * k), abs=1e-12)
 
 
 class TestExpectedValueThreshold:
     def test_one_coin(self):
         inst = make_instance([COIN], 1)
-        assert expected_value_threshold(inst, const_schedule(0.5)).estimate == pytest.approx(0.5)
+        assert expected_value(inst, const_schedule(0.5)).estimate == pytest.approx(0.5)
 
     def test_two_coin_copies(self):
         inst = make_instance([COIN], 2)
-        res = expected_value_threshold(inst, const_schedule(0.5))
+        res = expected_value(inst, const_schedule(0.5))
         assert res.estimate == pytest.approx(0.75, abs=1e-12)
         assert res.method == "exact"
 
@@ -90,27 +94,27 @@ class TestExpectedValueThreshold:
             (0.0, 0.4, 1.0),
             (RandomizedThreshold(1.0, 0.3), RandomizedThreshold(0.0, 0.6)),
         )
-        exact = expected_value_threshold(inst, sched).estimate
+        exact = expected_value(inst, sched).estimate
         assert exact == pytest.approx(enumerate_expected_value(inst, sched), abs=1e-10)
 
 
 class TestExceedance:
     def test_above_all_supports(self):
         inst = make_instance([COIN, TRI], 2)
-        assert exceedance_threshold(inst, const_schedule(0.5), 5.0) == 0.0
+        assert exceedance_at(inst, const_schedule(0.5), 5.0) == 0.0
 
     def test_at_zero_equals_stop_prob(self):
         # positive-support instance: selecting anything means selecting > 0
         d = Distribution.discrete([(1.0, 0.5), (2.0, 0.5)])
         inst = make_instance([d], 3)
         sched = const_schedule(1.0, 0.5)
-        got = exceedance_threshold(inst, sched, 0.0)
-        want = p_tau_multi(StopProbQuery(sched, ((d, 3),), 1.0))
+        got = exceedance_at(inst, sched, 0.0)
+        want = p_tau_multi(sched, ((d, 3),), 1.0)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_fair_coin_half(self):
         inst = make_instance([COIN], 2)
-        assert exceedance_threshold(inst, const_schedule(0.5), 0.5) == pytest.approx(0.75, abs=1e-12)
+        assert exceedance_at(inst, const_schedule(0.5), 0.5) == pytest.approx(0.75, abs=1e-12)
 
     def test_exceedance_many_matches_scalar(self):
         inst = make_instance([COIN, TRI], 2)
@@ -122,7 +126,7 @@ class TestExceedance:
         xs = np.array([0.0, 0.5, 1.0, 2.9])
         many = ev.exceedance_many(xs)
         for x, m in zip(xs, many):
-            assert m == pytest.approx(exceedance_threshold(inst, sched, float(x)), abs=1e-12)
+            assert m == pytest.approx(exceedance_at(inst, sched, float(x)), abs=1e-12)
 
 
 class TestActivation:
@@ -133,14 +137,14 @@ class TestActivation:
             (RandomizedThreshold(1.0, 0.3), RandomizedThreshold(0.0, 0.6)),
         )
         act = ActivationPolicy.from_threshold(sched, inst.n)
-        a = expected_value_activation(inst, act).estimate
-        b = expected_value_threshold(inst, sched).estimate
+        a = expected_value(inst, act).estimate
+        b = expected_value(inst, sched).estimate
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_never_activate(self):
         inst = make_instance([COIN, TRI], 2)
         act = ActivationPolicy.constant([ValueBuckets((), (0.0,))] * 2)
-        assert expected_value_activation(inst, act).estimate == 0.0
+        assert expected_value(inst, act).estimate == 0.0
 
     def test_one_greedy_identity(self):
         # identity 0 always activates, identity 1 never: ALG gets V_0 always
@@ -148,9 +152,32 @@ class TestActivation:
         act = ActivationPolicy.constant(
             [ValueBuckets((), (1.0,)), ValueBuckets((), (0.0,))]
         )
-        got = expected_value_activation(inst, act).estimate
+        got = expected_value(inst, act).estimate
         assert got == pytest.approx(enumerate_expected_value(inst, act), abs=1e-10)
         assert got == pytest.approx(1.4)  # E[TRI]
+
+
+class TestShapeGuard:
+    """The exact path refuses a policy built for another instance shape."""
+
+    @pytest.mark.parametrize("tables", [2, 4])
+    def test_activation_identity_count_must_match(self, tables):
+        inst = make_instance([COIN, TRI, ATOM1], 2)
+        act = ActivationPolicy.constant([ValueBuckets((), (1.0,))] * tables)
+        for evaluate in (
+            lambda: ExactEvaluator(inst, act),
+            lambda: expected_value(inst, act),
+            lambda: exceedance(inst, act, [0.5]),
+        ):
+            with pytest.raises(PolicyMismatchError):
+                evaluate()
+
+    def test_adaptive_has_no_exact_evaluator(self):
+        inst = make_instance([COIN, TRI], 16)
+        pol = make_adaptive(opt_law(inst), inst, math.exp(-4))
+        with pytest.raises(PolicyMismatchError) as info:
+            ExactEvaluator(inst, pol)
+        assert "\n" not in str(info.value) and "Monte Carlo" in str(info.value)
 
 
 class TestEnumerationSweep:
@@ -183,7 +210,7 @@ class TestEnumerationSweep:
             inst = make_instance([self.POOL[i] for i in ids], k)
             for sched in self.SCHEDULES:
                 want_val, want_ns = enumerate_stop_statistics(inst, sched)
-                got = expected_value_threshold(inst, sched).estimate
+                got = expected_value(inst, sched).estimate
                 assert got == pytest.approx(want_val, abs=1e-7), (ids, k)
                 ev = ExactEvaluator(inst, sched)
                 assert ev.no_stop_prob() == pytest.approx(want_ns, abs=1e-7), (ids, k)
@@ -193,7 +220,7 @@ class TestEnumerationSweep:
             inst = make_instance([self.POOL[i] for i in ids], k)
             sched = self.SCHEDULES[2]
             for x in (0.0, 1.0, 2.4):
-                got = exceedance_threshold(inst, sched, x)
+                got = exceedance_at(inst, sched, x)
                 assert got == pytest.approx(enumerate_exceedance(inst, sched, x), abs=1e-7)
 
 
@@ -215,4 +242,4 @@ class TestOptimalOnlineDp:
         inst = make_instance([COIN, TRI], 2)
         best = optimal_online_dp(inst).estimate
         for sched in TestEnumerationSweep.SCHEDULES:
-            assert best >= expected_value_threshold(inst, sched).estimate - 1e-12
+            assert best >= expected_value(inst, sched).estimate - 1e-12

@@ -6,11 +6,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from prophetlab import Distribution, InvalidParameterError, make_instance, opt_law
+from prophetlab import (
+    Distribution,
+    InvalidParameterError,
+    McConfig,
+    estimate_exceedance,
+    estimate_expected_value,
+    make_adaptive,
+    make_instance,
+    opt_law,
+)
 from prophetlab.experiments import (
     LemmaSuiteReport,
     build_policy,
     dominance_check,
+    exceedance,
+    expected_value,
     hardness_general,
     hardness_time_based,
     lemma_suite,
@@ -90,6 +101,39 @@ class TestDominance:
         assert report.min_margin < 0.0
 
 
+class TestSeam:
+    """expected_value / exceedance route the adaptive rule to Monte Carlo."""
+
+    def adaptive(self):
+        inst = make_instance([COIN, Distribution.discrete([(0.0, 0.2), (2.0, 0.8)])], 8)
+        return inst, make_adaptive(opt_law(inst), inst, math.exp(-4))
+
+    def test_adaptive_expected_value_is_monte_carlo(self):
+        inst, pol = self.adaptive()
+        cfg = McConfig(4_000, 3)
+        res = expected_value(inst, pol, mc=cfg)
+        assert res == estimate_expected_value(inst, pol, cfg)
+        assert res.method == "monte-carlo"
+
+    def test_adaptive_exceedance_is_monte_carlo(self):
+        inst, pol = self.adaptive()
+        cfg = McConfig(4_000, 3)
+        xs = [0.0, 0.5, 1.5]
+        assert exceedance(inst, pol, xs, mc=cfg) == estimate_exceedance(inst, pol, xs, cfg)
+
+    def test_adaptive_dominance_with_default_evaluator_runs_mc(self):
+        inst, pol = self.adaptive()
+        report = dominance_check(inst, pol, math.exp(-4), mc=McConfig(4_000, 3))
+        assert report.evaluator == "mc"
+        assert report.half_width > 0.0
+        assert len(report.rows) >= 99
+
+    def test_unknown_method_rejected(self):
+        inst, pol = self.adaptive()
+        with pytest.raises(InvalidParameterError):
+            expected_value(inst, pol, "simulate")
+
+
 class TestHardnessReports:
     def test_general_bad_order_exact(self):
         report = hardness_general()
@@ -99,6 +143,22 @@ class TestHardnessReports:
 
     def test_general_k1_bad_order(self):
         assert Fraction(math.factorial(1) ** 2, math.factorial(2)) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("k, dps", [(10, 204), (12, 281)])
+    def test_general_precision_follows_k(self, k, dps):
+        # eps = e^(-4k^2): a fixed 60 digits cannot see the gap at k = 10
+        report = hardness_general(k=k)
+        assert report.dps == dps
+        assert report.certified
+        assert math.isfinite(report.log_gap) and math.isfinite(report.ceiling_log_gap)
+
+    def test_general_small_k_keeps_60_digits(self):
+        assert hardness_general(k=4).dps == 60
+
+    @pytest.mark.parametrize("k", [1, 0, -3])
+    def test_time_based_rejects_k_below_2(self, k):
+        with pytest.raises(InvalidParameterError, match=r"k >= 2 \(p = 1/k must be below 1\)"):
+            hardness_time_based(k=k)
 
     def test_time_based_closed_form_cross_check(self):
         report = hardness_time_based(k=6, grid_points=51)

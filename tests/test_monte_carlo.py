@@ -13,8 +13,7 @@ from prophetlab import (
     estimate_exceedance,
     estimate_expected_value,
     estimate_no_stop,
-    exceedance_threshold,
-    expected_value_threshold,
+    expected_value,
     make_adaptive,
     make_instance,
     opt_law,
@@ -61,7 +60,7 @@ class TestConfidenceIntervals:
     def test_probability_estimates_capped_at_one(self):
         inst = make_instance([TRI], 2)
         cfg = McConfig(replications=30_000, master_seed=4, ci_method="hoeffding", value_cap=3.0)
-        res = estimate_exceedance(inst, const_schedule(0.5), 0.5, cfg)
+        (res,) = estimate_exceedance(inst, const_schedule(0.5), [0.5], cfg)
         # exceedance is a probability; its Hoeffding width uses cap 1, not 3
         want = math.sqrt(math.log(2 / 0.01) / (2 * 30_000))
         assert res.half_width == pytest.approx(want, rel=1e-12)
@@ -76,8 +75,8 @@ class TestAgainstExact:
     def test_exceedance_edges(self):
         inst = make_instance([COIN, TRI], 2)
         cfg = McConfig(100_000, 6)
-        assert estimate_exceedance(inst, const_schedule(0.5), 5.0, cfg).estimate == 0.0
-        stopped = estimate_exceedance(inst, const_schedule(5.0), 0.0, cfg)
+        assert estimate_exceedance(inst, const_schedule(0.5), [5.0], cfg)[0].estimate == 0.0
+        (stopped,) = estimate_exceedance(inst, const_schedule(5.0), [0.0], cfg)
         assert stopped.estimate == 0.0  # nothing ever exceeds the threshold
 
     def test_no_stop_edges(self):
@@ -100,7 +99,7 @@ class TestAgainstExact:
             inst = make_instance(base, k)
             tau = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
             sched = const_schedule(tau, float(rng.random()))
-            exact = expected_value_threshold(inst, sched).estimate
+            exact = expected_value(inst, sched).estimate
             res = estimate_expected_value(inst, sched, McConfig(200_000, 1000 + trial))
             if abs(res.estimate - exact) > res.half_width + 1e-12:
                 res = estimate_expected_value(inst, sched, McConfig(200_000, 5000 + trial))

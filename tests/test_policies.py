@@ -74,7 +74,6 @@ class TestBlindSchedule:
         sched = make_blind_schedule(opt, 6, grid_resolution=64)
         taus = [rt.tau for rt in sched.thresholds]
         assert all(a >= b for a, b in zip(taus, taus[1:]))
-        assert sched.nonincreasing
 
     def test_small_k_collapses_to_single(self):
         opt = opt_law(make_instance([U01], 1))
@@ -175,12 +174,10 @@ class TestRunPolicy:
         high = ThresholdSchedule(
             (0.0, 0.5, 1.0),
             (RandomizedThreshold(1.0, 0.0), RandomizedThreshold(0.5, 0.0)),
-            nonincreasing=True,
         )
         low = ThresholdSchedule(
             (0.0, 0.5, 1.0),
             (RandomizedThreshold(1.0, 0.0), RandomizedThreshold(0.0, 0.0)),
-            nonincreasing=True,
         )
         rng = np.random.default_rng(23)
         for _ in range(1000):
@@ -216,7 +213,6 @@ def test_sort_nonincreasing_preserves_lengths():
         ),
     )
     out = sort_nonincreasing(sched)
-    assert out.nonincreasing
     taus = [rt.tau for rt in out.thresholds]
     assert taus == sorted(taus, reverse=True)
     assert sorted(np.diff(out.breakpoints)) == pytest.approx(sorted(np.diff(sched.breakpoints)))

@@ -1,0 +1,123 @@
+"""The names the benchmark's layer tracer keys its metrics on, and the one-pass
+Monte Carlo exceedance those metrics count.
+
+``perfbench/trace_layers.py`` wraps functions by name from outside the
+program; a renamed function silently drops out of its per-layer metric.  The
+tracer imports only the standard library, so it is loaded here by path.
+"""
+
+import importlib
+import importlib.util
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from prophetlab import monte_carlo
+from prophetlab import (
+    ActivationPolicy,
+    Distribution,
+    McConfig,
+    RandomizedThreshold,
+    ThresholdSchedule,
+    ValueBuckets,
+    estimate_exceedance,
+    make_adaptive,
+    make_instance,
+    opt_law,
+)
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "trace_layers.py"
+
+# removed on purpose: the one-x exact query, replaced by exceedance_many; the
+# tracer counts a name it cannot find as zero calls
+RETIRED = {"exact_oracle.ExactEvaluator.exceedance"}
+
+
+def _tracer_module():
+    spec = importlib.util.spec_from_file_location("trace_layers", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolve(name):
+    layer, *path = name.split(".")
+    obj = importlib.import_module(f"prophetlab.{layer}")
+    for attr in path:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_every_keyed_name_resolves():
+    keyed = _tracer_module().KEYED
+    for name in sorted((keyed | {"exact_oracle.leggauss"}) - RETIRED):
+        assert callable(_resolve(name)), name
+
+
+def test_retired_names_are_gone():
+    for name in RETIRED:
+        with pytest.raises(AttributeError):
+            _resolve(name)
+
+
+COIN = Distribution.discrete([(0.0, 0.5), (1.0, 0.5)])
+TRI = Distribution.discrete([(0.0, 0.2), (1.0, 0.5), (3.0, 0.3)])
+U02 = Distribution.piecewise([(0.0, 0.0), (2.0, 1.0)])
+
+
+def _policies(inst):
+    sched = ThresholdSchedule(
+        (0.0, 0.4, 1.0), (RandomizedThreshold(1.0, 0.3), RandomizedThreshold(0.5, 0.0))
+    )
+    act = ActivationPolicy(
+        (0.0, 0.5, 1.0),
+        tuple(
+            tuple(ValueBuckets((0.5, 1.5), (0.0, g, 1.0)) for _ in range(inst.n))
+            for g in (0.25, 0.75)
+        ),
+    )
+    return {
+        "threshold": sched,
+        "activation": act,
+        "adaptive": make_adaptive(opt_law(inst), inst, math.exp(-4)),
+    }
+
+
+def _per_x_run(inst, policy, x, cfg):
+    """(estimate, half-width) of Pr[selected > x] from a simulation of its
+    own, summing the 0/1 statistic per block as a one-x estimator does."""
+    total = total_sq = 0.0
+    done = block = 0
+    while done < cfg.replications:
+        nrep = min(monte_carlo._BLOCK, cfg.replications - done)
+        rng = monte_carlo._block_rng(cfg.master_seed, block)
+        selected, _ = monte_carlo._simulate_block(inst, policy, rng, nrep)
+        hit = (selected > x).astype(float)
+        total += float(hit.sum())
+        total_sq += float((hit * hit).sum())
+        done += nrep
+        block += 1
+    R = cfg.replications
+    mean = total / R
+    if cfg.ci_method == "hoeffding":
+        return mean, math.sqrt(math.log(2.0 / 0.01) / (2.0 * R))
+    return mean, 2.5758293035489004 * math.sqrt(max(total_sq / R - mean * mean, 0.0) / R)
+
+
+@pytest.mark.parametrize("ci_method", ["normal", "hoeffding"])
+@pytest.mark.parametrize("kind", ["threshold", "activation", "adaptive"])
+def test_one_pass_exceedance_equals_one_x_runs(kind, ci_method):
+    # 17,000 reps span three blocks, so block-order accumulation is exercised
+    inst = make_instance([COIN, TRI, U02], 3)
+    policy = _policies(inst)[kind]
+    cfg = McConfig(17_000, 41, ci_method=ci_method, value_cap=3.0)
+    xs = np.array([-1.0, 0.0, 0.5, 1.0, 1.0, 1.7, 3.0, 4.0])
+    many = estimate_exceedance(inst, policy, xs, cfg)
+    assert len(many) == len(xs)
+    for x, got in zip(xs, many):
+        (one,) = estimate_exceedance(inst, policy, [x], cfg)
+        assert got == one, x
+        assert (got.estimate, got.half_width) == _per_x_run(inst, policy, x, cfg), x
+    assert 0.0 < many[1].estimate < 1.0 and many[-1].estimate == 0.0
