@@ -42,6 +42,7 @@ from .monte_carlo import (
     estimate_exceedance,
     estimate_expected_value,
     estimate_no_stop,
+    estimate_value_and_no_stop,
 )
 from .policies import (
     ActivationPolicy,

@@ -132,6 +132,12 @@ def _activation_from_json(obj: dict, n: int) -> ActivationPolicy:
     """
     try:
         pieces = sorted(obj["pieces"], key=lambda p: float(p["t0"]))
+        for piece, nxt in zip(pieces, pieces[1:]):
+            if float(piece["t1"]) != float(nxt["t0"]):
+                raise ConfigError(
+                    f"activation piece [{piece['t0']}, {piece['t1']}) must end where the "
+                    f"next piece starts ({nxt['t0']})"
+                )
         breakpoints = [float(p["t0"]) for p in pieces] + [float(pieces[-1]["t1"])]
         tables = []
         for piece in pieces:
@@ -282,27 +288,13 @@ def _cmd_hardness(args: argparse.Namespace, outdir: str) -> int:
     if suite is None or suite not in _HARDNESS_SUITES:
         raise ConfigError(f"hardness needs --class, one of {', '.join(_HARDNESS_SUITES)}")
     if suite == "general":
-        report = hardness_general(**({"k": args.k} if args.k else {}))
+        if args.grid is not None:
+            raise ConfigError("hardness --class general has no sweep grid; drop --grid")
+        report = hardness_general(**({"k": args.k} if args.k is not None else {}))
         columns = (
-            "k",
-            "bad_order",
-            "dp_value",
-            "log_gap",
-            "ceiling_log_gap",
-            "stirling_ok",
-            "three_p_ok",
+            "k", "bad_order", "dp_value", "log_gap", "ceiling_log_gap", "stirling_ok", "three_p_ok"
         )
-        rows = [
-            (
-                report.k,
-                str(report.bad_order),
-                report.dp_value,
-                report.log_gap,
-                report.ceiling_log_gap,
-                report.stirling_ok,
-                report.three_p_ok,
-            )
-        ]
+        rows = [tuple(getattr(report, c) for c in columns)]
         summary = {
             "command": "hardness",
             "suite": suite,
@@ -318,12 +310,8 @@ def _cmd_hardness(args: argparse.Namespace, outdir: str) -> int:
         certified = report.certified
     else:
         fn = hardness_time_based if suite == "time-based" else hardness_activation
-        kwargs = {}
-        if args.k:
-            kwargs["k"] = args.k
-        if args.grid != 512:  # 512 is the CLI default, meant for quantile grids
-            kwargs["grid_points"] = args.grid
-        report = fn(**kwargs)
+        given = {"k": args.k, "grid_points": args.grid}
+        report = fn(**{key: v for key, v in given.items() if v is not None})
         columns = report.columns
         rows = report.rows
         summary = {
@@ -351,20 +339,13 @@ def _cmd_hardness(args: argparse.Namespace, outdir: str) -> int:
 def _cmd_lemmas(args: argparse.Namespace, outdir: str) -> int:
     report = lemma_suite(args.seed, trials=args.trials)
     _write_csv(os.path.join(outdir, "results.csv"), report.columns, report.rows)
-    min_slack = min(
-        report.min_slack_product,
-        report.min_slack_pair_root,
-        report.min_slack_corollary,
-        report.min_slack_reach,
-        report.min_slack_monotone,
-    )
     _write_json(
         os.path.join(outdir, "summary.json"),
         {
             "command": "lemmas",
             "trials": report.trials,
             "seed": report.seed,
-            "min_slack": min_slack,
+            "min_slack": report.min_slack,
             "min_slack_product": report.min_slack_product,
             "min_slack_pair_root": report.min_slack_pair_root,
             "min_slack_corollary": report.min_slack_corollary,
@@ -377,7 +358,7 @@ def _cmd_lemmas(args: argparse.Namespace, outdir: str) -> int:
         },
     )
     if not report.all_hold:
-        print(f"lemma suite FAILED: min slack {min_slack:.6g}", file=sys.stderr)
+        print(f"lemma suite FAILED: min slack {report.min_slack:.6g}", file=sys.stderr)
         return 2
     return 0
 
@@ -430,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hardness", help="lower-bound certificates at fixed parameters")
     p.add_argument("--class", dest="algorithm_class", choices=_HARDNESS_SUITES, required=True)
     p.add_argument("--k", type=int, default=None, help="suite parameter k")
-    p.add_argument("--grid", type=int, default=512, help="sweep grid points")
+    p.add_argument("--grid", type=int, default=None, help="sweep grid points (default per suite)")
     _add_common(p, instance=False)
     p.set_defaults(func=_cmd_hardness)
 

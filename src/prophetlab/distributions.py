@@ -11,6 +11,7 @@ exist for every law.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -52,6 +53,11 @@ class RandomizedThreshold:
         if av.value > self.tau:
             return True
         return av.value == self.tau and av.tiebreak < self.accept_prob
+
+    def bucket_form(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The same rule as value buckets (edges, probs): reject below tau,
+        accept with ``accept_prob`` at tau, always above it."""
+        return (self.tau, math.nextafter(self.tau, math.inf)), (0.0, self.accept_prob, 1.0)
 
     # the questions every acceptance rule answers against a law ``d``
 
@@ -137,10 +143,6 @@ class Distribution:
         return cls("piecewise", xs, Fl, Fr)
 
     # ------------------------------------------------------------------ basics
-
-    @property
-    def support_min(self) -> float:
-        return float(self.xs[0])
 
     @property
     def support_max(self) -> float:
@@ -246,9 +248,6 @@ class Distribution:
             total += dens * (b * b - a * a) / 2.0
         return total
 
-    def mean(self) -> float:
-        return self.mean_between(0.0, np.inf)
-
     # -------------------------------------------------------------- sampling
 
     def ppf(self, u):
@@ -267,9 +266,6 @@ class Distribution:
 
     def sample_values(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.ppf(rng.random(size))
-
-    def sample(self, rng: np.random.Generator) -> AugmentedValue:
-        return AugmentedValue(float(self.ppf(rng.random())), float(rng.random()))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Distribution({self.kind}, {len(self.xs)} breakpoints, max={self.support_max})"

@@ -304,6 +304,12 @@ def _channel_gap(q_no_stop: float, q_low: float, p, s, eps):
     return q_no_stop * (1 + s) + (mp.mpf(q_low) - p) * s - eps * (1 + s - p * s)
 
 
+def _require_int(what: str, name: str, value, low: int, why: str = "") -> None:
+    """Raise InvalidParameterError unless ``value`` is an integer >= low."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise InvalidParameterError(f"{what} needs an integer {name} >= {low}{why}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TwoTypeHardnessReport:
     algorithm_class: str
@@ -324,10 +330,8 @@ def hardness_time_based(k: int = 25, grid_points: int = 1001) -> TwoTypeHardness
     Every nonincreasing time-based policy on a {0, 1, 1+sqrt(eps)} instance
     reduces to 'accept only the top value until t, anything nonzero after'.
     """
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise InvalidParameterError(
-            f"time-based hardness needs an integer k >= 2 (p = 1/k must be below 1), got {k!r}"
-        )
+    _require_int("time-based hardness", "k", k, 2, " (p = 1/k must be below 1)")
+    _require_int("time-based hardness", "grid", grid_points, 1)
     with mp.workdps(80):
         L = _fixed_point_L(k)
         eps = mp.exp(-L)
@@ -388,6 +392,8 @@ def hardness_activation(k: int = 61, grid_points: int = 11) -> TwoTypeHardnessRe
     Top values are always activated and zeros never; the free parameters are
     the activation probabilities of value-1 rewards on [0, 2/k] and (2/k, 1].
     """
+    _require_int("activation hardness", "k", k, 3, " (the switch 2/k must lie inside (0, 1))")
+    _require_int("activation hardness", "grid", grid_points, 1)
     with mp.workdps(80):
         L = _fixed_point_L(k)
         eps = mp.exp(-L)
@@ -456,6 +462,7 @@ class GeneralHardnessReport:
 def hardness_general(k: int = 4, k_max: int = 20) -> GeneralHardnessReport:
     """Exact bad-order combinatorics plus a high-precision optimal-online DP
     on the two-type instance with p = e^(-2k), eps = e^(-4k^2)."""
+    _require_int("general hardness", "k", k, 1)
     fact = math.factorial
     stirling_ok = all(
         Fraction(fact(kk) ** 2, fact(2 * kk)) >= Fraction(1, 4**kk)
@@ -548,18 +555,19 @@ class LemmaSuiteReport:
     columns = ("trial", "slack_product", "slack_pair_root", "slack_corollary", "slack_reach")
 
     @property
-    def all_hold(self) -> bool:
-        return bool(
-            min(
-                self.min_slack_product,
-                self.min_slack_pair_root,
-                self.min_slack_corollary,
-                self.min_slack_reach,
-                self.min_slack_monotone,
-            )
-            >= -1e-9
-            and self.max_symmetric_gap <= 1e-12
+    def min_slack(self) -> float:
+        """The smallest slack over the five inequalities."""
+        return min(
+            self.min_slack_product,
+            self.min_slack_pair_root,
+            self.min_slack_corollary,
+            self.min_slack_reach,
+            self.min_slack_monotone,
         )
+
+    @property
+    def all_hold(self) -> bool:
+        return bool(self.min_slack >= -1e-9 and self.max_symmetric_gap <= 1e-12)
 
 
 def lemma_suite(seed: int, trials: int = 200, monotone_trials: int = 100) -> LemmaSuiteReport:

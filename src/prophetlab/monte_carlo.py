@@ -13,18 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, PolicyMismatchError
+from .errors import InvalidParameterError
 from .instance import Instance
-from .policies import (
-    ActivationPolicy,
-    AdaptiveTwoThreshold,
-    Policy,
-    ThresholdSchedule,
-    check_shape,
-)
+from .policies import AdaptiveTwoThreshold, Policy, check_shape
 from .results import EvalResult
 
-__all__ = ["McConfig", "estimate_expected_value", "estimate_exceedance", "estimate_no_stop"]
+__all__ = ["McConfig", "estimate_expected_value", "estimate_exceedance", "estimate_no_stop",
+           "estimate_value_and_no_stop"]
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _BLOCK = 8192
@@ -49,75 +44,67 @@ def _block_rng(master_seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _acceptance_table(rules) -> tuple[np.ndarray, np.ndarray]:
+    """One row per cell: each rule's bucket form, edges padded with +inf (no
+    finite value reaches them) and probabilities with 0."""
+    forms = [rule.bucket_form() for rule in rules]
+    width = max(len(edges) for edges, _ in forms)
+    pads = [(math.inf,) * (width - len(edges)) for edges, _ in forms]
+    edges = np.array([e + pad for (e, _), pad in zip(forms, pads)]).reshape(len(forms), width)
+    probs = np.array([p + (0.0,) * len(pad) for (_, p), pad in zip(forms, pads)])
+    return edges, probs
+
+
 def _simulate_block(inst: Instance, policy: Policy, rng: np.random.Generator, nrep: int):
-    """Returns (selected values, stopped mask) for nrep replications."""
+    """Returns (selected values, stopped mask) for nrep replications.
+
+    Each reward reads one cell of an acceptance table: its (piece, identity)
+    rule for a piecewise policy, its phase for the adaptive rule.  It is
+    accepted when its tiebreak is below the cell's probability for its value
+    bucket; the earliest accepted reward is selected, equal times going to the
+    lower (identity, copy) column.
+    """
     n, k = inst.n, inst.copies
     N = n * k
     identities = np.repeat(np.arange(n), k)
-    times = rng.random((nrep, N))
-    uvals = rng.random((nrep, N))
-    ties = rng.random((nrep, N))
-    values = np.empty((nrep, N))
+    # the same numbers as three draws in a row, in one allocation; the value
+    # uniforms become values in place
+    times, values, ties = rng.random((3, nrep, N))
     for i, d in enumerate(inst.base):
         cols = identities == i
-        values[:, cols] = d.ppf(uvals[:, cols])
-    order = np.argsort(times, axis=1, kind="stable")  # ties fall back to (i, j) order
-    st = np.take_along_axis(times, order, 1)
-    sv = np.take_along_axis(values, order, 1)
-    su = np.take_along_axis(ties, order, 1)
-    sid = identities[order]
+        values[:, cols] = d.ppf(values[:, cols])
 
-    if isinstance(policy, ThresholdSchedule):
-        piece = np.clip(
-            np.searchsorted(policy.breakpoints, st, side="right") - 1,
-            0,
-            policy.num_pieces - 1,
-        )
-        taus = np.array([rt.tau for rt in policy.thresholds])[piece]
-        aps = np.array([rt.accept_prob for rt in policy.thresholds])[piece]
-        accept = (sv > taus) | ((sv == taus) & (su < aps))
-    elif isinstance(policy, AdaptiveTwoThreshold):
-        logq = np.log(np.asarray(policy.q))
-        contrib = logq[sid]
-        # log product of q over strictly-later arrivals, per event
+    if isinstance(policy, AdaptiveTwoThreshold):
+        # tau2 once the rewards arriving strictly later all fall below tau2
+        # with probability above epsilon: a suffix product in arrival order
+        order = np.argsort(times, axis=1, kind="stable")  # ties fall back to (i, j) order
+        contrib = np.log(np.asarray(policy.q))[identities[order]]
         later = np.cumsum(contrib[:, ::-1], axis=1)[:, ::-1] - contrib
-        use_low = later > math.log(policy.epsilon)
-        t1, t2 = policy.tau1, policy.tau2
-        taus = np.where(use_low, t2.tau, t1.tau)
-        aps = np.where(use_low, t2.accept_prob, t1.accept_prob)
-        accept = (sv > taus) | ((sv == taus) & (su < aps))
-    elif isinstance(policy, ActivationPolicy):
-        piece = np.clip(
-            np.searchsorted(policy.breakpoints, st, side="right") - 1,
-            0,
-            len(policy.tables) - 1,
-        )
-        g = np.zeros((nrep, N))
-        for r, table in enumerate(policy.tables):
-            for i in range(n):
-                mask = (piece == r) & (sid == i)
-                if not mask.any():
-                    continue
-                vb = table[i]
-                idx = np.searchsorted(np.asarray(vb.edges), sv[mask], side="right")
-                g[mask] = np.asarray(vb.probs)[idx]
-        accept = su < g
-    else:  # pragma: no cover
-        raise PolicyMismatchError(f"unknown policy type {type(policy)!r}")
+        cell = np.empty((nrep, N), dtype=np.intp)
+        np.put_along_axis(cell, order, later > math.log(policy.epsilon), axis=1)
+        rules = (policy.tau1, policy.tau2)
+    else:  # times lie in [0, 1), so every time falls in a piece
+        piece = np.searchsorted(policy.breakpoints, times, side="right") - 1
+        cell = piece * n + identities
+        rules = [policy.rule(r, i) for r in range(policy.num_pieces) for i in range(n)]
+    edges, probs = _acceptance_table(rules)
+    flat = cell * probs.shape[1]  # index of (cell, bucket) in probs, bucket counted below
+    for column in edges.T:
+        flat += values >= column.take(cell)
+    accept = ties < probs.take(flat)
 
-    any_accept = accept.any(axis=1)
-    first = np.argmax(accept, axis=1)
-    rows = np.arange(nrep)
-    selected = np.where(any_accept, sv[rows, first], 0.0)
-    return selected, any_accept
+    stopped = accept.any(axis=1)
+    np.copyto(times, np.inf, where=~accept)  # a rejected reward is never the earliest
+    selected = values[np.arange(nrep), times.argmin(axis=1)]
+    return np.where(stopped, selected, 0.0), stopped
 
 
-def _run(inst: Instance, policy: Policy, cfg: McConfig, reduce, cap: float | None = None):
+def _run(inst: Instance, policy: Policy, cfg: McConfig, reduce, caps) -> list[EvalResult]:
     """One simulation.  ``reduce(selected, stopped)`` turns each block into
-    the (sum, sum of squares) of its statistic: two floats, or two arrays with
-    one entry per statistic.  The sums add up in block order; the result is
-    one estimate per entry.  ``cap`` bounds the statistic for Hoeffding
-    (default: the value cap)."""
+    two arrays, the sums and the sums of squares of its statistics, one entry
+    per statistic.  The sums add up in block order; the result is one
+    estimate per statistic.  ``caps`` bounds each statistic for Hoeffding,
+    ``None`` standing for the value cap."""
     check_shape(policy, inst.n, inst.copies)
     value_cap = cfg.value_cap if cfg.value_cap is not None else inst.support_max
     if cfg.ci_method == "hoeffding" and value_cap < inst.support_max:
@@ -134,10 +121,11 @@ def _run(inst: Instance, policy: Policy, cfg: McConfig, reduce, cap: float | Non
         done += nrep
         block += 1
     results = []
-    for t, t2 in zip(np.atleast_1d(total), np.atleast_1d(total_sq)):
+    for t, t2, cap in zip(total, total_sq, caps):
         mean = float(t) / R
         if cfg.ci_method == "hoeffding":
-            hw = (value_cap if cap is None else cap) * math.sqrt(math.log(2.0 / 0.01) / (2.0 * R))
+            cap = value_cap if cap is None else cap
+            hw = cap * math.sqrt(math.log(2.0 / 0.01) / (2.0 * R))
         else:
             var = max(float(t2) / R - mean * mean, 0.0)
             hw = _Z99 * math.sqrt(var / R)
@@ -145,13 +133,27 @@ def _run(inst: Instance, policy: Policy, cfg: McConfig, reduce, cap: float | Non
     return results
 
 
-def _moments(xs: np.ndarray) -> tuple[float, float]:
-    return float(xs.sum()), float((xs * xs).sum())
+def estimate_value_and_no_stop(
+    inst: Instance, policy: Policy, cfg: McConfig
+) -> tuple[EvalResult, EvalResult]:
+    """Mean selected value and fraction of replications selecting nothing,
+    both from one simulation (the no-stop Hoeffding cap is 1)."""
+
+    def moments(selected, stopped):
+        xs = np.stack((selected, ~stopped))
+        return xs.sum(axis=1), (xs * xs).sum(axis=1)
+
+    return tuple(_run(inst, policy, cfg, moments, caps=(None, 1.0)))
 
 
 def estimate_expected_value(inst: Instance, policy: Policy, cfg: McConfig) -> EvalResult:
     """Mean selected value over the replications."""
-    return _run(inst, policy, cfg, lambda selected, stopped: _moments(selected))[0]
+    return estimate_value_and_no_stop(inst, policy, cfg)[0]
+
+
+def estimate_no_stop(inst: Instance, policy: Policy, cfg: McConfig) -> EvalResult:
+    """Fraction of replications selecting nothing."""
+    return estimate_value_and_no_stop(inst, policy, cfg)[1]
 
 
 def estimate_exceedance(inst: Instance, policy: Policy, xs, cfg: McConfig) -> list[EvalResult]:
@@ -164,11 +166,4 @@ def estimate_exceedance(inst: Instance, policy: Policy, xs, cfg: McConfig) -> li
         above = (len(selected) - np.searchsorted(np.sort(selected), xs, side="right")) * 1.0
         return above, above  # a 0/1 statistic squares to itself
 
-    return _run(inst, policy, cfg, counts, cap=1.0)
-
-
-def estimate_no_stop(inst: Instance, policy: Policy, cfg: McConfig) -> EvalResult:
-    """Fraction of replications selecting nothing."""
-    return _run(
-        inst, policy, cfg, lambda selected, stopped: _moments((~stopped).astype(float)), cap=1.0
-    )[0]
+    return _run(inst, policy, cfg, counts, caps=(1.0,) * len(xs))

@@ -40,9 +40,17 @@ class _TimePieces:
 
     A piecewise policy answers ``rule(piece, identity)`` with the acceptance
     rule of that cell: a ``RandomizedThreshold`` or ``ValueBuckets``, both of
-    which report accepted mass, accepted mean, accepted mass above x, and
-    ``accepts(AugmentedValue)``.
+    which report accepted mass, accepted mean, accepted mass above x,
+    ``accepts(AugmentedValue)`` and their ``bucket_form()`` (edges, probs).
+    The constructor checks that the pieces cover [0, 1] in increasing order.
     """
+
+    def __post_init__(self):
+        b = self.breakpoints
+        if len(b) < 2 or b[0] != 0.0 or b[-1] != 1.0:
+            raise InvalidParameterError("time pieces must cover [0, 1]")
+        if not all(s < t for s, t in zip(b, b[1:])):
+            raise InvalidParameterError("time breakpoints must be strictly increasing")
 
     @property
     def num_pieces(self) -> int:
@@ -61,12 +69,9 @@ class ThresholdSchedule(_TimePieces):
     thresholds: tuple[RandomizedThreshold, ...]
 
     def __post_init__(self):
+        super().__post_init__()
         if len(self.breakpoints) != len(self.thresholds) + 1:
             raise InvalidParameterError("need exactly one threshold per piece")
-        if self.breakpoints[0] != 0.0 or self.breakpoints[-1] != 1.0:
-            raise InvalidParameterError("schedule must cover [0, 1]")
-        if any(b >= c for b, c in zip(self.breakpoints, self.breakpoints[1:])):
-            raise InvalidParameterError("breakpoints must be strictly increasing")
 
     def rule(self, piece: int, identity: int) -> RandomizedThreshold:
         """The same threshold for every identity."""
@@ -94,6 +99,9 @@ class ValueBuckets:
             raise InvalidParameterError("activation probabilities must lie in [0, 1]")
         if any(a >= b for a, b in zip(self.edges, self.edges[1:])):
             raise InvalidParameterError("bucket edges must be strictly increasing")
+
+    def bucket_form(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        return self.edges, self.probs
 
     def prob(self, v: float) -> float:
         return self.probs[int(np.searchsorted(self.edges, v, side="right"))]
@@ -132,8 +140,7 @@ class ActivationPolicy(_TimePieces):
     tables: tuple[tuple[ValueBuckets, ...], ...]  # [piece][identity]
 
     def __post_init__(self):
-        if self.breakpoints[0] != 0.0 or self.breakpoints[-1] != 1.0:
-            raise InvalidParameterError("activation pieces must cover [0, 1]")
+        super().__post_init__()
         if len(self.tables) != len(self.breakpoints) - 1:
             raise InvalidParameterError("need one table per time piece")
         if len({len(row) for row in self.tables}) != 1:
@@ -153,12 +160,8 @@ class ActivationPolicy(_TimePieces):
     @classmethod
     def from_threshold(cls, schedule: ThresholdSchedule, n: int) -> "ActivationPolicy":
         """The indicator-of-exceeding-tau activation table of a schedule."""
-        tables = []
-        for rt in schedule.thresholds:
-            above = np.nextafter(rt.tau, np.inf)
-            vb = ValueBuckets((rt.tau, above), (0.0, rt.accept_prob, 1.0))
-            tables.append(tuple([vb] * n))
-        return cls(tuple(schedule.breakpoints), tuple(tables))
+        tables = tuple((ValueBuckets(*rt.bucket_form()),) * n for rt in schedule.thresholds)
+        return cls(tuple(schedule.breakpoints), tables)
 
 
 @dataclass(frozen=True)

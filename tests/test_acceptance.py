@@ -19,7 +19,7 @@ from prophetlab import (
     RandomizedThreshold,
     ThresholdSchedule,
     estimate_expected_value,
-    estimate_no_stop,
+    estimate_value_and_no_stop,
     expected_value,
     make_instance,
     opt_law,
@@ -91,8 +91,7 @@ def test_03_adaptive_guarantee():
         policy = build_policy(inst, opt, "adaptive", eps)
         cfg = McConfig(replications=1_000_000, master_seed=777, ci_method="hoeffding",
                        value_cap=float(opt.dist.xs[-1]))
-        val = estimate_expected_value(inst, policy, cfg)
-        ns = estimate_no_stop(inst, policy, cfg)
+        val, ns = estimate_value_and_no_stop(inst, policy, cfg)
         worst_value_slack = min(
             worst_value_slack,
             val.estimate - ((1.0 - eps) * opt.expected_value - val.half_width),
@@ -105,13 +104,7 @@ def test_03_adaptive_guarantee():
 
 def test_04_structural_lemma_suite():
     report = lemma_suite(seed=7, trials=200)
-    min_slack = min(
-        report.min_slack_product,
-        report.min_slack_pair_root,
-        report.min_slack_corollary,
-        report.min_slack_reach,
-        report.min_slack_monotone,
-    )
+    min_slack = report.min_slack
     ok = min_slack >= -1e-9 and report.max_symmetric_gap <= 1e-12
     _verdict(4, "stop-probability lemma suite", ok,
              f"min slack {min_slack:.3g}, symmetric gap {report.max_symmetric_gap:.3g}")

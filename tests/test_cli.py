@@ -155,6 +155,63 @@ class TestErrors:
         assert code == 1
 
 
+def _activation_table(tmp_path, spans):
+    path = tmp_path / "table.json"
+    g = [[0, None, 0.5], [1, None, 1.0]]
+    path.write_text(json.dumps({"pieces": [{"t0": t0, "t1": t1, "g": g} for t0, t1 in spans]}))
+    return str(path)
+
+
+class TestActivationTables:
+    def test_contiguous_table_runs(self, coins_file, tmp_path):
+        table = _activation_table(tmp_path, [(0.0, 0.3), (0.3, 1.0)])
+        out = tmp_path / "run"
+        args = ["eval", "--instance", coins_file, "--class", "activation", "--policy", table]
+        assert run(args + ["--out", str(out)]) == 0
+
+    @pytest.mark.parametrize(
+        "spans",
+        [[(0.0, 0.3), (0.5, 1.0)], [(0.0, 0.5), (0.0, 0.5), (0.5, 1.0)],
+         [(0.0, 0.5), (0.5, 0.5), (0.5, 1.0)], [(0.0, 0.5), (0.5, 0.9)]],
+        ids=["gap", "duplicated", "zero-length", "short"],
+    )
+    def test_malformed_pieces_exit_1_with_one_line(self, coins_file, tmp_path, capsys, spans):
+        table = _activation_table(tmp_path, spans)
+        out = tmp_path / "run"
+        args = ["eval", "--instance", coins_file, "--class", "activation", "--policy", table]
+        assert run(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (out / "summary.json").exists()
+
+
+class TestHardnessFlags:
+    @pytest.mark.parametrize(
+        "suite, k", [("general", "0"), ("time-based", "0"), ("activation", "0"),
+                     ("activation", "2")]
+    )
+    def test_out_of_range_k_exits_1_with_one_line(self, tmp_path, capsys, suite, k):
+        out = tmp_path / "run"
+        assert run(["hardness", "--class", suite, "--k", k, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"got {k}" in err
+        assert not (out / "summary.json").exists()
+
+    def test_explicit_grid_is_honoured(self, tmp_path):
+        out = tmp_path / "run"
+        args = ["hardness", "--class", "time-based", "--k", "4", "--grid", "512"]
+        assert run(args + ["--out", str(out)]) in (0, 2)
+        rows = (out / "results.csv").read_text().splitlines()
+        assert len(rows) == 1 + 512
+
+    @pytest.mark.parametrize("suite, grid", [("time-based", "0"), ("general", "5")])
+    def test_unusable_grid_exits_1(self, tmp_path, capsys, suite, grid):
+        args = ["hardness", "--class", suite, "--grid", grid, "--out", str(tmp_path)]
+        assert run(args) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+
+
 class TestDeterminism:
     def test_mc_rerun_byte_identical(self, coins_file, tmp_path):
         outs = []

@@ -6,21 +6,30 @@ import numpy as np
 import pytest
 
 from prophetlab import (
+    ActivationPolicy,
+    ArrivalSequence,
     Distribution,
     McConfig,
     RandomizedThreshold,
     ThresholdSchedule,
+    ValueBuckets,
     estimate_exceedance,
     estimate_expected_value,
     estimate_no_stop,
+    estimate_value_and_no_stop,
     expected_value,
     make_adaptive,
+    make_blind_schedule,
     make_instance,
+    make_single_threshold,
     opt_law,
+    run_policy,
 )
+from prophetlab import monte_carlo
 
 COIN = Distribution.discrete([(0.0, 0.5), (1.0, 0.5)])
 TRI = Distribution.discrete([(0.0, 0.2), (1.0, 0.5), (3.0, 0.3)])
+U02 = Distribution.piecewise([(0.0, 0.0), (2.0, 1.0)])
 
 
 def const_schedule(tau, accept_prob=0.0):
@@ -112,3 +121,73 @@ class TestAgainstExact:
         pol = make_adaptive(opt_law(inst), inst, math.exp(-4))
         res = estimate_no_stop(inst, pol, McConfig(100_000, 55))
         assert res.estimate <= math.exp(-4) + res.half_width
+
+
+def _replayed_block(inst, seed, nrep):
+    """The draws of Monte Carlo block 0 (times, value uniforms, tiebreaks, in
+    that order), one ArrivalSequence per replication."""
+    rng = monte_carlo._block_rng(seed, 0)
+    n, k = inst.n, inst.copies
+    identities = np.repeat(np.arange(n), k)
+    copy_index = np.tile(np.arange(k), n)
+    times, uvals, ties = (rng.random((nrep, n * k)) for _ in range(3))
+    values = np.empty((nrep, n * k))
+    for i, d in enumerate(inst.base):
+        values[:, identities == i] = d.ppf(uvals[:, identities == i])
+    for r in range(nrep):
+        order = np.lexsort((copy_index, identities, times[r]))
+        yield ArrivalSequence(n, k, times[r][order], identities[order], copy_index[order],
+                              values[r][order], ties[r][order])
+
+
+def _block_case(kind):
+    if kind == "single":
+        inst = make_instance([COIN, TRI], 4)
+        return inst, make_single_threshold(opt_law(inst))
+    if kind == "blind":
+        inst = make_instance([COIN, TRI, U02], 8)
+        return inst, make_blind_schedule(opt_law(inst), 8)
+    if kind == "activation":
+        inst = make_instance([COIN, TRI, U02], 3)
+        tables = tuple(
+            (
+                ValueBuckets((1.0,), (0.0, g)),
+                ValueBuckets((1.0, 3.0), (0.1, g, 1.0 - g)),
+                ValueBuckets((0.5, 1.0, 1.5), (0.0, 0.3, g, 1.0)),
+            )
+            for g in (0.2, 0.5, 0.9)
+        )
+        return inst, ActivationPolicy((0.0, 0.3, 0.7, 1.0), tables)
+    # epsilon = 0.018 keeps ln(eps) away from the suffix products, whose float
+    # sums can land on either side of an exact tie at eps = e^(-ell^2)
+    inst = make_instance([COIN, TRI], 8)
+    return inst, make_adaptive(opt_law(inst), inst, 0.018)
+
+
+@pytest.mark.parametrize("kind", ["single", "blind", "activation", "adaptive"])
+def test_block_matches_event_scan(kind):
+    # the vectorized block selects what the event scan selects, rep for rep
+    inst, policy = _block_case(kind)
+    nrep = 3000
+    selected, stopped = monte_carlo._simulate_block(
+        inst, policy, monte_carlo._block_rng(61, 0), nrep
+    )
+    if kind == "blind":
+        assert policy.num_pieces == 513
+    for r, seq in enumerate(_replayed_block(inst, 61, nrep)):
+        out = run_policy(policy, seq)
+        assert (bool(stopped[r]), float(selected[r])) == (out.stopped, out.selected_value), r
+    assert stopped.any()
+
+
+def test_value_and_no_stop_from_one_simulation():
+    inst = make_instance([COIN, TRI], 16)
+    pol = make_adaptive(opt_law(inst), inst, math.exp(-4))
+    for cfg in (McConfig(20_000, 3), McConfig(20_000, 3, "hoeffding", value_cap=3.0)):
+        value, no_stop = estimate_value_and_no_stop(inst, pol, cfg)
+        assert value == estimate_expected_value(inst, pol, cfg)
+        assert no_stop == estimate_no_stop(inst, pol, cfg)
+    # Hoeffding caps per statistic: the value cap for the value, 1 for no-stop
+    width = math.sqrt(math.log(2 / 0.01) / (2 * 20_000))
+    assert value.half_width == pytest.approx(3.0 * width, rel=1e-12)
+    assert no_stop.half_width == pytest.approx(width, rel=1e-12)

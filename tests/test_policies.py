@@ -14,6 +14,7 @@ from prophetlab import (
     PolicyMismatchError,
     RandomizedThreshold,
     ThresholdSchedule,
+    ValueBuckets,
     make_adaptive,
     make_blind_schedule,
     make_instance,
@@ -216,3 +217,28 @@ def test_sort_nonincreasing_preserves_lengths():
     taus = [rt.tau for rt in out.thresholds]
     assert taus == sorted(taus, reverse=True)
     assert sorted(np.diff(out.breakpoints)) == pytest.approx(sorted(np.diff(sched.breakpoints)))
+
+
+@pytest.mark.parametrize(
+    "breakpoints",
+    [(0.0, 0.5, 0.5, 1.0), (0.0, 0.7, 0.3, 1.0), (0.0, float("nan"), 1.0), (0.0, 0.5), (0.2, 1.0)],
+    ids=["zero-length", "decreasing", "nan", "short", "late-start"],
+)
+def test_time_pieces_validated_for_both_classes(breakpoints):
+    m = len(breakpoints) - 1
+    with pytest.raises(InvalidParameterError):
+        ThresholdSchedule(breakpoints, (RandomizedThreshold(0.5, 0.0),) * m)
+    with pytest.raises(InvalidParameterError):
+        ActivationPolicy(breakpoints, ((ValueBuckets((), (1.0,)),),) * m)
+
+
+def test_threshold_bucket_form_is_its_indicator_table():
+    rt = RandomizedThreshold(1.0, 0.25)
+    edges, probs = rt.bucket_form()
+    assert edges == (1.0, np.nextafter(1.0, np.inf)) and probs == (0.0, 0.25, 1.0)
+    vb = ValueBuckets(edges, probs)
+    assert vb.bucket_form() == (edges, probs)
+    for value in (0.0, 1.0, np.nextafter(1.0, np.inf), 3.0):
+        for tie in (0.0, 0.2, 0.25, 0.9):
+            av = AugmentedValue(float(value), tie)
+            assert vb.accepts(av) == rt.accepts(av)

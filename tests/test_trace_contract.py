@@ -23,6 +23,7 @@ from prophetlab import (
     ThresholdSchedule,
     ValueBuckets,
     estimate_exceedance,
+    estimate_value_and_no_stop,
     make_adaptive,
     make_instance,
     opt_law,
@@ -85,25 +86,32 @@ def _policies(inst):
     }
 
 
-def _per_x_run(inst, policy, x, cfg):
-    """(estimate, half-width) of Pr[selected > x] from a simulation of its
-    own, summing the 0/1 statistic per block as a one-x estimator does."""
+def _one_statistic_run(inst, policy, statistic, cap, cfg):
+    """(estimate, half-width) of one statistic of (selected, stopped) from a
+    simulation of its own, summing it per block in block order."""
     total = total_sq = 0.0
     done = block = 0
     while done < cfg.replications:
         nrep = min(monte_carlo._BLOCK, cfg.replications - done)
         rng = monte_carlo._block_rng(cfg.master_seed, block)
-        selected, _ = monte_carlo._simulate_block(inst, policy, rng, nrep)
-        hit = (selected > x).astype(float)
-        total += float(hit.sum())
-        total_sq += float((hit * hit).sum())
+        xs = statistic(*monte_carlo._simulate_block(inst, policy, rng, nrep))
+        total += float(xs.sum())
+        total_sq += float((xs * xs).sum())
         done += nrep
         block += 1
     R = cfg.replications
     mean = total / R
     if cfg.ci_method == "hoeffding":
-        return mean, math.sqrt(math.log(2.0 / 0.01) / (2.0 * R))
+        return mean, cap * math.sqrt(math.log(2.0 / 0.01) / (2.0 * R))
     return mean, 2.5758293035489004 * math.sqrt(max(total_sq / R - mean * mean, 0.0) / R)
+
+
+def _per_x_run(inst, policy, x, cfg):
+    """Pr[selected > x], summing the 0/1 statistic per block as a one-x
+    estimator does."""
+    return _one_statistic_run(
+        inst, policy, lambda selected, stopped: (selected > x).astype(float), 1.0, cfg
+    )
 
 
 @pytest.mark.parametrize("ci_method", ["normal", "hoeffding"])
@@ -121,3 +129,17 @@ def test_one_pass_exceedance_equals_one_x_runs(kind, ci_method):
         assert got == one, x
         assert (got.estimate, got.half_width) == _per_x_run(inst, policy, x, cfg), x
     assert 0.0 < many[1].estimate < 1.0 and many[-1].estimate == 0.0
+
+
+@pytest.mark.parametrize("ci_method", ["normal", "hoeffding"])
+@pytest.mark.parametrize("kind", ["threshold", "activation", "adaptive"])
+def test_value_and_no_stop_equal_one_statistic_runs(kind, ci_method):
+    inst = make_instance([COIN, TRI, U02], 3)
+    policy = _policies(inst)[kind]
+    cfg = McConfig(17_000, 43, ci_method=ci_method, value_cap=3.0)
+    value, no_stop = estimate_value_and_no_stop(inst, policy, cfg)
+    want_value = _one_statistic_run(inst, policy, lambda s, st: s, 3.0, cfg)
+    want_no_stop = _one_statistic_run(inst, policy, lambda s, st: (~st).astype(float), 1.0, cfg)
+    assert (value.estimate, value.half_width) == want_value
+    assert (no_stop.estimate, no_stop.half_width) == want_no_stop
+    assert 0.0 < no_stop.estimate < 1.0
