@@ -4,8 +4,11 @@ The stopping-probability calculus: with a piecewise-constant schedule the
 per-reward stop intensity is constant on each time piece, so stop
 probabilities are piecewise linear in t and every policy-value integrand is
 piecewise polynomial of degree at most n*k.  Each piece is integrated with a
-Gauss-Legendre rule of sufficient order, which is exact for polynomials, so
-the only error left is roundoff.
+Gauss-Legendre rule of order g = n*k/2 + 2, which is exact for polynomials, so
+the only error left is roundoff.  The nodes come from ``quadrature.leggauss``
+(Newton's method on the three-term recurrence: O(g^2) time, O(g) memory,
+cached per order); the evaluator calls it through this module's name
+``leggauss``, once per construction.
 
 Also houses the brute-force DP for the optimal online policy on small
 discrete instances.
@@ -17,12 +20,12 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .distributions import Distribution
 from .errors import InvalidInstanceError, PolicyMismatchError, TooLargeInstanceError
 from .instance import Instance
 from .policies import ThresholdSchedule, check_shape
+from .quadrature import leggauss
 from .results import EvalResult
 
 __all__ = [

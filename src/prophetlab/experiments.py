@@ -39,6 +39,7 @@ from .policies import (
     make_single_threshold,
     sort_nonincreasing,
 )
+from .quadrature import leggauss
 from .results import EvalResult
 
 __all__ = [
@@ -367,7 +368,7 @@ def hardness_time_based(k: int = 25, grid_points: int = 1001) -> TwoTypeHardness
         arithmetic_ok = all(
             (1.0 - 1.0 / (2 * kk)) ** (2 * kk) >= 0.25 for kk in range(1, 101)
         )
-        nodes, wts = np.polynomial.legendre.leggauss(2 * k)
+        nodes, wts = leggauss(2 * k)
         u = 0.5 * (nodes + 1.0)
         integrand = (1.0 - u) ** k * (1.0 - (1.0 - pf) * u) ** (k - 1)
         closed = k * (1.0 - pf) * 0.5 * float(wts @ integrand)

@@ -7,7 +7,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .distributions import (
     Distribution,
@@ -17,6 +16,7 @@ from .distributions import (
     product_max,
 )
 from .errors import InvalidInstanceError, InvalidQuantileError
+from .quadrature import leggauss
 
 __all__ = ["Instance", "OptLaw", "ArrivalSequence", "make_instance", "opt_law",
            "sample_arrivals", "instance_to_json", "instance_from_json"]

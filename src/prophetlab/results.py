@@ -9,8 +9,11 @@ from dataclasses import dataclass
 class EvalResult:
     """An expected-value or probability estimate with its error bound.
 
-    ``half_width`` is the absolute integration tolerance for exact results
-    and a 99% confidence half-width for Monte Carlo results.
+    ``half_width`` is a 99% confidence half-width for Monte Carlo results.
+    For exact results it is a fixed declared constant, not a computed error
+    bound: ``_ABS_TOL`` = 1e-9 for the integrator's expected values, 0 for its
+    exceedance probabilities and for the optimal-online DP.  No code measures
+    the roundoff of an exact evaluation yet.
     """
 
     estimate: float

@@ -14,10 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prophetlab import monte_carlo
+from prophetlab import exact_oracle, monte_carlo
 from prophetlab import (
     ActivationPolicy,
     Distribution,
+    ExactEvaluator,
     McConfig,
     RandomizedThreshold,
     ThresholdSchedule,
@@ -55,6 +56,21 @@ def test_every_keyed_name_resolves():
     keyed = _tracer_module().KEYED
     for name in sorted((keyed | {"exact_oracle.leggauss"}) - RETIRED):
         assert callable(_resolve(name)), name
+
+
+def test_evaluator_takes_its_nodes_through_the_module_name(monkeypatch):
+    # the tracer counts exact_oracle.nodes_calls by rebinding this name
+    calls = []
+    nodes = exact_oracle.leggauss
+
+    def counting(g):
+        calls.append(g)
+        return nodes(g)
+
+    monkeypatch.setattr(exact_oracle, "leggauss", counting)
+    inst = make_instance([COIN, TRI], 5)
+    ExactEvaluator(inst, _policies(inst)["threshold"])
+    assert calls == [inst.total_rewards // 2 + 2]
 
 
 def test_retired_names_are_gone():
