@@ -7,14 +7,12 @@ single copy of each base distribution.
 """
 
 from .distributions import (
-    AugmentedValue,
     Distribution,
     RandomizedThreshold,
     distribution_from_json,
     distribution_to_json,
     nth_root,
     product_max,
-    quantile_threshold,
 )
 from .errors import (
     ConfigError,
@@ -28,14 +26,12 @@ from .errors import (
 from .exact_oracle import ExactEvaluator, optimal_online_dp, p_tau_multi, p_tau_single
 from .experiments import exceedance, expected_value
 from .instance import (
-    ArrivalSequence,
     Instance,
     OptLaw,
     instance_from_json,
     instance_to_json,
     make_instance,
     opt_law,
-    sample_arrivals,
 )
 from .monte_carlo import (
     McConfig,
@@ -47,15 +43,12 @@ from .monte_carlo import (
 from .policies import (
     ActivationPolicy,
     AdaptiveTwoThreshold,
-    StopOutcome,
     ThresholdSchedule,
     ValueBuckets,
     make_adaptive,
     make_blind_schedule,
     make_single_threshold,
-    run_policy,
     sort_nonincreasing,
-    switch_time_S,
 )
 from .results import EvalResult
 

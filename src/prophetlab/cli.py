@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import platform
 import sys
@@ -68,8 +69,13 @@ def _write_csv(path: str, columns, rows) -> None:
 
 def _write_json(path: str, obj: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _log_or_null(log: float) -> float | None:
+    """A log gap for summary.json: the log of a non-positive gap is NaN, written as null."""
+    return None if math.isnan(log) else log
 
 
 def _write_manifest(outdir: str, args: argparse.Namespace) -> None:
@@ -127,8 +133,8 @@ def _activation_from_json(obj: dict, n: int) -> ActivationPolicy:
 
     Each (identity, edge, prob) triple contributes one value bucket closed on
     the left at the previous edge; the tail bucket uses ``null`` as its edge
-    and must come last for every identity that appears.  Identities with no
-    entries in a piece never activate there.
+    and must come last for every identity that appears.  Identities must lie
+    in 0..n-1; one with no entries in a piece never activates there.
     """
     try:
         pieces = sorted(obj["pieces"], key=lambda p: float(p["t0"]))
@@ -143,6 +149,8 @@ def _activation_from_json(obj: dict, n: int) -> ActivationPolicy:
         for piece in pieces:
             per_id: dict[int, list[tuple[float | None, float]]] = {}
             for ident, edge, prob in piece["g"]:
+                if not 0 <= int(ident) < n:
+                    raise ConfigError(f"activation identity {ident!r} is not in 0..{n - 1}")
                 entry = (None if edge is None else float(edge), float(prob))
                 per_id.setdefault(int(ident), []).append(entry)
             row = []
@@ -159,7 +167,7 @@ def _activation_from_json(obj: dict, n: int) -> ActivationPolicy:
                 probs = tuple(p for _, p in entries)
                 row.append(ValueBuckets(edges, probs))
             tables.append(tuple(row))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ConfigError(f"malformed activation policy spec: {exc}") from exc
     return ActivationPolicy(tuple(breakpoints), tuple(tables))
 
@@ -301,8 +309,8 @@ def _cmd_hardness(args: argparse.Namespace, outdir: str) -> int:
             "k": report.k,
             "bad_order": str(report.bad_order),
             "dp_value": report.dp_value,
-            "log_gap": report.log_gap,
-            "ceiling_log_gap": report.ceiling_log_gap,
+            "log_gap": _log_or_null(report.log_gap),
+            "ceiling_log_gap": _log_or_null(report.ceiling_log_gap),
             "certified": report.certified,
             "method": "exact",
             "half_widths": [0.0],
@@ -320,7 +328,7 @@ def _cmd_hardness(args: argparse.Namespace, outdir: str) -> int:
             "k": report.k,
             "p": report.p,
             "log_epsilon": report.log_epsilon,
-            "min_log_gap": report.min_log_gap,
+            "min_log_gap": _log_or_null(report.min_log_gap),
             "certified": report.certified,
             "arithmetic_ok": report.arithmetic_ok,
             "closed_form_abs_err": report.closed_form_abs_err,
@@ -372,6 +380,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, *, instance: bool) -> None:
     if instance:
         p.add_argument("--instance", required=True, help="instance JSON file")
@@ -383,7 +398,9 @@ def _add_common(p: argparse.ArgumentParser, *, instance: bool) -> None:
             default="single",
             help="algorithm class",
         )
-        p.add_argument("--epsilon", type=float, default=None, help="target gap in (0, 1/e]")
+        p.add_argument(
+            "--epsilon", type=_finite_float, default=None, help="target gap in (0, 1/e]"
+        )
         p.add_argument("--evaluator", choices=("exact", "mc"), default="exact")
         p.add_argument("--policy", default=None, help="activation table JSON (class=activation)")
         p.add_argument("--grid", type=int, default=512, help="schedule grid resolution")

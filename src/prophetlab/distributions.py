@@ -1,4 +1,5 @@
-"""Reward distributions with exact CDF/quantile/sampling and max/root operators.
+"""Reward distributions with exact CDF and inverse CDF, max/root operators,
+and the randomized threshold rule.
 
 Two user-facing families are supported: discrete atom lists and
 piecewise-linear CDFs.  Internally both are stored as a breakpoint grid
@@ -17,13 +18,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInstanceError, InvalidParameterError, InvalidQuantileError
+from .errors import InvalidInstanceError, InvalidParameterError
 
 __all__ = [
-    "AugmentedValue",
     "Distribution",
     "RandomizedThreshold",
-    "quantile_threshold",
     "product_max",
     "nth_root",
     "distribution_to_json",
@@ -31,14 +30,6 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-12
-
-
-@dataclass(frozen=True, order=True)
-class AugmentedValue:
-    """A reward value with a uniform tiebreak; ordered lexicographically."""
-
-    value: float
-    tiebreak: float
 
 
 @dataclass(frozen=True)
@@ -49,11 +40,6 @@ class RandomizedThreshold:
     tau: float
     accept_prob: float
 
-    def accepts(self, av: AugmentedValue) -> bool:
-        if av.value > self.tau:
-            return True
-        return av.value == self.tau and av.tiebreak < self.accept_prob
-
     def bucket_form(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """The same rule as value buckets (edges, probs): reject below tau,
         accept with ``accept_prob`` at tau, always above it."""
@@ -61,13 +47,19 @@ class RandomizedThreshold:
 
     # the questions every acceptance rule answers against a law ``d``
 
+    def rejected_mass(self, d: Distribution) -> float:
+        """Pr[rejected]."""
+        return d.cdf_left(self.tau) + (1.0 - self.accept_prob) * d.point_mass(self.tau)
+
     def accepted_mass(self, d: Distribution) -> float:
         """Pr[accepted]."""
-        return d.accept_prob(self)
+        return 1.0 - self.rejected_mass(d)
 
     def accepted_mean(self, d: Distribution) -> float:
         """E[V * 1{accepted}]."""
-        return d.mean_accepted(self)
+        return d.mean_between(self.tau, np.inf, open_left=True) + (
+            self.accept_prob * self.tau * d.point_mass(self.tau)
+        )
 
     def accepted_mass_above(self, d: Distribution, xs: np.ndarray) -> np.ndarray:
         """Pr[accepted and V > x] for each x of ``xs``."""
@@ -193,21 +185,6 @@ class Distribution:
             return float(self.Fr[j] - self.Fl[j])
         return 0.0
 
-    # ---------------------------------------------------- randomized thresholds
-
-    def reject_prob(self, rt: RandomizedThreshold) -> float:
-        """Pr[value rejected] under the randomized rule (tau, accept_prob)."""
-        return self.cdf_left(rt.tau) + (1.0 - rt.accept_prob) * self.point_mass(rt.tau)
-
-    def accept_prob(self, rt: RandomizedThreshold) -> float:
-        return 1.0 - self.reject_prob(rt)
-
-    def mean_accepted(self, rt: RandomizedThreshold) -> float:
-        """E[V * 1{accepted}]."""
-        return self.mean_between(rt.tau, np.inf, open_left=True) + (
-            rt.accept_prob * rt.tau * self.point_mass(rt.tau)
-        )
-
     # ---------------------------------------------------------- interval masses
 
     def mass_between(self, lo: float, hi: float) -> float:
@@ -264,38 +241,11 @@ class Distribution:
         val = np.where(in_jump | (j == 0), self.xs[j], interp)
         return val if val.ndim else float(val)
 
-    def sample_values(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.ppf(rng.random(size))
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Distribution({self.kind}, {len(self.xs)} breakpoints, max={self.support_max})"
 
 
 # ---------------------------------------------------------------------- ops
-
-
-def quantile_threshold(d: Distribution, q: float) -> RandomizedThreshold:
-    """The randomized threshold whose induced rejection probability is exactly q.
-
-    Returns the leftmost tau achieving the quantile on flat CDF regions.
-    """
-    if not (0.0 <= q < 1.0):
-        raise InvalidQuantileError(f"quantile must be in [0, 1), got {q!r}")
-    j = int(np.searchsorted(d.Fr, q, side="left"))
-    # leftmost breakpoint with Fr >= q
-    if d.Fl[j] >= q and j > 0 and d.Fl[j] > d.Fr[j - 1]:
-        # q is reached strictly inside the linear segment ending at xs[j]
-        frac = (q - d.Fr[j - 1]) / (d.Fl[j] - d.Fr[j - 1])
-        tau = float(d.xs[j - 1] + (d.xs[j] - d.xs[j - 1]) * frac)
-        return RandomizedThreshold(tau, 0.0)
-    tau = float(d.xs[j])
-    mass = float(d.Fr[j] - d.Fl[j])
-    if mass > 0:
-        a = (float(d.Fr[j]) - q) / mass
-        a = min(max(a, 0.0), 1.0)
-    else:
-        a = 0.0
-    return RandomizedThreshold(tau, a)
 
 
 def _merged_grid(ds: Sequence[Distribution], extra_points=None) -> np.ndarray:

@@ -34,6 +34,7 @@ from .policies import (
     Policy,
     ThresholdSchedule,
     ValueBuckets,
+    adaptive_ell,
     make_adaptive,
     make_blind_schedule,
     make_single_threshold,
@@ -59,9 +60,6 @@ __all__ = [
     "hardness_activation",
     "lemma_suite",
 ]
-
-_CLASSES = ("single", "blind", "adaptive")
-
 
 # ------------------------------------------------------ the evaluation seam
 
@@ -112,8 +110,7 @@ def paper_bound_k(algorithm_class: str, epsilon: float) -> int:
     there the single-threshold bound is used instead (it dominates the blind
     class anyway).
     """
-    if not (0.0 < epsilon <= 1.0 / math.e):
-        raise InvalidParameterError(f"epsilon must be in (0, 1/e], got {epsilon!r}")
+    ell = adaptive_ell(epsilon)  # checks epsilon for every class
     log_inv = math.log(1.0 / epsilon)
     if algorithm_class == "single":
         return math.ceil(2.0 * log_inv)
@@ -123,7 +120,6 @@ def paper_bound_k(algorithm_class: str, epsilon: float) -> int:
             return math.ceil(2.0 * log_inv)
         return math.ceil(2.0 * log_inv / loglog)
     if algorithm_class == "adaptive":
-        ell = max(1, math.ceil(math.sqrt(log_inv) - 1e-12))
         return 8 * ell
     raise InvalidParameterError(f"unknown algorithm class {algorithm_class!r}")
 
@@ -231,7 +227,7 @@ def dominance_check(
         qs += [0.75, math.exp(-policy.ell)]
     qs = sorted({q for q in qs if 0.0 <= q < 1.0})
     xs = np.asarray(opt.dist.ppf(np.asarray(qs)), dtype=float)
-    p_opt = np.array([opt.prob_above(x) for x in xs])
+    p_opt = 1.0 - opt.cdf(xs)
     ests = exceedance(inst, policy, xs, evaluator, mc)
     p_alg = np.array([e.estimate for e in ests])
     scaled = (1.0 - epsilon) * p_opt
@@ -305,6 +301,29 @@ def _channel_gap(q_no_stop: float, q_low: float, p, s, eps):
     return q_no_stop * (1 + s) + (mp.mpf(q_low) - p) * s - eps * (1 + s - p * s)
 
 
+def _two_type_sweep(k: int, p, s, eps, policies):
+    """Run each policy on the surrogate two-type instance (k deterministic 1's,
+    k coins worth 2 with probability 1 - p).  Returns one (Q0, Q1, Pr[top
+    selected], ln gap) per policy, the smallest ln gap and whether every gap
+    is positive; the ln of a non-positive gap, and then the smallest, is NaN."""
+    pf = float(p)
+    surrogate = make_instance(
+        [Distribution.discrete([(1.0, 1.0)]), Distribution.discrete([(0.0, pf), (2.0, 1.0 - pf)])],
+        k,
+    )
+    channels = []
+    for policy in policies:
+        ev = ExactEvaluator(surrogate, policy)
+        q0 = ev.no_stop_prob()
+        e_any, e_top = ev.exceedance_many([0.5, 1.5])
+        q1 = max(float(e_any) - float(e_top), 0.0)
+        gap = _channel_gap(q0, q1, p, s, eps)
+        channels.append((q0, q1, float(e_top), float(mp.log(gap)) if gap > 0 else math.nan))
+    logs = [c[3] for c in channels]
+    certified = not any(math.isnan(lg) for lg in logs)
+    return channels, (min(logs) if certified else math.nan), certified
+
+
 def _require_int(what: str, name: str, value, low: int, why: str = "") -> None:
     """Raise InvalidParameterError unless ``value`` is an integer >= low."""
     if not isinstance(value, (int, np.integer)) or value < low:
@@ -319,7 +338,7 @@ class TwoTypeHardnessReport:
     log_epsilon: float  # ln(eps) of the implied epsilon (a large negative number)
     rows: tuple[tuple, ...]
     columns: tuple[str, ...]
-    min_log_gap: float
+    min_log_gap: float  # NaN when some gap is not positive
     certified: bool
     arithmetic_ok: bool
     closed_form_abs_err: float
@@ -339,28 +358,12 @@ def hardness_time_based(k: int = 25, grid_points: int = 1001) -> TwoTypeHardness
         s = mp.sqrt(eps)
         p = mp.mpf(1) / k
         pf = float(p)
-        surrogate = make_instance(
-            [Distribution.discrete([(1.0, 1.0)]), Distribution.discrete([(0.0, pf), (2.0, 1.0 - pf)])],
-            k,
+        ts = [float(t) for t in np.linspace(0.0, 1.0, grid_points)]
+        channels, min_log_gap, certified = _two_type_sweep(
+            k, p, s, eps, (_switch_schedule(t) for t in ts)
         )
-        ts = np.linspace(0.0, 1.0, grid_points)
-        rows = []
-        logs = []
-        certified = True
-        p_top_at_zero = 0.0
-        for t in ts:
-            ev = ExactEvaluator(surrogate, _switch_schedule(float(t)))
-            q0 = ev.no_stop_prob()
-            e_any, e_top = ev.exceedance_many([0.5, 1.5])
-            q1 = max(float(e_any) - float(e_top), 0.0)
-            if t == 0.0:
-                p_top_at_zero = float(e_top)
-            gap = _channel_gap(q0, q1, p, s, eps)
-            certified &= gap > 0
-            lg = float(mp.log(gap)) if gap > 0 else float("nan")
-            logs.append(lg)
-            case2_bound = pf**k * float(t) ** k
-            rows.append((float(t), q0, q1, float(e_top), case2_bound, lg))
+        rows = [(t, q0, q1, top, pf**k * t**k, lg) for t, (q0, q1, top, lg) in zip(ts, channels)]
+        p_top_at_zero = channels[0][2]  # ts[0] == 0
         # Case-1 arithmetic and the closed-form cross-check at t = 0:
         # conditioning on one coin arriving at time u and being nonzero, no
         # deterministic reward may arrive earlier and no other coin may have
@@ -379,8 +382,8 @@ def hardness_time_based(k: int = 25, grid_points: int = 1001) -> TwoTypeHardness
             float(-L),
             tuple(rows),
             ("switch_t", "q_no_stop", "q_low_pick", "p_top", "case2_bound", "log_gap"),
-            min(logs),
-            bool(certified),
+            min_log_gap,
+            certified,
             arithmetic_ok,
             abs(closed - p_top_at_zero),
         )
@@ -401,30 +404,17 @@ def hardness_activation(k: int = 61, grid_points: int = 11) -> TwoTypeHardnessRe
         s = mp.sqrt(eps)
         p = 1 / L
         pf = float(p)
-        surrogate = make_instance(
-            [Distribution.discrete([(1.0, 1.0)]), Distribution.discrete([(0.0, pf), (2.0, 1.0 - pf)])],
-            k,
-        )
         top_buckets = ValueBuckets((0.5,), (0.0, 1.0))
-        gs = np.linspace(0.0, 1.0, grid_points)
-        rows = []
-        logs = []
-        certified = True
-        for ge in gs:
-            for gl in gs:
-                tables = tuple(
-                    (ValueBuckets((), (float(g),)), top_buckets) for g in (ge, gl)
-                )
-                policy = ActivationPolicy((0.0, 2.0 / k, 1.0), tables)
-                ev = ExactEvaluator(surrogate, policy)
-                q0 = ev.no_stop_prob()
-                e_any, e_top = ev.exceedance_many([0.5, 1.5])
-                q1 = max(float(e_any) - float(e_top), 0.0)
-                gap = _channel_gap(q0, q1, p, s, eps)
-                certified &= gap > 0
-                lg = float(mp.log(gap)) if gap > 0 else float("nan")
-                logs.append(lg)
-                rows.append((float(ge), float(gl), q0, q1, float(e_top), lg))
+        gs = [float(g) for g in np.linspace(0.0, 1.0, grid_points)]
+        grid = [(ge, gl) for ge in gs for gl in gs]
+        policies = (
+            ActivationPolicy(
+                (0.0, 2.0 / k, 1.0), tuple((ValueBuckets((), (g,)), top_buckets) for g in pair)
+            )
+            for pair in grid
+        )
+        channels, min_log_gap, certified = _two_type_sweep(k, p, s, eps, policies)
+        rows = [(ge, gl, *c) for (ge, gl), c in zip(grid, channels)]
         arithmetic_ok = (
             all((1.0 - 2.0 / kk) ** kk >= 0.1 for kk in range(8, 201))
             and abs(float(mp.log(p ** (2 * k)) - mp.log(s))) <= 1e-12 * float(L)
@@ -438,8 +428,8 @@ def hardness_activation(k: int = 61, grid_points: int = 11) -> TwoTypeHardnessRe
             float(-L),
             tuple(rows),
             ("g_early", "g_late", "q_no_stop", "q_low_pick", "p_top", "log_gap"),
-            min(logs),
-            bool(certified),
+            min_log_gap,
+            certified,
             bool(arithmetic_ok),
             0.0,
         )
@@ -453,8 +443,8 @@ class GeneralHardnessReport:
     stirling_ok: bool  # bad_order >= 4^-k up to k_max
     k_max_checked: int
     dp_value: float  # double rendering of the mpmath DP value
-    log_gap: float  # ln((1-eps)E[OPT] - DP)
-    ceiling_log_gap: float  # ln(ceiling - DP); ceiling = 1 + s - s/4^k
+    log_gap: float  # ln((1-eps)E[OPT] - DP), NaN when the gap is not positive
+    ceiling_log_gap: float  # ln(ceiling - DP), likewise; ceiling = 1 + s - s/4^k
     three_p_ok: bool
     certified: bool
     dps: int  # decimal digits the DP ran at
@@ -580,6 +570,7 @@ def lemma_suite(seed: int, trials: int = 200, monotone_trials: int = 100) -> Lem
     probability is evaluated exactly.  Separately, sorting random schedules
     into nonincreasing order is checked to never lower the exact value.
     """
+    _require_int("lemma suite", "trials", trials, 1)
     rng = np.random.default_rng(seed)
     rows = []
     s1 = s2 = s3 = s4 = math.inf

@@ -1,4 +1,4 @@
-"""The base instance (F_1..F_n, copy count k), the OPT law, and arrival sampling."""
+"""The base instance (F_1..F_n, copy count k), the OPT law and its exact quantiles."""
 
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ from .distributions import (
 from .errors import InvalidInstanceError, InvalidQuantileError
 from .quadrature import leggauss
 
-__all__ = ["Instance", "OptLaw", "ArrivalSequence", "make_instance", "opt_law",
-           "sample_arrivals", "instance_to_json", "instance_from_json"]
+__all__ = ["Instance", "OptLaw", "make_instance", "opt_law", "instance_to_json",
+           "instance_from_json"]
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class Instance:
 def make_instance(base: Sequence[Distribution], k: int) -> Instance:
     if not base:
         raise InvalidInstanceError("instance needs at least one base distribution")
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise InvalidInstanceError(f"copy count must be a positive integer, got {k!r}")
     return Instance(tuple(base), int(k))
 
@@ -76,13 +76,6 @@ class OptLaw:
         for d in self.base:
             out *= d.cdf_left(x)
         return out
-
-    def prob_above(self, x: float) -> float:
-        return 1.0 - self.cdf(x)
-
-    @property
-    def support_max(self) -> float:
-        return max(d.support_max for d in self.base)
 
     def _tail_integral(self) -> float:
         """E[max] = int_0^xmax (1 - prod_i F_i(x)) dx, exact per segment."""
@@ -190,47 +183,6 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, at_or_below) -> np.ndarray:
 def opt_law(inst: Instance) -> OptLaw:
     """OPT excludes the added copies: the product runs over the base only."""
     return OptLaw(inst.base)
-
-
-@dataclass(frozen=True)
-class ArrivalSequence:
-    """One realized draw of all n*k rewards, sorted by arrival time.
-
-    Time ties (possible in floating point) are broken by (identity, copy)
-    index order."""
-
-    n: int
-    copies: int
-    times: np.ndarray
-    identities: np.ndarray
-    copy_index: np.ndarray
-    values: np.ndarray
-    tiebreaks: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
-def sample_arrivals(inst: Instance, rng: np.random.Generator) -> ArrivalSequence:
-    n, k = inst.n, inst.copies
-    N = n * k
-    identities = np.repeat(np.arange(n), k)
-    copy_index = np.tile(np.arange(k), n)
-    times = rng.random(N)
-    values = np.empty(N)
-    for i, d in enumerate(inst.base):
-        values[identities == i] = d.sample_values(rng, k)
-    tiebreaks = rng.random(N)
-    order = np.lexsort((copy_index, identities, times))
-    return ArrivalSequence(
-        n=n,
-        copies=k,
-        times=times[order],
-        identities=identities[order],
-        copy_index=copy_index[order],
-        values=values[order],
-        tiebreaks=tiebreaks[order],
-    )
 
 
 # --------------------------------------------------------------------- JSON

@@ -10,27 +10,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
-from .distributions import AugmentedValue, Distribution, RandomizedThreshold
+from .distributions import Distribution, RandomizedThreshold
 from .errors import InvalidParameterError, PolicyMismatchError
-from .instance import ArrivalSequence, Instance, OptLaw
+from .instance import Instance, OptLaw
 
 __all__ = [
     "ThresholdSchedule",
     "ValueBuckets",
     "ActivationPolicy",
     "AdaptiveTwoThreshold",
-    "StopOutcome",
     "Policy",
+    "adaptive_ell",
     "make_single_threshold",
     "make_blind_schedule",
     "make_adaptive",
-    "run_policy",
     "check_shape",
-    "switch_time_S",
     "sort_nonincreasing",
 ]
 
@@ -40,8 +38,8 @@ class _TimePieces:
 
     A piecewise policy answers ``rule(piece, identity)`` with the acceptance
     rule of that cell: a ``RandomizedThreshold`` or ``ValueBuckets``, both of
-    which report accepted mass, accepted mean, accepted mass above x,
-    ``accepts(AugmentedValue)`` and their ``bucket_form()`` (edges, probs).
+    which report accepted mass, accepted mean, accepted mass above x and
+    their ``bucket_form()`` (edges, probs).
     The constructor checks that the pieces cover [0, 1] in increasing order.
     """
 
@@ -55,10 +53,6 @@ class _TimePieces:
     @property
     def num_pieces(self) -> int:
         return len(self.breakpoints) - 1
-
-    def piece_at(self, t: float) -> int:
-        j = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return min(max(j, 0), self.num_pieces - 1)
 
 
 @dataclass(frozen=True)
@@ -76,9 +70,6 @@ class ThresholdSchedule(_TimePieces):
     def rule(self, piece: int, identity: int) -> RandomizedThreshold:
         """The same threshold for every identity."""
         return self.thresholds[piece]
-
-    def threshold_at(self, t: float) -> RandomizedThreshold:
-        return self.thresholds[self.piece_at(t)]
 
 
 @dataclass(frozen=True)
@@ -103,17 +94,11 @@ class ValueBuckets:
     def bucket_form(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         return self.edges, self.probs
 
-    def prob(self, v: float) -> float:
-        return self.probs[int(np.searchsorted(self.edges, v, side="right"))]
-
     def _bounds(self) -> list[tuple[float, float, float]]:
         """(lo, hi, prob) of each bucket that activates, lo clipped at 0."""
         lows = (-math.inf,) + self.edges
         highs = self.edges + (math.inf,)
         return [(max(lo, 0.0), hi, p) for lo, hi, p in zip(lows, highs, self.probs) if p]
-
-    def accepts(self, av: AugmentedValue) -> bool:
-        return av.tiebreak < self.prob(av.value)
 
     def accepted_mass(self, d: Distribution) -> float:
         """Pr[accepted]."""
@@ -153,16 +138,6 @@ class ActivationPolicy(_TimePieces):
     def rule(self, piece: int, identity: int) -> ValueBuckets:
         return self.tables[piece][identity]
 
-    @classmethod
-    def constant(cls, buckets_per_identity: Sequence[ValueBuckets]) -> "ActivationPolicy":
-        return cls((0.0, 1.0), (tuple(buckets_per_identity),))
-
-    @classmethod
-    def from_threshold(cls, schedule: ThresholdSchedule, n: int) -> "ActivationPolicy":
-        """The indicator-of-exceeding-tau activation table of a schedule."""
-        tables = tuple((ValueBuckets(*rt.bucket_form()),) * n for rt in schedule.thresholds)
-        return cls(tuple(schedule.breakpoints), tables)
-
 
 @dataclass(frozen=True)
 class AdaptiveTwoThreshold:
@@ -179,25 +154,8 @@ class AdaptiveTwoThreshold:
     def n(self) -> int:
         return len(self.q)
 
-    @property
-    def w(self) -> tuple[float, ...]:
-        """-ln(q_i) per identity."""
-        return tuple(-math.log(qi) for qi in self.q)
-
 
 Policy = Union[ThresholdSchedule, ActivationPolicy, AdaptiveTwoThreshold]
-
-
-@dataclass(frozen=True)
-class StopOutcome:
-    stopped: bool
-    stop_time: float
-    selected_value: float
-    selected_identity: tuple[int, int] | None
-
-    @classmethod
-    def none(cls) -> "StopOutcome":
-        return cls(False, 1.0, 0.0, None)
 
 
 # ------------------------------------------------------------ constructors
@@ -228,14 +186,19 @@ def make_blind_schedule(opt: OptLaw, k: int, grid_resolution: int = 512) -> Thre
     return ThresholdSchedule(breaks, tuple(thresholds))
 
 
-def make_adaptive(opt: OptLaw, inst: Instance, epsilon: float) -> AdaptiveTwoThreshold:
-    """Two-threshold adaptive policy: tau1 at OPT-quantile 3/4, tau2 at e^-ell."""
+def adaptive_ell(epsilon: float) -> int:
+    """ell = max(1, ceil(sqrt(ln 1/eps))) of the adaptive rule, after checking
+    that epsilon lies in (0, 1/e]."""
     if not (0.0 < epsilon <= 1.0 / math.e):
         raise InvalidParameterError(f"epsilon must be in (0, 1/e], got {epsilon!r}")
-    ell = math.ceil(math.sqrt(math.log(1.0 / epsilon)) - 1e-12)
-    ell = max(ell, 1)
+    return max(1, math.ceil(math.sqrt(math.log(1.0 / epsilon)) - 1e-12))
+
+
+def make_adaptive(opt: OptLaw, inst: Instance, epsilon: float) -> AdaptiveTwoThreshold:
+    """Two-threshold adaptive policy: tau1 at OPT-quantile 3/4, tau2 at e^-ell."""
+    ell = adaptive_ell(epsilon)
     tau1, tau2 = opt.quantile_thresholds((0.75, math.exp(-ell)))
-    q = tuple(d.reject_prob(tau2) for d in inst.base)
+    q = tuple(tau2.rejected_mass(d) for d in inst.base)
     return AdaptiveTwoThreshold(float(epsilon), ell, tau1, tau2, q, inst.copies)
 
 
@@ -254,7 +217,7 @@ def sort_nonincreasing(schedule: ThresholdSchedule) -> ThresholdSchedule:
     return ThresholdSchedule(tuple(breaks), tuple(schedule.thresholds[r] for r in order))
 
 
-# ---------------------------------------------------------------- execution
+# -------------------------------------------------------------------- shape
 
 
 def check_shape(policy: Policy, n: int, copies: int) -> None:
@@ -266,60 +229,3 @@ def check_shape(policy: Policy, n: int, copies: int) -> None:
         raise PolicyMismatchError(
             f"policy built for (n={want[0]}, k={want[1]}), instance has (n={n}, k={copies})"
         )
-
-
-def run_policy(policy: Policy, seq: ArrivalSequence) -> StopOutcome:
-    """Scan the events in time order and return the first acceptance.
-
-    Threshold and activation decisions consume the event's own tiebreak, so
-    the outcome is a pure function of (policy, seq).
-    """
-    check_shape(policy, seq.n, seq.copies)
-    if isinstance(policy, AdaptiveTwoThreshold):
-        return _run_adaptive(policy, seq)
-    for pos in range(len(seq)):
-        t = float(seq.times[pos])
-        i = int(seq.identities[pos])
-        av = AugmentedValue(float(seq.values[pos]), float(seq.tiebreaks[pos]))
-        if policy.rule(policy.piece_at(t), i).accepts(av):
-            return StopOutcome(True, t, av.value, (i, int(seq.copy_index[pos])))
-    return StopOutcome.none()
-
-
-def _run_adaptive(policy: AdaptiveTwoThreshold, seq: ArrivalSequence) -> StopOutcome:
-    log_eps = math.log(policy.epsilon)
-    logq = [math.log(qi) for qi in policy.q]
-    # log of the product of q_i over rewards not yet arrived
-    remaining = policy.copies * sum(logq)
-    for pos in range(len(seq)):
-        i = int(seq.identities[pos])
-        remaining -= logq[i]  # current event no longer counts as "later"
-        # suffix product over strictly-later arrivals decides the phase
-        rt = policy.tau2 if remaining > log_eps else policy.tau1
-        av = AugmentedValue(float(seq.values[pos]), float(seq.tiebreaks[pos]))
-        if rt.accepts(av):
-            return StopOutcome(True, float(seq.times[pos]), av.value,
-                               (i, int(seq.copy_index[pos])))
-    return StopOutcome.none()
-
-
-def switch_time_S(policy: AdaptiveTwoThreshold, times: np.ndarray,
-                  identities: np.ndarray) -> float:
-    """Offline switch time: the last t with q(t) <= epsilon.
-
-    q(t) is the probability (over values) that every reward arriving at or
-    after t falls below tau2; it is a right-continuous step function jumping
-    just after each arrival.
-    """
-    order = np.argsort(times, kind="stable")
-    ts = np.asarray(times, dtype=float)[order]
-    ids = np.asarray(identities)[order]
-    logq = np.log(np.asarray(policy.q))
-    log_eps = math.log(policy.epsilon)
-    contrib = logq[ids]
-    # suffix[j] = log prod_{m >= j} q_{id_m}
-    suffix = np.concatenate((np.cumsum(contrib[::-1])[::-1], [0.0]))
-    ok = np.nonzero(suffix[: len(ts)] <= log_eps)[0]
-    if len(ok) == 0:
-        return 0.0  # q(0) already exceeds epsilon; switch immediately
-    return float(ts[ok[-1]])

@@ -22,11 +22,3 @@ class EvalResult:
     replications: int = 0
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "half_width": self.half_width,
-            "method": self.method,
-            "replications": self.replications,
-            "seed": self.seed,
-        }

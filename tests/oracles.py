@@ -5,16 +5,32 @@ assignments, time-piece assignments, and within-piece arrival orders.
 Feasible only for N = n * k <= 5 rewards with small supports, which is
 exactly the regime the unit tests use to pin the fast evaluators.
 
+The event scan (``sample_arrivals``, ``run_policy``) plays one realized
+arrival sequence forward, one reward at a time, and is what the vectorized
+Monte Carlo block must reproduce replication for replication.  Both it and
+the enumeration read a policy's ``rule(piece, identity)`` through
+``acceptance_prob``, which decides from ``tau`` and ``accept_prob`` or from
+the bucket edges directly, never through ``bucket_form()``.
+
 ``reference_quantile_threshold`` is the scalar, one-q-at-a-time OPT quantile
 search that ``OptLaw.quantile_thresholds`` must reproduce bit for bit.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from prophetlab import ActivationPolicy, Instance, RandomizedThreshold, ThresholdSchedule
+from prophetlab import (
+    ActivationPolicy,
+    AdaptiveTwoThreshold,
+    Instance,
+    RandomizedThreshold,
+    ThresholdSchedule,
+    ValueBuckets,
+)
+from prophetlab.policies import check_shape
 
 
 def atoms(d):
@@ -26,15 +42,16 @@ def atoms(d):
     return pairs
 
 
-def _accept_prob(policy, identity, value, piece):
-    if isinstance(policy, ThresholdSchedule):
-        rt = policy.thresholds[piece]
-        if value > rt.tau:
+def acceptance_prob(rule, value: float) -> float:
+    """Pr[``rule`` accepts ``value``]: a threshold accepts above tau and with
+    ``accept_prob`` at tau; value buckets are closed on the left."""
+    if isinstance(rule, RandomizedThreshold):
+        if value > rule.tau:
             return 1.0
-        return rt.accept_prob if value == rt.tau else 0.0
-    if isinstance(policy, ActivationPolicy):
-        return policy.tables[piece][identity].prob(value)
-    raise TypeError(f"no enumeration rule for {type(policy).__name__}")
+        return rule.accept_prob if value == rule.tau else 0.0
+    if isinstance(rule, ValueBuckets):
+        return rule.probs[int(np.searchsorted(rule.edges, value, side="right"))]
+    raise TypeError(f"no acceptance rule for {type(rule).__name__}")
 
 
 def enumerate_stop_statistics(inst: Instance, policy, payoff=None):
@@ -71,7 +88,7 @@ def enumerate_stop_statistics(inst: Instance, policy, payoff=None):
                 survive = 1.0
                 val = 0.0
                 for m in order:
-                    a = _accept_prob(policy, identities[m], vals[m][0], pieces[m])
+                    a = acceptance_prob(policy.rule(pieces[m], identities[m]), vals[m][0])
                     val += survive * a * payoff(vals[m][0])
                     survive *= 1.0 - a
                 chain_val += val
@@ -140,3 +157,149 @@ def reference_quantile_threshold(opt, q: float) -> RandomizedThreshold:
         else:
             hi_a = mid
     return RandomizedThreshold(tau, hi_a)
+
+
+# ------------------------------------------------------------ event scan
+
+
+@dataclass(frozen=True, order=True)
+class AugmentedValue:
+    """A reward value with a uniform tiebreak; ordered lexicographically."""
+
+    value: float
+    tiebreak: float
+
+
+def accepts(rule, av: AugmentedValue) -> bool:
+    """The tiebreak decides: accepted iff it falls below the acceptance probability."""
+    return av.tiebreak < acceptance_prob(rule, av.value)
+
+
+def piece_at(policy, t: float) -> int:
+    j = int(np.searchsorted(policy.breakpoints, t, side="right")) - 1
+    return min(max(j, 0), policy.num_pieces - 1)
+
+
+def threshold_at(schedule: ThresholdSchedule, t: float) -> RandomizedThreshold:
+    return schedule.thresholds[piece_at(schedule, t)]
+
+
+def constant_activation(buckets_per_identity) -> ActivationPolicy:
+    """One activation table for all of [0, 1]."""
+    return ActivationPolicy((0.0, 1.0), (tuple(buckets_per_identity),))
+
+
+def activation_from_threshold(schedule: ThresholdSchedule, n: int) -> ActivationPolicy:
+    """The indicator-of-exceeding-tau activation table of a schedule."""
+    tables = tuple((ValueBuckets(*rt.bucket_form()),) * n for rt in schedule.thresholds)
+    return ActivationPolicy(tuple(schedule.breakpoints), tables)
+
+
+@dataclass(frozen=True)
+class ArrivalSequence:
+    """One realized draw of all n*k rewards, sorted by arrival time.
+
+    Time ties (possible in floating point) are broken by (identity, copy)
+    index order."""
+
+    n: int
+    copies: int
+    times: np.ndarray
+    identities: np.ndarray
+    copy_index: np.ndarray
+    values: np.ndarray
+    tiebreaks: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+
+def sample_arrivals(inst: Instance, rng: np.random.Generator) -> ArrivalSequence:
+    n, k = inst.n, inst.copies
+    N = n * k
+    identities = np.repeat(np.arange(n), k)
+    copy_index = np.tile(np.arange(k), n)
+    times = rng.random(N)
+    values = np.empty(N)
+    for i, d in enumerate(inst.base):
+        values[identities == i] = d.ppf(rng.random(k))
+    tiebreaks = rng.random(N)
+    order = np.lexsort((copy_index, identities, times))
+    return ArrivalSequence(
+        n=n,
+        copies=k,
+        times=times[order],
+        identities=identities[order],
+        copy_index=copy_index[order],
+        values=values[order],
+        tiebreaks=tiebreaks[order],
+    )
+
+
+@dataclass(frozen=True)
+class StopOutcome:
+    stopped: bool
+    stop_time: float
+    selected_value: float
+    selected_identity: tuple[int, int] | None
+
+    @classmethod
+    def none(cls) -> "StopOutcome":
+        return cls(False, 1.0, 0.0, None)
+
+
+def run_policy(policy, seq: ArrivalSequence) -> StopOutcome:
+    """Scan the events in time order and return the first acceptance.
+
+    Threshold and activation decisions consume the event's own tiebreak, so
+    the outcome is a pure function of (policy, seq).
+    """
+    check_shape(policy, seq.n, seq.copies)
+    if isinstance(policy, AdaptiveTwoThreshold):
+        return _run_adaptive(policy, seq)
+    for pos in range(len(seq)):
+        t = float(seq.times[pos])
+        i = int(seq.identities[pos])
+        av = AugmentedValue(float(seq.values[pos]), float(seq.tiebreaks[pos]))
+        if accepts(policy.rule(piece_at(policy, t), i), av):
+            return StopOutcome(True, t, av.value, (i, int(seq.copy_index[pos])))
+    return StopOutcome.none()
+
+
+def _run_adaptive(policy: AdaptiveTwoThreshold, seq: ArrivalSequence) -> StopOutcome:
+    log_eps = math.log(policy.epsilon)
+    logq = [math.log(qi) for qi in policy.q]
+    # log of the product of q_i over rewards not yet arrived
+    remaining = policy.copies * sum(logq)
+    for pos in range(len(seq)):
+        i = int(seq.identities[pos])
+        remaining -= logq[i]  # current event no longer counts as "later"
+        # suffix product over strictly-later arrivals decides the phase
+        rt = policy.tau2 if remaining > log_eps else policy.tau1
+        av = AugmentedValue(float(seq.values[pos]), float(seq.tiebreaks[pos]))
+        if accepts(rt, av):
+            return StopOutcome(True, float(seq.times[pos]), av.value,
+                               (i, int(seq.copy_index[pos])))
+    return StopOutcome.none()
+
+
+def switch_time_S(policy: AdaptiveTwoThreshold, times: np.ndarray,
+                  identities: np.ndarray) -> float:
+    """Offline switch time: the last t with q(t) <= epsilon.
+
+    q(t) is the probability (over values) that every reward arriving at or
+    after t falls below tau2; it is a right-continuous step function jumping
+    just after each arrival.
+    """
+    order = np.argsort(times, kind="stable")
+    ts = np.asarray(times, dtype=float)[order]
+    ids = np.asarray(identities)[order]
+    logq = np.log(np.asarray(policy.q))
+    log_eps = math.log(policy.epsilon)
+    contrib = logq[ids]
+    # suffix[j] = log prod_{m >= j} q_{id_m}
+    suffix = np.concatenate((np.cumsum(contrib[::-1])[::-1], [0.0]))
+    ok = np.nonzero(suffix[: len(ts)] <= log_eps)[0]
+    if len(ok) == 0:
+        return 0.0  # q(0) already exceeds epsilon; switch immediately
+    return float(ts[ok[-1]])

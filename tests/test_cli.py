@@ -119,8 +119,9 @@ class TestErrors:
             '{"base": [{"type": "discrete", "atoms": [[0.0, NaN], [1.0, 0.5]]}], "copies": 1}',
             '{"base": [{"type": "discrete", "atoms": [[0.0, 0.5], [Infinity, 0.5]]}], "copies": 1}',
             '{"base": [{"type": "discrete", "atoms": [[0.0, 0.5], [1.0, 0.5]]}], "copies": 3.7}',
+            '{"base": [{"type": "discrete", "atoms": [[0.0, 0.5], [1.0, 0.5]]}], "copies": true}',
         ],
-        ids=["nan-value", "nan-mass", "infinite-value", "fractional-copies"],
+        ids=["nan-value", "nan-mass", "infinite-value", "fractional-copies", "boolean-copies"],
     )
     def test_malformed_instance_exits_1_with_one_line(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
@@ -143,6 +144,25 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "k >= 2 (p = 1/k must be below 1)" in err
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_lemmas_without_trials_exits_1_with_one_line(self, tmp_path, capsys, trials):
+        out = tmp_path / "run"
+        assert run(["lemmas", "--trials", trials, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"got {trials}" in err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_epsilon_exits_1(self, coins_file, tmp_path, capsys, eps):
+        # the activation class ignores epsilon, but the manifest echoes it
+        table = _activation_table(tmp_path, [(0.0, 1.0)])
+        out = tmp_path / "run"
+        args = ["eval", "--instance", coins_file, "--class", "activation", "--policy", table]
+        assert run(args + ["--epsilon", eps, "--out", str(out)]) == 1
+        assert "must be a finite number" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 1
@@ -183,6 +203,42 @@ class TestActivationTables:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("ident", [5, -1])
+    def test_identity_outside_instance_exits_1(self, tmp_path, capsys, ident):
+        inst = tmp_path / "one.json"
+        inst.write_text(json.dumps({"base": [COINS["base"][0]], "copies": 1}))
+        table = tmp_path / "table.json"
+        piece = {"t0": 0.0, "t1": 1.0, "g": [[ident, None, 1.0]]}
+        table.write_text(json.dumps({"pieces": [piece]}))
+        out = tmp_path / "run"
+        args = ["eval", "--instance", str(inst), "--class", "activation", "--policy", str(table)]
+        assert run(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"identity {ident}" in err
+        assert not (out / "summary.json").exists()
+
+
+def _no_constants(name):
+    raise ValueError(f"summary.json holds {name}, which is not JSON")
+
+
+class TestStrictSummary:
+    @pytest.mark.parametrize(
+        "argv",
+        [["--class", "activation", "--k", "120"],
+         ["--class", "time-based", "--k", "100", "--grid", "101"]],
+        ids=["activation-first-row", "time-based-later-rows"],
+    )
+    def test_undefined_log_gap_is_null(self, tmp_path, argv):
+        # a non-positive gap has no log: min_log_gap is null whichever row it is in
+        out = tmp_path / "run"
+        assert run(["hardness", *argv, "--out", str(out)]) == 2
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=_no_constants)
+        assert summary["certified"] is False
+        assert summary["min_log_gap"] is None
+        assert "nan" in (out / "results.csv").read_text()
 
 
 class TestHardnessFlags:

@@ -12,11 +12,11 @@ from prophetlab import (
     InvalidInstanceError,
     InvalidParameterError,
     InvalidQuantileError,
+    OptLaw,
     distribution_from_json,
     distribution_to_json,
     nth_root,
     product_max,
-    quantile_threshold,
 )
 
 _VALUES = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0]
@@ -75,32 +75,32 @@ class TestCdf:
 class TestQuantileThreshold:
     def test_atom_boundary_exact(self):
         d = Distribution.discrete([(1.0, 0.5), (2.0, 0.5)])
-        rt = quantile_threshold(d, 0.5)
+        rt = OptLaw([d]).quantile_threshold(0.5)
         assert (rt.tau, rt.accept_prob) == (1.0, 0.0)
 
     def test_interior_of_atom(self):
         d = Distribution.discrete([(1.0, 0.5), (2.0, 0.5)])
-        rt = quantile_threshold(d, 0.25)
+        rt = OptLaw([d]).quantile_threshold(0.25)
         assert rt.tau == 1.0
         assert rt.accept_prob == pytest.approx(0.5, abs=1e-15)
 
     def test_uniform_median(self):
         d = Distribution.piecewise([(0.0, 0.0), (1.0, 1.0)])
-        assert quantile_threshold(d, 0.5).tau == pytest.approx(0.5, abs=1e-12)
+        assert OptLaw([d]).quantile_threshold(0.5).tau == pytest.approx(0.5, abs=1e-12)
 
     def test_rejects_bad_quantile(self):
         d = Distribution.discrete([(1.0, 1.0)])
         with pytest.raises(InvalidQuantileError):
-            quantile_threshold(d, 1.0)
+            OptLaw([d]).quantile_threshold(1.0)
         with pytest.raises(InvalidQuantileError):
-            quantile_threshold(d, -0.1)
+            OptLaw([d]).quantile_threshold(-0.1)
 
     @given(discrete_laws(), st.integers(min_value=0, max_value=99))
     @settings(max_examples=100, deadline=None)
     def test_roundtrip_rejection_probability(self, d, hundredths):
         q = hundredths / 100.0
-        rt = quantile_threshold(d, q)
-        assert abs(d.reject_prob(rt) - q) <= 1e-12
+        rt = OptLaw([d]).quantile_threshold(q)
+        assert abs(rt.rejected_mass(d) - q) <= 1e-12
 
 
 class TestProductMax:
@@ -158,18 +158,18 @@ class TestSampling:
     def test_point_mass_samples_constant(self):
         d = Distribution.discrete([(1.0, 1.0)])
         rng = np.random.default_rng(0)
-        assert np.all(d.sample_values(rng, 100) == 1.0)
+        assert np.all(d.ppf(rng.random(100)) == 1.0)
 
     def test_coin_empirical_mean(self):
         d = Distribution.discrete([(0.0, 0.5), (1.0, 0.5)])
         rng = np.random.default_rng(12345)
-        mean = d.sample_values(rng, 1_000_000).mean()
+        mean = d.ppf(rng.random(1_000_000)).mean()
         assert abs(mean - 0.5) <= 0.002
 
     def test_fixed_seed_reproduces(self):
         d = Distribution.piecewise([(0.0, 0.0), (1.0, 0.6), (2.0, 1.0)])
-        a = d.sample_values(np.random.default_rng(7), 1000)
-        b = d.sample_values(np.random.default_rng(7), 1000)
+        a = d.ppf(np.random.default_rng(7).random(1000))
+        b = d.ppf(np.random.default_rng(7).random(1000))
         np.testing.assert_array_equal(a, b)
 
 

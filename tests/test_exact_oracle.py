@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 from oracles import (
+    activation_from_threshold,
+    constant_activation,
     enumerate_exceedance,
     enumerate_expected_value,
     enumerate_stop_statistics,
 )
 
 from prophetlab import (
-    ActivationPolicy,
     Distribution,
     ExactEvaluator,
     PolicyMismatchError,
@@ -71,7 +72,7 @@ class TestPTau:
         rt = opt.quantile_threshold(0.5)
         root = nth_root(opt.dist, n)
         sched = ThresholdSchedule((0.0, 1.0), (rt,))
-        q = root.reject_prob(rt)
+        q = rt.rejected_mass(root)
         for t in (0.25, 0.7, 1.0):
             got = p_tau_multi(sched, ((root, n * k),), t)
             assert got == pytest.approx(1.0 - (1.0 - t + t * q) ** (n * k), abs=1e-12)
@@ -136,20 +137,20 @@ class TestActivation:
             (0.0, 0.4, 1.0),
             (RandomizedThreshold(1.0, 0.3), RandomizedThreshold(0.0, 0.6)),
         )
-        act = ActivationPolicy.from_threshold(sched, inst.n)
+        act = activation_from_threshold(sched, inst.n)
         a = expected_value(inst, act).estimate
         b = expected_value(inst, sched).estimate
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_never_activate(self):
         inst = make_instance([COIN, TRI], 2)
-        act = ActivationPolicy.constant([ValueBuckets((), (0.0,))] * 2)
+        act = constant_activation([ValueBuckets((), (0.0,))] * 2)
         assert expected_value(inst, act).estimate == 0.0
 
     def test_one_greedy_identity(self):
         # identity 0 always activates, identity 1 never: ALG gets V_0 always
         inst = make_instance([TRI, COIN], 1)
-        act = ActivationPolicy.constant(
+        act = constant_activation(
             [ValueBuckets((), (1.0,)), ValueBuckets((), (0.0,))]
         )
         got = expected_value(inst, act).estimate
@@ -163,7 +164,7 @@ class TestShapeGuard:
     @pytest.mark.parametrize("tables", [2, 4])
     def test_activation_identity_count_must_match(self, tables):
         inst = make_instance([COIN, TRI, ATOM1], 2)
-        act = ActivationPolicy.constant([ValueBuckets((), (1.0,))] * tables)
+        act = constant_activation([ValueBuckets((), (1.0,))] * tables)
         for evaluate in (
             lambda: ExactEvaluator(inst, act),
             lambda: expected_value(inst, act),

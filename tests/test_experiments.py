@@ -52,6 +52,11 @@ class TestBoundFormulas:
     def test_adaptive_at_exp_minus_four(self):
         assert paper_bound_k("adaptive", math.exp(-4)) == 16  # 8 * ell, ell = 2
 
+    @pytest.mark.parametrize("eps", [1 / math.e, 0.1, math.exp(-4), 0.018, math.exp(-9), 1e-12])
+    def test_adaptive_bound_uses_the_policy_ell(self, eps):
+        inst = make_instance([COIN], 2)
+        assert paper_bound_k("adaptive", eps) == 8 * make_adaptive(opt_law(inst), inst, eps).ell
+
     def test_epsilon_validation(self):
         for bad in (0.0, -0.1, 0.5, 1.0):
             with pytest.raises(InvalidParameterError):
@@ -160,6 +165,13 @@ class TestHardnessReports:
         with pytest.raises(InvalidParameterError, match=r"k >= 2 \(p = 1/k must be below 1\)"):
             hardness_time_based(k=k)
 
+    def test_min_log_gap_is_nan_when_a_later_gap_is_not_positive(self):
+        # at k = 100 the first rows certify and rows 4 and 5 do not
+        report = hardness_time_based(k=100, grid_points=101)
+        logs = [row[-1] for row in report.rows]
+        assert math.isfinite(logs[0]) and math.isnan(logs[4])
+        assert not report.certified and math.isnan(report.min_log_gap)
+
     def test_time_based_closed_form_cross_check(self):
         report = hardness_time_based(k=6, grid_points=51)
         assert report.closed_form_abs_err <= 1e-10
@@ -171,6 +183,11 @@ class TestLemmaSuite:
         report = lemma_suite(seed=3, trials=25, monotone_trials=10)
         assert report.all_hold
         assert report.max_symmetric_gap <= 1e-12
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        with pytest.raises(InvalidParameterError, match=f"got {trials}"):
+            lemma_suite(seed=0, trials=trials)
 
     def test_report_is_reproducible(self):
         a = lemma_suite(seed=11, trials=10, monotone_trials=5)

@@ -1,4 +1,4 @@
-"""Instance assembly, the benchmark law, and arrival sampling."""
+"""Instance assembly, the benchmark law, and the reference arrival sampling."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_quantile_threshold
+from oracles import reference_quantile_threshold, sample_arrivals
 from test_distributions import discrete_laws, piecewise_laws
 
 from prophetlab import (
@@ -18,7 +18,6 @@ from prophetlab import (
     instance_to_json,
     make_instance,
     opt_law,
-    sample_arrivals,
 )
 from prophetlab.experiments import regression_instances
 
@@ -114,7 +113,7 @@ class TestQuantileThresholds:
         qs = [float(v) for v in np.concatenate([opt.dist.Fr, opt.dist.Fl]) if v < 1.0] + extra
         for q, rt in zip(qs, opt.quantile_thresholds(qs)):
             assert _bits(rt) == _bits(reference_quantile_threshold(opt, q))
-            rejected = math.prod(d.reject_prob(rt) for d in base)
+            rejected = math.prod(rt.rejected_mass(d) for d in base)
             assert rejected == pytest.approx(q, abs=1e-12)
 
     def test_batch_keeps_order_and_duplicates(self):

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from oracles import ArrivalSequence, run_policy
 
 from prophetlab import (
     ActivationPolicy,
-    ArrivalSequence,
     Distribution,
     McConfig,
     RandomizedThreshold,
@@ -23,7 +23,6 @@ from prophetlab import (
     make_instance,
     make_single_threshold,
     opt_law,
-    run_policy,
 )
 from prophetlab import monte_carlo
 

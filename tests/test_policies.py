@@ -1,14 +1,23 @@
-"""Policy constructors and the event-scan executor."""
+"""Policy constructors, and the event-scan reference of tests/oracles.py."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from oracles import (
+    AugmentedValue,
+    accepts,
+    activation_from_threshold,
+    constant_activation,
+    run_policy,
+    sample_arrivals,
+    switch_time_S,
+    threshold_at,
+)
 
 from prophetlab import (
     ActivationPolicy,
-    AugmentedValue,
     Distribution,
     InvalidParameterError,
     PolicyMismatchError,
@@ -20,10 +29,7 @@ from prophetlab import (
     make_instance,
     make_single_threshold,
     opt_law,
-    run_policy,
-    sample_arrivals,
     sort_nonincreasing,
-    switch_time_S,
 )
 
 COIN = Distribution.discrete([(0.0, 0.5), (1.0, 0.5)])
@@ -44,7 +50,7 @@ class TestSingleThreshold:
         rt = make_single_threshold(opt).thresholds[0]
         assert rt.tau == 1.0
         # induced rejection probability is exactly 1/2
-        assert d.reject_prob(rt) == pytest.approx(0.5, abs=1e-12)
+        assert rt.rejected_mass(d) == pytest.approx(0.5, abs=1e-12)
 
     def test_median_property_on_random_laws(self):
         rng = np.random.default_rng(5)
@@ -54,21 +60,21 @@ class TestSingleThreshold:
             d = Distribution.discrete(list(zip(vals, w / w.sum())))
             opt = opt_law(make_instance([d], 1))
             rt = make_single_threshold(opt).thresholds[0]
-            assert abs(d.reject_prob(rt) - 0.5) <= 1e-12
+            assert abs(rt.rejected_mass(d) - 0.5) <= 1e-12
 
 
 class TestBlindSchedule:
     def test_early_phase_is_median(self):
         opt = opt_law(make_instance([U01], 10))
         sched = make_blind_schedule(opt, 10, grid_resolution=8)
-        assert sched.threshold_at(0.1).tau == pytest.approx(opt.dist.ppf(0.5), abs=1e-12)
+        assert threshold_at(sched, 0.1).tau == pytest.approx(opt.dist.ppf(0.5), abs=1e-12)
 
     def test_late_phase_quantile(self):
         # with 8 pieces on (0.2, 1], t = 0.5 is a piece's left endpoint,
         # where the schedule holds the rejection quantile 1/(t k) = 0.2
         opt = opt_law(make_instance([U01], 10))
         sched = make_blind_schedule(opt, 10, grid_resolution=8)
-        assert sched.threshold_at(0.5).tau == pytest.approx(opt.dist.ppf(0.2), abs=1e-12)
+        assert threshold_at(sched, 0.5).tau == pytest.approx(opt.dist.ppf(0.2), abs=1e-12)
 
     def test_thresholds_nonincreasing(self):
         opt = opt_law(make_instance([TRI, COIN], 6))
@@ -125,7 +131,7 @@ class TestAdaptive:
             for pos in range(len(seq)):
                 rt = pol.tau1 if seq.times[pos] < S else pol.tau2
                 av = AugmentedValue(float(seq.values[pos]), float(seq.tiebreaks[pos]))
-                if rt.accepts(av):
+                if accepts(rt, av):
                     expect = (float(seq.times[pos]), av.value)
                     break
             if expect is None:
@@ -147,7 +153,7 @@ class TestRunPolicy:
     def test_shape_mismatch_raises(self):
         inst = make_instance([COIN, TRI], 2)
         seq = sample_arrivals(inst, np.random.default_rng(1))
-        act = ActivationPolicy.constant([ActivationPolicy.from_threshold(
+        act = constant_activation([activation_from_threshold(
             ThresholdSchedule((0.0, 1.0), (RandomizedThreshold(0.0, 1.0),)), 3).tables[0][0]] * 3)
         with pytest.raises(PolicyMismatchError):
             run_policy(act, seq)
@@ -159,7 +165,7 @@ class TestRunPolicy:
             (0.0, 0.35, 1.0),
             (RandomizedThreshold(1.0, 0.25), RandomizedThreshold(0.0, 0.8)),
         )
-        act = ActivationPolicy.from_threshold(sched, inst.n)
+        act = activation_from_threshold(sched, inst.n)
         rng = np.random.default_rng(17)
         for _ in range(1000):
             seq = sample_arrivals(inst, rng)
@@ -241,4 +247,4 @@ def test_threshold_bucket_form_is_its_indicator_table():
     for value in (0.0, 1.0, np.nextafter(1.0, np.inf), 3.0):
         for tie in (0.0, 0.2, 0.25, 0.9):
             av = AugmentedValue(float(value), tie)
-            assert vb.accepts(av) == rt.accepts(av)
+            assert accepts(vb, av) == accepts(rt, av)
