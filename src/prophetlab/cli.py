@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Each run writes three artifacts to the output directory: ``results.csv``
-(one row per grid point / per k / per trial), ``summary.json`` (headline
-numbers: E[OPT], the closed-form copy bound, evaluator method, half-widths),
-and ``manifest.json`` (config echo, seed, package versions).  Floats in the
-CSV carry 17 significant digits so reruns diff cleanly.
+A command writes nothing: it returns the header and rows of ``results.csv``
+(one row per grid point / per k / per trial), the fields of ``summary.json``
+(headline numbers: E[OPT], the closed-form copy bound, evaluator method,
+half-widths) and the one-line message of a check that failed.  ``main`` alone
+writes the three artifacts to the output directory, the summary with the
+command name added and ``manifest.json`` (config echo, seed, package
+versions) beside them.  Floats in the CSV carry 17 significant digits so
+reruns diff cleanly.
 
 Exit status: 0 on success, 1 on usage/config errors (bad flags, missing or
 malformed files), 2 when a check the command performs fails (dominance margin
@@ -27,7 +30,6 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, ProphetLabError
 from .experiments import (
-    DominanceReport,
     build_policy,
     dominance_check,
     expected_value,
@@ -40,7 +42,7 @@ from .experiments import (
 )
 from .instance import Instance, OptLaw, instance_from_json, make_instance, opt_law
 from .monte_carlo import McConfig
-from .policies import ActivationPolicy, ValueBuckets
+from .policies import ActivationPolicy, Policy, ValueBuckets
 
 OUTPUT_DIR_ENV = "PROPHETLAB_OUT"
 
@@ -133,8 +135,9 @@ def _activation_from_json(obj: dict, n: int) -> ActivationPolicy:
 
     Each (identity, edge, prob) triple contributes one value bucket closed on
     the left at the previous edge; the tail bucket uses ``null`` as its edge
-    and must come last for every identity that appears.  Identities must lie
-    in 0..n-1; one with no entries in a piece never activates there.
+    and must come last for every identity that appears.  Identities must be
+    integers (``1.0`` reads as 1) in 0..n-1; one with no entries in a piece
+    never activates there.
     """
     try:
         pieces = sorted(obj["pieces"], key=lambda p: float(p["t0"]))
@@ -149,10 +152,14 @@ def _activation_from_json(obj: dict, n: int) -> ActivationPolicy:
         for piece in pieces:
             per_id: dict[int, list[tuple[float | None, float]]] = {}
             for ident, edge, prob in piece["g"]:
-                if not 0 <= int(ident) < n:
-                    raise ConfigError(f"activation identity {ident!r} is not in 0..{n - 1}")
+                if isinstance(ident, float) and ident.is_integer():
+                    ident = int(ident)
+                if type(ident) is not int or not 0 <= ident < n:
+                    raise ConfigError(
+                        f"activation identity {ident!r} is not an integer in 0..{n - 1}"
+                    )
                 entry = (None if edge is None else float(edge), float(prob))
-                per_id.setdefault(int(ident), []).append(entry)
+                per_id.setdefault(ident, []).append(entry)
             row = []
             for i in range(n):
                 entries = per_id.get(i)
@@ -172,15 +179,27 @@ def _activation_from_json(obj: dict, n: int) -> ActivationPolicy:
     return ActivationPolicy(tuple(breakpoints), tuple(tables))
 
 
-def _build_cli_policy(args: argparse.Namespace, inst: Instance, opt: OptLaw):
+def _load_problem(args: argparse.Namespace) -> tuple[Instance, OptLaw, Policy]:
+    """The instance (with ``--k``), its OPT law and the ``--class`` policy."""
+    inst = _load_instance(args.instance, args.k)
+    opt = opt_law(inst)
     if args.algorithm_class == "activation":
         if not args.policy:
             raise ConfigError("--class activation needs --policy pointing at a table file")
-        return _activation_from_json(_read_json(args.policy, "policy"), inst.n)
+        return inst, opt, _activation_from_json(_read_json(args.policy, "policy"), inst.n)
     if args.algorithm_class == "adaptive" and args.epsilon is None:
         raise ConfigError("--class adaptive needs --epsilon")
     eps = args.epsilon if args.epsilon is not None else 0.1
-    return build_policy(inst, opt, args.algorithm_class, eps, args.grid)
+    return inst, opt, build_policy(inst, opt, args.algorithm_class, eps, args.grid)
+
+
+def _bound_fields(args: argparse.Namespace) -> dict:
+    """The summary's ``epsilon``, when given, and the class's closed-form copy
+    bound at it; the activation class has no such bound."""
+    fields = {} if args.epsilon is None else {"epsilon": args.epsilon}
+    if fields and args.algorithm_class != "activation":
+        fields["paper_bound_k"] = paper_bound_k(args.algorithm_class, args.epsilon)
+    return fields
 
 
 def _mc_config(args: argparse.Namespace) -> McConfig:
@@ -190,18 +209,11 @@ def _mc_config(args: argparse.Namespace) -> McConfig:
 # ----------------------------------------------------------------- commands
 
 
-def _cmd_eval(args: argparse.Namespace, outdir: str) -> int:
-    inst = _load_instance(args.instance, args.k)
-    opt = opt_law(inst)
-    policy = _build_cli_policy(args, inst, opt)
+def _cmd_eval(args: argparse.Namespace):
+    inst, opt, policy = _load_problem(args)
     res = expected_value(inst, policy, args.evaluator, _mc_config(args))
-    _write_csv(
-        os.path.join(outdir, "results.csv"),
-        ("k", "estimate", "half_width", "method", "replications", "seed"),
-        [(inst.copies, res.estimate, res.half_width, res.method, res.replications, res.seed)],
-    )
+    rows = [(inst.copies, res.estimate, res.half_width, res.method, res.replications, res.seed)]
     summary = {
-        "command": "eval",
         "algorithm_class": args.algorithm_class,
         "k": inst.copies,
         "opt_value": opt.expected_value,
@@ -209,166 +221,116 @@ def _cmd_eval(args: argparse.Namespace, outdir: str) -> int:
         "half_widths": [res.half_width],
         "method": res.method,
         "replications": res.replications,
+        **_bound_fields(args),
     }
-    if args.epsilon is not None and args.algorithm_class in ("single", "blind", "adaptive"):
-        summary["epsilon"] = args.epsilon
-        summary["paper_bound_k"] = paper_bound_k(args.algorithm_class, args.epsilon)
-    _write_json(os.path.join(outdir, "summary.json"), summary)
-    return 0
+    return ("k", "estimate", "half_width", "method", "replications", "seed"), rows, summary, None
 
 
-def _cmd_search_k(args: argparse.Namespace, outdir: str) -> int:
+def _cmd_search_k(args: argparse.Namespace):
     if args.epsilon is None:
         raise ConfigError("search-k needs --epsilon")
     if args.algorithm_class == "activation":
         raise ConfigError("search-k supports the single, blind, and adaptive classes")
     inst = _load_instance(args.instance, None)
-    result = search_k(
-        list(inst.base),
-        args.epsilon,
-        args.algorithm_class,
-        evaluator=args.evaluator,
-        mc=_mc_config(args),
-        grid_resolution=args.grid,
-    )
-    _write_csv(
-        os.path.join(outdir, "results.csv"),
-        ("k", "estimate", "half_width", "method"),
-        [(k, r.estimate, r.half_width, r.method) for k, r in result.per_k],
-    )
-    _write_json(
-        os.path.join(outdir, "summary.json"),
-        {
-            "command": "search-k",
-            "algorithm_class": result.algorithm_class,
-            "epsilon": result.epsilon,
-            "found_k": result.found_k,
-            "paper_bound_k": result.paper_bound_k,
-            "opt_value": result.opt_value,
-            "target": result.target,
-            "method": result.per_k[-1][1].method,
-            "half_widths": [r.half_width for _, r in result.per_k],
-        },
-    )
-    return 0
+    result = search_k(list(inst.base), args.epsilon, args.algorithm_class, args.evaluator,
+                      mc=_mc_config(args), grid_resolution=args.grid)
+    rows = [(k, r.estimate, r.half_width, r.method) for k, r in result.per_k]
+    summary = {
+        "algorithm_class": result.algorithm_class,
+        "epsilon": result.epsilon,
+        "found_k": result.found_k,
+        "paper_bound_k": result.paper_bound_k,
+        "opt_value": result.opt_value,
+        "target": result.target,
+        "method": result.per_k[-1][1].method,
+        "half_widths": [r.half_width for _, r in result.per_k],
+    }
+    return ("k", "estimate", "half_width", "method"), rows, summary, None
 
 
-def _dominance_tolerance(args: argparse.Namespace, report: DominanceReport) -> float:
-    tol = 1e-4 if args.algorithm_class == "blind" else 1e-6
-    return tol + report.half_width
-
-
-def _cmd_dominance(args: argparse.Namespace, outdir: str) -> int:
+def _cmd_dominance(args: argparse.Namespace):
     if args.epsilon is None:
         raise ConfigError("dominance needs --epsilon")
-    inst = _load_instance(args.instance, args.k)
-    opt = opt_law(inst)
-    policy = _build_cli_policy(args, inst, opt)
+    inst, opt, policy = _load_problem(args)
     report = dominance_check(
         inst, policy, args.epsilon, evaluator=args.evaluator, mc=_mc_config(args), opt=opt
     )
-    _write_csv(
-        os.path.join(outdir, "results.csv"),
-        ("quantile", "x", "p_alg", "p_opt_scaled", "margin"),
-        report.rows,
-    )
     summary = {
-        "command": "dominance",
         "algorithm_class": args.algorithm_class,
-        "epsilon": report.epsilon,
         "k": inst.copies,
         "opt_value": opt.expected_value,
         "min_margin": report.min_margin,
         "method": report.evaluator,
         "half_widths": [report.half_width],
+        **_bound_fields(args),
     }
-    if args.algorithm_class in ("single", "blind", "adaptive"):
-        summary["paper_bound_k"] = paper_bound_k(args.algorithm_class, args.epsilon)
-    _write_json(os.path.join(outdir, "summary.json"), summary)
-    if report.min_margin < -_dominance_tolerance(args, report):
-        print(f"dominance check FAILED: min margin {report.min_margin:.6g}", file=sys.stderr)
-        return 2
-    return 0
+    tolerance = (1e-4 if args.algorithm_class == "blind" else 1e-6) + report.half_width
+    failed = report.min_margin < -tolerance
+    failure = f"dominance check FAILED: min margin {report.min_margin:.6g}" if failed else None
+    columns = ("quantile", "x", "p_alg", "p_opt_scaled", "margin")
+    return columns, report.rows, summary, failure
 
 
-def _cmd_hardness(args: argparse.Namespace, outdir: str) -> int:
+def _cmd_hardness(args: argparse.Namespace):
     suite = args.algorithm_class
-    if suite is None or suite not in _HARDNESS_SUITES:
-        raise ConfigError(f"hardness needs --class, one of {', '.join(_HARDNESS_SUITES)}")
+    if suite == "general" and args.grid is not None:
+        raise ConfigError("hardness --class general has no sweep grid; drop --grid")
+    # looked up per call, as the names may be rebound (perfbench's tracer does)
+    fn = {"time-based": hardness_time_based, "activation": hardness_activation,
+          "general": hardness_general}[suite]
+    given = {"k": args.k, "grid_points": args.grid}
+    report = fn(**{key: v for key, v in given.items() if v is not None})
+    summary = {
+        "suite": suite,
+        "k": report.k,
+        "certified": report.certified,
+        "method": "exact",
+        "half_widths": [0.0],
+    }
     if suite == "general":
-        if args.grid is not None:
-            raise ConfigError("hardness --class general has no sweep grid; drop --grid")
-        report = hardness_general(**({"k": args.k} if args.k is not None else {}))
         columns = (
             "k", "bad_order", "dp_value", "log_gap", "ceiling_log_gap", "stirling_ok", "three_p_ok"
         )
         rows = [tuple(getattr(report, c) for c in columns)]
-        summary = {
-            "command": "hardness",
-            "suite": suite,
-            "k": report.k,
-            "bad_order": str(report.bad_order),
-            "dp_value": report.dp_value,
-            "log_gap": _log_or_null(report.log_gap),
-            "ceiling_log_gap": _log_or_null(report.ceiling_log_gap),
-            "certified": report.certified,
-            "method": "exact",
-            "half_widths": [0.0],
-        }
+        summary.update(
+            bad_order=str(report.bad_order),
+            dp_value=report.dp_value,
+            log_gap=_log_or_null(report.log_gap),
+            ceiling_log_gap=_log_or_null(report.ceiling_log_gap),
+        )
         certified = report.certified
     else:
-        fn = hardness_time_based if suite == "time-based" else hardness_activation
-        given = {"k": args.k, "grid_points": args.grid}
-        report = fn(**{key: v for key, v in given.items() if v is not None})
-        columns = report.columns
-        rows = report.rows
-        summary = {
-            "command": "hardness",
-            "suite": suite,
-            "k": report.k,
-            "p": report.p,
-            "log_epsilon": report.log_epsilon,
-            "min_log_gap": _log_or_null(report.min_log_gap),
-            "certified": report.certified,
-            "arithmetic_ok": report.arithmetic_ok,
-            "closed_form_abs_err": report.closed_form_abs_err,
-            "method": "exact",
-            "half_widths": [0.0],
-        }
+        columns, rows = report.columns, report.rows
+        summary.update(
+            p=report.p,
+            log_epsilon=report.log_epsilon,
+            min_log_gap=_log_or_null(report.min_log_gap),
+            arithmetic_ok=report.arithmetic_ok,
+            closed_form_abs_err=report.closed_form_abs_err,
+        )
         certified = report.certified and report.arithmetic_ok
-    _write_csv(os.path.join(outdir, "results.csv"), columns, rows)
-    _write_json(os.path.join(outdir, "summary.json"), summary)
-    if not certified:
-        print(f"hardness suite '{suite}' NOT certified", file=sys.stderr)
-        return 2
-    return 0
+    failure = None if certified else f"hardness suite '{suite}' NOT certified"
+    return columns, rows, summary, failure
 
 
-def _cmd_lemmas(args: argparse.Namespace, outdir: str) -> int:
+def _cmd_lemmas(args: argparse.Namespace):
     report = lemma_suite(args.seed, trials=args.trials)
-    _write_csv(os.path.join(outdir, "results.csv"), report.columns, report.rows)
-    _write_json(
-        os.path.join(outdir, "summary.json"),
-        {
-            "command": "lemmas",
-            "trials": report.trials,
-            "seed": report.seed,
-            "min_slack": report.min_slack,
-            "min_slack_product": report.min_slack_product,
-            "min_slack_pair_root": report.min_slack_pair_root,
-            "min_slack_corollary": report.min_slack_corollary,
-            "min_slack_reach": report.min_slack_reach,
-            "min_slack_monotone": report.min_slack_monotone,
-            "max_symmetric_gap": report.max_symmetric_gap,
-            "all_hold": report.all_hold,
-            "method": "exact",
-            "half_widths": [0.0],
-        },
-    )
-    if not report.all_hold:
-        print(f"lemma suite FAILED: min slack {report.min_slack:.6g}", file=sys.stderr)
-        return 2
-    return 0
+    summary = {
+        "trials": report.trials,
+        "seed": report.seed,
+        "min_slack": report.min_slack,
+        "min_slack_product": report.min_slack_product,
+        "min_slack_pair_root": report.min_slack_pair_root,
+        "min_slack_corollary": report.min_slack_corollary,
+        "min_slack_reach": report.min_slack_reach,
+        "min_slack_monotone": report.min_slack_monotone,
+        "max_symmetric_gap": report.max_symmetric_gap,
+        "all_hold": report.all_hold,
+        "method": "exact",
+        "half_widths": [0.0],
+    }
+    failure = None if report.all_hold else f"lemma suite FAILED: min slack {report.min_slack:.6g}"
+    return report.columns, report.rows, summary, failure
 
 
 # ------------------------------------------------------------------ parser
@@ -445,15 +407,20 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         outdir = _resolve_outdir(args)
-        status = args.func(args, outdir)
+        columns, rows, summary, failure = args.func(args)
+        _write_csv(os.path.join(outdir, "results.csv"), columns, rows)
+        _write_json(os.path.join(outdir, "summary.json"), {"command": args.command, **summary})
         _write_manifest(outdir, args)
-        return status
     except ProphetLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 1
+    if failure is not None:
+        print(failure, file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

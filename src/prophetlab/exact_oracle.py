@@ -38,6 +38,7 @@ __all__ = [
 
 _LOG_FLOOR = 1e-300
 _ABS_TOL = 1e-9  # the half-width reported with an exact expected value
+_DP_STATE_CAP = 10**6  # the most count vectors optimal_online_dp will tabulate
 
 
 def _stop_before(breaks: np.ndarray, rates: Iterable[float], t: float) -> float:
@@ -96,6 +97,7 @@ class ExactEvaluator:
         cum = np.concatenate(
             [np.zeros((n, 1)), np.cumsum(self.rate * lens[None, :], axis=1)], axis=1
         )
+        self._stop_by_end = np.minimum(cum[:, -1], 1.0)  # Pr[one reward is accepted at all]
         N = inst.total_rewards
         g = N // 2 + 2
         nodes, wts = leggauss(g)
@@ -134,11 +136,15 @@ class ExactEvaluator:
         vals = self.inst.copies * np.einsum("xim,im->x", weight, self._piece_int)
         return np.minimum(vals, 1.0)
 
-    def no_stop_prob(self, t: float = 1.0) -> float:
-        """Pr[no reward accepted strictly before t], exact in log space."""
+    def selection_by_identity(self) -> np.ndarray:
+        """Pr[the selected reward has identity i] for each identity i, exact:
+        no difference of exceedances, so a small probability keeps its digits."""
+        return self.inst.copies * np.sum(self.rate * self._piece_int, axis=1)
+
+    def no_stop_prob(self) -> float:
+        """Pr[no reward is accepted], exact in log space."""
         out = 0.0
-        for rates in self.rate:
-            p = _stop_before(self.breaks, rates, t)
+        for p in self._stop_by_end:
             out += self.inst.copies * math.log(max(1.0 - p, _LOG_FLOOR))
         return math.exp(out)
 
@@ -178,15 +184,16 @@ def optimal_online_value(atom_sets: Sequence[Sequence[tuple]], counts: Sequence[
     return value(tuple(counts))
 
 
-def optimal_online_dp(inst: Instance, state_cap: int = 10**6) -> EvalResult:
-    """Exact optimal online expected value for a discrete instance."""
+def optimal_online_dp(inst: Instance) -> EvalResult:
+    """Exact optimal online expected value for a discrete instance; one with
+    more than ``_DP_STATE_CAP`` DP states raises TooLargeInstanceError."""
     if any(d.kind != "discrete" for d in inst.base):
         raise InvalidInstanceError("optimal_online_dp needs discrete base distributions")
     states = 1
     for _ in inst.base:
         states *= inst.copies + 1
-    if states > state_cap:
-        raise TooLargeInstanceError(f"DP state space {states} exceeds cap {state_cap}")
+    if states > _DP_STATE_CAP:
+        raise TooLargeInstanceError(f"DP state space {states} exceeds cap {_DP_STATE_CAP}")
     atom_sets = [
         [(float(v), float(p)) for v, p in zip(d.xs, d.Fr - d.Fl)] for d in inst.base
     ]

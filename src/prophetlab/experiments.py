@@ -61,6 +61,10 @@ __all__ = [
     "lemma_suite",
 ]
 
+_K_SEARCH_CAP = 64  # the largest k search_k tries
+_STIRLING_K_MAX = 20  # hardness_general checks (k!)^2 / (2k)! >= 4^-k for k up to this
+_MONOTONE_TRIALS = 100  # random schedules lemma_suite sorts into nonincreasing order
+
 # ------------------------------------------------------ the evaluation seam
 
 _DEFAULT_MC = McConfig(replications=200_000, master_seed=20_240_501)
@@ -159,17 +163,16 @@ def search_k(
     epsilon: float,
     algorithm_class: str,
     evaluator: str = "exact",
-    cap: int = 64,
     mc: McConfig | None = None,
     grid_resolution: int = 512,
 ) -> KSearchResult:
-    """Scan k = 1, 2, ... for the first k whose class policy reaches
-    (1 - epsilon) * E[OPT] (minus the evaluator's half-width)."""
+    """Scan k = 1, 2, ..., _K_SEARCH_CAP for the first k whose class policy
+    reaches (1 - epsilon) * E[OPT] (minus the evaluator's half-width)."""
     opt = OptLaw(base)
     target = (1.0 - epsilon) * opt.expected_value
     per_k: list[tuple[int, EvalResult]] = []
     found = None
-    for k in range(1, cap + 1):
+    for k in range(1, _K_SEARCH_CAP + 1):
         inst = make_instance(base, k)
         policy = build_policy(inst, opt, algorithm_class, epsilon, grid_resolution)
         res = expected_value(inst, policy, evaluator, mc)
@@ -219,6 +222,8 @@ def dominance_check(
     law when the caller has already built it.  The report's evaluator is the
     one that ran: "mc" for the adaptive policy whatever was asked.
     """
+    if not 0.0 < epsilon < 1.0:
+        raise InvalidParameterError(f"dominance needs epsilon in (0, 1), got {epsilon!r}")
     if opt is None:
         opt = opt_law(inst)
     qs = [i / 100.0 for i in range(1, 100)]
@@ -305,7 +310,9 @@ def _two_type_sweep(k: int, p, s, eps, policies):
     """Run each policy on the surrogate two-type instance (k deterministic 1's,
     k coins worth 2 with probability 1 - p).  Returns one (Q0, Q1, Pr[top
     selected], ln gap) per policy, the smallest ln gap and whether every gap
-    is positive; the ln of a non-positive gap, and then the smallest, is NaN."""
+    is positive; the ln of a non-positive gap, and then the smallest, is NaN.
+    Every 1 is a deterministic reward and no policy accepts a coin's 0, so Q1
+    and Pr[top selected] are the two identities' selection probabilities."""
     pf = float(p)
     surrogate = make_instance(
         [Distribution.discrete([(1.0, 1.0)]), Distribution.discrete([(0.0, pf), (2.0, 1.0 - pf)])],
@@ -315,10 +322,9 @@ def _two_type_sweep(k: int, p, s, eps, policies):
     for policy in policies:
         ev = ExactEvaluator(surrogate, policy)
         q0 = ev.no_stop_prob()
-        e_any, e_top = ev.exceedance_many([0.5, 1.5])
-        q1 = max(float(e_any) - float(e_top), 0.0)
+        q1, p_top = map(float, ev.selection_by_identity())
         gap = _channel_gap(q0, q1, p, s, eps)
-        channels.append((q0, q1, float(e_top), float(mp.log(gap)) if gap > 0 else math.nan))
+        channels.append((q0, q1, p_top, float(mp.log(gap)) if gap > 0 else math.nan))
     logs = [c[3] for c in channels]
     certified = not any(math.isnan(lg) for lg in logs)
     return channels, (min(logs) if certified else math.nan), certified
@@ -440,7 +446,7 @@ def hardness_activation(k: int = 61, grid_points: int = 11) -> TwoTypeHardnessRe
 class GeneralHardnessReport:
     k: int
     bad_order: Fraction  # (k!)^2 / (2k)!
-    stirling_ok: bool  # bad_order >= 4^-k up to k_max
+    stirling_ok: bool  # bad_order >= 4^-k for k up to k_max_checked
     k_max_checked: int
     dp_value: float  # double rendering of the mpmath DP value
     log_gap: float  # ln((1-eps)E[OPT] - DP), NaN when the gap is not positive
@@ -450,14 +456,14 @@ class GeneralHardnessReport:
     dps: int  # decimal digits the DP ran at
 
 
-def hardness_general(k: int = 4, k_max: int = 20) -> GeneralHardnessReport:
+def hardness_general(k: int = 4) -> GeneralHardnessReport:
     """Exact bad-order combinatorics plus a high-precision optimal-online DP
     on the two-type instance with p = e^(-2k), eps = e^(-4k^2)."""
     _require_int("general hardness", "k", k, 1)
     fact = math.factorial
     stirling_ok = all(
         Fraction(fact(kk) ** 2, fact(2 * kk)) >= Fraction(1, 4**kk)
-        for kk in range(1, k_max + 1)
+        for kk in range(1, _STIRLING_K_MAX + 1)
     )
     bad = Fraction(fact(k) ** 2, fact(2 * k))
     # eps = e^(-4k^2) lies 4k^2 / ln 10 decimal digits below 1; 30 guard digits on top
@@ -479,7 +485,7 @@ def hardness_general(k: int = 4, k_max: int = 20) -> GeneralHardnessReport:
             k,
             bad,
             stirling_ok,
-            k_max,
+            _STIRLING_K_MAX,
             float(dp),
             float(mp.log(gap)) if gap > 0 else float("nan"),
             float(mp.log(ceiling_gap)) if ceiling_gap > 0 else float("nan"),
@@ -561,14 +567,15 @@ class LemmaSuiteReport:
         return bool(self.min_slack >= -1e-9 and self.max_symmetric_gap <= 1e-12)
 
 
-def lemma_suite(seed: int, trials: int = 200, monotone_trials: int = 100) -> LemmaSuiteReport:
+def lemma_suite(seed: int, trials: int = 200) -> LemmaSuiteReport:
     """Randomized checks of the stopping-probability inequalities.
 
     Per trial: p(t, F1*F2) <= p(t, F1, F2) <= p(t, sqrt(F1*F2) x2), the
     n-distribution root corollary, and the reach observation.  Thresholds are
     passed as extra grid points to the product/root constructors so every
-    probability is evaluated exactly.  Separately, sorting random schedules
-    into nonincreasing order is checked to never lower the exact value.
+    probability is evaluated exactly.  Separately, sorting _MONOTONE_TRIALS
+    random schedules into nonincreasing order is checked to never lower the
+    exact value.
     """
     _require_int("lemma suite", "trials", trials, 1)
     rng = np.random.default_rng(seed)
@@ -609,7 +616,7 @@ def lemma_suite(seed: int, trials: int = 200, monotone_trials: int = 100) -> Lem
         s3, s4 = min(s3, slack_corollary), min(s4, slack_reach)
         rows.append((float(trial), slack_product, slack_root, slack_corollary, slack_reach))
     s5 = math.inf
-    for _ in range(monotone_trials):
+    for _ in range(_MONOTONE_TRIALS):
         base = [_random_distribution(rng) for _ in range(int(rng.integers(1, 3)))]
         inst = make_instance(base, int(rng.integers(1, 4)))
         sched = _random_schedule(rng, pieces=int(rng.integers(2, 4)))

@@ -30,7 +30,6 @@ class McConfig:
     replications: int
     master_seed: int
     ci_method: str = "normal"
-    value_cap: float | None = None
 
     def __post_init__(self):
         if self.replications < 1:
@@ -104,11 +103,8 @@ def _run(inst: Instance, policy: Policy, cfg: McConfig, reduce, caps) -> list[Ev
     two arrays, the sums and the sums of squares of its statistics, one entry
     per statistic.  The sums add up in block order; the result is one
     estimate per statistic.  ``caps`` bounds each statistic for Hoeffding,
-    ``None`` standing for the value cap."""
+    ``None`` standing for the instance's largest value."""
     check_shape(policy, inst.n, inst.copies)
-    value_cap = cfg.value_cap if cfg.value_cap is not None else inst.support_max
-    if cfg.ci_method == "hoeffding" and value_cap < inst.support_max:
-        raise InvalidParameterError("value_cap must cover the instance support")
     R = cfg.replications
     total = total_sq = 0.0
     done = block = 0
@@ -124,7 +120,7 @@ def _run(inst: Instance, policy: Policy, cfg: McConfig, reduce, caps) -> list[Ev
     for t, t2, cap in zip(total, total_sq, caps):
         mean = float(t) / R
         if cfg.ci_method == "hoeffding":
-            cap = value_cap if cap is None else cap
+            cap = inst.support_max if cap is None else cap
             hw = cap * math.sqrt(math.log(2.0 / 0.01) / (2.0 * R))
         else:
             var = max(float(t2) / R - mean * mean, 0.0)

@@ -85,6 +85,19 @@ class TestDominance:
         assert code == 2
 
 
+    @pytest.mark.parametrize("eps", ["5", "-3"])
+    def test_epsilon_outside_unit_interval_exits_1(self, coins_file, tmp_path, capsys, eps):
+        # the activation class has no copy bound, so only the check itself can refuse
+        table = _activation_table(tmp_path, [(0.0, 1.0)])
+        out = tmp_path / "run"
+        args = ["dominance", "--instance", coins_file, "--class", "activation", "--policy", table]
+        assert run(args + ["--epsilon", eps, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "epsilon in (0, 1)" in err
+        assert not (out / "results.csv").exists()
+
+
 class TestLemmas:
     def test_small_run_passes(self, tmp_path):
         out = tmp_path / "run"
@@ -99,6 +112,44 @@ class TestHardness:
         assert run(["hardness", "--class", "general", "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["certified"] is True
+
+
+ONE_RUN_EACH = {  # "INSTANCE" stands for the instance file
+    "eval": ["--instance", "INSTANCE", "--k", "3"],
+    "search-k": ["--instance", "INSTANCE", "--epsilon", "0.3"],
+    "dominance": ["--instance", "INSTANCE", "--epsilon", "0.3", "--k", "3"],
+    "hardness": ["--class", "general"],
+    "lemmas": ["--trials", "5"],
+}
+
+
+class TestArtifacts:
+    @pytest.mark.parametrize("command", sorted(ONE_RUN_EACH))
+    def test_every_command_writes_the_three_artifacts(self, coins_file, tmp_path, command):
+        argv = [coins_file if a == "INSTANCE" else a for a in ONE_RUN_EACH[command]]
+        out = tmp_path / "run"
+        assert run([command, *argv, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "results.csv", "summary.json"
+        ]
+        assert json.loads((out / "summary.json").read_text())["command"] == command
+        assert json.loads((out / "manifest.json").read_text())["command"] == command
+
+    def test_failed_check_still_writes_artifacts(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["hardness", "--class", "activation", "--k", "120", "--out", str(out)]) == 2
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "results.csv", "summary.json"
+        ]
+        err = capsys.readouterr().err
+        assert err == "hardness suite 'activation' NOT certified\n"
+
+    def test_config_error_writes_no_results(self, coins_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["dominance", "--instance", coins_file, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: dominance needs --epsilon\n"
+        assert not (out / "results.csv").exists()
+        assert not (out / "summary.json").exists()
 
 
 class TestErrors:
@@ -204,7 +255,7 @@ class TestActivationTables:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (out / "summary.json").exists()
 
-    @pytest.mark.parametrize("ident", [5, -1])
+    @pytest.mark.parametrize("ident", [5, -1, 0.7, True])
     def test_identity_outside_instance_exits_1(self, tmp_path, capsys, ident):
         inst = tmp_path / "one.json"
         inst.write_text(json.dumps({"base": [COINS["base"][0]], "copies": 1}))
@@ -218,6 +269,19 @@ class TestActivationTables:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"identity {ident}" in err
         assert not (out / "summary.json").exists()
+
+
+    def test_integral_float_identity_reads_as_integer(self, coins_file, tmp_path):
+        estimates = []
+        for name, ids in (("ints", (0, 1)), ("floats", (0.0, 1.0))):
+            table = tmp_path / f"{name}.json"
+            g = [[ids[0], None, 0.5], [ids[1], None, 1.0]]
+            table.write_text(json.dumps({"pieces": [{"t0": 0.0, "t1": 1.0, "g": g}]}))
+            out = tmp_path / name
+            args = ["eval", "--instance", coins_file, "--class", "activation", "--policy"]
+            assert run(args + [str(table), "--out", str(out)]) == 0
+            estimates.append(json.loads((out / "summary.json").read_text())["estimate"])
+        assert estimates[0] == estimates[1]
 
 
 def _no_constants(name):

@@ -19,6 +19,7 @@ from prophetlab import (
     PolicyMismatchError,
     RandomizedThreshold,
     ThresholdSchedule,
+    TooLargeInstanceError,
     exceedance,
     expected_value,
     make_adaptive,
@@ -216,6 +217,15 @@ class TestEnumerationSweep:
                 ev = ExactEvaluator(inst, sched)
                 assert ev.no_stop_prob() == pytest.approx(want_ns, abs=1e-7), (ids, k)
 
+    def test_identity_selection_and_no_stop_sum_to_one(self):
+        for ids, k in self.combos():
+            inst = make_instance([self.POOL[i] for i in ids], k)
+            for sched in self.SCHEDULES:
+                ev = ExactEvaluator(inst, sched)
+                picks = ev.selection_by_identity()
+                assert picks.shape == (inst.n,) and (picks >= 0.0).all()
+                assert picks.sum() + ev.no_stop_prob() == pytest.approx(1.0, abs=1e-12)
+
     def test_exceedance_matches(self):
         for ids, k in self.combos():
             inst = make_instance([self.POOL[i] for i in ids], k)
@@ -244,3 +254,9 @@ class TestOptimalOnlineDp:
         best = optimal_online_dp(inst).estimate
         for sched in TestEnumerationSweep.SCHEDULES:
             assert best >= expected_value(inst, sched).estimate - 1e-12
+
+    def test_state_space_above_cap_rejected(self):
+        # two laws at k = 1000 span 1001^2 > 10^6 count vectors
+        inst = make_instance([COIN, TRI], 1000)
+        with pytest.raises(TooLargeInstanceError, match="exceeds cap"):
+            optimal_online_dp(inst)

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -97,6 +98,13 @@ class TestDominance:
         # every grid quantile maps into the support; top rows have x = 1
         assert report.rows[-1][1] <= 1.0
 
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 5.0, -3.0, math.nan])
+    def test_epsilon_outside_unit_interval_rejected(self, eps):
+        inst = make_instance([COIN], 2)
+        policy = build_policy(inst, opt_law(inst), "single", 0.1)
+        with pytest.raises(InvalidParameterError, match=r"epsilon in \(0, 1\)"):
+            dominance_check(inst, policy, eps)
+
     def test_tiny_epsilon_small_k_fails(self):
         # one copy of a uniform law: the median rule stops with prob 1/2,
         # far below 0.99 * Pr[OPT > x] at small x
@@ -172,6 +180,20 @@ class TestHardnessReports:
         assert math.isfinite(logs[0]) and math.isnan(logs[4])
         assert not report.certified and math.isnan(report.min_log_gap)
 
+    def test_time_based_q1_has_full_relative_precision(self):
+        # Q1 = Pr[a deterministic 1 is selected]: one arrives at u > t (they
+        # are rejected before the switch), no other 1 arrives in [t, u) and
+        # no coin shows its top value before u
+        k = 25
+        p = 1.0 / k  # the double the surrogate instance is built with
+        report = hardness_time_based(k=k, grid_points=5)
+        for t, _, q1, *_ in report.rows[1:4]:
+            with mp.workdps(40):
+                want = k * mp.quad(
+                    lambda u: (1 - (u - t)) ** (k - 1) * (1 - (1 - p) * u) ** k, [t, 1]
+                )
+            assert q1 == pytest.approx(float(want), rel=1e-12, abs=0.0), t
+
     def test_time_based_closed_form_cross_check(self):
         report = hardness_time_based(k=6, grid_points=51)
         assert report.closed_form_abs_err <= 1e-10
@@ -180,7 +202,7 @@ class TestHardnessReports:
 
 class TestLemmaSuite:
     def test_short_run_holds(self):
-        report = lemma_suite(seed=3, trials=25, monotone_trials=10)
+        report = lemma_suite(seed=3, trials=25)
         assert report.all_hold
         assert report.max_symmetric_gap <= 1e-12
 
@@ -190,8 +212,8 @@ class TestLemmaSuite:
             lemma_suite(seed=0, trials=trials)
 
     def test_report_is_reproducible(self):
-        a = lemma_suite(seed=11, trials=10, monotone_trials=5)
-        b = lemma_suite(seed=11, trials=10, monotone_trials=5)
+        a = lemma_suite(seed=11, trials=10)
+        b = lemma_suite(seed=11, trials=10)
         assert a.rows == b.rows
 
     def test_all_hold_is_a_json_bool(self):

@@ -60,14 +60,14 @@ class TestConfidenceIntervals:
     def test_hoeffding_formula(self):
         inst = make_instance([COIN], 2)
         reps = 40_000
-        cfg = McConfig(replications=reps, master_seed=9, ci_method="hoeffding", value_cap=1.0)
+        cfg = McConfig(replications=reps, master_seed=9, ci_method="hoeffding")
         res = estimate_expected_value(inst, const_schedule(0.5), cfg)
         want = 1.0 * math.sqrt(math.log(2 / 0.01) / (2 * reps))
         assert res.half_width == pytest.approx(want, rel=1e-12)
 
     def test_probability_estimates_capped_at_one(self):
         inst = make_instance([TRI], 2)
-        cfg = McConfig(replications=30_000, master_seed=4, ci_method="hoeffding", value_cap=3.0)
+        cfg = McConfig(replications=30_000, master_seed=4, ci_method="hoeffding")
         (res,) = estimate_exceedance(inst, const_schedule(0.5), [0.5], cfg)
         # exceedance is a probability; its Hoeffding width uses cap 1, not 3
         want = math.sqrt(math.log(2 / 0.01) / (2 * 30_000))
@@ -182,11 +182,11 @@ def test_block_matches_event_scan(kind):
 def test_value_and_no_stop_from_one_simulation():
     inst = make_instance([COIN, TRI], 16)
     pol = make_adaptive(opt_law(inst), inst, math.exp(-4))
-    for cfg in (McConfig(20_000, 3), McConfig(20_000, 3, "hoeffding", value_cap=3.0)):
+    for cfg in (McConfig(20_000, 3), McConfig(20_000, 3, "hoeffding")):
         value, no_stop = estimate_value_and_no_stop(inst, pol, cfg)
         assert value == estimate_expected_value(inst, pol, cfg)
         assert no_stop == estimate_no_stop(inst, pol, cfg)
-    # Hoeffding caps per statistic: the value cap for the value, 1 for no-stop
+    # Hoeffding caps per statistic: the largest value for the value, 1 for no-stop
     width = math.sqrt(math.log(2 / 0.01) / (2 * 20_000))
     assert value.half_width == pytest.approx(3.0 * width, rel=1e-12)
     assert no_stop.half_width == pytest.approx(width, rel=1e-12)

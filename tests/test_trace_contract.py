@@ -136,7 +136,7 @@ def test_one_pass_exceedance_equals_one_x_runs(kind, ci_method):
     # 17,000 reps span three blocks, so block-order accumulation is exercised
     inst = make_instance([COIN, TRI, U02], 3)
     policy = _policies(inst)[kind]
-    cfg = McConfig(17_000, 41, ci_method=ci_method, value_cap=3.0)
+    cfg = McConfig(17_000, 41, ci_method=ci_method)
     xs = np.array([-1.0, 0.0, 0.5, 1.0, 1.0, 1.7, 3.0, 4.0])
     many = estimate_exceedance(inst, policy, xs, cfg)
     assert len(many) == len(xs)
@@ -152,7 +152,7 @@ def test_one_pass_exceedance_equals_one_x_runs(kind, ci_method):
 def test_value_and_no_stop_equal_one_statistic_runs(kind, ci_method):
     inst = make_instance([COIN, TRI, U02], 3)
     policy = _policies(inst)[kind]
-    cfg = McConfig(17_000, 43, ci_method=ci_method, value_cap=3.0)
+    cfg = McConfig(17_000, 43, ci_method=ci_method)
     value, no_stop = estimate_value_and_no_stop(inst, policy, cfg)
     want_value = _one_statistic_run(inst, policy, lambda s, st: s, 3.0, cfg)
     want_no_stop = _one_statistic_run(inst, policy, lambda s, st: (~st).astype(float), 1.0, cfg)
