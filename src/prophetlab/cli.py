@@ -10,8 +10,9 @@ versions) beside them.  Floats in the CSV carry 17 significant digits so
 reruns diff cleanly.
 
 Exit status: 0 on success, 1 on usage/config errors (bad flags, missing or
-malformed files), 2 when a check the command performs fails (dominance margin
-violated, hardness certificate not established, lemma slack negative).
+malformed files, an output directory or artifact that cannot be written), 2
+when a check the command performs fails (dominance margin violated, hardness
+certificate not established, lemma slack negative).
 """
 
 from __future__ import annotations
@@ -100,7 +101,10 @@ def _write_manifest(outdir: str, args: argparse.Namespace) -> None:
 
 def _resolve_outdir(args: argparse.Namespace) -> str:
     outdir = args.out or os.environ.get(OUTPUT_DIR_ENV) or "."
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {outdir}: {exc.strerror}") from exc
     return outdir
 
 
@@ -408,14 +412,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         outdir = _resolve_outdir(args)
         columns, rows, summary, failure = args.func(args)
-        _write_csv(os.path.join(outdir, "results.csv"), columns, rows)
-        _write_json(os.path.join(outdir, "summary.json"), {"command": args.command, **summary})
-        _write_manifest(outdir, args)
+        try:
+            _write_csv(os.path.join(outdir, "results.csv"), columns, rows)
+            _write_json(os.path.join(outdir, "summary.json"), {"command": args.command, **summary})
+            _write_manifest(outdir, args)
+        except OSError as exc:
+            where = exc.filename or outdir
+            raise ConfigError(f"cannot write {where}: {exc.strerror or exc}") from exc
     except ProphetLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 1
     if failure is not None:
         print(failure, file=sys.stderr)

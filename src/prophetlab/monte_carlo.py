@@ -4,6 +4,13 @@ Replications are partitioned into fixed-size blocks; block b draws from a
 Philox stream keyed by (master_seed, b), so results are bit-identical no
 matter how blocks are scheduled across workers.  Accumulation sums block
 statistics in block order.
+
+A block draws arrival times, value uniforms and tiebreaks, and decides
+acceptance on the uniform scale: each value-bucket edge of the policy is
+turned, once per simulation, into the cut on its identity's uniforms above
+which ``ppf`` reaches the edge.  Only the selected reward's uniform is mapped
+through ``ppf``.  A block is worked in chunks of rows, so its temporaries stay
+small beside the draws.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import Distribution
 from .errors import InvalidParameterError
 from .instance import Instance
 from .policies import AdaptiveTwoThreshold, Policy, check_shape
@@ -23,6 +31,8 @@ __all__ = ["McConfig", "estimate_expected_value", "estimate_exceedance", "estima
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _BLOCK = 8192
+_CHUNK = 1024  # rows of a block worked at once, so its temporaries stay small
+_ONE_BITS = np.float64(1.0).view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -43,59 +53,103 @@ def _block_rng(master_seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _acceptance_table(rules) -> tuple[np.ndarray, np.ndarray]:
-    """One row per cell: each rule's bucket form, edges padded with +inf (no
-    finite value reaches them) and probabilities with 0."""
+def _cuts(d: Distribution, edges: np.ndarray) -> np.ndarray:
+    """For each edge e, the largest double u < 1 with ``d.ppf(u) < e``, or -1
+    where there is none.  Where ``ppf`` is nondecreasing on doubles, for every
+    uniform draw u, ``d.ppf(u) >= e`` exactly when ``u > cut``.  Found by
+    bisection over the bit patterns of nonnegative doubles, which order as
+    their values do."""
+    # ppf(u) < e for every u <= lo and ppf(u) >= e for every u in [hi, 1),
+    # which holds vacuously at the start, lo = -1 and hi = 1.0
+    lo = np.full(edges.shape, -1, dtype=np.int64)
+    hi = np.full(edges.shape, _ONE_BITS)
+    while True:
+        mid = (lo + hi) // 2
+        open_ = mid > lo
+        if not open_.any():
+            break
+        below = d.ppf(np.maximum(mid, 0).view(np.float64)) < edges
+        lo = np.where(open_ & below, mid, lo)
+        hi = np.where(open_ & ~below, mid, hi)
+    return np.where(lo < 0, -1.0, lo.view(np.float64))
+
+
+def _acceptance_table(inst: Instance, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
+    """The acceptance table on the uniform scale, as (cuts, probs) with one row
+    per cell.  Cell ``c * n + i`` holds identity i's rule in piece c of a
+    piecewise policy, or in phase c of the adaptive rule.  Each rule's bucket
+    form gives its edges, padded with +inf (no value reaches them), and its
+    probabilities, padded with 0; each edge is stored as its cut on the value
+    uniforms of its identity (``_cuts``), so a value's bucket is the number
+    of cuts its uniform exceeds."""
+    n = inst.n
+    if isinstance(policy, AdaptiveTwoThreshold):
+        rules = [tau for tau in (policy.tau1, policy.tau2) for _ in range(n)]
+    else:
+        rules = [policy.rule(r, i) for r in range(policy.num_pieces) for i in range(n)]
     forms = [rule.bucket_form() for rule in rules]
     width = max(len(edges) for edges, _ in forms)
     pads = [(math.inf,) * (width - len(edges)) for edges, _ in forms]
     edges = np.array([e + pad for (e, _), pad in zip(forms, pads)]).reshape(len(forms), width)
     probs = np.array([p + (0.0,) * len(pad) for (_, p), pad in zip(forms, pads)])
-    return edges, probs
+    cuts = np.empty_like(edges)
+    for i, d in enumerate(inst.base):
+        cuts[i::n] = _cuts(d, edges[i::n])
+    return cuts, probs
 
 
-def _simulate_block(inst: Instance, policy: Policy, rng: np.random.Generator, nrep: int):
+def _simulate_block(inst: Instance, policy: Policy, table: tuple[np.ndarray, np.ndarray],
+                    rng: np.random.Generator, nrep: int):
     """Returns (selected values, stopped mask) for nrep replications.
 
-    Each reward reads one cell of an acceptance table: its (piece, identity)
-    rule for a piecewise policy, its phase for the adaptive rule.  It is
-    accepted when its tiebreak is below the cell's probability for its value
-    bucket; the earliest accepted reward is selected, equal times going to the
-    lower (identity, copy) column.
+    Each reward reads one cell of the acceptance ``table``: its (piece,
+    identity) rule for a piecewise policy, its (phase, identity) rule for the
+    adaptive rule.  It is accepted when its tiebreak is below the cell's
+    probability for the bucket of its value uniform; the earliest accepted
+    reward is selected, equal times going to the lower (identity, copy)
+    column.  Only the selected rewards' uniforms are mapped to values.  The
+    block is worked ``_CHUNK`` rows at a time.
     """
     n, k = inst.n, inst.copies
     N = n * k
     identities = np.repeat(np.arange(n), k)
-    # the same numbers as three draws in a row, in one allocation; the value
-    # uniforms become values in place
-    times, values, ties = rng.random((3, nrep, N))
+    cuts, probs = table
+    adaptive = isinstance(policy, AdaptiveTwoThreshold)
+    if adaptive:
+        log_q, log_eps = np.log(np.asarray(policy.q)), math.log(policy.epsilon)
+    # the same numbers as three draws in a row, in one allocation
+    times, uvals, ties = rng.random((3, nrep, N))
+    stopped = np.empty(nrep, dtype=bool)
+    picked = np.empty(nrep, dtype=np.intp)  # column of the selected reward
+    for start in range(0, nrep, _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        t, u = times[rows], uvals[rows]
+        if adaptive:
+            # tau2 once the rewards arriving strictly later all fall below
+            # tau2 with probability above epsilon: a suffix product in
+            # arrival order
+            order = np.argsort(t, axis=1, kind="stable")  # ties fall back to (i, j) order
+            arrived = identities[order]
+            contrib = log_q[arrived]
+            later = np.cumsum(contrib[:, ::-1], axis=1)[:, ::-1] - contrib
+            cell = np.empty(t.shape, dtype=np.intp)
+            np.put_along_axis(cell, order, (later > log_eps) * n + arrived, axis=1)
+        else:  # times lie in [0, 1), so every time falls in a piece
+            cell = (np.searchsorted(policy.breakpoints, t, side="right") - 1) * n + identities
+        flat = cell * probs.shape[1]  # index of (cell, bucket) in probs, bucket counted below
+        for column in cuts.T:
+            flat += u > column.take(cell)
+        accept = ties[rows] < probs.take(flat)
+        stopped[rows] = accept.any(axis=1)
+        np.copyto(t, np.inf, where=~accept)  # a rejected reward is never the earliest
+        picked[rows] = t.argmin(axis=1)
+    chosen = uvals[np.arange(nrep), picked]
+    owner = identities[picked]
+    selected = np.zeros(nrep)
     for i, d in enumerate(inst.base):
-        cols = identities == i
-        values[:, cols] = d.ppf(values[:, cols])
-
-    if isinstance(policy, AdaptiveTwoThreshold):
-        # tau2 once the rewards arriving strictly later all fall below tau2
-        # with probability above epsilon: a suffix product in arrival order
-        order = np.argsort(times, axis=1, kind="stable")  # ties fall back to (i, j) order
-        contrib = np.log(np.asarray(policy.q))[identities[order]]
-        later = np.cumsum(contrib[:, ::-1], axis=1)[:, ::-1] - contrib
-        cell = np.empty((nrep, N), dtype=np.intp)
-        np.put_along_axis(cell, order, later > math.log(policy.epsilon), axis=1)
-        rules = (policy.tau1, policy.tau2)
-    else:  # times lie in [0, 1), so every time falls in a piece
-        piece = np.searchsorted(policy.breakpoints, times, side="right") - 1
-        cell = piece * n + identities
-        rules = [policy.rule(r, i) for r in range(policy.num_pieces) for i in range(n)]
-    edges, probs = _acceptance_table(rules)
-    flat = cell * probs.shape[1]  # index of (cell, bucket) in probs, bucket counted below
-    for column in edges.T:
-        flat += values >= column.take(cell)
-    accept = ties < probs.take(flat)
-
-    stopped = accept.any(axis=1)
-    np.copyto(times, np.inf, where=~accept)  # a rejected reward is never the earliest
-    selected = values[np.arange(nrep), times.argmin(axis=1)]
-    return np.where(stopped, selected, 0.0), stopped
+        mine = stopped & (owner == i)
+        selected[mine] = d.ppf(chosen[mine])
+    return selected, stopped
 
 
 def _run(inst: Instance, policy: Policy, cfg: McConfig, reduce, caps) -> list[EvalResult]:
@@ -105,12 +159,14 @@ def _run(inst: Instance, policy: Policy, cfg: McConfig, reduce, caps) -> list[Ev
     estimate per statistic.  ``caps`` bounds each statistic for Hoeffding,
     ``None`` standing for the instance's largest value."""
     check_shape(policy, inst.n, inst.copies)
+    table = _acceptance_table(inst, policy)
     R = cfg.replications
     total = total_sq = 0.0
     done = block = 0
     while done < R:
         nrep = min(_BLOCK, R - done)
-        selected, stopped = _simulate_block(inst, policy, _block_rng(cfg.master_seed, block), nrep)
+        rng = _block_rng(cfg.master_seed, block)
+        selected, stopped = _simulate_block(inst, policy, table, rng, nrep)
         s, s2 = reduce(selected, stopped)
         total = total + s
         total_sq = total_sq + s2

@@ -151,6 +151,22 @@ class TestArtifacts:
         assert not (out / "results.csv").exists()
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_output_under_a_regular_file_exits_1_with_one_line(self, tmp_path, capsys, out):
+        (tmp_path / "afile").write_text("not a directory")
+        assert run(["lemmas", "--trials", "2", "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory ") and err.count("\n") == 1
+        assert str(tmp_path / out) in err
+
+    def test_unwritable_artifact_exits_1_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / "results.csv").mkdir(parents=True)  # a directory where the file goes
+        assert run(["lemmas", "--trials", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert str(out / "results.csv") in err
+
 
 class TestErrors:
     def test_missing_instance_names_path(self, tmp_path, capsys):

@@ -18,6 +18,7 @@ from prophetlab import (
     nth_root,
     product_max,
 )
+from prophetlab.experiments import regression_instances
 
 _VALUES = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0]
 
@@ -171,6 +172,19 @@ class TestSampling:
         a = d.ppf(np.random.default_rng(7).random(1000))
         b = d.ppf(np.random.default_rng(7).random(1000))
         np.testing.assert_array_equal(a, b)
+
+    def test_nondecreasing_on_doubles_of_the_regression_laws(self):
+        # Monte Carlo sorts value uniforms into buckets by comparing them with
+        # cut points, which is exact only if ppf never decreases from one
+        # double to the next, 1 ulp around each CDF value included
+        rng = np.random.default_rng(5)
+        for name, base in regression_instances():
+            for d in base:
+                marks = np.concatenate((d.Fl, d.Fr, [0.0, np.nextafter(1.0, 0.0)]))
+                u = np.concatenate((marks, np.nextafter(marks, -np.inf),
+                                    np.nextafter(marks, np.inf), rng.random(10_000)))
+                u = np.unique(u[(u >= 0.0) & (u < 1.0)])
+                assert np.all(np.diff(d.ppf(u)) >= 0.0), name
 
 
 class TestJsonRoundtrip:

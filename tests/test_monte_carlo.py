@@ -1,6 +1,7 @@
 """Monte Carlo engine: determinism, CI arithmetic, agreement with the oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,10 +26,12 @@ from prophetlab import (
     opt_law,
 )
 from prophetlab import monte_carlo
+from prophetlab.experiments import regression_instances
 
 COIN = Distribution.discrete([(0.0, 0.5), (1.0, 0.5)])
 TRI = Distribution.discrete([(0.0, 0.2), (1.0, 0.5), (3.0, 0.3)])
 U02 = Distribution.piecewise([(0.0, 0.0), (2.0, 1.0)])
+LUMP = Distribution.piecewise([(0.5, 0.3), (2.0, 1.0)])  # an atom of 0.3 at its first breakpoint
 
 
 def const_schedule(tau, accept_prob=0.0):
@@ -157,19 +160,38 @@ def _block_case(kind):
             for g in (0.2, 0.5, 0.9)
         )
         return inst, ActivationPolicy((0.0, 0.3, 0.7, 1.0), tables)
+    if kind == "atom-edge":  # both thresholds sit on atoms and accept part of them
+        inst = make_instance([COIN, TRI], 4)
+        return inst, ThresholdSchedule(
+            (0.0, 0.5, 1.0), (RandomizedThreshold(1.0, 0.4), RandomizedThreshold(0.0, 0.7))
+        )
+    if kind == "piecewise-atom":
+        inst = make_instance([LUMP, COIN], 4)
+        return inst, ThresholdSchedule(
+            (0.0, 0.6, 1.0), (RandomizedThreshold(0.5, 0.5), RandomizedThreshold(1.0, 0.25))
+        )
+    if kind == "activation-between":  # 0.5 between COIN's atoms, 2.0 between TRI's
+        inst = make_instance([COIN, TRI], 3)
+        tables = tuple(
+            (ValueBuckets((0.5,), (0.2, g)), ValueBuckets((2.0,), (0.1, g)))
+            for g in (0.6, 0.9)
+        )
+        return inst, ActivationPolicy((0.0, 0.5, 1.0), tables)
     # epsilon = 0.018 keeps ln(eps) away from the suffix products, whose float
     # sums can land on either side of an exact tie at eps = e^(-ell^2)
     inst = make_instance([COIN, TRI], 8)
     return inst, make_adaptive(opt_law(inst), inst, 0.018)
 
 
-@pytest.mark.parametrize("kind", ["single", "blind", "activation", "adaptive"])
+@pytest.mark.parametrize("kind", ["single", "blind", "activation", "adaptive", "atom-edge",
+                                  "piecewise-atom", "activation-between"])
 def test_block_matches_event_scan(kind):
     # the vectorized block selects what the event scan selects, rep for rep
     inst, policy = _block_case(kind)
     nrep = 3000
     selected, stopped = monte_carlo._simulate_block(
-        inst, policy, monte_carlo._block_rng(61, 0), nrep
+        inst, policy, monte_carlo._acceptance_table(inst, policy), monte_carlo._block_rng(61, 0),
+        nrep
     )
     if kind == "blind":
         assert policy.num_pieces == 513
@@ -190,3 +212,68 @@ def test_value_and_no_stop_from_one_simulation():
     width = math.sqrt(math.log(2 / 0.01) / (2 * 20_000))
     assert value.half_width == pytest.approx(3.0 * width, rel=1e-12)
     assert no_stop.half_width == pytest.approx(width, rel=1e-12)
+
+
+def _table_case(base, kind):
+    """A policy of each class on a regression law; the activation tables put
+    an edge on every breakpoint of each law and one between each pair."""
+    k = 16 if kind == "adaptive" else 4
+    inst = make_instance(list(base), k)
+    opt = opt_law(inst)
+    if kind == "single":
+        return inst, make_single_threshold(opt)
+    if kind == "blind":
+        return inst, make_blind_schedule(opt, k)
+    if kind == "adaptive":
+        return inst, make_adaptive(opt, inst, math.exp(-4))
+    buckets = []
+    for d in base:
+        edges = np.unique(np.concatenate((d.xs, (d.xs[:-1] + d.xs[1:]) / 2)))
+        buckets.append(ValueBuckets(tuple(edges), tuple(np.linspace(0.1, 0.9, len(edges) + 1))))
+    return inst, ActivationPolicy((0.0, 1.0), (tuple(buckets),))
+
+
+@pytest.mark.parametrize("kind", ["single", "blind", "adaptive", "activation"])
+def test_cut_decides_each_edge_on_the_uniform_scale(kind):
+    # ppf(u) >= e exactly when u > cut, for every edge of the table, padding
+    # included, at the cut, 1 ulp either side of it, at both ends of [0, 1)
+    # and at random draws
+    rng = np.random.default_rng(2024)
+    ends = np.array([0.0, np.nextafter(1.0, 0.0)])
+    for name, base in regression_instances():
+        inst, policy = _table_case(base, kind)
+        cuts, _ = monte_carlo._acceptance_table(inst, policy)
+        n = inst.n
+        if kind == "adaptive":
+            rules = [tau for tau in (policy.tau1, policy.tau2) for _ in range(n)]
+        else:
+            rules = [policy.rule(r, i) for r in range(policy.num_pieces) for i in range(n)]
+        width = cuts.shape[1]
+        edges = np.array([e + (math.inf,) * (width - len(e))
+                          for e, _ in (rule.bucket_form() for rule in rules)])
+        for i, d in enumerate(inst.base):
+            e, c = edges[i::n].ravel()[:, None], cuts[i::n].ravel()[:, None]
+            assert np.all((c == -1.0) | ((c >= 0.0) & (c < 1.0))), name
+            near = np.hstack((c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf),
+                              np.broadcast_to(ends, (len(c), 2))))
+            draw = (near >= 0.0) & (near < 1.0)
+            want = d.ppf(np.where(draw, near, 0.0)) >= e
+            assert np.array_equal(want[draw], (near > c)[draw]), name
+            u = rng.random(10_000)
+            assert np.array_equal(d.ppf(u) >= e, u > c), name
+
+
+def test_block_peak_memory():
+    # the draws alone take 3 * 8192 * 48 doubles = 9 MiB; the rest of the
+    # block is worked in row chunks
+    inst = make_instance(list(dict(regression_instances())["tiered"]), 16)
+    policy = make_adaptive(opt_law(inst), inst, math.exp(-4))
+    table = monte_carlo._acceptance_table(inst, policy)
+    tracemalloc.start()
+    try:
+        monte_carlo._simulate_block(inst, policy, table, monte_carlo._block_rng(1, 0),
+                                    monte_carlo._BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14 * 2**20
