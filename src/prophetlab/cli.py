@@ -353,56 +353,55 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, *, instance: bool) -> None:
-    if instance:
-        p.add_argument("--instance", required=True, help="instance JSON file")
+def _add_problem(p: argparse.ArgumentParser, *, one_policy: bool) -> None:
+    """The flags that name an instance, a policy class and its evaluator;
+    ``one_policy`` adds ``--k`` and ``--policy``, which fix the copy count and
+    the activation table of a single policy."""
+    p.add_argument("--instance", required=True, help="instance JSON file")
+    if one_policy:
         p.add_argument("--k", type=int, default=None, help="override the copy count")
-        p.add_argument(
-            "--class",
-            dest="algorithm_class",
-            choices=_ALGO_CLASSES,
-            default="single",
-            help="algorithm class",
-        )
-        p.add_argument(
-            "--epsilon", type=_finite_float, default=None, help="target gap in (0, 1/e]"
-        )
-        p.add_argument("--evaluator", choices=("exact", "mc"), default="exact")
         p.add_argument("--policy", default=None, help="activation table JSON (class=activation)")
-        p.add_argument("--grid", type=int, default=512, help="schedule grid resolution")
+    p.add_argument(
+        "--class", dest="algorithm_class", choices=_ALGO_CLASSES, default="single",
+        help="algorithm class",
+    )
+    p.add_argument("--epsilon", type=_finite_float, default=None, help="target gap in (0, 1/e]")
+    p.add_argument("--evaluator", choices=("exact", "mc"), default="exact")
+    p.add_argument("--grid", type=int, default=512, help="schedule grid resolution")
     p.add_argument("--reps", type=int, default=200_000, help="Monte Carlo replications")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--out", default=None, help=f"output dir (default ${OUTPUT_DIR_ENV} or .)")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each with only the flags its command reads."""
     parser = _Parser(prog="prophetlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="expected value of one policy on one instance")
-    _add_common(p, instance=True)
+    _add_problem(p, one_policy=True)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("search-k", help="smallest copy count reaching (1-eps) E[OPT]")
-    _add_common(p, instance=True)
+    _add_problem(p, one_policy=False)
     p.set_defaults(func=_cmd_search_k)
 
     p = sub.add_parser("dominance", help="pointwise exceedance check on an OPT-quantile grid")
-    _add_common(p, instance=True)
+    _add_problem(p, one_policy=True)
     p.set_defaults(func=_cmd_dominance)
 
     p = sub.add_parser("hardness", help="lower-bound certificates at fixed parameters")
     p.add_argument("--class", dest="algorithm_class", choices=_HARDNESS_SUITES, required=True)
     p.add_argument("--k", type=int, default=None, help="suite parameter k")
     p.add_argument("--grid", type=int, default=None, help="sweep grid points (default per suite)")
-    _add_common(p, instance=False)
     p.set_defaults(func=_cmd_hardness)
 
     p = sub.add_parser("lemmas", help="randomized exact checks of the structural inequalities")
     p.add_argument("--trials", type=int, default=200)
-    _add_common(p, instance=False)
+    p.add_argument("--seed", type=int, default=0, help="master seed")
     p.set_defaults(func=_cmd_lemmas)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help=f"output dir (default ${OUTPUT_DIR_ENV} or .)")
     return parser
 
 

@@ -237,7 +237,8 @@ class Distribution:
         rise = self.Fl[j] - self.Fr[prev]
         safe_rise = np.where(rise > 0, rise, 1.0)
         frac = np.clip((u - self.Fr[prev]) / safe_rise, 0.0, 1.0)
-        interp = self.xs[prev] + (self.xs[j] - self.xs[prev]) * frac
+        # rounding can carry frac == 1 an ulp past xs[j]; ppf must stay nondecreasing
+        interp = np.minimum(self.xs[prev] + (self.xs[j] - self.xs[prev]) * frac, self.xs[j])
         val = np.where(in_jump | (j == 0), self.xs[j], interp)
         return val if val.ndim else float(val)
 

@@ -17,7 +17,7 @@ discrete instances.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,21 +41,16 @@ _ABS_TOL = 1e-9  # the half-width reported with an exact expected value
 _DP_STATE_CAP = 10**6  # the most count vectors optimal_online_dp will tabulate
 
 
-def _stop_before(breaks: np.ndarray, rates: Iterable[float], t: float) -> float:
-    """Pr[one reward is accepted strictly before t] from its per-piece accept rates."""
+def p_tau_single(schedule: ThresholdSchedule, d: Distribution, t: float) -> float:
+    """Pr[the threshold policy stops strictly before time t] for one reward."""
+    b = schedule.breakpoints
     total = 0.0
-    for lo, hi, rate in zip(breaks[:-1], breaks[1:], rates):
+    for lo, hi, rt in zip(b[:-1], b[1:], schedule.thresholds):
         hi = min(hi, t)
         if hi <= lo:
             break
-        total += (hi - lo) * rate
+        total += (hi - lo) * rt.accepted_mass(d)
     return min(total, 1.0)
-
-
-def p_tau_single(schedule: ThresholdSchedule, d: Distribution, t: float) -> float:
-    """Pr[the threshold policy stops strictly before time t] for one reward."""
-    rates = (rt.accepted_mass(d) for rt in schedule.thresholds)
-    return _stop_before(np.asarray(schedule.breakpoints), rates, t)
 
 
 def p_tau_multi(
@@ -76,14 +71,14 @@ def p_tau_multi(
 class ExactEvaluator:
     """Caches the per-identity stop intensities of a policy on an instance.
 
-    Works for every policy with a per-(piece, identity) ``rule``: threshold
-    schedules and activation policies.  The adaptive two-threshold policy
-    couples all arrival times and has no product-form stop probability, so
-    it is Monte Carlo only.
+    Works for every policy whose pieces are time pieces (``breakpoints``):
+    threshold schedules and activation policies.  The adaptive two-threshold
+    policy's phases couple all arrival times and have no product-form stop
+    probability, so it is Monte Carlo only.
     """
 
     def __init__(self, inst: Instance, policy):
-        if not hasattr(policy, "rule"):
+        if not hasattr(policy, "breakpoints"):
             raise PolicyMismatchError(
                 f"{type(policy).__name__} has no exact evaluator; estimate it by Monte Carlo"
             )

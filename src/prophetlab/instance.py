@@ -71,12 +71,6 @@ class OptLaw:
             out = out * d.cdf(x)
         return out
 
-    def cdf_left(self, x: float) -> float:
-        out = 1.0
-        for d in self.base:
-            out *= d.cdf_left(x)
-        return out
-
     def _tail_integral(self) -> float:
         """E[max] = int_0^xmax (1 - prod_i F_i(x)) dx, exact per segment."""
         grid = np.unique(np.concatenate([[0.0], *[d.xs for d in self.base]]))

@@ -5,6 +5,9 @@ Philox stream keyed by (master_seed, b), so results are bit-identical no
 matter how blocks are scheduled across workers.  Accumulation sums block
 statistics in block order.
 
+It reads a policy only through ``num_pieces``, ``rule(piece, identity)`` and
+``pieces_at(times, identities)``, so every policy runs down one path.
+
 A block draws arrival times, value uniforms and tiebreaks, and decides
 acceptance on the uniform scale: each value-bucket edge of the policy is
 turned, once per simulation, into the cut on its identity's uniforms above
@@ -23,7 +26,7 @@ import numpy as np
 from .distributions import Distribution
 from .errors import InvalidParameterError
 from .instance import Instance
-from .policies import AdaptiveTwoThreshold, Policy, check_shape
+from .policies import Policy, check_shape
 from .results import EvalResult
 
 __all__ = ["McConfig", "estimate_expected_value", "estimate_exceedance", "estimate_no_stop",
@@ -76,17 +79,14 @@ def _cuts(d: Distribution, edges: np.ndarray) -> np.ndarray:
 
 def _acceptance_table(inst: Instance, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
     """The acceptance table on the uniform scale, as (cuts, probs) with one row
-    per cell.  Cell ``c * n + i`` holds identity i's rule in piece c of a
-    piecewise policy, or in phase c of the adaptive rule.  Each rule's bucket
+    per cell.  Cell ``c * n + i`` holds ``policy.rule(c, i)``, identity i's
+    rule in piece c (a phase, for the adaptive rule).  Each rule's bucket
     form gives its edges, padded with +inf (no value reaches them), and its
     probabilities, padded with 0; each edge is stored as its cut on the value
     uniforms of its identity (``_cuts``), so a value's bucket is the number
     of cuts its uniform exceeds."""
     n = inst.n
-    if isinstance(policy, AdaptiveTwoThreshold):
-        rules = [tau for tau in (policy.tau1, policy.tau2) for _ in range(n)]
-    else:
-        rules = [policy.rule(r, i) for r in range(policy.num_pieces) for i in range(n)]
+    rules = [policy.rule(c, i) for c in range(policy.num_pieces) for i in range(n)]
     forms = [rule.bucket_form() for rule in rules]
     width = max(len(edges) for edges, _ in forms)
     pads = [(math.inf,) * (width - len(edges)) for edges, _ in forms]
@@ -103,20 +103,17 @@ def _simulate_block(inst: Instance, policy: Policy, table: tuple[np.ndarray, np.
     """Returns (selected values, stopped mask) for nrep replications.
 
     Each reward reads one cell of the acceptance ``table``: its (piece,
-    identity) rule for a piecewise policy, its (phase, identity) rule for the
-    adaptive rule.  It is accepted when its tiebreak is below the cell's
-    probability for the bucket of its value uniform; the earliest accepted
-    reward is selected, equal times going to the lower (identity, copy)
-    column.  Only the selected rewards' uniforms are mapped to values.  The
-    block is worked ``_CHUNK`` rows at a time.
+    identity) rule, the piece coming from ``policy.pieces_at``.  It is
+    accepted when its tiebreak is below the cell's probability for the
+    bucket of its value uniform; the earliest accepted reward is selected,
+    equal times going to the lower (identity, copy) column.  Only the
+    selected rewards' uniforms are mapped to values.  The block is worked
+    ``_CHUNK`` rows at a time.
     """
     n, k = inst.n, inst.copies
     N = n * k
     identities = np.repeat(np.arange(n), k)
     cuts, probs = table
-    adaptive = isinstance(policy, AdaptiveTwoThreshold)
-    if adaptive:
-        log_q, log_eps = np.log(np.asarray(policy.q)), math.log(policy.epsilon)
     # the same numbers as three draws in a row, in one allocation
     times, uvals, ties = rng.random((3, nrep, N))
     stopped = np.empty(nrep, dtype=bool)
@@ -124,18 +121,7 @@ def _simulate_block(inst: Instance, policy: Policy, table: tuple[np.ndarray, np.
     for start in range(0, nrep, _CHUNK):
         rows = slice(start, start + _CHUNK)
         t, u = times[rows], uvals[rows]
-        if adaptive:
-            # tau2 once the rewards arriving strictly later all fall below
-            # tau2 with probability above epsilon: a suffix product in
-            # arrival order
-            order = np.argsort(t, axis=1, kind="stable")  # ties fall back to (i, j) order
-            arrived = identities[order]
-            contrib = log_q[arrived]
-            later = np.cumsum(contrib[:, ::-1], axis=1)[:, ::-1] - contrib
-            cell = np.empty(t.shape, dtype=np.intp)
-            np.put_along_axis(cell, order, (later > log_eps) * n + arrived, axis=1)
-        else:  # times lie in [0, 1), so every time falls in a piece
-            cell = (np.searchsorted(policy.breakpoints, t, side="right") - 1) * n + identities
+        cell = policy.pieces_at(t, identities) * n + identities
         flat = cell * probs.shape[1]  # index of (cell, bucket) in probs, bucket counted below
         for column in cuts.T:
             flat += u > column.take(cell)

@@ -3,7 +3,10 @@
 Threshold schedules are piecewise-constant randomized thresholds; activation
 policies attach per-identity, piecewise-constant-in-time activation tables;
 the adaptive two-threshold policy switches from a high to a low threshold at
-a data-dependent time decided online from the rewards seen so far.
+a data-dependent time set by the identities of the rewards still to arrive.
+Every policy answers ``num_pieces``, ``rule(piece, identity)`` and
+``pieces_at(times, identities)``, the piece of every arrival in a block of
+replications; the adaptive rule's two pieces are its phases.
 """
 
 from __future__ import annotations
@@ -34,13 +37,12 @@ __all__ = [
 
 
 class _TimePieces:
-    """Time pieces [s_r, s_{r+1}) of ``self.breakpoints``, 0 = s_0 < ... < s_m = 1.
+    """Time pieces [s_r, s_{r+1}) of ``self.breakpoints``, 0 = s_0 < ... < s_m = 1,
+    checked to cover [0, 1] in increasing order.
 
-    A piecewise policy answers ``rule(piece, identity)`` with the acceptance
-    rule of that cell: a ``RandomizedThreshold`` or ``ValueBuckets``, both of
-    which report accepted mass, accepted mean, accepted mass above x and
-    their ``bucket_form()`` (edges, probs).
-    The constructor checks that the pieces cover [0, 1] in increasing order.
+    ``rule(piece, identity)`` is a ``RandomizedThreshold`` or ``ValueBuckets``;
+    every rule reports accepted mass, accepted mean, accepted mass above x
+    and its ``bucket_form()`` (edges, probs).
     """
 
     def __post_init__(self):
@@ -53,6 +55,9 @@ class _TimePieces:
     @property
     def num_pieces(self) -> int:
         return len(self.breakpoints) - 1
+
+    def pieces_at(self, times: np.ndarray, identities: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self.breakpoints, times, side="right") - 1  # times lie in [0, 1)
 
 
 @dataclass(frozen=True)
@@ -86,10 +91,11 @@ class ValueBuckets:
     def __post_init__(self):
         if len(self.probs) != len(self.edges) + 1:
             raise InvalidParameterError("need len(edges) + 1 bucket probabilities")
-        if any(p < 0 or p > 1 for p in self.probs):
+        if not all(0.0 <= p <= 1.0 for p in self.probs):  # NaN fails too
             raise InvalidParameterError("activation probabilities must lie in [0, 1]")
-        if any(a >= b for a, b in zip(self.edges, self.edges[1:])):
-            raise InvalidParameterError("bucket edges must be strictly increasing")
+        edges = np.asarray(self.edges, dtype=float)
+        if not (np.isfinite(edges).all() and (np.diff(edges) > 0).all()):
+            raise InvalidParameterError("bucket edges must be finite and strictly increasing")
 
     def bucket_form(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         return self.edges, self.probs
@@ -141,7 +147,8 @@ class ActivationPolicy(_TimePieces):
 
 @dataclass(frozen=True)
 class AdaptiveTwoThreshold:
-    """High threshold tau1 until the online switch time, low threshold tau2 after."""
+    """High threshold tau1 until the online switch time, low threshold tau2
+    after: its pieces are these two phases, not spans of time."""
 
     epsilon: float
     ell: int
@@ -150,9 +157,27 @@ class AdaptiveTwoThreshold:
     q: tuple[float, ...]  # per-identity Pr[V_i rejected at tau2]
     copies: int
 
+    num_pieces = 2
+
     @property
     def n(self) -> int:
         return len(self.q)
+
+    def rule(self, phase: int, identity: int) -> RandomizedThreshold:
+        return (self.tau1, self.tau2)[phase]
+
+    def pieces_at(self, times: np.ndarray, identities: np.ndarray) -> np.ndarray:
+        """The phase of every arrival in a (rows, N) block of ``times``, column
+        j being identity ``identities[j]``: 1 (tau2) once the rewards arriving
+        strictly later all fall below tau2 with probability above epsilon, a
+        suffix product in arrival order, equal times in column order."""
+        log_q = np.log(np.asarray(self.q))
+        order = np.argsort(times, axis=1, kind="stable")
+        contrib = log_q[identities[order]]
+        later = np.cumsum(contrib[:, ::-1], axis=1)[:, ::-1] - contrib
+        phase = np.empty(times.shape, dtype=np.intp)
+        np.put_along_axis(phase, order, later > math.log(self.epsilon), axis=1)
+        return phase
 
 
 Policy = Union[ThresholdSchedule, ActivationPolicy, AdaptiveTwoThreshold]

@@ -13,7 +13,8 @@ the enumeration read a policy's ``rule(piece, identity)`` through
 the bucket edges directly, never through ``bucket_form()``.
 
 ``reference_quantile_threshold`` is the scalar, one-q-at-a-time OPT quantile
-search that ``OptLaw.quantile_thresholds`` must reproduce bit for bit.
+search that ``OptLaw.quantile_thresholds`` must reproduce bit for bit; it
+reads the OPT law's left limits through ``opt_cdf_left``.
 """
 
 import itertools
@@ -116,6 +117,14 @@ def enumerate_opt_value(base) -> float:
     )
 
 
+def opt_cdf_left(opt, x: float) -> float:
+    """Pr[OPT < x]: the product of the base laws' left limits, in base order."""
+    out = 1.0
+    for d in opt.base:
+        out *= d.cdf_left(x)
+    return out
+
+
 def reference_quantile_threshold(opt, q: float) -> RandomizedThreshold:
     """Scalar OPT quantile search: rebuild the product CDF on the merged grid,
     then bisect either tau inside a segment or the accept probability at an
@@ -124,7 +133,7 @@ def reference_quantile_threshold(opt, q: float) -> RandomizedThreshold:
     Fr = np.array([opt.cdf(x) for x in grid])
     j = min(int(np.searchsorted(Fr, q, side="left")), len(grid) - 1)
     tau = float(grid[j])
-    Fl_j = opt.cdf_left(tau)
+    Fl_j = opt_cdf_left(opt, tau)
     if j > 0 and Fl_j > q and Fl_j > Fr[j - 1]:
         lo, hi = float(grid[j - 1]), tau
         for _ in range(200):
@@ -266,16 +275,26 @@ def run_policy(policy, seq: ArrivalSequence) -> StopOutcome:
     return StopOutcome.none()
 
 
-def _run_adaptive(policy: AdaptiveTwoThreshold, seq: ArrivalSequence) -> StopOutcome:
-    log_eps = math.log(policy.epsilon)
+def later_log_q(policy: AdaptiveTwoThreshold, seq: ArrivalSequence) -> list[float]:
+    """For each event of ``seq``, the log of the product of q_i over the
+    rewards arriving strictly later: the scan is in phase 1 (tau2) at that
+    event exactly when this exceeds ln(epsilon)."""
     logq = [math.log(qi) for qi in policy.q]
     # log of the product of q_i over rewards not yet arrived
     remaining = policy.copies * sum(logq)
-    for pos in range(len(seq)):
+    out = []
+    for i in seq.identities:
+        remaining -= logq[int(i)]  # current event no longer counts as "later"
+        out.append(remaining)
+    return out
+
+
+def _run_adaptive(policy: AdaptiveTwoThreshold, seq: ArrivalSequence) -> StopOutcome:
+    log_eps = math.log(policy.epsilon)
+    for pos, later in enumerate(later_log_q(policy, seq)):
         i = int(seq.identities[pos])
-        remaining -= logq[i]  # current event no longer counts as "later"
         # suffix product over strictly-later arrivals decides the phase
-        rt = policy.tau2 if remaining > log_eps else policy.tau1
+        rt = policy.tau2 if later > log_eps else policy.tau1
         av = AugmentedValue(float(seq.values[pos]), float(seq.tiebreaks[pos]))
         if accepts(rt, av):
             return StopOutcome(True, float(seq.times[pos]), av.value,

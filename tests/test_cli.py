@@ -124,6 +124,21 @@ ONE_RUN_EACH = {  # "INSTANCE" stands for the instance file
 
 
 class TestArtifacts:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("search-k", ["--k", "50"]), ("search-k", ["--policy", "nosuch.json"]),
+         ("hardness", ["--reps", "10"]), ("hardness", ["--seed", "3"]),
+         ("lemmas", ["--reps", "10"])],
+        ids=["search-k-k", "search-k-policy", "hardness-reps", "hardness-seed", "lemmas-reps"],
+    )
+    def test_flag_the_command_does_not_read_exits_1(self, coins_file, tmp_path, capsys,
+                                                    command, flag):
+        argv = [coins_file if a == "INSTANCE" else a for a in ONE_RUN_EACH[command]]
+        out = tmp_path / "run"
+        assert run([command, *argv, *flag, "--out", str(out)]) == 1
+        assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", sorted(ONE_RUN_EACH))
     def test_every_command_writes_the_three_artifacts(self, coins_file, tmp_path, command):
         argv = [coins_file if a == "INSTANCE" else a for a in ONE_RUN_EACH[command]]
@@ -286,6 +301,22 @@ class TestActivationTables:
         assert f"identity {ident}" in err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "g, why",
+        [([[0, "nan", 0.3], [0, None, 1]], "bucket edges must be finite"),
+         ([[0, "inf", 0.3], [0, None, 1]], "bucket edges must be finite"),
+         ([[0, None, "nan"]], "probabilities must lie in [0, 1]")],
+        ids=["nan-edge", "inf-edge", "nan-probability"],
+    )
+    def test_non_finite_spec_exits_1_with_one_line(self, coins_file, tmp_path, capsys, g, why):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"pieces": [{"t0": 0.0, "t1": 1.0, "g": g}]}))
+        out = tmp_path / "run"
+        args = ["eval", "--instance", coins_file, "--class", "activation", "--policy", str(table)]
+        assert run(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and why in err
+        assert not (out / "results.csv").exists() and not (out / "summary.json").exists()
 
     def test_integral_float_identity_reads_as_integer(self, coins_file, tmp_path):
         estimates = []

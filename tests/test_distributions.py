@@ -18,6 +18,7 @@ from prophetlab import (
     nth_root,
     product_max,
 )
+from prophetlab import monte_carlo
 from prophetlab.experiments import regression_instances
 
 _VALUES = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0]
@@ -185,6 +186,20 @@ class TestSampling:
                                     np.nextafter(marks, np.inf), rng.random(10_000)))
                 u = np.unique(u[(u >= 0.0) & (u < 1.0)])
                 assert np.all(np.diff(d.ppf(u)) >= 0.0), name
+
+    def test_interpolation_stops_at_the_breakpoint(self):
+        # at u = 0.75 = F(x) the interpolation reaches frac == 1, and without
+        # a clamp rounds 1 ulp above x, above ppf of the next double; Monte
+        # Carlo's cut for the edge just above x then disagrees with ppf there
+        x = 1.4634308933011468
+        d = Distribution.piecewise([(0, 0), (0.2917986243935994, 0.25), (x, 0.75),
+                                    (1.4634308943011468, 1)])
+        u = np.array([0.75, np.nextafter(0.75, 1.0)])
+        assert d.ppf(0.75) == x and d.ppf(u[0]) <= d.ppf(u[1])
+        edges = np.array([x, np.nextafter(x, np.inf)])
+        cuts = monte_carlo._cuts(d, edges)
+        for v in u:
+            assert np.array_equal(d.ppf(np.full(2, v)) >= edges, v > cuts)
 
 
 class TestJsonRoundtrip:

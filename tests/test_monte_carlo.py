@@ -244,10 +244,7 @@ def test_cut_decides_each_edge_on_the_uniform_scale(kind):
         inst, policy = _table_case(base, kind)
         cuts, _ = monte_carlo._acceptance_table(inst, policy)
         n = inst.n
-        if kind == "adaptive":
-            rules = [tau for tau in (policy.tau1, policy.tau2) for _ in range(n)]
-        else:
-            rules = [policy.rule(r, i) for r in range(policy.num_pieces) for i in range(n)]
+        rules = [policy.rule(r, i) for r in range(policy.num_pieces) for i in range(n)]
         width = cuts.shape[1]
         edges = np.array([e + (math.inf,) * (width - len(e))
                           for e, _ in (rule.bucket_form() for rule in rules)])

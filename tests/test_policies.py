@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 from oracles import (
+    ArrivalSequence,
     AugmentedValue,
     accepts,
     activation_from_threshold,
     constant_activation,
+    later_log_q,
+    piece_at,
     run_policy,
     sample_arrivals,
     switch_time_S,
@@ -31,6 +34,7 @@ from prophetlab import (
     opt_law,
     sort_nonincreasing,
 )
+from prophetlab.experiments import regression_instances
 
 COIN = Distribution.discrete([(0.0, 0.5), (1.0, 0.5)])
 U01 = Distribution.piecewise([(0.0, 0.0), (1.0, 1.0)])
@@ -248,3 +252,48 @@ def test_threshold_bucket_form_is_its_indicator_table():
         for tie in (0.0, 0.2, 0.25, 0.9):
             av = AugmentedValue(float(value), tie)
             assert accepts(vb, av) == accepts(rt, av)
+
+
+class TestPiecesAt:
+    """Every policy's ``pieces_at`` against the piece the event scan uses."""
+
+    @pytest.mark.parametrize(
+        "name", ["fair-coin", "det-plus-risky", "uniform", "three-point", "tiered"]
+    )
+    def test_adaptive_phase_matches_event_scan(self, name):
+        # the test_03 laws at k = 16, eps = e^-4; the phase compares a sum of
+        # logs with ln(eps) = -ell^2, which it can meet exactly (all ell
+        # copies of every identity still to come), and there the two sum
+        # orders may land either side, so only arrivals away from it count
+        inst = make_instance(list(dict(regression_instances())[name]), 16)
+        pol = make_adaptive(opt_law(inst), inst, math.exp(-4))
+        n, k = inst.n, inst.copies
+        identities, copies = np.repeat(np.arange(n), k), np.tile(np.arange(k), n)
+        rng = np.random.default_rng(17)
+        times = rng.random((300, n * k))
+        times[150:] = np.floor(times[150:] * 8) / 8  # equal times arrive in column order
+        got = pol.pieces_at(times, identities)
+        log_eps = math.log(pol.epsilon)
+        counted = switched = 0
+        for row, t in zip(got, times):
+            order = np.lexsort((copies, identities, t))  # the event scan's arrival order
+            blank = np.zeros(n * k)
+            seq = ArrivalSequence(n, k, t[order], identities[order], copies[order], blank, blank)
+            later = np.array(later_log_q(pol, seq))
+            away = np.abs(later - log_eps) > 1e-9
+            assert np.array_equal(row[order][away], (later > log_eps)[away])
+            counted += away.sum()
+            switched += row.sum()
+        assert counted > 0.9 * times.size and 0 < switched < times.size
+
+    @pytest.mark.parametrize("kind", ["blind", "activation"])
+    def test_time_pieces_match_piece_at(self, kind):
+        inst = make_instance([COIN, TRI], 6)
+        sched = make_blind_schedule(opt_law(inst), 6, grid_resolution=64)
+        policy = sched if kind == "blind" else activation_from_threshold(sched, inst.n)
+        b = np.asarray(policy.breakpoints)
+        near = np.concatenate((b[:-1], np.nextafter(b[1:], 0.0), np.nextafter(b[:-1], 1.0)))
+        N = inst.total_rewards
+        times = np.concatenate((near, np.random.default_rng(3).random(-len(near) % N + 10 * N)))
+        got = policy.pieces_at(times.reshape(-1, N), np.repeat(np.arange(inst.n), 6))
+        assert got.ravel().tolist() == [piece_at(policy, t) for t in times]
