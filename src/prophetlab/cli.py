@@ -301,6 +301,7 @@ def _cmd_hardness(args: argparse.Namespace):
             dp_value=report.dp_value,
             log_gap=_log_or_null(report.log_gap),
             ceiling_log_gap=_log_or_null(report.ceiling_log_gap),
+            dps=report.dps,
         )
         certified = report.certified
     else:

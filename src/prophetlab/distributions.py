@@ -45,7 +45,8 @@ class RandomizedThreshold:
         accept with ``accept_prob`` at tau, always above it."""
         return (self.tau, math.nextafter(self.tau, math.inf)), (0.0, self.accept_prob, 1.0)
 
-    # the questions every acceptance rule answers against a law ``d``
+    # one law's questions, one threshold at a time (policies.ThresholdStack
+    # asks them for a stack of thresholds)
 
     def rejected_mass(self, d: Distribution) -> float:
         """Pr[rejected]."""
@@ -54,17 +55,6 @@ class RandomizedThreshold:
     def accepted_mass(self, d: Distribution) -> float:
         """Pr[accepted]."""
         return 1.0 - self.rejected_mass(d)
-
-    def accepted_mean(self, d: Distribution) -> float:
-        """E[V * 1{accepted}]."""
-        return d.mean_between(self.tau, np.inf, open_left=True) + (
-            self.accept_prob * self.tau * d.point_mass(self.tau)
-        )
-
-    def accepted_mass_above(self, d: Distribution, xs: np.ndarray) -> np.ndarray:
-        """Pr[accepted and V > x] for each x of ``xs``."""
-        w = 1.0 - np.asarray(d.cdf(np.maximum(self.tau, xs)))
-        return w + (self.tau > xs) * (self.accept_prob * d.point_mass(self.tau))
 
 
 class Distribution:
@@ -185,21 +175,25 @@ class Distribution:
             return float(self.Fr[j] - self.Fl[j])
         return 0.0
 
+    def left_and_atom(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Pr[V < x], Pr[V = x]) for an array ``x`` from one searchsorted; each
+        element takes the arithmetic of the scalar ``cdf_left`` and
+        ``point_mass``, so it equals them bit for bit."""
+        xs, Fl, Fr = self.xs, self.Fl, self.Fr
+        x = np.asarray(x, dtype=float)
+        j = xs.searchsorted(x)
+        at = np.minimum(j, len(xs) - 1)
+        prev = np.maximum(j - 1, 0)
+        x0, x1, fl, fr = xs[prev], xs[at], Fl[at], Fr[prev]
+        hit = x1 == x
+        # the clip changes no x strictly inside a segment, and keeps x = inf finite
+        frac = ((x - x0) / np.where(x1 > x0, x1 - x0, 1.0)).clip(0.0, 1.0)
+        left = np.where(hit, fl, fr + (fl - fr) * frac)
+        left[x <= xs[0]] = 0.0
+        left[x > xs[-1]] = 1.0
+        return left, np.where(hit, Fr[at] - fl, 0.0)
+
     # ---------------------------------------------------------- interval masses
-
-    def mass_between(self, lo: float, hi: float) -> float:
-        """Pr[lo <= V < hi]."""
-        if hi <= lo:
-            return 0.0
-        return self.cdf_left(hi) - self.cdf_left(lo)
-
-    def mass_between_above(self, lo: float, hi: float, x: float) -> float:
-        """Pr[lo <= V < hi and V > x]."""
-        if x >= hi:
-            return 0.0
-        if x < lo:
-            return self.mass_between(lo, hi)
-        return self.cdf_left(hi) - float(self.cdf(x))
 
     def mean_between(self, lo: float, hi: float, open_left: bool = False) -> float:
         """E[V * 1{lo <= V < hi}] (strict left if open_left)."""
@@ -224,6 +218,24 @@ class Distribution:
             dens = seg_mass / (x1 - x0)
             total += dens * (b * b - a * a) / 2.0
         return total
+
+    def mean_between_many(self, lo, hi, open_left: bool = False) -> np.ndarray:
+        """E[V * 1{lo <= V < hi}] (strict left if open_left) for arrays ``lo``
+        and ``hi``; each element takes the arithmetic of the scalar
+        ``mean_between``, its terms added in the same order, so it equals it
+        bit for bit.  The loops run over the law's breakpoints."""
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+        total = np.zeros(lo.shape)
+        for v, jump in zip(self.xs, self.Fr - self.Fl):
+            if jump > 0:
+                inside = ((v > lo) if open_left else (v >= lo)) & (v < hi)
+                total = np.where(inside, total + v * jump, total)
+        for x0, x1, seg_mass in zip(self.xs[:-1], self.xs[1:], self.Fl[1:] - self.Fr[:-1]):
+            if seg_mass > 0:
+                a, b = np.maximum(x0, lo), np.minimum(x1, hi)
+                dens = seg_mass / (x1 - x0)
+                total = np.where(b > a, total + dens * (b * b - a * a) / 2.0, total)
+        return np.where(hi <= lo, 0.0, total)
 
     # -------------------------------------------------------------- sampling
 

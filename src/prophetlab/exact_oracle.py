@@ -10,6 +10,11 @@ the only error left is roundoff.  The nodes come from ``quadrature.leggauss``
 cached per order); the evaluator calls it through this module's name
 ``leggauss``, once per construction.
 
+The rate, mean and exceedance weights of every (identity, piece) come from
+the policy's ``piece_stack(identity)``: each identity's law is asked each
+question once, for all time pieces together, with the arithmetic of asking
+each piece's rule alone, so the weights equal the per-piece ones bit for bit.
+
 Also houses the brute-force DP for the optimal online policy on small
 discrete instances.
 """
@@ -84,10 +89,10 @@ class ExactEvaluator:
             )
         check_shape(policy, inst.n, inst.copies)
         self.inst = inst
+        self.policy = policy
         self.breaks = np.asarray(policy.breakpoints, dtype=float)
-        n, m = inst.n, len(self.breaks) - 1
-        self._rules = [[policy.rule(r, i) for r in range(m)] for i in range(n)]
-        self.rate = self._weights(lambda rule, d: rule.accepted_mass(d))
+        n = inst.n
+        self.rate = self._weights(lambda stack, d: stack.accepted_mass(d))
         lens = np.diff(self.breaks)
         cum = np.concatenate(
             [np.zeros((n, 1)), np.cumsum(self.rate * lens[None, :], axis=1)], axis=1
@@ -111,23 +116,23 @@ class ExactEvaluator:
         self._piece_int = (others @ wts) * halves[None, :]
 
     def _weights(self, question, lead: tuple[int, ...] = ()) -> np.ndarray:
-        """question(rule, law) at every (identity, piece), on the last two axes."""
-        weight = np.empty((*lead, len(self._rules), len(self.breaks) - 1))
-        for i, (d, rules) in enumerate(zip(self.inst.base, self._rules)):
-            for r, rule in enumerate(rules):
-                weight[..., i, r] = question(rule, d)
+        """question(piece stack, law) of every identity, its answer for all
+        pieces on the last axis and the identities on the one before."""
+        weight = np.empty((*lead, self.inst.n, len(self.breaks) - 1))
+        for i, d in enumerate(self.inst.base):
+            weight[..., i, :] = question(self.policy.piece_stack(i), d)
         return weight
 
     def expected_value(self) -> EvalResult:
         """E[selected value] = sum_i k * int_0^1 mean_i(piece(t)) * others_i(t) dt, exact."""
-        weight = self._weights(lambda rule, d: rule.accepted_mean(d))
+        weight = self._weights(lambda stack, d: stack.accepted_mean(d))
         val = float(self.inst.copies * np.sum(weight * self._piece_int))
         return EvalResult(val, _ABS_TOL, "exact")
 
     def exceedance_many(self, xs) -> np.ndarray:
         """Pr[selected value > x] for a vector of x, sharing the cached nodes."""
         xs = np.asarray(xs, dtype=float)
-        weight = self._weights(lambda rule, d: rule.accepted_mass_above(d, xs), (len(xs),))
+        weight = self._weights(lambda stack, d: stack.accepted_mass_above(d, xs), (len(xs),))
         vals = self.inst.copies * np.einsum("xim,im->x", weight, self._piece_int)
         return np.minimum(vals, 1.0)
 

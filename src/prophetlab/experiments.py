@@ -217,19 +217,18 @@ def dominance_check(
     """Pr[ALG > x] vs (1 - eps) * Pr[OPT > x] on an OPT-quantile grid.
 
     The grid is the 99 percentile points plus the case boundaries where the
-    sufficiency proofs switch: the OPT median, quantile 1 - 1/k, and, for the
-    adaptive policy, the tau1/tau2 quantiles.  ``opt`` is the instance's OPT
-    law when the caller has already built it.  The report's evaluator is the
-    one that ran: "mc" for the adaptive policy whatever was asked.
+    sufficiency proofs switch: the OPT median, quantile 1 - 1/k, and the
+    policy's own ``case_quantiles`` (the adaptive policy's tau1/tau2).
+    ``opt`` is the instance's OPT law when the caller has already built it.
+    The report's evaluator is the one that ran: "mc" for the adaptive policy
+    whatever was asked.
     """
     if not 0.0 < epsilon < 1.0:
         raise InvalidParameterError(f"dominance needs epsilon in (0, 1), got {epsilon!r}")
     if opt is None:
         opt = opt_law(inst)
     qs = [i / 100.0 for i in range(1, 100)]
-    qs += [0.5, 1.0 - 1.0 / inst.copies]
-    if isinstance(policy, AdaptiveTwoThreshold):
-        qs += [0.75, math.exp(-policy.ell)]
+    qs += [0.5, 1.0 - 1.0 / inst.copies, *policy.case_quantiles]
     qs = sorted({q for q in qs if 0.0 <= q < 1.0})
     xs = np.asarray(opt.dist.ppf(np.asarray(qs)), dtype=float)
     p_opt = 1.0 - opt.cdf(xs)

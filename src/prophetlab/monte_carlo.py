@@ -26,7 +26,7 @@ import numpy as np
 from .distributions import Distribution
 from .errors import InvalidParameterError
 from .instance import Instance
-from .policies import Policy, check_shape
+from .policies import Policy, bucket_table, check_shape
 from .results import EvalResult
 
 __all__ = ["McConfig", "estimate_expected_value", "estimate_exceedance", "estimate_no_stop",
@@ -86,12 +86,8 @@ def _acceptance_table(inst: Instance, policy: Policy) -> tuple[np.ndarray, np.nd
     uniforms of its identity (``_cuts``), so a value's bucket is the number
     of cuts its uniform exceeds."""
     n = inst.n
-    rules = [policy.rule(c, i) for c in range(policy.num_pieces) for i in range(n)]
-    forms = [rule.bucket_form() for rule in rules]
-    width = max(len(edges) for edges, _ in forms)
-    pads = [(math.inf,) * (width - len(edges)) for edges, _ in forms]
-    edges = np.array([e + pad for (e, _), pad in zip(forms, pads)]).reshape(len(forms), width)
-    probs = np.array([p + (0.0,) * len(pad) for (_, p), pad in zip(forms, pads)])
+    edges, probs = bucket_table(
+        [policy.rule(c, i) for c in range(policy.num_pieces) for i in range(n)])
     cuts = np.empty_like(edges)
     for i, d in enumerate(inst.base):
         cuts[i::n] = _cuts(d, edges[i::n])

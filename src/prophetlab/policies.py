@@ -6,7 +6,9 @@ the adaptive two-threshold policy switches from a high to a low threshold at
 a data-dependent time set by the identities of the rewards still to arrive.
 Every policy answers ``num_pieces``, ``rule(piece, identity)`` and
 ``pieces_at(times, identities)``, the piece of every arrival in a block of
-replications; the adaptive rule's two pieces are its phases.
+replications; the adaptive rule's two pieces are its phases.  Every policy
+names its ``case_quantiles``, the OPT quantiles where its proof switches cases.
+A time-pieced policy also answers ``piece_stack(identity)``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from .instance import Instance, OptLaw
 __all__ = [
     "ThresholdSchedule",
     "ValueBuckets",
+    "ThresholdStack",
+    "BucketStack",
+    "bucket_table",
     "ActivationPolicy",
     "AdaptiveTwoThreshold",
     "Policy",
@@ -36,14 +41,21 @@ __all__ = [
 ]
 
 
+_TAU1_QUANTILE = 0.75  # the adaptive rule's high threshold, as an OPT quantile
+
+
 class _TimePieces:
     """Time pieces [s_r, s_{r+1}) of ``self.breakpoints``, 0 = s_0 < ... < s_m = 1,
     checked to cover [0, 1] in increasing order.
 
-    ``rule(piece, identity)`` is a ``RandomizedThreshold`` or ``ValueBuckets``;
-    every rule reports accepted mass, accepted mean, accepted mass above x
-    and its ``bucket_form()`` (edges, probs).
+    ``rule(piece, identity)`` is a ``RandomizedThreshold`` or ``ValueBuckets``,
+    and every rule reports its ``bucket_form()`` (edges, probs).
+    ``piece_stack(identity)`` is a ``ThresholdStack`` or ``BucketStack``; it
+    reports accepted mass, accepted mean and accepted mass above x for all
+    pieces at once.
     """
+
+    case_quantiles = ()  # a time-pieced policy's proofs switch at no further quantile
 
     def __post_init__(self):
         b = self.breakpoints
@@ -76,6 +88,9 @@ class ThresholdSchedule(_TimePieces):
         """The same threshold for every identity."""
         return self.thresholds[piece]
 
+    def piece_stack(self, identity: int) -> ThresholdStack:
+        return ThresholdStack(self.thresholds)
+
 
 @dataclass(frozen=True)
 class ValueBuckets:
@@ -100,27 +115,86 @@ class ValueBuckets:
     def bucket_form(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         return self.edges, self.probs
 
-    def _bounds(self) -> list[tuple[float, float, float]]:
-        """(lo, hi, prob) of each bucket that activates, lo clipped at 0."""
-        lows = (-math.inf,) + self.edges
-        highs = self.edges + (math.inf,)
-        return [(max(lo, 0.0), hi, p) for lo, hi, p in zip(lows, highs, self.probs) if p]
 
-    def accepted_mass(self, d: Distribution) -> float:
-        """Pr[accepted]."""
-        return sum(p * d.mass_between(lo, hi) for lo, hi, p in self._bounds())
+def bucket_table(rules) -> tuple[np.ndarray, np.ndarray]:
+    """The bucket forms of ``rules`` as arrays (edges, probs) with one row per
+    rule: edges padded with +inf (no value reaches them), probs with 0."""
+    forms = [rule.bucket_form() for rule in rules]
+    width = max(len(edges) for edges, _ in forms)
+    pads = [(math.inf,) * (width - len(edges)) for edges, _ in forms]
+    edges = np.array([e + pad for (e, _), pad in zip(forms, pads)]).reshape(len(forms), width)
+    probs = np.array([p + (0.0,) * len(pad) for (_, p), pad in zip(forms, pads)])
+    return edges, probs
 
-    def accepted_mean(self, d: Distribution) -> float:
-        """E[V * 1{accepted}]."""
-        return sum(p * d.mean_between(lo, hi) for lo, hi, p in self._bounds())
+
+# The rules of all pieces at once.  Each answers a question for every piece
+# with the arithmetic of asking each piece's rule alone, bit for bit.
+
+
+class ThresholdStack:
+    """Randomized thresholds, one per piece."""
+
+    def __init__(self, thresholds):
+        self.tau = np.array([rt.tau for rt in thresholds], dtype=float)
+        self.accept_prob = np.array([rt.accept_prob for rt in thresholds], dtype=float)
+
+    def accepted_mass(self, d: Distribution) -> np.ndarray:
+        """Pr[accepted] per piece: 1 - (Pr[V < tau] + (1 - a) Pr[V = tau])."""
+        left, atom = d.left_and_atom(self.tau)
+        return 1.0 - (left + (1.0 - self.accept_prob) * atom)
+
+    def accepted_mean(self, d: Distribution) -> np.ndarray:
+        """E[V * 1{accepted}] per piece."""
+        _, atom = d.left_and_atom(self.tau)
+        above = d.mean_between_many(self.tau, np.inf, open_left=True)
+        return above + self.accept_prob * self.tau * atom
 
     def accepted_mass_above(self, d: Distribution, xs: np.ndarray) -> np.ndarray:
-        """Pr[accepted and V > x] for each x of ``xs``."""
-        bounds = self._bounds()
-        return np.array(
-            [sum(p * d.mass_between_above(lo, hi, x) for lo, hi, p in bounds) for x in xs],
-            dtype=float,
-        )
+        """Pr[accepted and V > x] per (x, piece): 1 - F(tau) + a Pr[V = tau]
+        where tau > x, else 1 - F(x); ``cdf`` is asked only at the taus and xs."""
+        x = np.asarray(xs, dtype=float)[:, None]
+        _, atom = d.left_and_atom(self.tau)
+        over_tau = (1.0 - d.cdf(self.tau)) + self.accept_prob * atom
+        return np.where(self.tau > x, over_tau, 1.0 - d.cdf(x))
+
+
+class BucketStack:
+    """Value buckets, one table per piece, padded by ``bucket_table`` to a
+    common width; bucket b of a piece is [lo, hi) with lo clipped at 0."""
+
+    def __init__(self, buckets):
+        edges, self.probs = bucket_table(buckets)
+        inf = np.full((len(edges), 1), math.inf)
+        self.lo = np.maximum(np.concatenate([-inf, edges], axis=1), 0.0)
+        self.hi = np.concatenate([edges, inf], axis=1)
+
+    def _between(self, d: Distribution) -> tuple[np.ndarray, np.ndarray]:
+        """Pr[lo <= V < hi] and Pr[V < hi] per (piece, bucket)."""
+        left_lo, left_hi = d.left_and_atom(np.stack([self.lo, self.hi]))[0]
+        return np.where(self.hi <= self.lo, 0.0, left_hi - left_lo), left_hi
+
+    def _summed(self, per_bucket: np.ndarray) -> np.ndarray:
+        """The sum over buckets, in bucket order, of prob * ``per_bucket``
+        (buckets on its last axis)."""
+        total = 0.0
+        for b, p in enumerate(self.probs.T):
+            total = total + p * per_bucket[..., b]
+        return total
+
+    def accepted_mass(self, d: Distribution) -> np.ndarray:
+        """Pr[accepted] per piece."""
+        return self._summed(self._between(d)[0])
+
+    def accepted_mean(self, d: Distribution) -> np.ndarray:
+        """E[V * 1{accepted}] per piece."""
+        return self._summed(d.mean_between_many(self.lo, self.hi))
+
+    def accepted_mass_above(self, d: Distribution, xs: np.ndarray) -> np.ndarray:
+        """Pr[accepted and V > x] per (x, piece); ``cdf`` is asked only at the xs."""
+        x = np.asarray(xs, dtype=float)[:, None, None]
+        mass, left_hi = self._between(d)
+        above = np.where(x >= self.hi, 0.0, np.where(x < self.lo, mass, left_hi - d.cdf(x)))
+        return self._summed(above)
 
 
 @dataclass(frozen=True)
@@ -144,6 +218,9 @@ class ActivationPolicy(_TimePieces):
     def rule(self, piece: int, identity: int) -> ValueBuckets:
         return self.tables[piece][identity]
 
+    def piece_stack(self, identity: int) -> BucketStack:
+        return BucketStack([row[identity] for row in self.tables])
+
 
 @dataclass(frozen=True)
 class AdaptiveTwoThreshold:
@@ -165,6 +242,11 @@ class AdaptiveTwoThreshold:
 
     def rule(self, phase: int, identity: int) -> RandomizedThreshold:
         return (self.tau1, self.tau2)[phase]
+
+    @property
+    def case_quantiles(self) -> tuple[float, float]:
+        """The OPT quantiles of tau1 and tau2."""
+        return _TAU1_QUANTILE, math.exp(-self.ell)
 
     def pieces_at(self, times: np.ndarray, identities: np.ndarray) -> np.ndarray:
         """The phase of every arrival in a (rows, N) block of ``times``, column
@@ -222,7 +304,7 @@ def adaptive_ell(epsilon: float) -> int:
 def make_adaptive(opt: OptLaw, inst: Instance, epsilon: float) -> AdaptiveTwoThreshold:
     """Two-threshold adaptive policy: tau1 at OPT-quantile 3/4, tau2 at e^-ell."""
     ell = adaptive_ell(epsilon)
-    tau1, tau2 = opt.quantile_thresholds((0.75, math.exp(-ell)))
+    tau1, tau2 = opt.quantile_thresholds((_TAU1_QUANTILE, math.exp(-ell)))
     q = tuple(tau2.rejected_mass(d) for d in inst.base)
     return AdaptiveTwoThreshold(float(epsilon), ell, tau1, tau2, q, inst.copies)
 

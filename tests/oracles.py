@@ -15,6 +15,12 @@ the bucket edges directly, never through ``bucket_form()``.
 ``reference_quantile_threshold`` is the scalar, one-q-at-a-time OPT quantile
 search that ``OptLaw.quantile_thresholds`` must reproduce bit for bit; it
 reads the OPT law's left limits through ``opt_cdf_left``.
+
+``ScalarPieces`` wraps a time-pieced policy so that the exact evaluator asks
+every (identity, piece) rule its question on its own, through the scalar
+rule questions below (``accepted_mass``, ``accepted_mean``,
+``accepted_mass_above``): the per-piece weights that the piece stacks must
+reproduce bit for bit.
 """
 
 import itertools
@@ -166,6 +172,91 @@ def reference_quantile_threshold(opt, q: float) -> RandomizedThreshold:
         else:
             hi_a = mid
     return RandomizedThreshold(tau, hi_a)
+
+
+# ---------------------------------------------- scalar rule questions
+
+
+def mass_between(d, lo: float, hi: float) -> float:
+    """Pr[lo <= V < hi]."""
+    if hi <= lo:
+        return 0.0
+    return d.cdf_left(hi) - d.cdf_left(lo)
+
+
+def mass_between_above(d, lo: float, hi: float, x: float) -> float:
+    """Pr[lo <= V < hi and V > x]."""
+    if x >= hi:
+        return 0.0
+    if x < lo:
+        return mass_between(d, lo, hi)
+    return d.cdf_left(hi) - float(d.cdf(x))
+
+
+def bucket_bounds(vb: ValueBuckets) -> list[tuple[float, float, float]]:
+    """(lo, hi, prob) of each bucket that activates, lo clipped at 0."""
+    lows = (-math.inf,) + vb.edges
+    highs = vb.edges + (math.inf,)
+    return [(max(lo, 0.0), hi, p) for lo, hi, p in zip(lows, highs, vb.probs) if p]
+
+
+def accepted_mass(rule, d) -> float:
+    """Pr[``rule`` accepts a draw of ``d``]."""
+    if isinstance(rule, RandomizedThreshold):
+        return rule.accepted_mass(d)
+    return sum(p * mass_between(d, lo, hi) for lo, hi, p in bucket_bounds(rule))
+
+
+def accepted_mean(rule, d) -> float:
+    """E[V * 1{``rule`` accepts V}] for V drawn from ``d``."""
+    if isinstance(rule, RandomizedThreshold):
+        return d.mean_between(rule.tau, np.inf, open_left=True) + (
+            rule.accept_prob * rule.tau * d.point_mass(rule.tau)
+        )
+    return sum(p * d.mean_between(lo, hi) for lo, hi, p in bucket_bounds(rule))
+
+
+def accepted_mass_above(rule, d, xs: np.ndarray) -> np.ndarray:
+    """Pr[``rule`` accepts V and V > x] for each x of ``xs``."""
+    if isinstance(rule, RandomizedThreshold):
+        w = 1.0 - np.asarray(d.cdf(np.maximum(rule.tau, xs)))
+        return w + (rule.tau > xs) * (rule.accept_prob * d.point_mass(rule.tau))
+    bounds = bucket_bounds(rule)
+    return np.array(
+        [sum(p * mass_between_above(d, lo, hi, x) for lo, hi, p in bounds) for x in xs],
+        dtype=float,
+    )
+
+
+class _ScalarStack:
+    """One identity's rules of all pieces, asked one piece at a time."""
+
+    def __init__(self, rules):
+        self.rules = rules
+
+    def accepted_mass(self, d) -> np.ndarray:
+        return np.array([accepted_mass(rule, d) for rule in self.rules])
+
+    def accepted_mean(self, d) -> np.ndarray:
+        return np.array([accepted_mean(rule, d) for rule in self.rules])
+
+    def accepted_mass_above(self, d, xs) -> np.ndarray:
+        return np.stack([accepted_mass_above(rule, d, xs) for rule in self.rules], axis=-1)
+
+
+class ScalarPieces:
+    """``policy`` with a ``piece_stack`` that asks each (piece, identity) rule
+    alone; every other attribute is the policy's own."""
+
+    def __init__(self, policy):
+        self.policy = policy
+
+    def __getattr__(self, name):
+        return getattr(self.policy, name)
+
+    def piece_stack(self, identity: int) -> _ScalarStack:
+        return _ScalarStack([self.policy.rule(r, identity)
+                             for r in range(self.policy.num_pieces)])
 
 
 # ------------------------------------------------------------ event scan

@@ -113,6 +113,12 @@ class TestHardness:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["certified"] is True
 
+    @pytest.mark.parametrize("k, dps", [(4, 60), (10, 204)])
+    def test_general_suite_writes_its_working_precision(self, tmp_path, k, dps):
+        out = tmp_path / "run"
+        assert run(["hardness", "--class", "general", "--k", str(k), "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["dps"] == dps
+
 
 ONE_RUN_EACH = {  # "INSTANCE" stands for the instance file
     "eval": ["--instance", "INSTANCE", "--k", "3"],

@@ -202,6 +202,55 @@ class TestSampling:
             assert np.array_equal(d.ppf(np.full(2, v)) >= edges, v > cuts)
 
 
+def _probe_points(d):
+    """Every breakpoint, 1 ulp either side of it, every segment midpoint, and
+    points below and above the support."""
+    xs = d.xs
+    pts = np.concatenate((xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf),
+                          (xs[:-1] + xs[1:]) / 2.0, [-1.0, xs[-1] + 1.0, np.inf]))
+    return np.unique(pts)
+
+
+def _laws_and_opt_laws():
+    for name, base in regression_instances():
+        for d in base:
+            yield name, d
+        yield f"{name}/opt", OptLaw(base).dist
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestArrayQuestions:
+    """The array questions take the scalar arithmetic element by element."""
+
+    def test_left_and_atom_equal_cdf_left_and_point_mass(self):
+        for name, d in _laws_and_opt_laws():
+            pts = _probe_points(d)
+            left, atom = d.left_and_atom(pts)
+            assert _hex(left) == _hex([d.cdf_left(x) for x in pts]), name
+            assert _hex(atom) == _hex([d.point_mass(x) for x in pts]), name
+            block = pts.reshape(1, -1, 1)  # any shape answers elementwise
+            assert _hex(d.left_and_atom(block)[0]) == _hex(left), name
+
+    def test_mean_above_equals_mean_between(self):
+        for name, d in _laws_and_opt_laws():
+            pts = _probe_points(d)[:-1]  # drop inf: nothing lies above it
+            got = d.mean_between_many(pts, np.inf, open_left=True)
+            want = [d.mean_between(x, np.inf, open_left=True) for x in pts]
+            assert _hex(got) == _hex(want), name
+
+    @pytest.mark.parametrize("open_left", [False, True])
+    def test_mean_between_pairs_equals_mean_between(self, open_left):
+        for name, d in _laws_and_opt_laws():
+            pts = _probe_points(d)
+            lo, hi = np.maximum(pts, 0.0)[:, None], pts[None, :]
+            got = d.mean_between_many(lo, hi, open_left=open_left)
+            want = [d.mean_between(a, b, open_left=open_left) for a in lo[:, 0] for b in pts]
+            assert _hex(got) == _hex(want), name
+
+
 class TestJsonRoundtrip:
     @given(discrete_laws() | piecewise_laws())
     @settings(max_examples=40, deadline=None)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from oracles import (
+    ScalarPieces,
     activation_from_threshold,
     constant_activation,
     enumerate_exceedance,
@@ -30,7 +31,9 @@ from prophetlab import (
     p_tau_multi,
     p_tau_single,
 )
-from prophetlab.policies import ValueBuckets
+from prophetlab import experiments
+from prophetlab.experiments import regression_instances
+from prophetlab.policies import ActivationPolicy, ValueBuckets, make_blind_schedule
 
 COIN = Distribution.discrete([(0.0, 0.5), (1.0, 0.5)])
 TRI = Distribution.discrete([(0.0, 0.2), (1.0, 0.5), (3.0, 0.3)])
@@ -260,3 +263,102 @@ class TestOptimalOnlineDp:
         inst = make_instance([COIN, TRI], 1000)
         with pytest.raises(TooLargeInstanceError, match="exceeds cap"):
             optimal_online_dp(inst)
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _dominance_grid(opt, k):
+    """The OPT-quantile points of ``dominance_check`` for a time-pieced policy."""
+    qs = sorted({q for q in [i / 100.0 for i in range(1, 100)] + [0.5, 1.0 - 1.0 / k]
+                 if 0.0 <= q < 1.0})
+    return np.asarray(opt.dist.ppf(np.asarray(qs)), dtype=float)
+
+
+def _random_activation(rng, n):
+    """Up to four time pieces, each identity with up to three bucket edges."""
+    m = int(rng.integers(1, 5))
+    cuts = np.sort(rng.choice(np.linspace(0.05, 0.95, 19), size=m - 1, replace=False))
+    pool = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.7, 3.0]
+    tables = []
+    for _ in range(m):
+        row = []
+        for _ in range(n):
+            edges = tuple(sorted(rng.choice(pool, size=int(rng.integers(0, 4)), replace=False)))
+            probs = tuple(float(rng.choice([0.0, 0.3, 1.0, rng.random()]))
+                          for _ in range(len(edges) + 1))
+            row.append(ValueBuckets(tuple(map(float, edges)), probs))
+        tables.append(tuple(row))
+    return ActivationPolicy((0.0, *map(float, cuts), 1.0), tuple(tables))
+
+
+class TestPieceStacksMatchScalarPieces:
+    """Asking each law once for all pieces gives every exact output bit for
+    bit as asking each (identity, piece) rule alone (``oracles.ScalarPieces``)."""
+
+    @staticmethod
+    def assert_same(inst, policy, xs):
+        ref_policy = ScalarPieces(policy)
+        for i, d in enumerate(inst.base):
+            stack, ref = policy.piece_stack(i), ref_policy.piece_stack(i)
+            assert _hex(stack.accepted_mass(d)) == _hex(ref.accepted_mass(d))
+            assert _hex(stack.accepted_mean(d)) == _hex(ref.accepted_mean(d))
+        fast = ExactEvaluator(inst, policy)
+        ref = ExactEvaluator(inst, ref_policy)
+        assert _hex(fast.rate) == _hex(ref.rate)
+        assert _hex(fast.expected_value().estimate) == _hex(ref.expected_value().estimate)
+        assert _hex(fast.exceedance_many(xs)) == _hex(ref.exceedance_many(xs))
+        assert _hex(fast.selection_by_identity()) == _hex(ref.selection_by_identity())
+        assert _hex(fast.no_stop_prob()) == _hex(ref.no_stop_prob())
+
+    def test_each_law_is_asked_once_per_question(self):
+        class Counting:
+            def __init__(self, policy):
+                self.policy, self.stacks = policy, []
+
+            def __getattr__(self, name):
+                if name == "rule":
+                    raise AssertionError("the evaluator asked a single piece's rule")
+                return getattr(self.policy, name)
+
+            def piece_stack(self, identity):
+                self.stacks.append(identity)
+                return self.policy.piece_stack(identity)
+
+        base = regression_instances()[7][1]  # mixed-four: four laws
+        inst = make_instance(base, 6)
+        policy = Counting(make_blind_schedule(opt_law(inst), 6))
+        ev = ExactEvaluator(inst, policy)
+        ev.expected_value()
+        ev.exceedance_many([0.5, 1.0])
+        assert policy.stacks == [0, 1, 2, 3] * 3  # rate, mean, exceedance
+
+    @pytest.mark.parametrize("k", [1, 2, 6, 64])
+    def test_blind_schedules_on_the_regression_laws(self, k):
+        for name, base in regression_instances():
+            opt = opt_law(make_instance(base, k))
+            self.assert_same(make_instance(base, k), make_blind_schedule(opt, k),
+                             _dominance_grid(opt, k))
+
+    def test_activation_hardness_grid(self):
+        k = 61
+        p = float(1 / experiments._fixed_point_L(k))
+        inst = make_instance([ATOM1, Distribution.discrete([(0.0, p), (2.0, 1.0 - p)])], k)
+        top = ValueBuckets((0.5,), (0.0, 1.0))
+        gs = np.linspace(0.0, 1.0, 11)
+        for early, late in itertools.product(gs, gs):
+            policy = ActivationPolicy(
+                (0.0, 2.0 / k, 1.0),
+                tuple((ValueBuckets((), (float(g),)), top) for g in (early, late)))
+            self.assert_same(inst, policy, np.array([0.0, 0.5, 1.0, 1.5, 2.0]))
+
+    def test_random_schedules_and_activation_tables(self):
+        rng = np.random.default_rng(11)
+        xs = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+        for _ in range(150):
+            base = [experiments._random_distribution(rng) for _ in range(int(rng.integers(1, 4)))]
+            inst = make_instance(base, int(rng.integers(1, 5)))
+            sched = experiments._random_schedule(rng, pieces=int(rng.integers(1, 6)))
+            self.assert_same(inst, sched, np.concatenate([xs, rng.uniform(0, 3, 8)]))
+            self.assert_same(inst, _random_activation(rng, inst.n), xs)

@@ -105,6 +105,16 @@ class TestDominance:
         with pytest.raises(InvalidParameterError, match=r"epsilon in \(0, 1\)"):
             dominance_check(inst, policy, eps)
 
+    def test_grid_holds_the_policy_case_quantiles(self):
+        inst = make_instance([COIN, Distribution.discrete([(0.0, 0.2), (2.0, 0.8)])], 8)
+        opt = opt_law(inst)
+        adaptive = make_adaptive(opt, inst, math.exp(-4))
+        assert adaptive.case_quantiles == (0.75, math.exp(-adaptive.ell))
+        report = dominance_check(inst, adaptive, 0.1, "mc", McConfig(2_000, 1), opt=opt)
+        assert {0.75, math.exp(-adaptive.ell)} <= {row[0] for row in report.rows}
+        for cls in ("single", "blind"):
+            assert build_policy(inst, opt, cls, 0.1).case_quantiles == ()
+
     def test_tiny_epsilon_small_k_fails(self):
         # one copy of a uniform law: the median rule stops with prob 1/2,
         # far below 0.99 * Pr[OPT > x] at small x
