@@ -577,6 +577,7 @@ def lemma_suite(seed: int, trials: int = 200) -> LemmaSuiteReport:
     exact value.
     """
     _require_int("lemma suite", "trials", trials, 1)
+    _require_int("lemma suite", "seed", seed, 0)
     rng = np.random.default_rng(seed)
     rows = []
     s1 = s2 = s3 = s4 = math.inf

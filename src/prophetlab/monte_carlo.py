@@ -1,9 +1,10 @@
 """Vectorized Monte Carlo simulation of any policy with reproducible seeding.
 
 Replications are partitioned into fixed-size blocks; block b draws from a
-Philox stream keyed by (master_seed, b), so results are bit-identical no
-matter how blocks are scheduled across workers.  Accumulation sums block
-statistics in block order.
+Philox stream keyed by (master_seed, b).  The blocks are simulated on one
+thread per available core (numpy releases the GIL in the kernels that do
+the work), and their statistics are summed in block order, so every
+estimate is bit-identical whatever the core count.
 
 It reads a policy only through ``num_pieces``, ``rule(piece, identity)`` and
 ``pieces_at(times, identities)``, so every policy runs down one path.
@@ -12,8 +13,10 @@ A block draws arrival times, value uniforms and tiebreaks, and decides
 acceptance on the uniform scale: each value-bucket edge of the policy is
 turned, once per simulation, into the cut on its identity's uniforms above
 which ``ppf`` reaches the edge.  Only the selected reward's uniform is mapped
-through ``ppf``.  A block is worked in chunks of rows, so its temporaries stay
-small beside the draws.
+through ``ppf``.  A block is worked in chunks of rows, and its three draws
+are streamed by chunk: three generators on the block's key each start where
+one of them begins in the block's stream and reads each chunk into one
+reused buffer, so a block holds one chunk of draws, not all of them.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ __all__ = ["McConfig", "estimate_expected_value", "estimate_exceedance", "estima
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _BLOCK = 8192
-_CHUNK = 1024  # rows of a block worked at once, so its temporaries stay small
+_CHUNK = 1024  # rows of a block drawn and worked at once, so a block stays small
 _ONE_BITS = np.float64(1.0).view(np.int64)
 
 
@@ -49,11 +52,29 @@ class McConfig:
             raise InvalidParameterError("replications must be >= 1")
         if self.ci_method not in ("normal", "hoeffding"):
             raise InvalidParameterError(f"unknown ci_method {self.ci_method!r}")
+        seed = self.master_seed
+        if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+            raise InvalidParameterError(
+                f"master_seed must be an integer in [0, 2^64), got {seed!r}")
 
 
-def _block_rng(master_seed: int, block: int) -> np.random.Generator:
-    key = np.array([master_seed & (2**64 - 1), block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _block_rng(master_seed: int, block: int, skip: int = 0) -> np.random.Generator:
+    """Block ``block``'s generator, past the first ``skip`` doubles of its stream."""
+    key = np.array([master_seed, block], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.advance(skip // 4)  # one Philox step gives 4 doubles
+    rng.random(skip % 4)
+    return rng
+
+
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    import os
+
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _cuts(d: Distribution, edges: np.ndarray) -> np.ndarray:
@@ -94,44 +115,90 @@ def _acceptance_table(inst: Instance, policy: Policy) -> tuple[np.ndarray, np.nd
     return cuts, probs
 
 
+def _draws(master_seed: int, block: int, nrep: int, N: int):
+    """Block ``block``'s (rows, times, value uniforms, tiebreaks), ``_CHUNK``
+    rows at a time: the rows of ``_block_rng(master_seed, block).random((3,
+    nrep, N))``, read from three generators that each start where one of the
+    three begins in the stream.  Every chunk is read into the same buffer,
+    so a chunk's arrays hold until the next one is asked for."""
+    parts = [_block_rng(master_seed, block, part * nrep * N) for part in range(3)]
+    buf = np.empty((3, min(_CHUNK, nrep), N))
+    for start in range(0, nrep, _CHUNK):
+        rows = min(_CHUNK, nrep - start)
+        times, uvals, ties = (rng.random(out=out[:rows]) for rng, out in zip(parts, buf))
+        yield slice(start, start + rows), times, uvals, ties
+
+
 def _simulate_block(inst: Instance, policy: Policy, table: tuple[np.ndarray, np.ndarray],
-                    rng: np.random.Generator, nrep: int):
-    """Returns (selected values, stopped mask) for nrep replications.
+                    master_seed: int, block: int, nrep: int):
+    """Returns (selected values, stopped mask) for the nrep replications of
+    block ``block``.
 
     Each reward reads one cell of the acceptance ``table``: its (piece,
     identity) rule, the piece coming from ``policy.pieces_at``.  It is
     accepted when its tiebreak is below the cell's probability for the
     bucket of its value uniform; the earliest accepted reward is selected,
     equal times going to the lower (identity, copy) column.  Only the
-    selected rewards' uniforms are mapped to values.  The block is worked
-    ``_CHUNK`` rows at a time.
+    selected rewards' uniforms are mapped to values.  The draws are read and
+    worked ``_CHUNK`` rows at a time.
     """
     n, k = inst.n, inst.copies
-    N = n * k
     identities = np.repeat(np.arange(n), k)
     cuts, probs = table
-    # the same numbers as three draws in a row, in one allocation
-    times, uvals, ties = rng.random((3, nrep, N))
     stopped = np.empty(nrep, dtype=bool)
-    picked = np.empty(nrep, dtype=np.intp)  # column of the selected reward
-    for start in range(0, nrep, _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        t, u = times[rows], uvals[rows]
+    owner = np.empty(nrep, dtype=np.intp)  # identity of the selected reward
+    chosen = np.empty(nrep)  # its value uniform
+    for rows, t, u, ties in _draws(master_seed, block, nrep, n * k):
         cell = policy.pieces_at(t, identities) * n + identities
         flat = cell * probs.shape[1]  # index of (cell, bucket) in probs, bucket counted below
         for column in cuts.T:
             flat += u > column.take(cell)
-        accept = ties[rows] < probs.take(flat)
+        accept = ties < probs.take(flat)
         stopped[rows] = accept.any(axis=1)
         np.copyto(t, np.inf, where=~accept)  # a rejected reward is never the earliest
-        picked[rows] = t.argmin(axis=1)
-    chosen = uvals[np.arange(nrep), picked]
-    owner = identities[picked]
+        picked = t.argmin(axis=1)
+        owner[rows] = identities[picked]
+        chosen[rows] = u[np.arange(len(picked)), picked]
     selected = np.zeros(nrep)
     for i, d in enumerate(inst.base):
         mine = stopped & (owner == i)
         selected[mine] = d.ppf(chosen[mine])
     return selected, stopped
+
+
+def _block_sums(inst: Instance, policy: Policy, cfg: McConfig, reduce) -> list:
+    """``reduce(selected, stopped)`` of every block, in block order.  The
+    blocks go round-robin to ``min(_cores(), blocks)`` threads, this one
+    among them.  If a block raises, every thread stops taking blocks, all
+    are joined, and the first exception is raised here."""
+    import threading
+
+    table = _acceptance_table(inst, policy)
+    R = cfg.replications
+    blocks = -(-R // _BLOCK)
+    workers = min(_cores(), blocks)
+    sums = [None] * blocks
+    errors = []
+
+    def work(first):
+        for b in range(first, blocks, workers):
+            if errors:
+                return
+            try:
+                nrep = min(_BLOCK, R - b * _BLOCK)
+                sums[b] = reduce(*_simulate_block(inst, policy, table, cfg.master_seed, b, nrep))
+            except BaseException as exc:  # raised below, once every thread has stopped
+                errors.append(exc)
+
+    helpers = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in helpers:
+        thread.start()
+    work(0)
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return sums
 
 
 def _run(inst: Instance, policy: Policy, cfg: McConfig, reduce, caps) -> list[EvalResult]:
@@ -141,19 +208,11 @@ def _run(inst: Instance, policy: Policy, cfg: McConfig, reduce, caps) -> list[Ev
     estimate per statistic.  ``caps`` bounds each statistic for Hoeffding,
     ``None`` standing for the instance's largest value."""
     check_shape(policy, inst.n, inst.copies)
-    table = _acceptance_table(inst, policy)
     R = cfg.replications
     total = total_sq = 0.0
-    done = block = 0
-    while done < R:
-        nrep = min(_BLOCK, R - done)
-        rng = _block_rng(cfg.master_seed, block)
-        selected, stopped = _simulate_block(inst, policy, table, rng, nrep)
-        s, s2 = reduce(selected, stopped)
+    for s, s2 in _block_sums(inst, policy, cfg, reduce):
         total = total + s
         total_sq = total_sq + s2
-        done += nrep
-        block += 1
     results = []
     for t, t2, cap in zip(total, total_sq, caps):
         mean = float(t) / R

@@ -242,6 +242,22 @@ class TestErrors:
         assert f"got {trials}" in err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("command, seed", [("eval", "-1"), ("eval", str(2**64)),
+                                               ("lemmas", "-1")])
+    def test_seed_outside_its_range_exits_1_with_one_line(self, coins_file, tmp_path, capsys,
+                                                          command, seed):
+        # a Monte Carlo seed is one word of a Philox key, [0, 2^64); the lemma
+        # suite's seed is any integer >= 0
+        argv = {"eval": ["--instance", coins_file, "--class", "adaptive", "--epsilon", "0.1",
+                         "--k", "2", "--reps", "100"],
+                "lemmas": ["--trials", "2"]}[command]
+        out = tmp_path / "run"
+        assert run([command, *argv, "--seed", seed, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"got {seed}" in err
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_non_finite_epsilon_exits_1(self, coins_file, tmp_path, capsys, eps):
         # the activation class ignores epsilon, but the manifest echoes it

@@ -1,6 +1,8 @@
 """Monte Carlo engine: determinism, CI arithmetic, agreement with the oracle."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -26,6 +28,7 @@ from prophetlab import (
     opt_law,
 )
 from prophetlab import monte_carlo
+from prophetlab.errors import InvalidParameterError
 from prophetlab.experiments import regression_instances
 
 COIN = Distribution.discrete([(0.0, 0.5), (1.0, 0.5)])
@@ -45,6 +48,18 @@ class TestDeterminism:
         a = estimate_expected_value(inst, const_schedule(0.5), cfg)
         b = estimate_expected_value(inst, const_schedule(0.5), cfg)
         assert a.estimate == b.estimate and a.half_width == b.half_width
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 0.5])
+    def test_seed_outside_the_key_word_rejected(self, seed):
+        with pytest.raises(InvalidParameterError, match="master_seed"):
+            McConfig(replications=10, master_seed=seed)
+
+    def test_largest_seed_has_its_own_stream(self):
+        inst = make_instance([COIN, TRI], 3)
+        top = estimate_expected_value(inst, const_schedule(0.5), McConfig(10_000, 2**64 - 1))
+        assert top.seed == 2**64 - 1
+        assert top.estimate != estimate_expected_value(
+            inst, const_schedule(0.5), McConfig(10_000, 0)).estimate
 
     def test_different_seed_differs(self):
         inst = make_instance([COIN, TRI], 3)
@@ -190,8 +205,7 @@ def test_block_matches_event_scan(kind):
     inst, policy = _block_case(kind)
     nrep = 3000
     selected, stopped = monte_carlo._simulate_block(
-        inst, policy, monte_carlo._acceptance_table(inst, policy), monte_carlo._block_rng(61, 0),
-        nrep
+        inst, policy, monte_carlo._acceptance_table(inst, policy), 61, 0, nrep
     )
     if kind == "blind":
         assert policy.num_pieces == 513
@@ -261,16 +275,108 @@ def test_cut_decides_each_edge_on_the_uniform_scale(kind):
 
 
 def test_block_peak_memory():
-    # the draws alone take 3 * 8192 * 48 doubles = 9 MiB; the rest of the
-    # block is worked in row chunks
+    # a block holds one chunk of draws, 3 * 1024 * 48 doubles = 1.1 MiB, and
+    # that chunk's temporaries (4.5 MiB in all at this block); the block's
+    # draws held at once would take 9 MiB alone
     inst = make_instance(list(dict(regression_instances())["tiered"]), 16)
     policy = make_adaptive(opt_law(inst), inst, math.exp(-4))
     table = monte_carlo._acceptance_table(inst, policy)
     tracemalloc.start()
     try:
-        monte_carlo._simulate_block(inst, policy, table, monte_carlo._block_rng(1, 0),
-                                    monte_carlo._BLOCK)
+        monte_carlo._simulate_block(inst, policy, table, 1, 0, monte_carlo._BLOCK)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 14 * 2**20
+    assert peak <= 6 * 2**20
+
+
+@pytest.mark.parametrize("base, k, block, nrep", [
+    ([COIN, TRI], 4, 3, monte_carlo._BLOCK),
+    ([COIN], 3, 2, monte_carlo._BLOCK - 1),  # a partial last block, nrep * N = 24,573
+    ([TRI], 1, 5, 7),  # fewer rows than a chunk, 21 draws per part
+], ids=["full-block", "partial-block", "short-block"])
+def test_streamed_draws_equal_the_block_stream(base, k, block, nrep):
+    # three generators started inside the block's stream, read chunk by
+    # chunk, give the numbers of one call drawing the whole block
+    N = len(base) * k
+    chunks = [(rows, *(part.copy() for part in parts))  # the next chunk reuses the arrays
+              for rows, *parts in monte_carlo._draws(19, block, nrep, N)]
+    assert [c[0] for c in chunks] == [slice(s, min(s + monte_carlo._CHUNK, nrep))
+                                      for s in range(0, nrep, monte_carlo._CHUNK)]
+    streamed = np.stack([np.concatenate([c[part] for c in chunks]) for part in (1, 2, 3)])
+    assert np.array_equal(streamed, monte_carlo._block_rng(19, block).random((3, nrep, N)))
+
+
+def _per_core_count_results(monkeypatch, cores, kind):
+    """Both estimators at ``cores`` cores, and the number of threads that
+    simulated blocks in each run."""
+    inst, policy = _block_case(kind)
+    cfg = McConfig(2 * monte_carlo._BLOCK + 1000, 29)  # three blocks, the last partial
+    monkeypatch.setattr(monte_carlo, "_cores", lambda: cores)
+    simulate, threads = monte_carlo._simulate_block, []
+
+    def recorded(*args):
+        threads[-1].add(threading.current_thread())
+        return simulate(*args)
+
+    monkeypatch.setattr(monte_carlo, "_simulate_block", recorded)
+    threads.append(set())
+    value_and_no_stop = estimate_value_and_no_stop(inst, policy, cfg)
+    threads.append(set())
+    exceedance = estimate_exceedance(inst, policy, [0.0, 0.5, 1.0, 2.5], cfg)
+    return (value_and_no_stop, exceedance), [len(t) for t in threads]
+
+
+@pytest.mark.parametrize("kind", ["atom-edge", "activation", "adaptive"])
+def test_estimates_do_not_depend_on_the_core_count(monkeypatch, kind):
+    serial, threads = _per_core_count_results(monkeypatch, 1, kind)
+    assert threads == [1, 1]
+    for cores in (2, 3):
+        parallel, threads = _per_core_count_results(monkeypatch, cores, kind)
+        assert threads == [cores, cores]
+        assert parallel == serial, cores
+
+
+def test_more_threads_than_cores_sum_every_block(monkeypatch):
+    # eight threads on ten blocks, switching as often as the interpreter
+    # allows: a lost or misplaced block sum would change the estimates
+    inst = make_instance([COIN, TRI], 1)
+    cfg = McConfig(10 * monte_carlo._BLOCK - 5, 13)
+    policy = const_schedule(1.0, 0.5)
+    monkeypatch.setattr(monte_carlo, "_cores", lambda: 1)
+    serial = estimate_value_and_no_stop(inst, policy, cfg)
+    monkeypatch.setattr(monte_carlo, "_cores", lambda: 8)
+    interval, got = sys.getswitchinterval(), []
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(
+            target=lambda: got.append(estimate_value_and_no_stop(inst, policy, cfg)))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert got == [serial]
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_block_error_reaches_the_caller_and_no_thread_outlives_it(monkeypatch, failing):
+    # with two workers, blocks 0 and 2 run on the calling thread, block 1 on a helper
+    class Boom(RuntimeError):
+        pass
+
+    inst, policy = _block_case("adaptive")
+    simulate = monte_carlo._simulate_block
+
+    def faulty(inst, policy, table, seed, block, nrep):
+        if block == failing:
+            raise Boom(block)
+        return simulate(inst, policy, table, seed, block, nrep)
+
+    monkeypatch.setattr(monte_carlo, "_cores", lambda: 2)
+    monkeypatch.setattr(monte_carlo, "_simulate_block", faulty)
+    before = threading.active_count()
+    with pytest.raises(Boom) as caught:
+        estimate_expected_value(inst, policy, McConfig(3 * monte_carlo._BLOCK, 7))
+    assert caught.value.args == (failing,)
+    assert threading.active_count() == before

@@ -109,9 +109,9 @@ def _one_statistic_run(inst, policy, statistic, cap, cfg):
     done = block = 0
     while done < cfg.replications:
         nrep = min(monte_carlo._BLOCK, cfg.replications - done)
-        rng = monte_carlo._block_rng(cfg.master_seed, block)
         xs = statistic(*monte_carlo._simulate_block(
-            inst, policy, monte_carlo._acceptance_table(inst, policy), rng, nrep
+            inst, policy, monte_carlo._acceptance_table(inst, policy), cfg.master_seed, block,
+            nrep
         ))
         total += float(xs.sum())
         total_sq += float((xs * xs).sum())
