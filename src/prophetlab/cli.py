@@ -10,7 +10,8 @@ versions) beside them.  Floats in the CSV carry 17 significant digits so
 reruns diff cleanly.
 
 Exit status: 0 on success, 1 on usage/config errors (bad flags, missing or
-malformed files, an output directory or artifact that cannot be written), 2
+malformed files, an output directory or artifact that cannot be written, a
+summary number that is NaN or infinite, in which case nothing is written), 2
 when a check the command performs fails (dominance margin violated, hardness
 certificate not established, lemma slack negative).
 """
@@ -70,10 +71,16 @@ def _write_csv(path: str, columns, rows) -> None:
             w.writerow([_fmt(v) for v in row])
 
 
-def _write_json(path: str, obj: dict) -> None:
+def _json_text(obj: dict) -> str:
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # a NaN or infinite float
+        raise ConfigError(f"the result is not a finite number, nothing written: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _log_or_null(log: float) -> float | None:
@@ -81,22 +88,19 @@ def _log_or_null(log: float) -> float | None:
     return None if math.isnan(log) else log
 
 
-def _write_manifest(outdir: str, args: argparse.Namespace) -> None:
+def _manifest(args: argparse.Namespace) -> dict:
     config = {k: v for k, v in vars(args).items() if k != "func"}
-    _write_json(
-        os.path.join(outdir, "manifest.json"),
-        {
-            "command": args.command,
-            "config": config,
-            "seed": getattr(args, "seed", None),
-            "versions": {
-                "artifact": __version__,
-                "mpmath": mpmath.__version__,
-                "numpy": np.__version__,
-                "python": platform.python_version(),
-            },
+    return {
+        "command": args.command,
+        "config": config,
+        "seed": getattr(args, "seed", None),
+        "versions": {
+            "artifact": __version__,
+            "mpmath": mpmath.__version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
         },
-    )
+    }
 
 
 def _resolve_outdir(args: argparse.Namespace) -> str:
@@ -412,10 +416,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         outdir = _resolve_outdir(args)
         columns, rows, summary, failure = args.func(args)
+        # serialised first, so a non-finite result leaves no artifact behind
+        summary_text = _json_text({"command": args.command, **summary})
+        manifest_text = _json_text(_manifest(args))
         try:
             _write_csv(os.path.join(outdir, "results.csv"), columns, rows)
-            _write_json(os.path.join(outdir, "summary.json"), {"command": args.command, **summary})
-            _write_manifest(outdir, args)
+            _write_text(os.path.join(outdir, "summary.json"), summary_text)
+            _write_text(os.path.join(outdir, "manifest.json"), manifest_text)
         except OSError as exc:
             where = exc.filename or outdir
             raise ConfigError(f"cannot write {where}: {exc.strerror or exc}") from exc

@@ -35,6 +35,7 @@ from .policies import (
     ThresholdSchedule,
     ValueBuckets,
     adaptive_ell,
+    log_inverse,
     make_adaptive,
     make_blind_schedule,
     make_single_threshold,
@@ -114,8 +115,7 @@ def paper_bound_k(algorithm_class: str, epsilon: float) -> int:
     there the single-threshold bound is used instead (it dominates the blind
     class anyway).
     """
-    ell = adaptive_ell(epsilon)  # checks epsilon for every class
-    log_inv = math.log(1.0 / epsilon)
+    log_inv = log_inverse(epsilon)  # checks epsilon for every class
     if algorithm_class == "single":
         return math.ceil(2.0 * log_inv)
     if algorithm_class == "blind":
@@ -124,7 +124,7 @@ def paper_bound_k(algorithm_class: str, epsilon: float) -> int:
             return math.ceil(2.0 * log_inv)
         return math.ceil(2.0 * log_inv / loglog)
     if algorithm_class == "adaptive":
-        return 8 * ell
+        return 8 * adaptive_ell(epsilon)
     raise InvalidParameterError(f"unknown algorithm class {algorithm_class!r}")
 
 

@@ -128,10 +128,8 @@ class OptLaw:
     @cached_property
     def _grid_left_masses(self) -> tuple[np.ndarray, np.ndarray]:
         """Each base law's left CDF and atom mass at the points of ``dist.xs``."""
-        grid = self.dist.xs
-        left = np.array([[d.cdf_left(x) for x in grid] for d in self.base])
-        mass = np.array([[d.point_mass(x) for x in grid] for d in self.base])
-        return left, mass
+        left, mass = zip(*(d.left_and_atom(self.dist.xs) for d in self.base))
+        return np.array(left), np.array(mass)
 
     def _atom_accept(self, j: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Accept probability a at the atom tau = dist.xs[j]:

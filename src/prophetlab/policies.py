@@ -8,7 +8,10 @@ Every policy answers ``num_pieces``, ``rule(piece, identity)`` and
 ``pieces_at(times, identities)``, the piece of every arrival in a block of
 replications; the adaptive rule's two pieces are its phases.  Every policy
 names its ``case_quantiles``, the OPT quantiles where its proof switches cases.
-A time-pieced policy also answers ``piece_stack(identity)``.
+A time-pieced policy also answers ``piece_stack(identity)``, whose stack
+asks each law's questions (``cdf``, ``left_and_atom``, ``mean_between``) once
+on arrays for all pieces; a single ``RandomizedThreshold`` asks a 0-d
+``left_and_atom(tau)``, the law's scalar path (see ``distributions``).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "AdaptiveTwoThreshold",
     "Policy",
     "adaptive_ell",
+    "log_inverse",
     "make_single_threshold",
     "make_blind_schedule",
     "make_adaptive",
@@ -146,7 +150,7 @@ class ThresholdStack:
     def accepted_mean(self, d: Distribution) -> np.ndarray:
         """E[V * 1{accepted}] per piece."""
         _, atom = d.left_and_atom(self.tau)
-        above = d.mean_between_many(self.tau, np.inf, open_left=True)
+        above = d.mean_between(self.tau, np.inf, open_left=True)
         return above + self.accept_prob * self.tau * atom
 
     def accepted_mass_above(self, d: Distribution, xs: np.ndarray) -> np.ndarray:
@@ -187,7 +191,7 @@ class BucketStack:
 
     def accepted_mean(self, d: Distribution) -> np.ndarray:
         """E[V * 1{accepted}] per piece."""
-        return self._summed(d.mean_between_many(self.lo, self.hi))
+        return self._summed(d.mean_between(self.lo, self.hi))
 
     def accepted_mass_above(self, d: Distribution, xs: np.ndarray) -> np.ndarray:
         """Pr[accepted and V > x] per (x, piece); ``cdf`` is asked only at the xs."""
@@ -293,12 +297,18 @@ def make_blind_schedule(opt: OptLaw, k: int, grid_resolution: int = 512) -> Thre
     return ThresholdSchedule(breaks, tuple(thresholds))
 
 
-def adaptive_ell(epsilon: float) -> int:
-    """ell = max(1, ceil(sqrt(ln 1/eps))) of the adaptive rule, after checking
-    that epsilon lies in (0, 1/e]."""
+def log_inverse(epsilon: float) -> float:
+    """ln(1/eps), after checking that epsilon lies in (0, 1/e]; finite also
+    for a subnormal epsilon, whose 1/eps overflows to inf."""
     if not (0.0 < epsilon <= 1.0 / math.e):
         raise InvalidParameterError(f"epsilon must be in (0, 1/e], got {epsilon!r}")
-    return max(1, math.ceil(math.sqrt(math.log(1.0 / epsilon)) - 1e-12))
+    inverse = 1.0 / epsilon
+    return math.log(inverse) if inverse < math.inf else -math.log(epsilon)
+
+
+def adaptive_ell(epsilon: float) -> int:
+    """ell = max(1, ceil(sqrt(ln 1/eps))) of the adaptive rule."""
+    return max(1, math.ceil(math.sqrt(log_inverse(epsilon)) - 1e-12))
 
 
 def make_adaptive(opt: OptLaw, inst: Instance, epsilon: float) -> AdaptiveTwoThreshold:

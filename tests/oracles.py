@@ -16,6 +16,10 @@ the bucket edges directly, never through ``bucket_form()``.
 search that ``OptLaw.quantile_thresholds`` must reproduce bit for bit; it
 reads the OPT law's left limits through ``opt_cdf_left``.
 
+``cdf``, ``cdf_left``, ``point_mass`` and ``mean_between`` ask a law one
+point at a time, in Python floats: the references that ``Distribution``'s
+questions must equal bit for bit, on its scalar and its array path alike.
+
 ``ScalarPieces`` wraps a time-pieced policy so that the exact evaluator asks
 every (identity, piece) rule its question on its own, through the scalar
 rule questions below (``accepted_mass``, ``accepted_mean``,
@@ -127,7 +131,7 @@ def opt_cdf_left(opt, x: float) -> float:
     """Pr[OPT < x]: the product of the base laws' left limits, in base order."""
     out = 1.0
     for d in opt.base:
-        out *= d.cdf_left(x)
+        out *= cdf_left(d, x)
     return out
 
 
@@ -155,7 +159,7 @@ def reference_quantile_threshold(opt, q: float) -> RandomizedThreshold:
     def rejected(a: float) -> float:
         out = 1.0
         for d in opt.base:
-            out *= d.cdf_left(tau) + (1.0 - a) * d.point_mass(tau)
+            out *= cdf_left(d, tau) + (1.0 - a) * point_mass(d, tau)
         return out
 
     if rejected(0.0) <= q:
@@ -174,6 +178,68 @@ def reference_quantile_threshold(opt, q: float) -> RandomizedThreshold:
     return RandomizedThreshold(tau, hi_a)
 
 
+# ---------------------------------------------- scalar law questions
+
+
+def cdf(d, x: float) -> float:
+    """Pr[V <= x], one x at a time."""
+    xs = d.xs
+    if x < xs[0]:
+        return 0.0
+    if x >= xs[-1]:
+        return 1.0
+    j = int(np.searchsorted(xs, x, side="right")) - 1
+    x0, x1 = xs[j], xs[j + 1]
+    frac = (x - x0) / (x1 - x0) if x1 > x0 else 1.0
+    return float(d.Fr[j] + (d.Fl[j + 1] - d.Fr[j]) * frac)
+
+
+def cdf_left(d, x: float) -> float:
+    """Pr[V < x]."""
+    x = float(x)
+    if x <= d.xs[0]:
+        return 0.0
+    if x > d.xs[-1]:
+        return 1.0
+    j = int(np.searchsorted(d.xs, x, side="left"))
+    if j < len(d.xs) and d.xs[j] == x:
+        return float(d.Fl[j])
+    return cdf(d, x)  # continuous strictly between breakpoints
+
+
+def point_mass(d, x: float) -> float:
+    """Pr[V = x]."""
+    j = int(np.searchsorted(d.xs, x, side="left"))
+    if j < len(d.xs) and d.xs[j] == x:
+        return float(d.Fr[j] - d.Fl[j])
+    return 0.0
+
+
+def mean_between(d, lo: float, hi: float, open_left: bool = False) -> float:
+    """E[V * 1{lo <= V < hi}] (strict left if open_left)."""
+    if hi <= lo:
+        return 0.0
+    total = 0.0
+    jumps = d.Fr - d.Fl
+    for j in range(len(d.xs)):
+        v = d.xs[j]
+        inside = (v > lo if open_left else v >= lo) and v < hi
+        if inside and jumps[j] > 0:
+            total += v * jumps[j]
+    # linear segments
+    for j in range(len(d.xs) - 1):
+        x0, x1 = float(d.xs[j]), float(d.xs[j + 1])
+        seg_mass = float(d.Fl[j + 1] - d.Fr[j])
+        if seg_mass <= 0:
+            continue
+        a, b = max(x0, lo), min(x1, hi)
+        if b <= a:
+            continue
+        dens = seg_mass / (x1 - x0)
+        total += dens * (b * b - a * a) / 2.0
+    return total
+
+
 # ---------------------------------------------- scalar rule questions
 
 
@@ -181,7 +247,7 @@ def mass_between(d, lo: float, hi: float) -> float:
     """Pr[lo <= V < hi]."""
     if hi <= lo:
         return 0.0
-    return d.cdf_left(hi) - d.cdf_left(lo)
+    return cdf_left(d, hi) - cdf_left(d, lo)
 
 
 def mass_between_above(d, lo: float, hi: float, x: float) -> float:
@@ -190,7 +256,7 @@ def mass_between_above(d, lo: float, hi: float, x: float) -> float:
         return 0.0
     if x < lo:
         return mass_between(d, lo, hi)
-    return d.cdf_left(hi) - float(d.cdf(x))
+    return cdf_left(d, hi) - cdf(d, x)
 
 
 def bucket_bounds(vb: ValueBuckets) -> list[tuple[float, float, float]]:
@@ -203,24 +269,24 @@ def bucket_bounds(vb: ValueBuckets) -> list[tuple[float, float, float]]:
 def accepted_mass(rule, d) -> float:
     """Pr[``rule`` accepts a draw of ``d``]."""
     if isinstance(rule, RandomizedThreshold):
-        return rule.accepted_mass(d)
+        return 1.0 - (cdf_left(d, rule.tau) + (1.0 - rule.accept_prob) * point_mass(d, rule.tau))
     return sum(p * mass_between(d, lo, hi) for lo, hi, p in bucket_bounds(rule))
 
 
 def accepted_mean(rule, d) -> float:
     """E[V * 1{``rule`` accepts V}] for V drawn from ``d``."""
     if isinstance(rule, RandomizedThreshold):
-        return d.mean_between(rule.tau, np.inf, open_left=True) + (
-            rule.accept_prob * rule.tau * d.point_mass(rule.tau)
+        return mean_between(d, rule.tau, np.inf, open_left=True) + (
+            rule.accept_prob * rule.tau * point_mass(d, rule.tau)
         )
-    return sum(p * d.mean_between(lo, hi) for lo, hi, p in bucket_bounds(rule))
+    return sum(p * mean_between(d, lo, hi) for lo, hi, p in bucket_bounds(rule))
 
 
 def accepted_mass_above(rule, d, xs: np.ndarray) -> np.ndarray:
     """Pr[``rule`` accepts V and V > x] for each x of ``xs``."""
     if isinstance(rule, RandomizedThreshold):
         w = 1.0 - np.asarray(d.cdf(np.maximum(rule.tau, xs)))
-        return w + (rule.tau > xs) * (rule.accept_prob * d.point_mass(rule.tau))
+        return w + (rule.tau > xs) * (rule.accept_prob * point_mass(d, rule.tau))
     bounds = bucket_bounds(rule)
     return np.array(
         [sum(p * mass_between_above(d, lo, hi, x) for lo, hi, p in bounds) for x in xs],

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: artifacts, exit codes, deterministic replay."""
 
 import json
+import math
 
 import pytest
 
@@ -372,6 +373,33 @@ class TestStrictSummary:
         assert summary["certified"] is False
         assert summary["min_log_gap"] is None
         assert "nan" in (out / "results.csv").read_text()
+
+
+    @pytest.mark.parametrize(
+        "law, flags",
+        [({"type": "piecewise", "points": [[0, 0], [1e300, 1]]}, []),
+         ({"type": "discrete", "atoms": [[0.0, 0.5], [1.7e308, 0.5]]},
+          ["--evaluator", "mc", "--reps", "8192"])],
+        ids=["exact-mean-nan", "mc-sum-overflow"],
+    )
+    def test_non_finite_result_writes_nothing(self, tmp_path, capsys, law, flags):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"base": [law], "copies": 2}))
+        out = tmp_path / "run"
+        assert run(["eval", "--instance", str(path), *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "not a finite" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    # dominance at k=1 is far below the bound and fails its margin check (exit 2)
+    @pytest.mark.parametrize("command, code", [("eval", 0), ("search-k", 0), ("dominance", 2)])
+    def test_subnormal_epsilon_runs(self, coins_file, tmp_path, command, code):
+        # 1/eps overflows to inf for eps = 1e-320; ln(1/eps) = 320 ln 10 does not
+        out = tmp_path / "run"
+        argv = [command, "--instance", coins_file, "--class", "single", "--epsilon", "1e-320"]
+        assert run(argv + ["--out", str(out)]) == code
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=_no_constants)
+        assert summary["paper_bound_k"] == math.ceil(2 * 320 * math.log(10)) == 1474
 
 
 class TestHardnessFlags:

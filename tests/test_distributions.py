@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from prophetlab import (
     nth_root,
     product_max,
 )
-from prophetlab import monte_carlo
+from prophetlab import experiments, monte_carlo
 from prophetlab.experiments import regression_instances
 
 _VALUES = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0]
@@ -114,8 +115,8 @@ class TestProductMax:
     def test_two_fair_coins(self):
         coin = Distribution.discrete([(0.0, 0.5), (1.0, 0.5)])
         out = product_max([coin, coin])
-        assert out.point_mass(0.0) == pytest.approx(0.25, abs=1e-15)
-        assert out.point_mass(1.0) == pytest.approx(0.75, abs=1e-15)
+        assert out.left_and_atom(0.0)[1] == pytest.approx(0.25, abs=1e-15)
+        assert out.left_and_atom(1.0)[1] == pytest.approx(0.75, abs=1e-15)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInstanceError):
@@ -204,11 +205,23 @@ class TestSampling:
 
 def _probe_points(d):
     """Every breakpoint, 1 ulp either side of it, every segment midpoint, and
-    points below and above the support."""
+    points below and above the support, -inf and inf among them."""
     xs = d.xs
     pts = np.concatenate((xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf),
-                          (xs[:-1] + xs[1:]) / 2.0, [-1.0, xs[-1] + 1.0, np.inf]))
+                          (xs[:-1] + xs[1:]) / 2.0, [-np.inf, -1.0, xs[-1] + 1.0, np.inf]))
     return np.unique(pts)
+
+
+def _lemma_laws(trials=40, seed=0):
+    """Pairwise and n-fold products and roots, with thresholds as extra grid
+    points, built as the lemma suite builds them."""
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        taus = [rt.tau for rt in experiments._random_schedule(rng).thresholds]
+        Fs = [experiments._random_distribution(rng) for _ in range(int(rng.integers(2, 5)))]
+        prod = product_max(Fs, extra_points=taus)
+        yield f"lemma{trial}/prod", Fs, 1, prod
+        yield f"lemma{trial}/root", [prod], len(Fs), nth_root(prod, len(Fs), extra_points=taus)
 
 
 def _laws_and_opt_laws():
@@ -216,6 +229,8 @@ def _laws_and_opt_laws():
         for d in base:
             yield name, d
         yield f"{name}/opt", OptLaw(base).dist
+    for name, _, _, d in _lemma_laws():
+        yield name, d
 
 
 def _hex(values):
@@ -223,32 +238,58 @@ def _hex(values):
 
 
 class TestArrayQuestions:
-    """The array questions take the scalar arithmetic element by element."""
+    """Every input shape takes the scalar arithmetic of the references in
+    ``oracles``, element by element."""
 
     def test_left_and_atom_equal_cdf_left_and_point_mass(self):
         for name, d in _laws_and_opt_laws():
             pts = _probe_points(d)
+            want_cdf = _hex([oracles.cdf(d, x) for x in pts])
+            want_left = _hex([oracles.cdf_left(d, x) for x in pts])
+            want_atom = _hex([oracles.point_mass(d, x) for x in pts])
             left, atom = d.left_and_atom(pts)
-            assert _hex(left) == _hex([d.cdf_left(x) for x in pts]), name
-            assert _hex(atom) == _hex([d.point_mass(x) for x in pts]), name
+            assert _hex(left) == want_left, name
+            assert _hex(atom) == want_atom, name
+            assert _hex(d.cdf(pts)) == want_cdf, name
             block = pts.reshape(1, -1, 1)  # any shape answers elementwise
-            assert _hex(d.left_and_atom(block)[0]) == _hex(left), name
+            assert _hex(d.left_and_atom(block)[0]) == want_left, name
+            assert _hex(d.cdf(block)) == want_cdf, name
+            # 0-d arrays, numpy scalars and Python floats take the scalar path
+            for xs in ([np.array(x) for x in pts], list(pts), pts.tolist()):
+                one = [d.left_and_atom(x) for x in xs]
+                assert all(type(v) is float for pair in one for v in pair), name
+                assert _hex([v for v, _ in one]) == want_left, name
+                assert _hex([a for _, a in one]) == want_atom, name
+                assert _hex([d.cdf(x) for x in xs]) == want_cdf, name
 
     def test_mean_above_equals_mean_between(self):
         for name, d in _laws_and_opt_laws():
             pts = _probe_points(d)[:-1]  # drop inf: nothing lies above it
-            got = d.mean_between_many(pts, np.inf, open_left=True)
-            want = [d.mean_between(x, np.inf, open_left=True) for x in pts]
+            got = d.mean_between(pts, np.inf, open_left=True)
+            want = [oracles.mean_between(d, x, np.inf, open_left=True) for x in pts]
             assert _hex(got) == _hex(want), name
 
     @pytest.mark.parametrize("open_left", [False, True])
     def test_mean_between_pairs_equals_mean_between(self, open_left):
         for name, d in _laws_and_opt_laws():
-            pts = _probe_points(d)
+            pts = _probe_points(d)[1:]  # drop -inf: hi = -inf, lo = inf makes inf - inf
             lo, hi = np.maximum(pts, 0.0)[:, None], pts[None, :]
-            got = d.mean_between_many(lo, hi, open_left=open_left)
-            want = [d.mean_between(a, b, open_left=open_left) for a in lo[:, 0] for b in pts]
+            got = d.mean_between(lo, hi, open_left=open_left)
+            want = [oracles.mean_between(d, a, b, open_left=open_left)
+                    for a in lo[:, 0] for b in pts]
             assert _hex(got) == _hex(want), name
+            scalar = [d.mean_between(a, b, open_left=open_left) for a in lo[:, 0] for b in pts]
+            assert _hex(scalar) == _hex(want), name
+
+    def test_product_and_root_tables_match_the_per_point_loop(self):
+        for name, ds, n, law in _lemma_laws():
+            # the per-point loop asks the question; the root is one array power
+            want_fr = np.array([math.prod(oracles.cdf(d, x) for d in ds) for x in law.xs])
+            want_fl = np.array([math.prod(oracles.cdf_left(d, x) for d in ds) for x in law.xs])
+            if n > 1:
+                want_fr, want_fl = want_fr ** (1.0 / n), want_fl ** (1.0 / n)
+            assert _hex(law.Fr) == _hex(want_fr), name
+            assert _hex(law.Fl) == _hex(want_fl), name
 
 
 class TestJsonRoundtrip:

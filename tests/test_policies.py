@@ -34,6 +34,7 @@ from prophetlab import (
     opt_law,
     sort_nonincreasing,
 )
+from prophetlab import policies
 from prophetlab.experiments import regression_instances
 
 COIN = Distribution.discrete([(0.0, 0.5), (1.0, 0.5)])
@@ -117,6 +118,15 @@ class TestAdaptive:
             make_adaptive(opt_law(inst), inst, 0.5)
         with pytest.raises(InvalidParameterError):
             make_adaptive(opt_law(inst), inst, 0.0)
+
+    def test_ell_finite_for_every_positive_epsilon(self):
+        # 1/eps is finite down to the smallest normal double: ln(1/eps) as before
+        for eps in (math.exp(-1), 0.05, 1e-300, 2.2250738585072014e-308):
+            assert policies.log_inverse(eps) == math.log(1.0 / eps)
+        # below it 1/eps overflows, and ln(1/eps) is -ln(eps)
+        for eps in (1e-310, 1e-320, 5e-324):
+            assert policies.log_inverse(eps) == -math.log(eps)
+        assert policies.adaptive_ell(5e-324) == 28  # ceil(sqrt(1074 ln 2))
 
     def test_online_switch_matches_offline_S(self):
         # the executor must use tau1 exactly on events strictly before S.
