@@ -71,9 +71,17 @@ def _write_csv(path: str, columns, rows) -> None:
             w.writerow([_fmt(v) for v in row])
 
 
+def _numpy_scalar(obj):
+    """A numpy scalar as its Python twin, for ``json.dumps``."""
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
+
+
 def _json_text(obj: dict) -> str:
     try:
-        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
+                          default=_numpy_scalar) + "\n"
     except ValueError as exc:  # a NaN or infinite float
         raise ConfigError(f"the result is not a finite number, nothing written: {exc}") from exc
 

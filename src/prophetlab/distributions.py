@@ -23,6 +23,17 @@ schedule about ten times per trial, and one 0-d question costs about 4.5 us
 on the scalar path against about 22-26 us on a one-element array (a
 two-law ``p_tau_multi`` call 10-13 us against 54-61 us; best of 5 x 20,000
 calls, one core of a 2-core Xeon).
+
+The lemma suite also builds about five thousand laws of 1-4 points and
+their products and roots, where numpy's fixed cost per call outweighs the
+work.  So the constructors run their checks in Python floats over the lists
+they already hold and make each array once; ``product_max`` and ``nth_root``
+ask each law one lookup on the merged grid, its right limits being
+``where(hit, Fr[at], left)``, and merge the grid by sort and keep-mask, the
+steps of ``np.unique``.  Every output keeps its bits.  On the same core, a
+3-atom ``discrete`` law costs 14 us (39 us with numpy checks), a 4-point
+``piecewise`` law 9 us (34 us), a two-law ``product_max`` with three extra
+points 65 us (122 us) and its square root 32 us (60 us).
 """
 
 from __future__ import annotations
@@ -98,16 +109,17 @@ class Distribution:
         items = sorted((float(v), float(p)) for v, p in atoms)
         if not items:
             raise InvalidInstanceError("discrete distribution needs at least one atom")
-        xs = np.array([v for v, _ in items])
-        masses = np.array([p for _, p in items])
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(masses))):
+        xs = [v for v, _ in items]
+        masses = [p for _, p in items]
+        if not all(math.isfinite(v) and math.isfinite(p) for v, p in items):
             raise InvalidInstanceError("atom values and masses must be finite")
-        if np.any(masses <= 0):
+        if any(p <= 0 for p in masses):
             raise InvalidInstanceError("atom masses must be positive")
-        if np.any(xs < 0):
+        if any(v < 0 for v in xs):
             raise InvalidInstanceError("atom values must be nonnegative")
-        if np.any(np.diff(xs) <= 0):
+        if any(b <= a for a, b in zip(xs, xs[1:])):
             raise InvalidInstanceError("atom values must be distinct")
+        xs, masses = np.array(xs), np.array(masses)
         total = masses.sum()
         if abs(total - 1.0) > tol:
             raise InvalidInstanceError(f"atom masses sum to {total!r}, not 1")
@@ -122,18 +134,19 @@ class Distribution:
         pts = [(float(x), float(F)) for x, F in points]
         if len(pts) < 2:
             raise InvalidInstanceError("piecewise CDF needs at least two points")
-        xs = np.array([x for x, _ in pts])
-        Fs = np.array([F for _, F in pts])
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(Fs))):
+        xs = [x for x, _ in pts]
+        Fs = [F for _, F in pts]
+        if not all(math.isfinite(x) and math.isfinite(F) for x, F in pts):
             raise InvalidInstanceError("cdf points must be finite")
-        if np.any(np.diff(xs) <= 0):
+        if any(b <= a for a, b in zip(xs, xs[1:])):
             raise InvalidInstanceError("cdf breakpoints must be strictly increasing in x")
-        if np.any(np.diff(Fs) < 0):
+        if any(b < a for a, b in zip(Fs, Fs[1:])):
             raise InvalidInstanceError("cdf values must be nondecreasing")
-        if np.any(xs < 0):
+        if any(x < 0 for x in xs):
             raise InvalidInstanceError("support must be nonnegative")
         if Fs[0] < 0 or abs(Fs[-1] - 1.0) > tol:
             raise InvalidInstanceError("cdf must start >= 0 and end at 1")
+        xs, Fs = np.array(xs), np.array(Fs)
         Fr = Fs / Fs[-1]
         Fr[-1] = 1.0
         Fl = Fr.copy()
@@ -196,8 +209,11 @@ class Distribution:
         """E[V * 1{lo <= V < hi}] (strict left if open_left) for arrays ``lo``
         and ``hi``.  The loops run over the law's breakpoints: each atom inside
         adds v * mass, then each linear segment adds its density times
-        (b^2 - a^2) / 2 on its overlap [a, b] with [lo, hi]."""
+        (b^2 - a^2) / 2 on its overlap [a, b] with [lo, hi].  b^2 overflows
+        past about 1.3e154, so a law reaching past 1e150 takes the segment's
+        mass share (b - a) / (x1 - x0) times the midpoint a/2 + b/2 instead."""
         lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+        wide = self.xs[-1] > 1e150
         total = np.zeros(lo.shape)
         for v, jump in zip(self.xs, self.Fr - self.Fl):
             if jump > 0:
@@ -206,8 +222,13 @@ class Distribution:
         for x0, x1, seg_mass in zip(self.xs[:-1], self.xs[1:], self.Fl[1:] - self.Fr[:-1]):
             if seg_mass > 0:
                 a, b = np.maximum(x0, lo), np.minimum(x1, hi)
-                dens = seg_mass / (x1 - x0)
-                total = np.where(b > a, total + dens * (b * b - a * a) / 2.0, total)
+                if wide:
+                    # clamped into the segment, the lanes masked below stay finite
+                    a, b = np.minimum(a, x1), np.maximum(b, x0)
+                    term = seg_mass * ((b - a) / (x1 - x0)) * (a / 2.0 + b / 2.0)
+                else:
+                    term = seg_mass / (x1 - x0) * (b * b - a * a) / 2.0
+                total = np.where(b > a, total + term, total)
         return np.where(hi <= lo, 0.0, total)
 
     # -------------------------------------------------------------- sampling
@@ -235,10 +256,25 @@ class Distribution:
 
 
 def _merged_grid(ds: Sequence[Distribution], extra_points=None) -> np.ndarray:
-    xs = np.concatenate([d.xs for d in ds])
+    """``np.unique`` of every breakpoint and extra point, by its own steps: a
+    NaN extra point sorts last and, as there, all NaNs keep one."""
+    parts = [d.xs for d in ds]
     if extra_points is not None:
-        xs = np.concatenate([xs, np.asarray(extra_points, dtype=float)])
-    return np.unique(xs)
+        parts.append(np.asarray(extra_points, dtype=float))
+    grid = np.concatenate(parts)
+    grid.sort()
+    keep = np.empty(len(grid), dtype=bool)
+    keep[0] = True
+    np.not_equal(grid[1:], grid[:-1], out=keep[1:])
+    if grid[-1] != grid[-1]:
+        keep[grid.searchsorted(grid[-1]) + 1:] = False
+    return grid[keep]
+
+
+def _right_and_left(d: Distribution, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``d.cdf(grid)`` and ``d.left_and_atom(grid)[0]`` from one lookup."""
+    left, at, hit = d._lookup(grid)
+    return np.where(hit, d.Fr[at], left), left
 
 
 def product_max(ds: Sequence[Distribution], extra_points=None) -> Distribution:
@@ -255,8 +291,9 @@ def product_max(ds: Sequence[Distribution], extra_points=None) -> Distribution:
     Fr = np.ones_like(grid)
     Fl = np.ones_like(grid)
     for d in ds:
-        Fr *= d.cdf(grid)
-        Fl *= d.left_and_atom(grid)[0]
+        right, left = _right_and_left(d, grid)
+        Fr *= right
+        Fl *= left
     kind = "discrete" if all(d.kind == "discrete" for d in ds) else "piecewise"
     return Distribution(kind, grid, Fl, Fr)
 
@@ -268,9 +305,8 @@ def nth_root(d: Distribution, n: int, extra_points=None) -> Distribution:
     if n == 1 and extra_points is None:
         return d
     grid = _merged_grid([d], extra_points)
-    Fr = d.cdf(grid) ** (1.0 / n)
-    Fl = d.left_and_atom(grid)[0] ** (1.0 / n)
-    return Distribution(d.kind, grid, Fl, Fr)
+    right, left = _right_and_left(d, grid)
+    return Distribution(d.kind, grid, left ** (1.0 / n), right ** (1.0 / n))
 
 
 # --------------------------------------------------------------------- JSON

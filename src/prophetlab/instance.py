@@ -78,7 +78,8 @@ class OptLaw:
         # per open segment the product of linear CDF pieces has degree <= n
         nodes, weights = leggauss(len(self.base) // 2 + 2)
         for a, b in zip(grid[:-1], grid[1:]):
-            mid, half = (a + b) / 2.0, (b - a) / 2.0
+            # halving first keeps the midpoint finite when a + b overflows
+            mid, half = a / 2.0 + b / 2.0, (b - a) / 2.0
             xs = mid + half * nodes
             vals = np.ones_like(xs)
             for d in self.base:

@@ -201,12 +201,14 @@ def _block_sums(inst: Instance, policy: Policy, cfg: McConfig, reduce) -> list:
     return sums
 
 
-def _run(inst: Instance, policy: Policy, cfg: McConfig, reduce, caps) -> list[EvalResult]:
+def _run(inst: Instance, policy: Policy, cfg: McConfig, reduce, caps,
+         scales) -> list[EvalResult]:
     """One simulation.  ``reduce(selected, stopped)`` turns each block into
-    two arrays, the sums and the sums of squares of its statistics, one entry
-    per statistic.  The sums add up in block order; the result is one
-    estimate per statistic.  ``caps`` bounds each statistic for Hoeffding,
-    ``None`` standing for the instance's largest value."""
+    two arrays, the sums of its statistics and the sums of squares of each
+    statistic divided by its entry of ``scales``, one entry per statistic.
+    The sums add up in block order; the result is one estimate per
+    statistic.  ``caps`` bounds each statistic for Hoeffding, ``None``
+    standing for the instance's largest value."""
     check_shape(policy, inst.n, inst.copies)
     R = cfg.replications
     total = total_sq = 0.0
@@ -214,14 +216,15 @@ def _run(inst: Instance, policy: Policy, cfg: McConfig, reduce, caps) -> list[Ev
         total = total + s
         total_sq = total_sq + s2
     results = []
-    for t, t2, cap in zip(total, total_sq, caps):
+    for t, t2, cap, scale in zip(total, total_sq, caps, scales):
         mean = float(t) / R
         if cfg.ci_method == "hoeffding":
             cap = inst.support_max if cap is None else cap
             hw = cap * math.sqrt(math.log(2.0 / 0.01) / (2.0 * R))
         else:
-            var = max(float(t2) / R - mean * mean, 0.0)
-            hw = _Z99 * math.sqrt(var / R)
+            unit_mean = mean / scale
+            var = max(float(t2) / R - unit_mean * unit_mean, 0.0)
+            hw = scale * _Z99 * math.sqrt(var / R)
         results.append(EvalResult(mean, hw, "monte-carlo", replications=R, seed=cfg.master_seed))
     return results
 
@@ -230,13 +233,18 @@ def estimate_value_and_no_stop(
     inst: Instance, policy: Policy, cfg: McConfig
 ) -> tuple[EvalResult, EvalResult]:
     """Mean selected value and fraction of replications selecting nothing,
-    both from one simulation (the no-stop Hoeffding cap is 1)."""
+    both from one simulation (the no-stop Hoeffding cap is 1).  Values
+    square in units of the largest one where it passes 1e150, as their
+    squares overflow past about 1.3e154; dividing by 1.0 changes no bit."""
+    scales = (inst.support_max if inst.support_max > 1e150 else 1.0, 1.0)
+    units = np.array(scales)[:, None]
 
     def moments(selected, stopped):
         xs = np.stack((selected, ~stopped))
-        return xs.sum(axis=1), (xs * xs).sum(axis=1)
+        ys = xs / units
+        return xs.sum(axis=1), (ys * ys).sum(axis=1)
 
-    return tuple(_run(inst, policy, cfg, moments, caps=(None, 1.0)))
+    return tuple(_run(inst, policy, cfg, moments, caps=(None, 1.0), scales=scales))
 
 
 def estimate_expected_value(inst: Instance, policy: Policy, cfg: McConfig) -> EvalResult:
@@ -259,4 +267,4 @@ def estimate_exceedance(inst: Instance, policy: Policy, xs, cfg: McConfig) -> li
         above = (len(selected) - np.searchsorted(np.sort(selected), xs, side="right")) * 1.0
         return above, above  # a 0/1 statistic squares to itself
 
-    return _run(inst, policy, cfg, counts, caps=(1.0,) * len(xs))
+    return _run(inst, policy, cfg, counts, caps=(1.0,) * len(xs), scales=(1.0,) * len(xs))

@@ -19,6 +19,10 @@ reads the OPT law's left limits through ``opt_cdf_left``.
 ``cdf``, ``cdf_left``, ``point_mass`` and ``mean_between`` ask a law one
 point at a time, in Python floats: the references that ``Distribution``'s
 questions must equal bit for bit, on its scalar and its array path alike.
+``product_max`` and ``nth_root`` build the product and root laws on an
+``np.unique`` grid, asking each law ``cdf`` for the right limits and
+``left_and_atom`` for the left ones: the two-question constructions that the
+one-lookup operators must equal bit for bit.
 
 ``ScalarPieces`` wraps a time-pieced policy so that the exact evaluator asks
 every (identity, piece) rule its question on its own, through the scalar
@@ -36,6 +40,7 @@ import numpy as np
 from prophetlab import (
     ActivationPolicy,
     AdaptiveTwoThreshold,
+    Distribution,
     Instance,
     RandomizedThreshold,
     ThresholdSchedule,
@@ -235,9 +240,31 @@ def mean_between(d, lo: float, hi: float, open_left: bool = False) -> float:
         a, b = max(x0, lo), min(x1, hi)
         if b <= a:
             continue
-        dens = seg_mass / (x1 - x0)
-        total += dens * (b * b - a * a) / 2.0
+        if d.xs[-1] > 1e150:  # b * b would overflow
+            total += seg_mass * ((b - a) / (x1 - x0)) * (a / 2.0 + b / 2.0)
+        else:
+            total += seg_mass / (x1 - x0) * (b * b - a * a) / 2.0
     return total
+
+
+def product_max(ds, extra_points=None) -> Distribution:
+    """``distributions.product_max``, asking each law two questions."""
+    grid = np.unique(np.concatenate([*(d.xs for d in ds),
+                                     [] if extra_points is None else extra_points]))
+    grid = grid[grid >= 0]
+    Fr, Fl = np.ones_like(grid), np.ones_like(grid)
+    for d in ds:
+        Fr *= d.cdf(grid)
+        Fl *= d.left_and_atom(grid)[0]
+    kind = "discrete" if all(d.kind == "discrete" for d in ds) else "piecewise"
+    return Distribution(kind, grid, Fl, Fr)
+
+
+def nth_root(d, n: int, extra_points=None) -> Distribution:
+    """``distributions.nth_root``, asking the law two questions."""
+    grid = np.unique(np.concatenate([d.xs, [] if extra_points is None else extra_points]))
+    return Distribution(d.kind, grid, d.left_and_atom(grid)[0] ** (1.0 / n),
+                        d.cdf(grid) ** (1.0 / n))
 
 
 # ---------------------------------------------- scalar rule questions

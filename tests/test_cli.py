@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from prophetlab.cli import main
+import prophetlab
+from prophetlab.cli import _json_text, main
 
 COINS = {
     "base": [
@@ -377,10 +382,9 @@ class TestStrictSummary:
 
     @pytest.mark.parametrize(
         "law, flags",
-        [({"type": "piecewise", "points": [[0, 0], [1e300, 1]]}, []),
-         ({"type": "discrete", "atoms": [[0.0, 0.5], [1.7e308, 0.5]]},
+        [({"type": "discrete", "atoms": [[0.0, 0.5], [1.7e308, 0.5]]},
           ["--evaluator", "mc", "--reps", "8192"])],
-        ids=["exact-mean-nan", "mc-sum-overflow"],
+        ids=["mc-sum-overflow"],
     )
     def test_non_finite_result_writes_nothing(self, tmp_path, capsys, law, flags):
         path = tmp_path / "inst.json"
@@ -400,6 +404,57 @@ class TestStrictSummary:
         assert run(argv + ["--out", str(out)]) == code
         summary = json.loads((out / "summary.json").read_text(), parse_constant=_no_constants)
         assert summary["paper_bound_k"] == math.ceil(2 * 320 * math.log(10)) == 1474
+
+
+    def test_numpy_scalars_serialise_as_their_python_twins(self):
+        numpy_typed = {"ok": np.bool_(True), "k": np.int64(3), "x": [np.float64(0.5)]}
+        python_typed = {"ok": True, "k": 3, "x": [0.5]}
+        assert _json_text(numpy_typed) == _json_text(python_typed)
+
+
+def _eval_in_process(tmp_path, base, copies, *flags):
+    """``eval`` on the instance as its own process: (exit code, stderr, summary)."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"base": base, "copies": copies}))
+    out = tmp_path / "run"
+    src = os.path.dirname(os.path.dirname(prophetlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "prophetlab.cli", "eval", "--instance", str(path), *flags,
+         "--out", str(out)], capture_output=True, text=True, env=env, timeout=120)
+    summary = json.loads((out / "summary.json").read_text()) if proc.returncode == 0 else None
+    return proc.returncode, proc.stderr, summary
+
+
+class TestValuesNearTheDoubleLimit:
+    """Laws whose values or their squares pass the largest double: each run
+    exits 0, prints nothing on stderr and writes its closed form."""
+
+    def test_opt_value_of_breakpoints_summing_past_the_limit(self, tmp_path):
+        # the max is always the first law's draw: E[OPT] = (1.7e308 + 1.6e308) / 2
+        base = [{"type": "discrete", "atoms": [[1.7e308, 0.5], [1.6e308, 0.5]]},
+                {"type": "discrete", "atoms": [[1.5e308, 0.5], [1.0, 0.5]]}]
+        code, err, summary = _eval_in_process(tmp_path, base, 3, "--class", "single")
+        assert (code, err) == (0, "")
+        assert summary["opt_value"] == pytest.approx(1.65e308, rel=1e-12)
+
+    def test_exact_mean_of_a_law_past_1e154(self, tmp_path):
+        # uniform on [0, M], two copies, threshold M/2: E[ALG] = (1 - 1/4) * 3M/4
+        base = [{"type": "piecewise", "points": [[0, 0], [1e300, 1]]}]
+        code, err, summary = _eval_in_process(tmp_path, base, 2, "--class", "single")
+        assert (code, err) == (0, "")
+        assert summary["opt_value"] == pytest.approx(5e299, rel=1e-12)
+        assert summary["estimate"] == pytest.approx(0.5625e300, rel=1e-12)
+
+    def test_monte_carlo_half_width_past_1e154(self, tmp_path):
+        # threshold above 1: E[ALG] = 1e200 * Pr[some copy draws 1e200] = 7.5e199
+        base = [{"type": "discrete", "atoms": [[1e200, 0.5], [1.0, 0.5]]}]
+        code, err, summary = _eval_in_process(tmp_path, base, 2, "--evaluator", "mc",
+                                              "--reps", "8192")
+        assert (code, err) == (0, "")
+        half_width = summary["half_widths"][0]
+        assert 0.0 < half_width < 1e199
+        assert abs(summary["estimate"] - 7.5e199) <= half_width
 
 
 class TestHardnessFlags:

@@ -19,7 +19,7 @@ from prophetlab import (
     nth_root,
     product_max,
 )
-from prophetlab import experiments, monte_carlo
+from prophetlab import distributions, experiments, monte_carlo
 from prophetlab.experiments import regression_instances
 
 _VALUES = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0]
@@ -214,14 +214,20 @@ def _probe_points(d):
 
 def _lemma_laws(trials=40, seed=0):
     """Pairwise and n-fold products and roots, with thresholds as extra grid
-    points, built as the lemma suite builds them."""
+    points, built as the lemma suite builds them: (name, input laws, root
+    order, extra points, the law built)."""
     rng = np.random.default_rng(seed)
     for trial in range(trials):
         taus = [rt.tau for rt in experiments._random_schedule(rng).thresholds]
         Fs = [experiments._random_distribution(rng) for _ in range(int(rng.integers(2, 5)))]
         prod = product_max(Fs, extra_points=taus)
-        yield f"lemma{trial}/prod", Fs, 1, prod
-        yield f"lemma{trial}/root", [prod], len(Fs), nth_root(prod, len(Fs), extra_points=taus)
+        yield f"lemma{trial}/prod", Fs, 1, taus, prod
+        yield (f"lemma{trial}/root", [prod], len(Fs), taus,
+               nth_root(prod, len(Fs), extra_points=taus))
+
+
+# reaches past 1e154, where the square of a value overflows
+_WIDE_LAW = Distribution.piecewise([(0.0, 0.0), (1e300, 0.5), (1.5e308, 1.0)])
 
 
 def _laws_and_opt_laws():
@@ -229,8 +235,9 @@ def _laws_and_opt_laws():
         for d in base:
             yield name, d
         yield f"{name}/opt", OptLaw(base).dist
-    for name, _, _, d in _lemma_laws():
+    for name, _, _, _, d in _lemma_laws():
         yield name, d
+    yield "wide", _WIDE_LAW
 
 
 def _hex(values):
@@ -282,7 +289,7 @@ class TestArrayQuestions:
             assert _hex(scalar) == _hex(want), name
 
     def test_product_and_root_tables_match_the_per_point_loop(self):
-        for name, ds, n, law in _lemma_laws():
+        for name, ds, n, _, law in _lemma_laws():
             # the per-point loop asks the question; the root is one array power
             want_fr = np.array([math.prod(oracles.cdf(d, x) for d in ds) for x in law.xs])
             want_fl = np.array([math.prod(oracles.cdf_left(d, x) for d in ds) for x in law.xs])
@@ -290,6 +297,112 @@ class TestArrayQuestions:
                 want_fr, want_fl = want_fr ** (1.0 / n), want_fl ** (1.0 / n)
             assert _hex(law.Fr) == _hex(want_fr), name
             assert _hex(law.Fl) == _hex(want_fl), name
+
+
+class TestOneLookup:
+    """``product_max`` and ``nth_root`` ask each law one lookup on a grid
+    merged without ``np.unique``; every bit stays that of the two-question
+    references in ``oracles``."""
+
+    @staticmethod
+    def _cases():
+        for name, ds, n, taus, law in _lemma_laws():
+            yield name, ds, n, taus, law
+        for name, base in regression_instances():
+            opt = OptLaw(base).dist
+            yield f"{name}/opt", base, 1, None, opt
+            yield f"{name}/root", [opt], len(base) + 1, None, nth_root(opt, len(base) + 1)
+        nan = [0.5, math.nan, -1.0, math.nan, 2.0]
+        ds = [Distribution.discrete([(0.0, 0.25), (1.0, 0.75)]),
+              Distribution.piecewise([(0.5, 0.0), (2.0, 1.0)])]
+        yield "nan/prod", ds, 1, nan, product_max(ds, extra_points=nan)
+        yield "nan/root", ds[1:], 3, nan, nth_root(ds[1], 3, extra_points=nan)
+
+    def test_product_and_root_equal_the_two_question_references(self):
+        for name, ds, n, taus, law in self._cases():
+            if n == 1:
+                want = oracles.product_max(ds, extra_points=taus)
+            else:
+                want = oracles.nth_root(ds[0], n, extra_points=taus)
+            assert law.kind == want.kind, name
+            for got, ref in ((law.xs, want.xs), (law.Fl, want.Fl), (law.Fr, want.Fr)):
+                assert _hex(got) == _hex(ref), name
+
+    @pytest.mark.parametrize("extra", [
+        None,
+        [],
+        [1.0, 1.0, 0.25, 3.0],
+        [0.0, -0.0, -0.0, 0.0],
+        [-0.0, 0.0, 2.0, -0.0],
+        [math.nan],
+        [math.nan, 1.0, math.nan, -math.nan, 0.5],
+        [math.inf, -math.inf, math.inf, -1.0],
+    ], ids=["none", "empty", "duplicates", "zeros", "neg-zero-first", "nan", "nans",
+            "infs"])
+    def test_merged_grid_equals_np_unique(self, extra):
+        ds = [Distribution.discrete([(0.0, 0.5), (1.0, 0.25), (3.0, 0.25)]),
+              Distribution.piecewise([(-0.0, 0.0), (0.25, 0.5), (1.0, 1.0)]),
+              Distribution.discrete([(1.0, 1.0)])]
+        pool = np.concatenate([*(d.xs for d in ds), [] if extra is None else extra])
+        got = distributions._merged_grid(ds, extra)
+        assert _hex(got) == _hex(np.unique(pool))
+
+
+class TestMalformedLaws:
+    """Each malformed law is refused with the message it always had, the
+    first failing check in the order finite, mass, value, order."""
+
+    @pytest.mark.parametrize("atoms, message", [
+        ([], "discrete distribution needs at least one atom"),
+        ([(math.nan, 1.0)], "atom values and masses must be finite"),
+        ([(1.0, math.nan)], "atom values and masses must be finite"),
+        ([(math.inf, 1.0)], "atom values and masses must be finite"),
+        ([(-math.inf, 1.0)], "atom values and masses must be finite"),
+        ([(1.0, math.inf)], "atom values and masses must be finite"),
+        ([(-1.0, math.nan), (1.0, 1.0)], "atom values and masses must be finite"),
+        ([(0.0, 0.0), (1.0, 1.0)], "atom masses must be positive"),
+        ([(0.0, -0.5), (1.0, 1.5)], "atom masses must be positive"),
+        ([(-1.0, 0.0), (1.0, 1.0)], "atom masses must be positive"),
+        ([(1.0, 0.5), (1.0, 0.5), (-2.0, 0.0)], "atom masses must be positive"),
+        ([(-1.0, 0.5), (1.0, 0.5)], "atom values must be nonnegative"),
+        ([(1.0, 0.5), (1.0, 0.5)], "atom values must be distinct"),
+        ([(0.0, 0.3), (1.0, 0.3)], "atom masses sum to np.float64(0.6), not 1"),
+    ])
+    def test_discrete(self, atoms, message):
+        with pytest.raises(InvalidInstanceError) as info:
+            Distribution.discrete(atoms)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("points, message", [
+        ([(0.0, 0.0)], "piecewise CDF needs at least two points"),
+        ([(0.0, math.nan), (1.0, 1.0)], "cdf points must be finite"),
+        ([(math.nan, 0.0), (1.0, 1.0)], "cdf points must be finite"),
+        ([(0.0, 0.0), (math.inf, 1.0)], "cdf points must be finite"),
+        ([(-math.inf, 0.0), (1.0, 1.0)], "cdf points must be finite"),
+        ([(0.0, 0.0), (1.0, -math.inf)], "cdf points must be finite"),
+        ([(0.0, 0.0), (0.0, 1.0)], "cdf breakpoints must be strictly increasing in x"),
+        ([(1.0, 0.0), (0.0, 1.0)], "cdf breakpoints must be strictly increasing in x"),
+        ([(1.0, 1.0), (0.0, 0.0)], "cdf breakpoints must be strictly increasing in x"),
+        ([(0.0, 0.0), (1.0, 0.6), (2.0, 0.5), (3.0, 1.0)], "cdf values must be nondecreasing"),
+        ([(-1.0, 0.5), (1.0, 0.4), (2.0, 1.0)], "cdf values must be nondecreasing"),
+        ([(-1.0, 0.0), (1.0, 1.0)], "support must be nonnegative"),
+        ([(-1.0, -0.5), (1.0, 1.0)], "support must be nonnegative"),
+        ([(0.0, -0.1), (1.0, 1.0)], "cdf must start >= 0 and end at 1"),
+        ([(0.0, 0.0), (1.0, 0.9)], "cdf must start >= 0 and end at 1"),
+    ])
+    def test_piecewise(self, points, message):
+        with pytest.raises(InvalidInstanceError) as info:
+            Distribution.piecewise(points)
+        assert str(info.value) == message
+
+
+class TestWideLaw:
+    def test_mean_past_1e154_is_finite(self):
+        # uniform on [0, 1e300]: E[V 1{lo <= V < hi}] = (hi^2 - lo^2) / 2e300
+        d = Distribution.piecewise([(0.0, 0.0), (1e300, 1.0)])
+        got = d.mean_between([0.0, 0.0, 2.5e299], [np.inf, 5e299, 7.5e299])
+        np.testing.assert_allclose(got, [5e299, 1.25e299, 2.5e299], rtol=1e-15)
+        assert d.mean_between(0.0, np.inf) == pytest.approx(5e299, rel=1e-15)
 
 
 class TestJsonRoundtrip:

@@ -1,5 +1,6 @@
 """Experiment drivers: copy-count bounds, search, dominance, hardness, lemmas."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -225,6 +226,14 @@ class TestLemmaSuite:
         a = lemma_suite(seed=11, trials=10)
         b = lemma_suite(seed=11, trials=10)
         assert a.rows == b.rows
+
+    def test_rows_keep_their_bits(self):
+        # the digest of the rows as computed before product and root asked
+        # each law a single lookup
+        rows = lemma_suite(seed=7, trials=200).rows
+        text = "\n".join(",".join(float(v).hex() for v in row) for row in rows)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "bd7eae3a358c80256e6031ffe50e0cfac96002395bd636ebf0827d9ae9a64367"
 
     def test_all_hold_is_a_json_bool(self):
         # summary.json carries it, and json.dump rejects numpy.bool_; long runs
