@@ -122,7 +122,7 @@ class Distribution:
         xs, masses = np.array(xs), np.array(masses)
         total = masses.sum()
         if abs(total - 1.0) > tol:
-            raise InvalidInstanceError(f"atom masses sum to {total!r}, not 1")
+            raise InvalidInstanceError(f"atom masses sum to {float(total)!r}, not 1")
         Fr = np.cumsum(masses / total)
         Fr[-1] = 1.0
         Fl = np.concatenate(([0.0], Fr[:-1]))

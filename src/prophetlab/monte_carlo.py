@@ -7,7 +7,10 @@ the work), and their statistics are summed in block order, so every
 estimate is bit-identical whatever the core count.
 
 It reads a policy only through ``num_pieces``, ``rule(piece, identity)`` and
-``pieces_at(times, identities)``, so every policy runs down one path.
+``pieces_at(times, identities)``, so every policy runs down one path.  No
+step here sorts the arrivals: the earliest accepted reward is an ``argmin``,
+and the adaptive rule's ``pieces_at`` finds the arrival order it needs by
+one sort of packed keys, the time on its 2^-53 grid above the column index.
 
 A block draws arrival times, value uniforms and tiebreaks, and decides
 acceptance on the uniform scale: each value-bucket edge of the policy is
@@ -204,11 +207,11 @@ def _block_sums(inst: Instance, policy: Policy, cfg: McConfig, reduce) -> list:
 def _run(inst: Instance, policy: Policy, cfg: McConfig, reduce, caps,
          scales) -> list[EvalResult]:
     """One simulation.  ``reduce(selected, stopped)`` turns each block into
-    two arrays, the sums of its statistics and the sums of squares of each
-    statistic divided by its entry of ``scales``, one entry per statistic.
-    The sums add up in block order; the result is one estimate per
-    statistic.  ``caps`` bounds each statistic for Hoeffding, ``None``
-    standing for the instance's largest value."""
+    two arrays, the sums of its statistics and the sums of their squares,
+    each statistic divided by its entry of ``scales``, one entry per
+    statistic.  The sums add up in block order; the result is one estimate
+    per statistic, its mean scaled back.  ``caps`` bounds each statistic for
+    Hoeffding, ``None`` standing for the instance's largest value."""
     check_shape(policy, inst.n, inst.copies)
     R = cfg.replications
     total = total_sq = 0.0
@@ -217,14 +220,14 @@ def _run(inst: Instance, policy: Policy, cfg: McConfig, reduce, caps,
         total_sq = total_sq + s2
     results = []
     for t, t2, cap, scale in zip(total, total_sq, caps, scales):
-        mean = float(t) / R
+        unit_mean = float(t) / R
+        mean = scale * unit_mean
         if cfg.ci_method == "hoeffding":
             cap = inst.support_max if cap is None else cap
             hw = cap * math.sqrt(math.log(2.0 / 0.01) / (2.0 * R))
         else:
-            unit_mean = mean / scale
             var = max(float(t2) / R - unit_mean * unit_mean, 0.0)
-            hw = scale * _Z99 * math.sqrt(var / R)
+            hw = scale * (_Z99 * math.sqrt(var / R))
         results.append(EvalResult(mean, hw, "monte-carlo", replications=R, seed=cfg.master_seed))
     return results
 
@@ -233,16 +236,16 @@ def estimate_value_and_no_stop(
     inst: Instance, policy: Policy, cfg: McConfig
 ) -> tuple[EvalResult, EvalResult]:
     """Mean selected value and fraction of replications selecting nothing,
-    both from one simulation (the no-stop Hoeffding cap is 1).  Values
-    square in units of the largest one where it passes 1e150, as their
-    squares overflow past about 1.3e154; dividing by 1.0 changes no bit."""
+    both from one simulation (the no-stop Hoeffding cap is 1).  Values add
+    and square in units of the largest one where it passes 1e150, as their
+    squares overflow past about 1.3e154 and a block's sum past about
+    2.2e304; dividing and multiplying by 1.0 changes no bit."""
     scales = (inst.support_max if inst.support_max > 1e150 else 1.0, 1.0)
     units = np.array(scales)[:, None]
 
     def moments(selected, stopped):
-        xs = np.stack((selected, ~stopped))
-        ys = xs / units
-        return xs.sum(axis=1), (ys * ys).sum(axis=1)
+        ys = np.stack((selected, ~stopped)) / units
+        return ys.sum(axis=1), (ys * ys).sum(axis=1)
 
     return tuple(_run(inst, policy, cfg, moments, caps=(None, 1.0), scales=scales))
 

@@ -6,7 +6,9 @@ the adaptive two-threshold policy switches from a high to a low threshold at
 a data-dependent time set by the identities of the rewards still to arrive.
 Every policy answers ``num_pieces``, ``rule(piece, identity)`` and
 ``pieces_at(times, identities)``, the piece of every arrival in a block of
-replications; the adaptive rule's two pieces are its phases.  Every policy
+replications; the adaptive rule's two pieces are its phases, and it finds
+the arrival order they need by one sort of packed 64-bit keys, each time
+above its column index (a stable argsort past N = 2048).  Every policy
 names its ``case_quantiles``, the OPT quantiles where its proof switches cases.
 A time-pieced policy also answers ``piece_stack(identity)``, whose stack
 asks each law's questions (``cdf``, ``left_and_atom``, ``mean_between``) once
@@ -256,13 +258,41 @@ class AdaptiveTwoThreshold:
         """The phase of every arrival in a (rows, N) block of ``times``, column
         j being identity ``identities[j]``: 1 (tau2) once the rewards arriving
         strictly later all fall below tau2 with probability above epsilon, a
-        suffix product in arrival order, equal times in column order."""
-        log_q = np.log(np.asarray(self.q))
-        order = np.argsort(times, axis=1, kind="stable")
-        contrib = log_q[identities[order]]
-        later = np.cumsum(contrib[:, ::-1], axis=1)[:, ::-1] - contrib
+        suffix product in arrival order, equal times in column order.
+
+        The arrival order comes from one sort of packed keys.  With s the
+        bit length of N - 1, a time t on the 2^-53 grid of ``Generator.random``
+        makes the integer t * 2^(53+s), whose low s bits, all zero, take the
+        column index.  The keys are distinct, so they sort into exactly the
+        stable order of the times.  The keys fit 64 bits for N <= 2048; above
+        that the times are argsorted stably.  A time off the grid counts as
+        the grid time below it.  The log q of the arrivals still to come are
+        summed from the last arrival back, the additions of ``cumsum`` over
+        the reversed order."""
+        rows, N = times.shape
+        shift = (N - 1).bit_length()
+        if 53 + shift <= 64:
+            key = np.empty(times.shape, dtype=np.uint64)
+            np.multiply(times, 2.0 ** (53 + shift), out=key, casting="unsafe")  # exact
+            key |= np.arange(N, dtype=np.uint64)
+            key.sort(axis=1)
+            key &= np.uint64((1 << shift) - 1)
+            order = key.view(np.intp)
+        else:
+            order = np.argsort(times, axis=1, kind="stable")
+        # contrib lives in the output's memory until the phases overwrite it,
+        # and the phases in later's, so a call makes three (rows, N) arrays
         phase = np.empty(times.shape, dtype=np.intp)
-        np.put_along_axis(phase, order, later > math.log(self.epsilon), axis=1)
+        contrib = phase.view(np.float64)
+        log_q = np.log(np.asarray(self.q))[identities]
+        np.take(log_q, order, out=contrib, mode="clip")  # "raise" would buffer out
+        later = np.empty_like(contrib)
+        np.cumsum(contrib[:, ::-1], axis=1, out=later[:, ::-1])
+        later -= contrib
+        switched = later.view(np.intp)
+        np.greater(later, math.log(self.epsilon), out=switched)
+        order += np.arange(0, rows * N, N)[:, None]  # flat index of each arrival
+        phase.ravel()[order] = switched
         return phase
 
 

@@ -16,6 +16,10 @@ the bucket edges directly, never through ``bucket_form()``.
 search that ``OptLaw.quantile_thresholds`` must reproduce bit for bit; it
 reads the OPT law's left limits through ``opt_cdf_left``.
 
+``adaptive_phases`` finds the adaptive rule's arrival order by a stable
+argsort of the times: the reference that ``AdaptiveTwoThreshold.pieces_at``
+and its packed-key sort must equal element for element.
+
 ``cdf``, ``cdf_left``, ``point_mass`` and ``mean_between`` ask a law one
 point at a time, in Python floats: the references that ``Distribution``'s
 questions must equal bit for bit, on its scalar and its array path alike.
@@ -471,6 +475,20 @@ def later_log_q(policy: AdaptiveTwoThreshold, seq: ArrivalSequence) -> list[floa
         remaining -= logq[int(i)]  # current event no longer counts as "later"
         out.append(remaining)
     return out
+
+
+def adaptive_phases(policy: AdaptiveTwoThreshold, times: np.ndarray,
+                    identities: np.ndarray) -> np.ndarray:
+    """``pieces_at`` of the adaptive rule by a stable argsort of the times:
+    the phase of every arrival in a (rows, N) block, the suffix sums of log q
+    taken by ``cumsum`` over the reversed arrival order."""
+    log_q = np.log(np.asarray(policy.q))
+    order = np.argsort(times, axis=1, kind="stable")
+    contrib = log_q[identities[order]]
+    later = np.cumsum(contrib[:, ::-1], axis=1)[:, ::-1] - contrib
+    phase = np.empty(times.shape, dtype=np.intp)
+    np.put_along_axis(phase, order, later > math.log(policy.epsilon), axis=1)
+    return phase
 
 
 def _run_adaptive(policy: AdaptiveTwoThreshold, seq: ArrivalSequence) -> StopOutcome:

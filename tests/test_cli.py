@@ -1,5 +1,6 @@
 """End-to-end CLI runs: artifacts, exit codes, deterministic replay."""
 
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import prophetlab
+from prophetlab import cli
 from prophetlab.cli import _json_text, main
 
 COINS = {
@@ -380,17 +382,12 @@ class TestStrictSummary:
         assert "nan" in (out / "results.csv").read_text()
 
 
-    @pytest.mark.parametrize(
-        "law, flags",
-        [({"type": "discrete", "atoms": [[0.0, 0.5], [1.7e308, 0.5]]},
-          ["--evaluator", "mc", "--reps", "8192"])],
-        ids=["mc-sum-overflow"],
-    )
-    def test_non_finite_result_writes_nothing(self, tmp_path, capsys, law, flags):
-        path = tmp_path / "inst.json"
-        path.write_text(json.dumps({"base": [law], "copies": 2}))
+    def test_non_finite_result_writes_nothing(self, coins_file, tmp_path, capsys, monkeypatch):
+        evaluate = cli.expected_value
+        monkeypatch.setattr(cli, "expected_value",
+                            lambda *a: dataclasses.replace(evaluate(*a), estimate=math.inf))
         out = tmp_path / "run"
-        assert run(["eval", "--instance", str(path), *flags, "--out", str(out)]) == 1
+        assert run(["eval", "--instance", coins_file, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "not a finite" in err
         assert not out.exists() or not any(out.iterdir())
@@ -455,6 +452,19 @@ class TestValuesNearTheDoubleLimit:
         half_width = summary["half_widths"][0]
         assert 0.0 < half_width < 1e199
         assert abs(summary["estimate"] - 7.5e199) <= half_width
+
+    def test_monte_carlo_sum_past_the_limit(self, tmp_path):
+        # 8,192 selected values of 1.7e308 sum past the largest double
+        base = [{"type": "discrete", "atoms": [[0.0, 0.5], [1.7e308, 0.5]]}]
+        (tmp_path / "exact").mkdir()
+        (tmp_path / "mc").mkdir()
+        code, err, exact = _eval_in_process(tmp_path / "exact", base, 2)
+        assert (code, err) == (0, "")
+        code, err, mc = _eval_in_process(tmp_path / "mc", base, 2, "--evaluator", "mc",
+                                         "--reps", "8192")
+        assert (code, err) == (0, "")
+        assert math.isfinite(mc["estimate"]) and 0.0 < mc["half_widths"][0] < 1e307
+        assert abs(mc["estimate"] - exact["estimate"]) <= mc["half_widths"][0]
 
 
 class TestHardnessFlags:

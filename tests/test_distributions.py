@@ -366,7 +366,7 @@ class TestMalformedLaws:
         ([(1.0, 0.5), (1.0, 0.5), (-2.0, 0.0)], "atom masses must be positive"),
         ([(-1.0, 0.5), (1.0, 0.5)], "atom values must be nonnegative"),
         ([(1.0, 0.5), (1.0, 0.5)], "atom values must be distinct"),
-        ([(0.0, 0.3), (1.0, 0.3)], "atom masses sum to np.float64(0.6), not 1"),
+        ([(0.0, 0.3), (1.0, 0.3)], "atom masses sum to 0.6, not 1"),
     ])
     def test_discrete(self, atoms, message):
         with pytest.raises(InvalidInstanceError) as info:

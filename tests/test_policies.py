@@ -10,6 +10,7 @@ from oracles import (
     AugmentedValue,
     accepts,
     activation_from_threshold,
+    adaptive_phases,
     constant_activation,
     later_log_q,
     piece_at,
@@ -21,6 +22,7 @@ from oracles import (
 
 from prophetlab import (
     ActivationPolicy,
+    AdaptiveTwoThreshold,
     Distribution,
     InvalidParameterError,
     PolicyMismatchError,
@@ -283,6 +285,9 @@ class TestPiecesAt:
         times = rng.random((300, n * k))
         times[150:] = np.floor(times[150:] * 8) / 8  # equal times arrive in column order
         got = pol.pieces_at(times, identities)
+        # the stable-argsort reference adds the same log q in the same order,
+        # so it agrees everywhere, also where the sum meets ln(eps)
+        assert np.array_equal(got, adaptive_phases(pol, times, identities))
         log_eps = math.log(pol.epsilon)
         counted = switched = 0
         for row, t in zip(got, times):
@@ -295,6 +300,21 @@ class TestPiecesAt:
             counted += away.sum()
             switched += row.sum()
         assert counted > 0.9 * times.size and 0 < switched < times.size
+
+    # N = 2048 fills the 64-bit packed key; N = 2049 takes the stable argsort
+    @pytest.mark.parametrize("N", [1, 16, 48, 2048, 2049])
+    def test_adaptive_phase_matches_argsort_reference_at_size(self, N):
+        rng = np.random.default_rng(N)
+        identities = rng.integers(0, 3, N)
+        q = tuple(math.exp(-c * 8.0 / N) for c in (0.5, 1.0, 1.5))  # ln q sums to about -8
+        tau = RandomizedThreshold(1.0, 0.5)
+        pol = AdaptiveTwoThreshold(math.exp(-4), 2, tau, tau, q, N)
+        times = rng.random((40, N))
+        times[20:] = np.floor(times[20:] * 8) / 8
+        times[0] = np.where(rng.random(N) < 0.5, 0.0, np.nextafter(1.0, 0.0))  # the extreme keys
+        got = pol.pieces_at(times, identities)
+        assert np.array_equal(got, adaptive_phases(pol, times, identities))
+        assert N == 1 or 0 < got.sum() < got.size
 
     @pytest.mark.parametrize("kind", ["blind", "activation"])
     def test_time_pieces_match_piece_at(self, kind):
