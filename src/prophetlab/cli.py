@@ -56,8 +56,6 @@ _HARDNESS_SUITES = ("time-based", "activation", "general")
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)

@@ -208,12 +208,12 @@ class Distribution:
     def mean_between(self, lo, hi, open_left: bool = False) -> np.ndarray:
         """E[V * 1{lo <= V < hi}] (strict left if open_left) for arrays ``lo``
         and ``hi``.  The loops run over the law's breakpoints: each atom inside
-        adds v * mass, then each linear segment adds its density times
-        (b^2 - a^2) / 2 on its overlap [a, b] with [lo, hi].  b^2 overflows
-        past about 1.3e154, so a law reaching past 1e150 takes the segment's
-        mass share (b - a) / (x1 - x0) times the midpoint a/2 + b/2 instead."""
+        adds v * mass, then each linear segment adds its mass share
+        (b - a) / (x1 - x0) on its overlap [a, b] with [lo, hi] times the
+        overlap's midpoint a/2 + b/2.  No value is squared and no density is
+        formed, so the term is finite from subnormal to the largest double,
+        and it does not cancel on a narrow overlap as b^2 - a^2 would."""
         lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-        wide = self.xs[-1] > 1e150
         total = np.zeros(lo.shape)
         for v, jump in zip(self.xs, self.Fr - self.Fl):
             if jump > 0:
@@ -222,12 +222,9 @@ class Distribution:
         for x0, x1, seg_mass in zip(self.xs[:-1], self.xs[1:], self.Fl[1:] - self.Fr[:-1]):
             if seg_mass > 0:
                 a, b = np.maximum(x0, lo), np.minimum(x1, hi)
-                if wide:
-                    # clamped into the segment, the lanes masked below stay finite
-                    a, b = np.minimum(a, x1), np.maximum(b, x0)
-                    term = seg_mass * ((b - a) / (x1 - x0)) * (a / 2.0 + b / 2.0)
-                else:
-                    term = seg_mass / (x1 - x0) * (b * b - a * a) / 2.0
+                # clamped into the segment, the lanes masked below stay finite
+                a, b = np.minimum(a, x1), np.maximum(b, x0)
+                term = seg_mass * ((b - a) / (x1 - x0)) * (a / 2.0 + b / 2.0)
                 total = np.where(b > a, total + term, total)
         return np.where(hi <= lo, 0.0, total)
 

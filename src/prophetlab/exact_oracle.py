@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 _LOG_FLOOR = 1e-300
-_ABS_TOL = 1e-9  # the half-width reported with an exact expected value
 _DP_STATE_CAP = 10**6  # the most count vectors optimal_online_dp will tabulate
 
 
@@ -127,7 +126,7 @@ class ExactEvaluator:
         """E[selected value] = sum_i k * int_0^1 mean_i(piece(t)) * others_i(t) dt, exact."""
         weight = self._weights(lambda stack, d: stack.accepted_mean(d))
         val = float(self.inst.copies * np.sum(weight * self._piece_int))
-        return EvalResult(val, _ABS_TOL, "exact")
+        return EvalResult(val, 0.0, "exact")
 
     def exceedance_many(self, xs) -> np.ndarray:
         """Pr[selected value > x] for a vector of x, sharing the cached nodes."""

@@ -80,10 +80,7 @@ class OptLaw:
         for a, b in zip(grid[:-1], grid[1:]):
             # halving first keeps the midpoint finite when a + b overflows
             mid, half = a / 2.0 + b / 2.0, (b - a) / 2.0
-            xs = mid + half * nodes
-            vals = np.ones_like(xs)
-            for d in self.base:
-                vals *= np.asarray(d.cdf(xs))
+            vals = self.cdf(mid + half * nodes)
             total += half * float(np.sum(weights * (1.0 - vals)))
         return total
 
@@ -160,10 +157,12 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, at_or_below) -> np.ndarray:
     """Elementwise bisection: ``hi`` moves to the midpoint where
     ``at_or_below(mid)`` holds, ``lo`` elsewhere.  Each element stops once its
     midpoint is no longer strictly inside (lo, hi), or after 200 steps, and
-    returns its ``hi``."""
+    returns its ``hi``.  The midpoint halves before it adds, so it stays
+    finite where lo + hi would overflow; in the normal range it equals
+    0.5 * (lo + hi) bit for bit."""
     active = np.ones(lo.shape, dtype=bool)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
+        mid = lo / 2.0 + hi / 2.0
         active &= (mid > lo) & (mid < hi)
         if not active.any():
             break

@@ -237,10 +237,14 @@ def estimate_value_and_no_stop(
 ) -> tuple[EvalResult, EvalResult]:
     """Mean selected value and fraction of replications selecting nothing,
     both from one simulation (the no-stop Hoeffding cap is 1).  Values add
-    and square in units of the largest one where it passes 1e150, as their
-    squares overflow past about 1.3e154 and a block's sum past about
-    2.2e304; dividing and multiplying by 1.0 changes no bit."""
-    scales = (inst.support_max if inst.support_max > 1e150 else 1.0, 1.0)
+    and square in units of the power of two at or below the largest value
+    (0.5 when every value is 0), so each is below 2: a block's sums cannot
+    overflow, and the largest values' squares do not underflow, at any
+    scale from subnormal to the largest double.  Dividing and
+    multiplying by a power of two is exact, so every estimate has the bits
+    of summing the values themselves wherever those sums stay finite and
+    normal."""
+    scales = (math.ldexp(1.0, math.frexp(inst.support_max)[1] - 1), 1.0)
     units = np.array(scales)[:, None]
 
     def moments(selected, stopped):

@@ -156,7 +156,7 @@ def reference_quantile_threshold(opt, q: float) -> RandomizedThreshold:
     if j > 0 and Fl_j > q and Fl_j > Fr[j - 1]:
         lo, hi = float(grid[j - 1]), tau
         for _ in range(200):
-            mid = 0.5 * (lo + hi)
+            mid = lo / 2.0 + hi / 2.0
             if mid <= lo or mid >= hi:
                 break
             if opt.cdf(mid) >= q:
@@ -177,7 +177,7 @@ def reference_quantile_threshold(opt, q: float) -> RandomizedThreshold:
         return RandomizedThreshold(tau, 1.0)
     lo_a, hi_a = 0.0, 1.0
     for _ in range(200):
-        mid = 0.5 * (lo_a + hi_a)
+        mid = lo_a / 2.0 + hi_a / 2.0
         if mid <= lo_a or mid >= hi_a:
             break
         if rejected(mid) > q:
@@ -244,10 +244,7 @@ def mean_between(d, lo: float, hi: float, open_left: bool = False) -> float:
         a, b = max(x0, lo), min(x1, hi)
         if b <= a:
             continue
-        if d.xs[-1] > 1e150:  # b * b would overflow
-            total += seg_mass * ((b - a) / (x1 - x0)) * (a / 2.0 + b / 2.0)
-        else:
-            total += seg_mass / (x1 - x0) * (b * b - a * a) / 2.0
+        total += seg_mass * ((b - a) / (x1 - x0)) * (a / 2.0 + b / 2.0)
     return total
 
 

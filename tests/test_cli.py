@@ -410,15 +410,16 @@ class TestStrictSummary:
 
 
 def _eval_in_process(tmp_path, base, copies, *flags):
-    """``eval`` on the instance as its own process: (exit code, stderr, summary)."""
+    """``eval`` on the instance as its own process, every warning an error:
+    (exit code, stderr, summary)."""
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({"base": base, "copies": copies}))
     out = tmp_path / "run"
     src = os.path.dirname(os.path.dirname(prophetlab.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-m", "prophetlab.cli", "eval", "--instance", str(path), *flags,
-         "--out", str(out)], capture_output=True, text=True, env=env, timeout=120)
+        [sys.executable, "-W", "error", "-m", "prophetlab.cli", "eval", "--instance", str(path),
+         *flags, "--out", str(out)], capture_output=True, text=True, env=env, timeout=120)
     summary = json.loads((out / "summary.json").read_text()) if proc.returncode == 0 else None
     return proc.returncode, proc.stderr, summary
 
@@ -465,6 +466,32 @@ class TestValuesNearTheDoubleLimit:
         assert (code, err) == (0, "")
         assert math.isfinite(mc["estimate"]) and 0.0 < mc["half_widths"][0] < 1e307
         assert abs(mc["estimate"] - exact["estimate"]) <= mc["half_widths"][0]
+
+    @pytest.mark.parametrize("points, opt_value, estimate, rel", [
+        # uniform on [a, b], two copies, threshold at the median (a + b) / 2:
+        # E[ALG] = (1 - 1/4) * (a + 3b) / 4
+        ([[1e307, 0], [1.7e308, 1]], 9e307, 9.75e307, 1e-12),
+        # a subnormal near 1e-320 keeps about 11 bits
+        ([[0, 0], [1e-320, 1]], 5e-321, 5.625e-321, 1e-3),
+    ], ids=["top-near-the-limit", "subnormal-width"])
+    def test_exact_single_threshold_at_either_end(self, tmp_path, points, opt_value, estimate,
+                                                  rel):
+        base = [{"type": "piecewise", "points": points}]
+        code, err, summary = _eval_in_process(tmp_path, base, 2)
+        assert (code, err) == (0, "")
+        assert summary["opt_value"] == pytest.approx(opt_value, rel=rel)
+        assert summary["estimate"] == pytest.approx(estimate, rel=rel)
+        assert summary["half_widths"] == [0.0]
+
+    def test_monte_carlo_half_width_of_values_near_1e_200(self, tmp_path):
+        # the squares of the selected values underflow: E[ALG] = 1e-200 * 3/4
+        base = [{"type": "discrete", "atoms": [[0.0, 0.5], [1e-200, 0.5]]}]
+        code, err, summary = _eval_in_process(tmp_path, base, 2, "--evaluator", "mc",
+                                              "--reps", "8192")
+        assert (code, err) == (0, "")
+        half_width = summary["half_widths"][0]
+        assert math.isfinite(summary["estimate"]) and 0.0 < half_width < 1e-201
+        assert abs(summary["estimate"] - 7.5e-201) <= half_width
 
 
 class TestHardnessFlags:

@@ -2,7 +2,9 @@
 
 import hashlib
 import math
+import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +14,8 @@ from prophetlab import (
     Distribution,
     InvalidParameterError,
     McConfig,
+    distribution_from_json,
+    distribution_to_json,
     estimate_exceedance,
     estimate_expected_value,
     make_adaptive,
@@ -81,6 +85,66 @@ class TestSearchK:
         for _, base in regression_instances()[:4]:
             res = search_k(list(base), 0.1, "single")
             assert res.found_k is not None and res.found_k <= res.paper_bound_k
+
+    @pytest.mark.parametrize("unit", [1e-12, 1.0, 1e12])
+    def test_point_mass_single_threshold_ladder(self, unit):
+        # k copies under the median threshold all miss the atom w.p. 2^-k, so
+        # k* = ceil(L / ln 2) at eps = e^-L; past L = 33 doubles cannot tell
+        # E[ALG] at k* - 1 from the target
+        base = [Distribution.discrete([(unit, 1.0)])]
+        ladder = range(5, 34)
+        found = [search_k(base, math.exp(-L), "single").found_k for L in ladder]
+        assert found == [math.ceil(L / math.log(2)) for L in ladder]
+
+
+def _scaled(d, c):
+    """d with every value multiplied by c, built through its JSON form."""
+    obj = distribution_to_json(d)
+    key = "atoms" if obj["type"] == "discrete" else "points"
+    obj[key] = [[x * c, p] for x, p in obj[key]]
+    return distribution_from_json(obj)
+
+
+@lru_cache(maxsize=None)
+def _unit_free_numbers(name, c):
+    """On regression law ``name`` scaled by c: (the values divided by c, the
+    probabilities and margins, found_k).  Values: E[OPT], the OPT thresholds
+    at q = 0.25, 0.5, 0.9, exact single and blind E[ALG] at k = 6, and the
+    blind Monte Carlo estimate and half-width; probabilities: the exact
+    blind dominance grid's Pr[ALG > x] and margins."""
+    base = [_scaled(d, c) for d in dict(regression_instances())[name]]
+    opt = opt_law(make_instance(base, 1))
+    values = [opt.expected_value]
+    values += [rt.tau for rt in opt.quantile_thresholds((0.25, 0.5, 0.9))]
+    inst = make_instance(base, 6)
+    for cls in ("single", "blind"):
+        policy = build_policy(inst, opt, cls, 0.01, 512)
+        values.append(expected_value(inst, policy, "exact").estimate)
+    mc = estimate_expected_value(inst, policy, McConfig(20_000, 11))
+    values += [mc.estimate, mc.half_width]
+    rows = dominance_check(inst, policy, 0.01, opt=opt).rows
+    probabilities = [r[2] for r in rows] + [r[4] for r in rows]
+    found_k = search_k(base, 0.01, "blind").found_k
+    return np.array(values) / c, np.array(probabilities), found_k
+
+
+class TestScaleInvariance:
+    """Every certified number is the same in any unit: values divide by the
+    unit, probabilities, margins and k* do not move, from subnormal-scale
+    laws to laws whose top is near the largest double."""
+
+    @pytest.mark.parametrize("name", [name for name, _ in regression_instances()])
+    @pytest.mark.parametrize("unit", [1e-300, 1e-160, 1e-12, 1e12, 1e150, "top"])
+    def test_numbers_do_not_depend_on_the_unit(self, name, unit):
+        if unit == "top":  # the largest breakpoint lands near 1.5e308
+            unit = 1.5e308 / max(d.support_max for d in dict(regression_instances())[name])
+        want_values, want_probabilities, want_k = _unit_free_numbers(name, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, probabilities, found_k = _unit_free_numbers(name, unit)
+        np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(probabilities, want_probabilities, rtol=1e-12, atol=0)
+        assert found_k == want_k
 
 
 class TestDominance:
