@@ -52,5 +52,9 @@ from .policies import (
 )
 from .results import EvalResult
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+# the public names, not the submodules that importing them bound
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
 __version__ = "0.1.0"

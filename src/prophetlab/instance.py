@@ -94,10 +94,12 @@ class OptLaw:
         rejections).
 
         All misses of the cache are solved together: a crossing strictly
-        inside a segment of the product CDF is bisected on tau, a crossing at
-        an atom of the product law is bisected on the accept probability.
-        Factors multiply in base order and every comparison is the one of the
-        scalar search, so each result equals solving its q alone, bit for bit."""
+        inside a segment of the product CDF is the smallest double tau there
+        with ``cdf(tau) >= q``, a crossing at an atom of the product law the
+        smallest accept probability whose rejected mass is at most q.  Both
+        come from one bisection over the bit patterns of doubles (``_bisect``),
+        exact at every q in at most 63 halvings.  Factors multiply in base
+        order, so each result equals solving its q alone, bit for bit."""
         for q in qs:
             if not (0.0 <= q < 1.0):
                 raise InvalidQuantileError(f"quantile must be in [0, 1), got {q!r}")
@@ -149,27 +151,30 @@ class OptLaw:
         if solve.size:
             qs = q[solve]
             accept[solve] = _bisect(np.zeros_like(qs), np.ones_like(qs),
-                                    lambda a: ~(rejected(a, solve) > qs))
+                                    lambda a: rejected(a, solve) <= qs)
         return accept
 
 
-def _bisect(lo: np.ndarray, hi: np.ndarray, at_or_below) -> np.ndarray:
-    """Elementwise bisection: ``hi`` moves to the midpoint where
-    ``at_or_below(mid)`` holds, ``lo`` elsewhere.  Each element stops once its
-    midpoint is no longer strictly inside (lo, hi), or after 200 steps, and
-    returns its ``hi``.  The midpoint halves before it adds, so it stays
-    finite where lo + hi would overflow; in the normal range it equals
-    0.5 * (lo + hi) bit for bit."""
-    active = np.ones(lo.shape, dtype=bool)
-    for _ in range(200):
-        mid = lo / 2.0 + hi / 2.0
-        active &= (mid > lo) & (mid < hi)
-        if not active.any():
-            break
-        down = at_or_below(mid)
-        hi = np.where(active & down, mid, hi)
-        lo = np.where(active & ~down, mid, lo)
-    return hi
+def _bisect(lo: np.ndarray, hi: np.ndarray, holds) -> np.ndarray:
+    """Elementwise, the smallest double in (lo, hi] where ``holds``, a predicate
+    monotone on (lo, hi], is true; ``hi`` is taken as true without being asked.
+
+    The bit patterns of nonnegative doubles order as their values do, so the
+    search halves the patterns between lo and hi and ends within 63 halvings
+    at any scale, subnormals included.  A ``lo`` of -0.0 reads as 0.0, and a
+    negative ``lo`` as the pattern just below 0.0, so that 0.0 can be found."""
+    lo = np.maximum((lo + 0.0).view(np.int64), -1)
+    hi = hi.view(np.int64)
+    while True:
+        # patterns of doubles >= 2 exceed 2**62, so lo + hi would overflow
+        mid = lo + (hi - lo) // 2
+        open_ = mid > lo
+        if not open_.any():
+            return hi.view(np.float64)
+        # mid is -1 only where the element is closed, and its answer unused
+        true = holds(np.maximum(mid, 0).view(np.float64))
+        hi = np.where(open_ & true, mid, hi)
+        lo = np.where(open_ & ~true, mid, lo)
 
 
 def opt_law(inst: Instance) -> OptLaw:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import InvalidParameterError
-from .instance import Instance
+from .instance import Instance, _bisect
 from .policies import Policy, bucket_table, check_shape
 from .results import EvalResult
 
@@ -41,7 +41,6 @@ __all__ = ["McConfig", "estimate_expected_value", "estimate_exceedance", "estima
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _BLOCK = 8192
 _CHUNK = 1024  # rows of a block drawn and worked at once, so a block stays small
-_ONE_BITS = np.float64(1.0).view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -83,22 +82,13 @@ def _cores() -> int:
 def _cuts(d: Distribution, edges: np.ndarray) -> np.ndarray:
     """For each edge e, the largest double u < 1 with ``d.ppf(u) < e``, or -1
     where there is none.  Where ``ppf`` is nondecreasing on doubles, for every
-    uniform draw u, ``d.ppf(u) >= e`` exactly when ``u > cut``.  Found by
-    bisection over the bit patterns of nonnegative doubles, which order as
-    their values do."""
-    # ppf(u) < e for every u <= lo and ppf(u) >= e for every u in [hi, 1),
-    # which holds vacuously at the start, lo = -1 and hi = 1.0
-    lo = np.full(edges.shape, -1, dtype=np.int64)
-    hi = np.full(edges.shape, _ONE_BITS)
-    while True:
-        mid = (lo + hi) // 2
-        open_ = mid > lo
-        if not open_.any():
-            break
-        below = d.ppf(np.maximum(mid, 0).view(np.float64)) < edges
-        lo = np.where(open_ & below, mid, lo)
-        hi = np.where(open_ & ~below, mid, hi)
-    return np.where(lo < 0, -1.0, lo.view(np.float64))
+    uniform draw u, ``d.ppf(u) >= e`` exactly when ``u > cut``.  The cut is
+    the double just below the smallest u in [0, 1] with ``d.ppf(u) >= e``
+    (1.0 standing in for "none below 1"), found by the OPT quantiles' own
+    bisection over bit patterns, ``_bisect``, in at most 63 halvings."""
+    first = _bisect(np.full(edges.shape, -1.0), np.ones(edges.shape),
+                    lambda u: d.ppf(u) >= edges)
+    return np.where(first > 0.0, np.nextafter(first, -np.inf), -1.0)
 
 
 def _acceptance_table(inst: Instance, policy: Policy) -> tuple[np.ndarray, np.ndarray]:

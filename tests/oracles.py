@@ -147,7 +147,7 @@ def opt_cdf_left(opt, x: float) -> float:
 def reference_quantile_threshold(opt, q: float) -> RandomizedThreshold:
     """Scalar OPT quantile search: rebuild the product CDF on the merged grid,
     then bisect either tau inside a segment or the accept probability at an
-    atom, up to 200 steps each."""
+    atom on values, each until its midpoint leaves (lo, hi)."""
     grid = np.unique(np.concatenate([d.xs for d in opt.base]))
     Fr = np.array([opt.cdf(x) for x in grid])
     j = min(int(np.searchsorted(Fr, q, side="left")), len(grid) - 1)
@@ -155,14 +155,13 @@ def reference_quantile_threshold(opt, q: float) -> RandomizedThreshold:
     Fl_j = opt_cdf_left(opt, tau)
     if j > 0 and Fl_j > q and Fl_j > Fr[j - 1]:
         lo, hi = float(grid[j - 1]), tau
-        for _ in range(200):
-            mid = lo / 2.0 + hi / 2.0
-            if mid <= lo or mid >= hi:
-                break
+        mid = lo / 2.0 + hi / 2.0
+        while lo < mid < hi:
             if opt.cdf(mid) >= q:
                 hi = mid
             else:
                 lo = mid
+            mid = lo / 2.0 + hi / 2.0
         return RandomizedThreshold(hi, 0.0)
 
     def rejected(a: float) -> float:
@@ -176,14 +175,13 @@ def reference_quantile_threshold(opt, q: float) -> RandomizedThreshold:
     if rejected(1.0) >= q:
         return RandomizedThreshold(tau, 1.0)
     lo_a, hi_a = 0.0, 1.0
-    for _ in range(200):
-        mid = lo_a / 2.0 + hi_a / 2.0
-        if mid <= lo_a or mid >= hi_a:
-            break
+    mid = 0.5
+    while lo_a < mid < hi_a:
         if rejected(mid) > q:
             lo_a = mid
         else:
             hi_a = mid
+        mid = lo_a / 2.0 + hi_a / 2.0
     return RandomizedThreshold(tau, hi_a)
 
 

@@ -543,3 +543,12 @@ class TestDeterminism:
         flag_dir = tmp_path / "from-flag"
         assert run(["eval", "--instance", coins_file, "--k", "1", "--out", str(flag_dir)]) == 0
         assert (flag_dir / "results.csv").exists()
+
+
+def test_star_import_binds_only_public_names():
+    namespace = {}
+    exec("from prophetlab import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == prophetlab.__all__
+    assert {"Distribution", "OptLaw", "make_instance", "EvalResult"} <= set(namespace)
+    assert not [name for name, value in namespace.items() if isinstance(value, type(prophetlab))]

@@ -1,6 +1,7 @@
 """Instance assembly, the benchmark law, and the reference arrival sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from prophetlab import (
     InvalidInstanceError,
     InvalidQuantileError,
     OptLaw,
+    RandomizedThreshold,
     instance_from_json,
     instance_to_json,
     make_instance,
@@ -69,6 +71,11 @@ class TestOptLaw:
         assert opt_law(inst).expected_value == pytest.approx(closed, abs=1e-9)
 
 
+def _rejected(base, tau, accept_prob):
+    """Pr[OPT rejected] by (tau, accept_prob): the product in base order."""
+    return math.prod(RandomizedThreshold(tau, accept_prob).rejected_mass(d) for d in base)
+
+
 def _bits(rt):
     return rt.tau.hex(), rt.accept_prob.hex()
 
@@ -113,8 +120,28 @@ class TestQuantileThresholds:
         qs = [float(v) for v in np.concatenate([opt.dist.Fr, opt.dist.Fl]) if v < 1.0] + extra
         for q, rt in zip(qs, opt.quantile_thresholds(qs)):
             assert _bits(rt) == _bits(reference_quantile_threshold(opt, q))
-            rejected = math.prod(rt.rejected_mass(d) for d in base)
+            rejected = _rejected(base, rt.tau, rt.accept_prob)
             assert rejected == pytest.approx(q, abs=1e-12)
+            # exactly the first double where the search's predicate holds
+            if rt.tau not in opt.dist.xs:
+                assert opt.cdf(rt.tau) >= q > opt.cdf(np.nextafter(rt.tau, -np.inf))
+            elif 0.0 < rt.accept_prob < 1.0:
+                below = np.nextafter(rt.accept_prob, -np.inf)
+                assert rejected <= q < _rejected(base, rt.tau, below)
+
+    @pytest.mark.parametrize("c", [1e-300, 1.0, 1e300])
+    @pytest.mark.parametrize("q", [1e-50, 1e-100, 1e-300, 5e-324])
+    def test_tiny_q_is_the_first_double_at_or_above_q(self, c, q):
+        opt = OptLaw([Distribution.piecewise([(0.0, 0.0), (c, 1.0)])])
+        tau = opt.quantile_threshold(q).tau
+        assert opt.cdf(tau) >= q > opt.cdf(np.nextafter(tau, -np.inf))
+
+    def test_law_from_negative_zero(self):
+        opt = OptLaw([Distribution.piecewise([(-0.0, 0.0), (1.0, 1.0)])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = opt.quantile_thresholds([0.3, 1e-300])
+        assert [rt.tau for rt in got] == [0.3, 1e-300]
 
     def test_batch_keeps_order_and_duplicates(self):
         opt = OptLaw(regression_instances()[7][1])
