@@ -123,10 +123,11 @@ class ExactEvaluator:
         return weight
 
     def expected_value(self) -> EvalResult:
-        """E[selected value] = sum_i k * int_0^1 mean_i(piece(t)) * others_i(t) dt, exact."""
+        """E[selected value] = sum_i k * int_0^1 mean_i(piece(t)) * others_i(t) dt, exact;
+        clipped to [0, support_max], as the reduction's roundoff can leave it above."""
         weight = self._weights(lambda stack, d: stack.accepted_mean(d))
         val = float(self.inst.copies * np.sum(weight * self._piece_int))
-        return EvalResult(val, 0.0, "exact")
+        return EvalResult(min(max(val, 0.0), self.inst.support_max), 0.0, "exact")
 
     def exceedance_many(self, xs) -> np.ndarray:
         """Pr[selected value > x] for a vector of x, sharing the cached nodes."""

@@ -97,9 +97,10 @@ class OptLaw:
         inside a segment of the product CDF is the smallest double tau there
         with ``cdf(tau) >= q``, a crossing at an atom of the product law the
         smallest accept probability whose rejected mass is at most q.  Both
-        come from one bisection over the bit patterns of doubles (``_bisect``),
-        exact at every q in at most 63 halvings.  Factors multiply in base
-        order, so each result equals solving its q alone, bit for bit."""
+        come from one exact search over the bit patterns of doubles
+        (``_bisect``) from a secant estimate of each q's answer (``_secant``).
+        Factors multiply in base order, so each result equals solving its q
+        alone, bit for bit."""
         for q in qs:
             if not (0.0 <= q < 1.0):
                 raise InvalidQuantileError(f"quantile must be in [0, 1), got {q!r}")
@@ -117,13 +118,15 @@ class OptLaw:
         accept = np.zeros_like(q)
         inside = (j > 0) & (Fl[j] > q) & (Fl[j] > Fr[prev])
         if inside.any():
-            qi = q[inside]
-            tau[inside] = _bisect(grid[prev[inside]], tau[inside],
-                                  lambda x: self.cdf(x) >= qi)
+            qi, lo, hi = q[inside], grid[prev[inside]], tau[inside]
+            # the CDF's limits at the segment's ends: cdf(hi) counts hi's atom
+            guess = _secant(lambda x: self.cdf(x) - qi,
+                            lo, Fr[prev[inside]] - qi, hi, Fl[j[inside]] - qi)
+            tau[inside] = _bisect(lo, hi, lambda x: self.cdf(x) >= qi, guess)
         atom = ~inside
         if atom.any():
             accept[atom] = self._atom_accept(j[atom], q[atom])
-        return [RandomizedThreshold(float(t), float(a)) for t, a in zip(tau, accept)]
+        return [RandomizedThreshold(t, a) for t, a in zip(tau.tolist(), accept.tolist())]
 
     @cached_property
     def _grid_left_masses(self) -> tuple[np.ndarray, np.ndarray]:
@@ -136,35 +139,70 @@ class OptLaw:
         prod_i (Fl_i(tau) + (1 - a) m_i(tau)) = q, clipped to [0, 1]."""
         left, mass = self._grid_left_masses
         left, mass = left[:, j], mass[:, j]
-
-        def rejected(a, idx=slice(None)):
-            out = np.ones_like(a)
-            for fl, m in zip(left[:, idx], mass[:, idx]):
-                out *= fl + (1.0 - a) * m
-            return out
-
-        accept = np.zeros_like(q)
-        partial = ~(rejected(np.zeros_like(q)) <= q)
-        full = partial & (rejected(np.ones_like(q)) >= q)
-        accept[full] = 1.0
+        none = _rejected(left, mass, np.zeros_like(q))
+        every = _rejected(left, mass, np.ones_like(q))
+        partial = ~(none <= q)
+        full = partial & (every >= q)
+        accept = full.astype(float)
         solve = np.flatnonzero(partial & ~full)
         if solve.size:
-            qs = q[solve]
-            accept[solve] = _bisect(np.zeros_like(qs), np.ones_like(qs),
-                                    lambda a: rejected(a, solve) <= qs)
+            qs, left, mass = q[solve], left[:, solve], mass[:, solve]
+            lo, hi = np.zeros_like(qs), np.ones_like(qs)
+            guess = _secant(lambda a: _rejected(left, mass, a) - qs,
+                            lo, none[solve] - qs, hi, every[solve] - qs)
+            accept[solve] = _bisect(lo, hi, lambda a: _rejected(left, mass, a) <= qs, guess)
         return accept
 
 
-def _bisect(lo: np.ndarray, hi: np.ndarray, holds) -> np.ndarray:
+def _rejected(left: np.ndarray, mass: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """OPT's rejected mass prod_i (left_i + (1 - a) mass_i) at an atom accepted w.p. a."""
+    out = np.ones_like(a)
+    for fl, m in zip(left, mass):
+        out *= fl + (1.0 - a) * m
+    return out
+
+
+def _secant(f, x0: np.ndarray, f0: np.ndarray, x1: np.ndarray, f1: np.ndarray) -> np.ndarray:
+    """Elementwise estimates of a root of f in [x0, x1], where f0 and f1 have
+    opposite signs: secant steps clipped to [x0, x1].  An element takes a step
+    only if it shrinks |f|, so the steps end: once no estimate moves."""
+    lo, hi = x0, x1
+    while True:
+        with np.errstate(all="ignore"):  # f1 == f0 leaves a NaN, read as no step
+            x = np.clip(x1 - (x1 - x0) * (f1 / (f1 - f0)), lo, hi)
+        fx = f(np.where(np.isnan(x), x1, x))
+        moved = np.abs(fx) < np.abs(f1)
+        if not moved.any():
+            return x1
+        x0, f0 = np.where(moved, x1, x0), np.where(moved, f1, f0)
+        x1, f1 = np.where(moved, x, x1), np.where(moved, fx, f1)
+
+
+_PROBES = np.array([0, *(s * 4**i for i in range(9) for s in (1, -1))])[:, None]  # in ulps
+
+
+def _bisect(lo: np.ndarray, hi: np.ndarray, holds, guess: np.ndarray | None = None) -> np.ndarray:
     """Elementwise, the smallest double in (lo, hi] where ``holds``, a predicate
     monotone on (lo, hi], is true; ``hi`` is taken as true without being asked.
 
     The bit patterns of nonnegative doubles order as their values do, so the
-    search halves the patterns between lo and hi and ends within 63 halvings
-    at any scale, subnormals included.  A ``lo`` of -0.0 reads as 0.0, and a
-    negative ``lo`` as the pattern just below 0.0, so that 0.0 can be found."""
+    search halves the patterns between lo and hi, at any scale, subnormals
+    included.  A ``lo`` of -0.0 reads as 0.0, and a negative ``lo`` as the
+    pattern just below 0.0, so that 0.0 can be found.
+
+    Given estimates, one call of ``holds`` on a leading axis of probes first
+    asks each estimate and the patterns 4**i ulps either side of it, i = 0..8;
+    a probe inside (lo, hi) that holds lowers hi, one that fails raises lo.
+    The answer stays in the bracket, so its bits never depend on the estimate.
+    At worst (a NaN or far-off estimate) the probe call adds to 63 halvings."""
     lo = np.maximum((lo + 0.0).view(np.int64), -1)
     hi = hi.view(np.int64)
+    if guess is not None:
+        at = np.clip(guess.view(np.int64), lo, hi) + _PROBES  # NaN to hi, negatives to lo
+        asked = (at > lo) & (at < hi)
+        true = holds(np.where(asked, at, hi).view(np.float64))
+        hi = np.where(asked & true, at, hi).min(axis=0)
+        lo = np.where(asked & ~true, at, lo).max(axis=0)
     while True:
         # patterns of doubles >= 2 exceed 2**62, so lo + hi would overflow
         mid = lo + (hi - lo) // 2

@@ -84,8 +84,8 @@ def _cuts(d: Distribution, edges: np.ndarray) -> np.ndarray:
     where there is none.  Where ``ppf`` is nondecreasing on doubles, for every
     uniform draw u, ``d.ppf(u) >= e`` exactly when ``u > cut``.  The cut is
     the double just below the smallest u in [0, 1] with ``d.ppf(u) >= e``
-    (1.0 standing in for "none below 1"), found by the OPT quantiles' own
-    bisection over bit patterns, ``_bisect``, in at most 63 halvings."""
+    (1.0 standing in for "none below 1"), found by the OPT quantiles' search
+    over bit patterns, ``_bisect``, halving (-1, 1] with no estimate."""
     first = _bisect(np.full(edges.shape, -1.0), np.ones(edges.shape),
                     lambda u: d.ppf(u) >= edges)
     return np.where(first > 0.0, np.nextafter(first, -np.inf), -1.0)

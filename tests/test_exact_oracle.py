@@ -102,6 +102,18 @@ class TestExpectedValueThreshold:
         exact = expected_value(inst, sched).estimate
         assert exact == pytest.approx(enumerate_expected_value(inst, sched), abs=1e-10)
 
+    # the reduction's roundoff put each of these above the largest value
+    @pytest.mark.parametrize("name,algorithm_class,k", [
+        ("point-mass", "blind", 32),
+        ("det-plus-risky", "single", 1024),
+        ("mixed-four", "single", 512),
+        ("skewed-discrete", "single", 1024),
+    ])
+    def test_never_above_the_largest_value(self, name, algorithm_class, k):
+        inst = make_instance(dict(regression_instances())[name], k)
+        policy = experiments.build_policy(inst, opt_law(inst), algorithm_class, 0.05)
+        assert 0.0 <= expected_value(inst, policy).estimate <= inst.support_max
+
 
 class TestExceedance:
     def test_above_all_supports(self):

@@ -21,7 +21,10 @@ from prophetlab import (
     make_instance,
     opt_law,
 )
+from prophetlab import instance
 from prophetlab.experiments import regression_instances
+from prophetlab.instance import _bisect
+from prophetlab.policies import make_blind_schedule
 
 ATOM1 = Distribution.discrete([(1.0, 1.0)])
 COIN = Distribution.discrete([(0.0, 0.5), (1.0, 0.5)])
@@ -157,6 +160,78 @@ class TestQuantileThresholds:
         with pytest.raises(InvalidQuantileError):
             opt.quantile_thresholds([0.25, bad, 0.5])
         assert opt.quantile_thresholds([]) == []
+
+
+def _shift(x: np.ndarray, ulps: int) -> np.ndarray:
+    """x moved by ``ulps`` bit patterns, kept at or above 0.0."""
+    return np.maximum(x.view(np.int64) + ulps, 0).view(np.float64)
+
+
+class TestBisectWithEstimate:
+    """Any estimate leaves ``_bisect``'s answer as it is without one, bit for bit."""
+
+    ANSWERS = np.array([0.0, 5e-324, 1e-310, 1e-300, 1e-5, 0.3, 1.0, 1e300, 1.7e308])
+
+    @pytest.mark.parametrize("lo", [0.0, -0.0, -1.0])
+    @pytest.mark.parametrize("wide", [True, False], ids=["hi-max", "hi-3-ulps-up"])
+    def test_threshold_predicate(self, lo, wide):
+        ans = self.ANSWERS
+        los = np.full(ans.shape, lo)
+        his = np.full(ans.shape, np.finfo(float).max) if wide else _shift(ans, 3)
+
+        def holds(x):
+            return x >= ans
+
+        plain = _bisect(los, his, holds)
+        # 0.0 lies in (lo, hi] only when lo is negative
+        expected = ans if lo < 0.0 else np.maximum(ans, 5e-324)
+        assert plain.tolist() == expected.tolist()
+        estimates = {
+            "answer": ans, "1-below": _shift(ans, -1), "1-above": _shift(ans, 1),
+            "1e6-below": _shift(ans, -10**6), "1e6-above": _shift(ans, 10**6),
+            "nan": np.full(ans.shape, np.nan), "lo": los, "hi": his,
+            "below-lo": los - 5.0, "above-hi": np.full(ans.shape, np.inf),
+        }
+        for name, guess in estimates.items():
+            got = _bisect(los, his, holds, guess)
+            assert got.view(np.int64).tolist() == plain.view(np.int64).tolist(), name
+
+    def test_rounding_plateau(self):
+        # 1 - a rounds to the same double for hundreds of small a, so the
+        # predicate turns true at the edge of a plateau the estimate lands in
+        q = np.array([1.0 - 2.0**-k for k in (3, 9, 20, 40, 52)])
+
+        def holds(a):
+            return 0.5 + (1.0 - a) * 0.5 <= q
+
+        lo, hi = np.zeros_like(q), np.ones_like(q)
+        plain = _bisect(lo, hi, holds)
+        assert (holds(plain) & ~holds(np.nextafter(plain, -np.inf))).all()
+        root = 2.0 * (1.0 - q)
+        for guess in (root, _shift(root, 300), _shift(root, -300), _shift(root, 10**9)):
+            assert _bisect(lo, hi, holds, guess).tolist() == plain.tolist()
+
+
+class TestQuantileSearchCost:
+    """The secant estimates and the probe bracket leave a blind schedule few
+    passes over its 513 quantiles; halving all of (lo, hi] took 52 cdf calls
+    on mixed-four and two-piecewise and 64 rejected-mass passes on fair-coin."""
+
+    @pytest.mark.parametrize("name", ["mixed-four", "two-piecewise"])
+    def test_cdf_calls(self, name):
+        opt = OptLaw(dict(regression_instances())[name])
+        calls = []
+        cdf = opt.cdf
+        opt.cdf = lambda x: calls.append(x) or cdf(x)
+        make_blind_schedule(opt, 6)
+        assert 0 < len(calls) <= 20
+
+    def test_rejected_mass_passes(self, monkeypatch):
+        calls = []
+        rejected = instance._rejected
+        monkeypatch.setattr(instance, "_rejected", lambda *a: calls.append(a) or rejected(*a))
+        make_blind_schedule(OptLaw(dict(regression_instances())["fair-coin"]), 6)
+        assert 0 < len(calls) <= 20
 
 
 class TestSampleArrivals:
