@@ -37,7 +37,6 @@ from .monte_carlo import (
     McConfig,
     estimate_exceedance,
     estimate_expected_value,
-    estimate_no_stop,
     estimate_value_and_no_stop,
 )
 from .policies import (

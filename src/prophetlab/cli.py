@@ -138,8 +138,6 @@ def _read_json(path: str, what: str):
 def _load_instance(path: str, k_override: int | None) -> Instance:
     inst = instance_from_json(_read_json(path, "instance"))
     if k_override is not None:
-        if k_override < 1:
-            raise ConfigError("--k must be a positive integer")
         inst = make_instance(list(inst.base), k_override)
     return inst
 

@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInstanceError, InvalidParameterError
+from .errors import InvalidInstanceError, InvalidParameterError, is_integer
 
 __all__ = [
     "Distribution",
@@ -297,10 +297,8 @@ def product_max(ds: Sequence[Distribution], extra_points=None) -> Distribution:
 
 def nth_root(d: Distribution, n: int, extra_points=None) -> Distribution:
     """Distribution with CDF equal to the n-th root of d's CDF."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not is_integer(n) or n < 1:
         raise InvalidParameterError(f"root order must be a positive integer, got {n!r}")
-    if n == 1 and extra_points is None:
-        return d
     grid = _merged_grid([d], extra_points)
     right, left = _right_and_left(d, grid)
     return Distribution(d.kind, grid, left ** (1.0 / n), right ** (1.0 / n))

@@ -1,4 +1,11 @@
-"""Exception types shared across the library."""
+"""Exception types, and the integer check, shared across the library."""
+
+import numpy as np
+
+
+def is_integer(value) -> bool:
+    """True for a Python or NumPy integer, False for a bool or a float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class ProphetLabError(Exception):

@@ -15,12 +15,13 @@ the policy's ``piece_stack(identity)``: each identity's law is asked each
 question once, for all time pieces together, with the arithmetic of asking
 each piece's rule alone, so the weights equal the per-piece ones bit for bit.
 
-Also houses the brute-force DP for the optimal online policy on small
-discrete instances.
+Also houses the DP table for the optimal online policy on small discrete
+instances.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -158,30 +159,25 @@ def optimal_online_value(atom_sets: Sequence[Sequence[tuple]], counts: Sequence[
     ``atom_sets[i]`` lists (value, mass) for identity i; ``counts[i]`` is how
     many copies of identity i remain.  Number-type agnostic: works with
     floats, Fractions, or mpmath values alike.
-    """
-    memo: dict[tuple, object] = {}
 
-    def value(counts: tuple) -> object:
-        total = sum(counts)
-        if total == 0:
-            return 0
-        hit = memo.get(counts)
-        if hit is not None:
-            return hit
+    The table holds every count vector up to ``counts`` in lexicographic
+    order, so c - e_i comes before c, ``strides[i]`` entries earlier.
+    """
+    strides = [math.prod(c + 1 for c in counts[i + 1 :]) for i in range(len(counts))]
+    table = []
+    for state in itertools.product(*(range(c + 1) for c in counts)):
+        total = sum(state)
         acc = 0
-        for i, c in enumerate(counts):
+        for i, c in enumerate(state):
             if c == 0:
                 continue
-            rest = value(counts[:i] + (c - 1,) + counts[i + 1 :])
+            rest = table[len(table) - strides[i]]
             gain = 0
             for v, mass in atom_sets[i]:
                 gain += mass * (v if v > rest else rest)
             acc += c * gain
-        out = acc / total
-        memo[counts] = out
-        return out
-
-    return value(tuple(counts))
+        table.append(acc / total if total else 0)
+    return table[-1]
 
 
 def optimal_online_dp(inst: Instance) -> EvalResult:
@@ -189,9 +185,7 @@ def optimal_online_dp(inst: Instance) -> EvalResult:
     more than ``_DP_STATE_CAP`` DP states raises TooLargeInstanceError."""
     if any(d.kind != "discrete" for d in inst.base):
         raise InvalidInstanceError("optimal_online_dp needs discrete base distributions")
-    states = 1
-    for _ in inst.base:
-        states *= inst.copies + 1
+    states = (inst.copies + 1) ** inst.n
     if states > _DP_STATE_CAP:
         raise TooLargeInstanceError(f"DP state space {states} exceeds cap {_DP_STATE_CAP}")
     atom_sets = [

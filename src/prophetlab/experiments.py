@@ -24,7 +24,7 @@ import mpmath as mp
 import numpy as np
 
 from .distributions import Distribution, RandomizedThreshold, nth_root, product_max
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, is_integer
 from .exact_oracle import ExactEvaluator, optimal_online_value, p_tau_multi, p_tau_single
 from .instance import Instance, OptLaw, make_instance, opt_law
 from .monte_carlo import McConfig, estimate_exceedance, estimate_expected_value
@@ -329,10 +329,11 @@ def _two_type_sweep(k: int, p, s, eps, policies):
     return channels, (min(logs) if certified else math.nan), certified
 
 
-def _require_int(what: str, name: str, value, low: int, why: str = "") -> None:
-    """Raise InvalidParameterError unless ``value`` is an integer >= low."""
-    if not isinstance(value, (int, np.integer)) or value < low:
+def _require_int(what: str, name: str, value, low: int, why: str = "") -> int:
+    """``value`` as an int (mpmath takes no NumPy integer); it must be an integer >= low."""
+    if not is_integer(value) or value < low:
         raise InvalidParameterError(f"{what} needs an integer {name} >= {low}{why}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -355,8 +356,8 @@ def hardness_time_based(k: int = 25, grid_points: int = 1001) -> TwoTypeHardness
     Every nonincreasing time-based policy on a {0, 1, 1+sqrt(eps)} instance
     reduces to 'accept only the top value until t, anything nonzero after'.
     """
-    _require_int("time-based hardness", "k", k, 2, " (p = 1/k must be below 1)")
-    _require_int("time-based hardness", "grid", grid_points, 1)
+    k = _require_int("time-based hardness", "k", k, 2, " (p = 1/k must be below 1)")
+    grid_points = _require_int("time-based hardness", "grid", grid_points, 1)
     with mp.workdps(80):
         L = _fixed_point_L(k)
         eps = mp.exp(-L)
@@ -401,8 +402,8 @@ def hardness_activation(k: int = 61, grid_points: int = 11) -> TwoTypeHardnessRe
     Top values are always activated and zeros never; the free parameters are
     the activation probabilities of value-1 rewards on [0, 2/k] and (2/k, 1].
     """
-    _require_int("activation hardness", "k", k, 3, " (the switch 2/k must lie inside (0, 1))")
-    _require_int("activation hardness", "grid", grid_points, 1)
+    k = _require_int("activation hardness", "k", k, 3, " (the switch 2/k must lie inside (0, 1))")
+    grid_points = _require_int("activation hardness", "grid", grid_points, 1)
     with mp.workdps(80):
         L = _fixed_point_L(k)
         eps = mp.exp(-L)
@@ -458,7 +459,7 @@ class GeneralHardnessReport:
 def hardness_general(k: int = 4) -> GeneralHardnessReport:
     """Exact bad-order combinatorics plus a high-precision optimal-online DP
     on the two-type instance with p = e^(-2k), eps = e^(-4k^2)."""
-    _require_int("general hardness", "k", k, 1)
+    k = _require_int("general hardness", "k", k, 1)
     fact = math.factorial
     stirling_ok = all(
         Fraction(fact(kk) ** 2, fact(2 * kk)) >= Fraction(1, 4**kk)
@@ -576,8 +577,8 @@ def lemma_suite(seed: int, trials: int = 200) -> LemmaSuiteReport:
     random schedules into nonincreasing order is checked to never lower the
     exact value.
     """
-    _require_int("lemma suite", "trials", trials, 1)
-    _require_int("lemma suite", "seed", seed, 0)
+    trials = _require_int("lemma suite", "trials", trials, 1)
+    seed = _require_int("lemma suite", "seed", seed, 0)
     rng = np.random.default_rng(seed)
     rows = []
     s1 = s2 = s3 = s4 = math.inf

@@ -15,7 +15,7 @@ from .distributions import (
     distribution_to_json,
     product_max,
 )
-from .errors import InvalidInstanceError, InvalidQuantileError
+from .errors import InvalidInstanceError, InvalidQuantileError, is_integer
 from .quadrature import leggauss
 
 __all__ = ["Instance", "OptLaw", "make_instance", "opt_law", "instance_to_json",
@@ -45,7 +45,7 @@ class Instance:
 def make_instance(base: Sequence[Distribution], k: int) -> Instance:
     if not base:
         raise InvalidInstanceError("instance needs at least one base distribution")
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
+    if not is_integer(k) or k < 1:
         raise InvalidInstanceError(f"copy count must be a positive integer, got {k!r}")
     return Instance(tuple(base), int(k))
 
@@ -62,7 +62,6 @@ class OptLaw:
         self.base = tuple(base)
         self.dist = product_max(base)
         self.expected_value = self._tail_integral()
-        self._quantile_cache: dict[float, RandomizedThreshold] = {}
 
     # exact product CDF, independent of the materialized grid; vectorized
     def cdf(self, x):
@@ -93,24 +92,18 @@ class OptLaw:
         under the randomized-tiebreak semantics (product of per-distribution
         rejections).
 
-        All misses of the cache are solved together: a crossing strictly
-        inside a segment of the product CDF is the smallest double tau there
-        with ``cdf(tau) >= q``, a crossing at an atom of the product law the
+        All qs are solved together: a crossing strictly inside a segment of
+        the product CDF is the smallest double tau there with
+        ``cdf(tau) >= q``, a crossing at an atom of the product law the
         smallest accept probability whose rejected mass is at most q.  Both
         come from one exact search over the bit patterns of doubles
         (``_bisect``) from a secant estimate of each q's answer (``_secant``).
-        Factors multiply in base order, so each result equals solving its q
-        alone, bit for bit."""
+        Both work elementwise and factors multiply in base order, so each
+        result equals solving its q alone, bit for bit."""
         for q in qs:
             if not (0.0 <= q < 1.0):
                 raise InvalidQuantileError(f"quantile must be in [0, 1), got {q!r}")
-        misses = sorted({q for q in qs if q not in self._quantile_cache})
-        if misses:
-            solved = self._solve_quantiles(np.array(misses, dtype=float))
-            self._quantile_cache.update(zip(misses, solved))
-        return [self._quantile_cache[q] for q in qs]
-
-    def _solve_quantiles(self, q: np.ndarray) -> list[RandomizedThreshold]:
+        q = np.array(qs, dtype=float)
         grid, Fr, Fl = self.dist.xs, self.dist.Fr, self.dist.Fl
         j = np.minimum(np.searchsorted(Fr, q, side="left"), len(grid) - 1)
         prev = np.maximum(j - 1, 0)

@@ -30,12 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, is_integer
 from .instance import Instance, _bisect
 from .policies import Policy, bucket_table, check_shape
 from .results import EvalResult
 
-__all__ = ["McConfig", "estimate_expected_value", "estimate_exceedance", "estimate_no_stop",
+__all__ = ["McConfig", "estimate_expected_value", "estimate_exceedance",
            "estimate_value_and_no_stop"]
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -47,15 +47,13 @@ _CHUNK = 1024  # rows of a block drawn and worked at once, so a block stays smal
 class McConfig:
     replications: int
     master_seed: int
-    ci_method: str = "normal"
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise InvalidParameterError("replications must be >= 1")
-        if self.ci_method not in ("normal", "hoeffding"):
-            raise InvalidParameterError(f"unknown ci_method {self.ci_method!r}")
+        if not is_integer(self.replications) or self.replications < 1:
+            raise InvalidParameterError(
+                f"replications must be an integer >= 1, got {self.replications!r}")
         seed = self.master_seed
-        if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        if not is_integer(seed) or not 0 <= seed < 2**64:
             raise InvalidParameterError(
                 f"master_seed must be an integer in [0, 2^64), got {seed!r}")
 
@@ -194,14 +192,13 @@ def _block_sums(inst: Instance, policy: Policy, cfg: McConfig, reduce) -> list:
     return sums
 
 
-def _run(inst: Instance, policy: Policy, cfg: McConfig, reduce, caps,
-         scales) -> list[EvalResult]:
+def _run(inst: Instance, policy: Policy, cfg: McConfig, reduce, scales) -> list[EvalResult]:
     """One simulation.  ``reduce(selected, stopped)`` turns each block into
     two arrays, the sums of its statistics and the sums of their squares,
     each statistic divided by its entry of ``scales``, one entry per
     statistic.  The sums add up in block order; the result is one estimate
-    per statistic, its mean scaled back.  ``caps`` bounds each statistic for
-    Hoeffding, ``None`` standing for the instance's largest value."""
+    per statistic, its mean scaled back, with the half-width of its 99%
+    normal interval."""
     check_shape(policy, inst.n, inst.copies)
     R = cfg.replications
     total = total_sq = 0.0
@@ -209,15 +206,11 @@ def _run(inst: Instance, policy: Policy, cfg: McConfig, reduce, caps,
         total = total + s
         total_sq = total_sq + s2
     results = []
-    for t, t2, cap, scale in zip(total, total_sq, caps, scales):
+    for t, t2, scale in zip(total, total_sq, scales):
         unit_mean = float(t) / R
         mean = scale * unit_mean
-        if cfg.ci_method == "hoeffding":
-            cap = inst.support_max if cap is None else cap
-            hw = cap * math.sqrt(math.log(2.0 / 0.01) / (2.0 * R))
-        else:
-            var = max(float(t2) / R - unit_mean * unit_mean, 0.0)
-            hw = scale * (_Z99 * math.sqrt(var / R))
+        var = max(float(t2) / R - unit_mean * unit_mean, 0.0)
+        hw = scale * (_Z99 * math.sqrt(var / R))
         results.append(EvalResult(mean, hw, "monte-carlo", replications=R, seed=cfg.master_seed))
     return results
 
@@ -226,14 +219,13 @@ def estimate_value_and_no_stop(
     inst: Instance, policy: Policy, cfg: McConfig
 ) -> tuple[EvalResult, EvalResult]:
     """Mean selected value and fraction of replications selecting nothing,
-    both from one simulation (the no-stop Hoeffding cap is 1).  Values add
-    and square in units of the power of two at or below the largest value
-    (0.5 when every value is 0), so each is below 2: a block's sums cannot
-    overflow, and the largest values' squares do not underflow, at any
-    scale from subnormal to the largest double.  Dividing and
-    multiplying by a power of two is exact, so every estimate has the bits
-    of summing the values themselves wherever those sums stay finite and
-    normal."""
+    both from one simulation.  Values add and square in units of the power
+    of two at or below the largest value (0.5 when every value is 0), so
+    each is below 2: a block's sums cannot overflow, and the largest values'
+    squares do not underflow, at any scale from subnormal to the largest
+    double.  Dividing and multiplying by a power of two is exact, so every
+    estimate has the bits of summing the values themselves wherever those
+    sums stay finite and normal."""
     scales = (math.ldexp(1.0, math.frexp(inst.support_max)[1] - 1), 1.0)
     units = np.array(scales)[:, None]
 
@@ -241,7 +233,7 @@ def estimate_value_and_no_stop(
         ys = np.stack((selected, ~stopped)) / units
         return ys.sum(axis=1), (ys * ys).sum(axis=1)
 
-    return tuple(_run(inst, policy, cfg, moments, caps=(None, 1.0), scales=scales))
+    return tuple(_run(inst, policy, cfg, moments, scales))
 
 
 def estimate_expected_value(inst: Instance, policy: Policy, cfg: McConfig) -> EvalResult:
@@ -249,14 +241,9 @@ def estimate_expected_value(inst: Instance, policy: Policy, cfg: McConfig) -> Ev
     return estimate_value_and_no_stop(inst, policy, cfg)[0]
 
 
-def estimate_no_stop(inst: Instance, policy: Policy, cfg: McConfig) -> EvalResult:
-    """Fraction of replications selecting nothing."""
-    return estimate_value_and_no_stop(inst, policy, cfg)[1]
-
-
 def estimate_exceedance(inst: Instance, policy: Policy, xs, cfg: McConfig) -> list[EvalResult]:
-    """Fraction of replications selecting a value > x, for each x of ``xs``
-    (Hoeffding cap is 1).  One simulation serves every x: each block's
+    """Fraction of replications selecting a value > x, for each x of ``xs``.
+    One simulation serves every x: each block's
     counts are exact integers, so each estimate equals a run for its x alone."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
 
@@ -264,4 +251,4 @@ def estimate_exceedance(inst: Instance, policy: Policy, xs, cfg: McConfig) -> li
         above = (len(selected) - np.searchsorted(np.sort(selected), xs, side="right")) * 1.0
         return above, above  # a 0/1 statistic squares to itself
 
-    return _run(inst, policy, cfg, counts, caps=(1.0,) * len(xs), scales=(1.0,) * len(xs))
+    return _run(inst, policy, cfg, counts, (1.0,) * len(xs))

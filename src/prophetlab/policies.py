@@ -25,7 +25,7 @@ from typing import Union
 import numpy as np
 
 from .distributions import Distribution, RandomizedThreshold
-from .errors import InvalidParameterError, PolicyMismatchError
+from .errors import InvalidParameterError, PolicyMismatchError, is_integer
 from .instance import Instance, OptLaw
 
 __all__ = [
@@ -314,10 +314,11 @@ def make_blind_schedule(opt: OptLaw, k: int, grid_resolution: int = 512) -> Thre
     larger (conservative) threshold; the error vanishes as grid_resolution
     grows.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if not is_integer(k) or k < 1:
         raise InvalidParameterError(f"copy count must be a positive integer, got {k!r}")
-    if grid_resolution < 1:
-        raise InvalidParameterError("grid_resolution must be >= 1")
+    if not is_integer(grid_resolution) or grid_resolution < 1:
+        raise InvalidParameterError(
+            f"grid_resolution must be a positive integer, got {grid_resolution!r}")
     switch = 2.0 / k
     if switch >= 1.0:
         return make_single_threshold(opt)

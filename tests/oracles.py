@@ -12,6 +12,9 @@ the enumeration read a policy's ``rule(piece, identity)`` through
 ``acceptance_prob``, which decides from ``tau`` and ``accept_prob`` or from
 the bucket edges directly, never through ``bucket_form()``.
 
+``optimal_online_value`` is the recursive memo that the optimal-online DP
+table must equal state for state.
+
 ``reference_quantile_threshold`` is the scalar, one-q-at-a-time OPT quantile
 search that ``OptLaw.quantile_thresholds`` must reproduce bit for bit; it
 reads the OPT law's left limits through ``opt_cdf_left``.
@@ -134,6 +137,36 @@ def enumerate_opt_value(base) -> float:
         math.prod(p for _, p in vals) * max(v for v, _ in vals)
         for vals in itertools.product(*supports)
     )
+
+
+def optimal_online_value(atom_sets, counts):
+    """The optimal online value by recursion on the remaining counts with a
+    memo: the reference that ``exact_oracle.optimal_online_value``'s table
+    must equal, with the same arithmetic in the same order per state.  Its
+    depth is sum(counts), so keep that well below the recursion limit."""
+    memo = {}
+
+    def value(counts: tuple):
+        total = sum(counts)
+        if total == 0:
+            return 0
+        hit = memo.get(counts)
+        if hit is not None:
+            return hit
+        acc = 0
+        for i, c in enumerate(counts):
+            if c == 0:
+                continue
+            rest = value(counts[:i] + (c - 1,) + counts[i + 1 :])
+            gain = 0
+            for v, mass in atom_sets[i]:
+                gain += mass * (v if v > rest else rest)
+            acc += c * gain
+        out = acc / total
+        memo[counts] = out
+        return out
+
+    return value(tuple(counts))
 
 
 def opt_cdf_left(opt, x: float) -> float:

@@ -89,7 +89,7 @@ def test_03_adaptive_guarantee():
         inst = make_instance(list(base), k)
         opt = opt_law(inst)
         policy = build_policy(inst, opt, "adaptive", eps)
-        cfg = McConfig(replications=1_000_000, master_seed=777, ci_method="hoeffding")
+        cfg = McConfig(replications=1_000_000, master_seed=777)
         val, ns = estimate_value_and_no_stop(inst, policy, cfg)
         worst_value_slack = min(
             worst_value_slack,

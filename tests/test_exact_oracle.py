@@ -3,7 +3,9 @@
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
+import oracles
 import pytest
 from oracles import (
     ScalarPieces,
@@ -31,7 +33,7 @@ from prophetlab import (
     p_tau_multi,
     p_tau_single,
 )
-from prophetlab import experiments
+from prophetlab import exact_oracle, experiments
 from prophetlab.experiments import regression_instances
 from prophetlab.policies import ActivationPolicy, ValueBuckets, make_blind_schedule
 
@@ -269,6 +271,35 @@ class TestOptimalOnlineDp:
         best = optimal_online_dp(inst).estimate
         for sched in TestEnumerationSweep.SCHEDULES:
             assert best >= expected_value(inst, sched).estimate - 1e-12
+
+    def test_table_equals_recursive_reference(self):
+        laws = [COIN, TRI, Distribution.discrete([(0.5, 0.25), (2.0, 0.75)])]
+        atom_sets = [list(zip(d.xs.tolist(), (d.Fr - d.Fl).tolist())) for d in laws]
+        for counts in ((3, 1, 2), (0, 4, 1), (5, 5, 5)):
+            got = exact_oracle.optimal_online_value(atom_sets, counts)
+            assert got == oracles.optimal_online_value(atom_sets, counts), counts
+        assert exact_oracle.optimal_online_value(atom_sets, (0, 0, 0)) == 0
+
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    def test_general_hardness_equals_recursive_reference(self, k, monkeypatch):
+        # the mpmath DP of hardness_general, compared at its own precision
+        seen = []
+
+        def both(atom_sets, counts):
+            table = exact_oracle.optimal_online_value(atom_sets, counts)
+            seen.append((table, oracles.optimal_online_value(atom_sets, counts), mp.mp.dps))
+            return table
+
+        monkeypatch.setattr(experiments, "optimal_online_value", both)
+        experiments.hardness_general(k)
+        ((table, reference, dps),) = seen
+        assert isinstance(table, mp.mpf) and dps >= 60
+        assert table == reference
+
+    def test_more_copies_than_the_recursion_limit(self):
+        # 1,201 states, one law: a recursion 1,200 deep
+        inst = make_instance([COIN], 1200)
+        assert optimal_online_dp(inst).estimate == 1.0
 
     def test_state_space_above_cap_rejected(self):
         # two laws at k = 1000 span 1001^2 > 10^6 count vectors

@@ -13,16 +13,25 @@ from test_distributions import discrete_laws, piecewise_laws
 from prophetlab import (
     Distribution,
     InvalidInstanceError,
+    InvalidParameterError,
     InvalidQuantileError,
+    McConfig,
     OptLaw,
     RandomizedThreshold,
     instance_from_json,
     instance_to_json,
     make_instance,
+    nth_root,
     opt_law,
 )
 from prophetlab import instance
-from prophetlab.experiments import regression_instances
+from prophetlab.experiments import (
+    hardness_activation,
+    hardness_general,
+    hardness_time_based,
+    lemma_suite,
+    regression_instances,
+)
 from prophetlab.instance import _bisect
 from prophetlab.policies import make_blind_schedule
 
@@ -150,9 +159,7 @@ class TestQuantileThresholds:
         opt = OptLaw(regression_instances()[7][1])
         qs = [0.9, 0.1, 0.5, 0.1]
         batch = opt.quantile_thresholds(qs)
-        fresh = OptLaw(opt.base)
-        assert batch == [fresh.quantile_threshold(q) for q in qs]
-        assert batch[1] is batch[3]
+        assert [_bits(rt) for rt in batch] == [_bits(opt.quantile_threshold(q)) for q in qs]
 
     @pytest.mark.parametrize("bad", [1.0, -0.1, float("nan")])
     def test_batch_with_bad_quantile_raises(self, bad):
@@ -269,3 +276,35 @@ def test_json_roundtrip():
     back = instance_from_json(instance_to_json(inst))
     assert back.copies == 6 and back.n == 2
     assert opt_law(back).expected_value == pytest.approx(opt_law(inst).expected_value)
+
+
+# every integer parameter of the library, with the error class its site raises
+_INTEGER_SITES = {
+    "make_instance k": (lambda v: make_instance([COIN], v), InvalidInstanceError),
+    "McConfig replications": (lambda v: McConfig(v, 0), InvalidParameterError),
+    "McConfig master_seed": (lambda v: McConfig(10, v), InvalidParameterError),
+    "make_blind_schedule k": (lambda v: make_blind_schedule(OptLaw([COIN]), v),
+                              InvalidParameterError),
+    "make_blind_schedule grid_resolution": (
+        lambda v: make_blind_schedule(OptLaw([COIN]), 8, grid_resolution=v),
+        InvalidParameterError),
+    "nth_root n": (lambda v: nth_root(COIN, v), InvalidParameterError),
+    "hardness_general k": (lambda v: hardness_general(v), InvalidParameterError),
+    "hardness_time_based k": (lambda v: hardness_time_based(v, 11), InvalidParameterError),
+    "hardness_activation grid": (lambda v: hardness_activation(3, v), InvalidParameterError),
+    "lemma_suite trials": (lambda v: lemma_suite(seed=0, trials=v), InvalidParameterError),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), 3.5, 3.0, "3"])
+@pytest.mark.parametrize("site", sorted(_INTEGER_SITES))
+def test_every_integer_parameter_rejects_bools_and_non_integers(site, value):
+    call, error = _INTEGER_SITES[site]
+    with pytest.raises(error):
+        call(value)
+
+
+@pytest.mark.parametrize("site", sorted(_INTEGER_SITES))
+def test_every_integer_parameter_takes_numpy_integers(site):
+    call, _ = _INTEGER_SITES[site]
+    call(np.int64(3))

@@ -32,9 +32,10 @@ from prophetlab import (
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "trace_layers.py"
 
-# removed on purpose: the one-x exact query, replaced by exceedance_many; the
-# tracer counts a name it cannot find as zero calls
-RETIRED = {"exact_oracle.ExactEvaluator.exceedance"}
+# removed on purpose: the one-x exact query, replaced by exceedance_many, and
+# the no-stop estimate, read from estimate_value_and_no_stop; the tracer
+# counts a name it cannot find as zero calls
+RETIRED = {"exact_oracle.ExactEvaluator.exceedance", "monte_carlo.estimate_no_stop"}
 
 
 def _tracer_module():
@@ -102,7 +103,7 @@ def _policies(inst):
     }
 
 
-def _one_statistic_run(inst, policy, statistic, cap, cfg):
+def _one_statistic_run(inst, policy, statistic, cfg):
     """(estimate, half-width) of one statistic of (selected, stopped) from a
     simulation of its own, summing it per block in block order."""
     total = total_sq = 0.0
@@ -119,8 +120,6 @@ def _one_statistic_run(inst, policy, statistic, cap, cfg):
         block += 1
     R = cfg.replications
     mean = total / R
-    if cfg.ci_method == "hoeffding":
-        return mean, cap * math.sqrt(math.log(2.0 / 0.01) / (2.0 * R))
     return mean, 2.5758293035489004 * math.sqrt(max(total_sq / R - mean * mean, 0.0) / R)
 
 
@@ -128,17 +127,16 @@ def _per_x_run(inst, policy, x, cfg):
     """Pr[selected > x], summing the 0/1 statistic per block as a one-x
     estimator does."""
     return _one_statistic_run(
-        inst, policy, lambda selected, stopped: (selected > x).astype(float), 1.0, cfg
+        inst, policy, lambda selected, stopped: (selected > x).astype(float), cfg
     )
 
 
-@pytest.mark.parametrize("ci_method", ["normal", "hoeffding"])
 @pytest.mark.parametrize("kind", ["threshold", "activation", "adaptive"])
-def test_one_pass_exceedance_equals_one_x_runs(kind, ci_method):
+def test_one_pass_exceedance_equals_one_x_runs(kind):
     # 17,000 reps span three blocks, so block-order accumulation is exercised
     inst = make_instance([COIN, TRI, U02], 3)
     policy = _policies(inst)[kind]
-    cfg = McConfig(17_000, 41, ci_method=ci_method)
+    cfg = McConfig(17_000, 41)
     xs = np.array([-1.0, 0.0, 0.5, 1.0, 1.0, 1.7, 3.0, 4.0])
     many = estimate_exceedance(inst, policy, xs, cfg)
     assert len(many) == len(xs)
@@ -149,15 +147,14 @@ def test_one_pass_exceedance_equals_one_x_runs(kind, ci_method):
     assert 0.0 < many[1].estimate < 1.0 and many[-1].estimate == 0.0
 
 
-@pytest.mark.parametrize("ci_method", ["normal", "hoeffding"])
 @pytest.mark.parametrize("kind", ["threshold", "activation", "adaptive"])
-def test_value_and_no_stop_equal_one_statistic_runs(kind, ci_method):
+def test_value_and_no_stop_equal_one_statistic_runs(kind):
     inst = make_instance([COIN, TRI, U02], 3)
     policy = _policies(inst)[kind]
-    cfg = McConfig(17_000, 43, ci_method=ci_method)
+    cfg = McConfig(17_000, 43)
     value, no_stop = estimate_value_and_no_stop(inst, policy, cfg)
-    want_value = _one_statistic_run(inst, policy, lambda s, st: s, 3.0, cfg)
-    want_no_stop = _one_statistic_run(inst, policy, lambda s, st: (~st).astype(float), 1.0, cfg)
+    want_value = _one_statistic_run(inst, policy, lambda s, st: s, cfg)
+    want_no_stop = _one_statistic_run(inst, policy, lambda s, st: (~st).astype(float), cfg)
     assert (value.estimate, value.half_width) == want_value
     assert (no_stop.estimate, no_stop.half_width) == want_no_stop
     assert 0.0 < no_stop.estimate < 1.0
