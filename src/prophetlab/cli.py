@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, ProphetLabError
 from .experiments import (
+    CheckReport,
     build_policy,
     dominance_check,
     expected_value,
@@ -87,11 +88,6 @@ def _json_text(obj: dict) -> str:
 def _write_text(path: str, text: str) -> None:
     with open(path, "w") as fh:
         fh.write(text)
-
-
-def _log_or_null(log: float) -> float | None:
-    """A log gap for summary.json: the log of a non-positive gap is NaN, written as null."""
-    return None if math.isnan(log) else log
 
 
 def _manifest(args: argparse.Namespace) -> dict:
@@ -199,18 +195,23 @@ def _load_problem(args: argparse.Namespace) -> tuple[Instance, OptLaw, Policy]:
         if not args.policy:
             raise ConfigError("--class activation needs --policy pointing at a table file")
         return inst, opt, _activation_from_json(_read_json(args.policy, "policy"), inst.n)
+    if args.policy is not None:
+        raise ConfigError(f"--policy is read by --class activation only, not --class "
+                          f"{args.algorithm_class}")
     if args.algorithm_class == "adaptive" and args.epsilon is None:
         raise ConfigError("--class adaptive needs --epsilon")
-    eps = args.epsilon if args.epsilon is not None else 0.1
-    return inst, opt, build_policy(inst, opt, args.algorithm_class, eps, args.grid)
+    return inst, opt, build_policy(inst, opt, args.algorithm_class, args.epsilon, args.grid)
 
 
-def _bound_fields(args: argparse.Namespace) -> dict:
+def _bound_fields(args: argparse.Namespace, *, where_defined: bool = False) -> dict:
     """The summary's ``epsilon``, when given, and the class's closed-form copy
-    bound at it; the activation class has no such bound."""
+    bound at it; the activation class has no such bound.  The bound needs
+    epsilon <= 1/e: ``paper_bound_k`` refuses a larger one, unless
+    ``where_defined`` asks to leave the bound out there."""
     fields = {} if args.epsilon is None else {"epsilon": args.epsilon}
     if fields and args.algorithm_class != "activation":
-        fields["paper_bound_k"] = paper_bound_k(args.algorithm_class, args.epsilon)
+        if not (where_defined and args.epsilon > 1.0 / math.e):
+            fields["paper_bound_k"] = paper_bound_k(args.algorithm_class, args.epsilon)
     return fields
 
 
@@ -274,7 +275,7 @@ def _cmd_dominance(args: argparse.Namespace):
         "min_margin": report.min_margin,
         "method": report.evaluator,
         "half_widths": [report.half_width],
-        **_bound_fields(args),
+        **_bound_fields(args, where_defined=True),  # dominance checks any epsilon in (0, 1)
     }
     tolerance = (1e-4 if args.algorithm_class == "blind" else 1e-6) + report.half_width
     failed = report.min_margin < -tolerance
@@ -283,67 +284,24 @@ def _cmd_dominance(args: argparse.Namespace):
     return columns, report.rows, summary, failure
 
 
+def _check_outputs(report: CheckReport):
+    """A check command's outputs: every number of a check is exact."""
+    summary = {**report.summary, "method": "exact", "half_widths": [0.0]}
+    return report.columns, report.rows, summary, report.failure
+
+
 def _cmd_hardness(args: argparse.Namespace):
-    suite = args.algorithm_class
-    if suite == "general" and args.grid is not None:
+    if args.algorithm_class == "general" and args.grid is not None:
         raise ConfigError("hardness --class general has no sweep grid; drop --grid")
     # looked up per call, as the names may be rebound (perfbench's tracer does)
     fn = {"time-based": hardness_time_based, "activation": hardness_activation,
-          "general": hardness_general}[suite]
+          "general": hardness_general}[args.algorithm_class]
     given = {"k": args.k, "grid_points": args.grid}
-    report = fn(**{key: v for key, v in given.items() if v is not None})
-    summary = {
-        "suite": suite,
-        "k": report.k,
-        "certified": report.certified,
-        "method": "exact",
-        "half_widths": [0.0],
-    }
-    if suite == "general":
-        columns = (
-            "k", "bad_order", "dp_value", "log_gap", "ceiling_log_gap", "stirling_ok", "three_p_ok"
-        )
-        rows = [tuple(getattr(report, c) for c in columns)]
-        summary.update(
-            bad_order=str(report.bad_order),
-            dp_value=report.dp_value,
-            log_gap=_log_or_null(report.log_gap),
-            ceiling_log_gap=_log_or_null(report.ceiling_log_gap),
-            dps=report.dps,
-        )
-        certified = report.certified
-    else:
-        columns, rows = report.columns, report.rows
-        summary.update(
-            p=report.p,
-            log_epsilon=report.log_epsilon,
-            min_log_gap=_log_or_null(report.min_log_gap),
-            arithmetic_ok=report.arithmetic_ok,
-            closed_form_abs_err=report.closed_form_abs_err,
-        )
-        certified = report.certified and report.arithmetic_ok
-    failure = None if certified else f"hardness suite '{suite}' NOT certified"
-    return columns, rows, summary, failure
+    return _check_outputs(fn(**{key: v for key, v in given.items() if v is not None}))
 
 
 def _cmd_lemmas(args: argparse.Namespace):
-    report = lemma_suite(args.seed, trials=args.trials)
-    summary = {
-        "trials": report.trials,
-        "seed": report.seed,
-        "min_slack": report.min_slack,
-        "min_slack_product": report.min_slack_product,
-        "min_slack_pair_root": report.min_slack_pair_root,
-        "min_slack_corollary": report.min_slack_corollary,
-        "min_slack_reach": report.min_slack_reach,
-        "min_slack_monotone": report.min_slack_monotone,
-        "max_symmetric_gap": report.max_symmetric_gap,
-        "all_hold": report.all_hold,
-        "method": "exact",
-        "half_widths": [0.0],
-    }
-    failure = None if report.all_hold else f"lemma suite FAILED: min slack {report.min_slack:.6g}"
-    return report.columns, report.rows, summary, failure
+    return _check_outputs(lemma_suite(args.seed, trials=args.trials))
 
 
 # ------------------------------------------------------------------ parser

@@ -1,6 +1,11 @@
 """Experiment drivers: smallest-k search, stochastic-dominance grids, the
 three lower-bound suites, and the randomized inequality suite.
 
+The lower-bound suites and the inequality suite are the checks: each returns
+a ``CheckReport`` that holds exactly what its command writes (the
+``results.csv`` header and rows, its own ``summary.json`` entries and the
+message of a failed verdict), so the CLI adds only the evaluation method.
+
 The lower-bound suites run at concrete parameters where the implied epsilon
 is far below double precision; probabilities are computed in doubles on a
 surrogate value scale (top value replaced by 2) and the final gap arithmetic
@@ -49,9 +54,7 @@ __all__ = [
     "exceedance",
     "KSearchResult",
     "DominanceReport",
-    "TwoTypeHardnessReport",
-    "GeneralHardnessReport",
-    "LemmaSuiteReport",
+    "CheckReport",
     "paper_bound_k",
     "regression_instances",
     "search_k",
@@ -132,9 +135,10 @@ def build_policy(
     inst: Instance,
     opt: OptLaw,
     algorithm_class: str,
-    epsilon: float,
+    epsilon: float | None,
     grid_resolution: int = 512,
 ):
+    """The ``algorithm_class`` policy for ``inst``; only the adaptive class reads ``epsilon``."""
     if algorithm_class == "single":
         return make_single_threshold(opt)
     if algorithm_class == "blind":
@@ -308,8 +312,7 @@ def _channel_gap(q_no_stop: float, q_low: float, p, s, eps):
 def _two_type_sweep(k: int, p, s, eps, policies):
     """Run each policy on the surrogate two-type instance (k deterministic 1's,
     k coins worth 2 with probability 1 - p).  Returns one (Q0, Q1, Pr[top
-    selected], ln gap) per policy, the smallest ln gap and whether every gap
-    is positive; the ln of a non-positive gap, and then the smallest, is NaN.
+    selected], ln gap) per policy; the ln of a non-positive gap is NaN.
     Every 1 is a deterministic reward and no policy accepts a coin's 0, so Q1
     and Pr[top selected] are the two identities' selection probabilities."""
     pf = float(p)
@@ -324,9 +327,7 @@ def _two_type_sweep(k: int, p, s, eps, policies):
         q1, p_top = map(float, ev.selection_by_identity())
         gap = _channel_gap(q0, q1, p, s, eps)
         channels.append((q0, q1, p_top, float(mp.log(gap)) if gap > 0 else math.nan))
-    logs = [c[3] for c in channels]
-    certified = not any(math.isnan(lg) for lg in logs)
-    return channels, (min(logs) if certified else math.nan), certified
+    return channels
 
 
 def _require_int(what: str, name: str, value, low: int, why: str = "") -> int:
@@ -337,20 +338,43 @@ def _require_int(what: str, name: str, value, low: int, why: str = "") -> int:
 
 
 @dataclass(frozen=True)
-class TwoTypeHardnessReport:
-    algorithm_class: str
-    k: int
-    p: float
-    log_epsilon: float  # ln(eps) of the implied epsilon (a large negative number)
-    rows: tuple[tuple, ...]
+class CheckReport:
+    """What a check writes: the header and rows of ``results.csv``, the
+    check's own ``summary.json`` entries, and the one-line message of a
+    failed verdict (None when the check passes).
+
+    A new certificate number is one ``summary`` entry.  Summary values are
+    JSON values: the log of a non-positive gap is None there, while its row
+    keeps the NaN."""
+
     columns: tuple[str, ...]
-    min_log_gap: float  # NaN when some gap is not positive
-    certified: bool
-    arithmetic_ok: bool
-    closed_form_abs_err: float
+    rows: tuple[tuple, ...]
+    summary: dict
+    failure: str | None
 
 
-def hardness_time_based(k: int = 25, grid_points: int = 1001) -> TwoTypeHardnessReport:
+def _two_type_report(suite: str, k: int, p, L, columns, rows, arithmetic_ok: bool,
+                     closed_form_abs_err: float) -> CheckReport:
+    """The report of a two-type sweep whose rows end in their ln gap; it is
+    certified when every gap is positive, and passes when the arithmetic
+    checks hold too."""
+    logs = [row[-1] for row in rows]
+    certified = not any(math.isnan(lg) for lg in logs)
+    summary = {
+        "suite": suite,
+        "k": k,
+        "certified": certified,
+        "p": float(p),
+        "log_epsilon": float(-L),  # ln of the implied epsilon (a large negative number)
+        "min_log_gap": min(logs) if certified else None,
+        "arithmetic_ok": arithmetic_ok,
+        "closed_form_abs_err": closed_form_abs_err,
+    }
+    failure = None if certified and arithmetic_ok else f"hardness suite '{suite}' NOT certified"
+    return CheckReport(columns, tuple(rows), summary, failure)
+
+
+def hardness_time_based(k: int = 25, grid_points: int = 1001) -> CheckReport:
     """Exhaustive single-switch sweep on the two-type instance with p = 1/k.
 
     Every nonincreasing time-based policy on a {0, 1, 1+sqrt(eps)} instance
@@ -365,9 +389,7 @@ def hardness_time_based(k: int = 25, grid_points: int = 1001) -> TwoTypeHardness
         p = mp.mpf(1) / k
         pf = float(p)
         ts = [float(t) for t in np.linspace(0.0, 1.0, grid_points)]
-        channels, min_log_gap, certified = _two_type_sweep(
-            k, p, s, eps, (_switch_schedule(t) for t in ts)
-        )
+        channels = _two_type_sweep(k, p, s, eps, (_switch_schedule(t) for t in ts))
         rows = [(t, q0, q1, top, pf**k * t**k, lg) for t, (q0, q1, top, lg) in zip(ts, channels)]
         p_top_at_zero = channels[0][2]  # ts[0] == 0
         # Case-1 arithmetic and the closed-form cross-check at t = 0:
@@ -381,22 +403,12 @@ def hardness_time_based(k: int = 25, grid_points: int = 1001) -> TwoTypeHardness
         u = 0.5 * (nodes + 1.0)
         integrand = (1.0 - u) ** k * (1.0 - (1.0 - pf) * u) ** (k - 1)
         closed = k * (1.0 - pf) * 0.5 * float(wts @ integrand)
-        report = TwoTypeHardnessReport(
-            "time-based",
-            k,
-            pf,
-            float(-L),
-            tuple(rows),
-            ("switch_t", "q_no_stop", "q_low_pick", "p_top", "case2_bound", "log_gap"),
-            min_log_gap,
-            certified,
-            arithmetic_ok,
-            abs(closed - p_top_at_zero),
-        )
-    return report
+        columns = ("switch_t", "q_no_stop", "q_low_pick", "p_top", "case2_bound", "log_gap")
+        return _two_type_report("time-based", k, p, L, columns, rows, arithmetic_ok,
+                                abs(closed - p_top_at_zero))
 
 
-def hardness_activation(k: int = 61, grid_points: int = 11) -> TwoTypeHardnessReport:
+def hardness_activation(k: int = 61, grid_points: int = 11) -> CheckReport:
     """Two-piece activation sweep on the two-type instance with p = 1/ln(1/eps).
 
     Top values are always activated and zeros never; the free parameters are
@@ -409,7 +421,6 @@ def hardness_activation(k: int = 61, grid_points: int = 11) -> TwoTypeHardnessRe
         eps = mp.exp(-L)
         s = mp.sqrt(eps)
         p = 1 / L
-        pf = float(p)
         top_buckets = ValueBuckets((0.5,), (0.0, 1.0))
         gs = [float(g) for g in np.linspace(0.0, 1.0, grid_points)]
         grid = [(ge, gl) for ge in gs for gl in gs]
@@ -419,7 +430,7 @@ def hardness_activation(k: int = 61, grid_points: int = 11) -> TwoTypeHardnessRe
             )
             for pair in grid
         )
-        channels, min_log_gap, certified = _two_type_sweep(k, p, s, eps, policies)
+        channels = _two_type_sweep(k, p, s, eps, policies)
         rows = [(ge, gl, *c) for (ge, gl), c in zip(grid, channels)]
         arithmetic_ok = (
             all((1.0 - 2.0 / kk) ** kk >= 0.1 for kk in range(8, 201))
@@ -427,38 +438,19 @@ def hardness_activation(k: int = 61, grid_points: int = 11) -> TwoTypeHardnessRe
             and 3 * p < mp.mpf(1) / (10 * k)
             and p <= mp.mpf(1) / k  # gives p^k (1/k)^k >= p^(2k)
         )
-        report = TwoTypeHardnessReport(
-            "activation",
-            k,
-            pf,
-            float(-L),
-            tuple(rows),
-            ("g_early", "g_late", "q_no_stop", "q_low_pick", "p_top", "log_gap"),
-            min_log_gap,
-            certified,
-            bool(arithmetic_ok),
-            0.0,
-        )
-    return report
+        columns = ("g_early", "g_late", "q_no_stop", "q_low_pick", "p_top", "log_gap")
+        return _two_type_report("activation", k, p, L, columns, rows, bool(arithmetic_ok), 0.0)
 
 
-@dataclass(frozen=True)
-class GeneralHardnessReport:
-    k: int
-    bad_order: Fraction  # (k!)^2 / (2k)!
-    stirling_ok: bool  # bad_order >= 4^-k for k up to k_max_checked
-    k_max_checked: int
-    dp_value: float  # double rendering of the mpmath DP value
-    log_gap: float  # ln((1-eps)E[OPT] - DP), NaN when the gap is not positive
-    ceiling_log_gap: float  # ln(ceiling - DP), likewise; ceiling = 1 + s - s/4^k
-    three_p_ok: bool
-    certified: bool
-    dps: int  # decimal digits the DP ran at
-
-
-def hardness_general(k: int = 4) -> GeneralHardnessReport:
+def hardness_general(k: int = 4) -> CheckReport:
     """Exact bad-order combinatorics plus a high-precision optimal-online DP
-    on the two-type instance with p = e^(-2k), eps = e^(-4k^2)."""
+    on the two-type instance with p = e^(-2k), eps = e^(-4k^2).
+
+    Its one row holds the bad order (k!)^2 / (2k)!, the DP value, the logs of
+    its gaps to (1-eps)E[OPT] and to the ceiling 1 + s - s/4^k (NaN when not
+    positive), whether the bad order is >= 4^-k for every k up to
+    _STIRLING_K_MAX, and whether 3p < 4^-k.  The summary adds ``dps``, the
+    decimal digits the DP ran at."""
     k = _require_int("general hardness", "k", k, 1)
     fact = math.factorial
     stirling_ok = all(
@@ -477,23 +469,17 @@ def hardness_general(k: int = 4) -> GeneralHardnessReport:
             [(mp.mpf(0), p), (1 + s, 1 - p)],
         ]
         dp = optimal_online_value(atom_sets, (k, k))
-        rhs = (1 - eps) * (1 + s - p * s)
-        gap = rhs - dp
-        ceiling = 1 + s - s / mp.mpf(4**k)
-        ceiling_gap = ceiling - dp
-        report = GeneralHardnessReport(
-            k,
-            bad,
-            stirling_ok,
-            _STIRLING_K_MAX,
-            float(dp),
-            float(mp.log(gap)) if gap > 0 else float("nan"),
-            float(mp.log(ceiling_gap)) if ceiling_gap > 0 else float("nan"),
-            bool(3 * p < mp.mpf(1) / 4**k),
-            bool(gap > 0 and ceiling_gap >= 0),
-            dps,
-        )
-    return report
+        gap = (1 - eps) * (1 + s - p * s) - dp
+        ceiling_gap = 1 + s - s / mp.mpf(4**k) - dp
+        logs = [float(mp.log(g)) if g > 0 else math.nan for g in (gap, ceiling_gap)]
+        certified = bool(gap > 0 and ceiling_gap >= 0)
+        row = (k, bad, float(dp), *logs, stirling_ok, bool(3 * p < mp.mpf(1) / 4**k))
+    log_gap, ceiling_log_gap = (None if math.isnan(lg) else lg for lg in logs)
+    summary = {"suite": "general", "k": k, "certified": certified, "bad_order": str(bad),
+               "dp_value": row[2], "log_gap": log_gap, "ceiling_log_gap": ceiling_log_gap, "dps": dps}
+    columns = ("k", "bad_order", "dp_value", "log_gap", "ceiling_log_gap", "stirling_ok", "three_p_ok")
+    failure = None if certified else "hardness suite 'general' NOT certified"
+    return CheckReport(columns, (row,), summary, failure)
 
 
 # ------------------------------------------------------- lemma suite
@@ -538,36 +524,7 @@ def _random_schedule(rng: np.random.Generator, pieces: int | None = None) -> Thr
     return ThresholdSchedule(breaks, tuple(rts))
 
 
-@dataclass(frozen=True)
-class LemmaSuiteReport:
-    trials: int
-    seed: int
-    min_slack_product: float
-    min_slack_pair_root: float
-    min_slack_corollary: float
-    min_slack_reach: float
-    min_slack_monotone: float
-    max_symmetric_gap: float
-    rows: tuple[tuple[float, ...], ...]
-    columns = ("trial", "slack_product", "slack_pair_root", "slack_corollary", "slack_reach")
-
-    @property
-    def min_slack(self) -> float:
-        """The smallest slack over the five inequalities."""
-        return min(
-            self.min_slack_product,
-            self.min_slack_pair_root,
-            self.min_slack_corollary,
-            self.min_slack_reach,
-            self.min_slack_monotone,
-        )
-
-    @property
-    def all_hold(self) -> bool:
-        return bool(self.min_slack >= -1e-9 and self.max_symmetric_gap <= 1e-12)
-
-
-def lemma_suite(seed: int, trials: int = 200) -> LemmaSuiteReport:
+def lemma_suite(seed: int, trials: int = 200) -> CheckReport:
     """Randomized checks of the stopping-probability inequalities.
 
     Per trial: p(t, F1*F2) <= p(t, F1, F2) <= p(t, sqrt(F1*F2) x2), the
@@ -575,7 +532,9 @@ def lemma_suite(seed: int, trials: int = 200) -> LemmaSuiteReport:
     passed as extra grid points to the product/root constructors so every
     probability is evaluated exactly.  Separately, sorting _MONOTONE_TRIALS
     random schedules into nonincreasing order is checked to never lower the
-    exact value.
+    exact value.  The rows hold each trial's four slacks; the summary holds
+    the smallest of each, the sorting slack, and the largest |pair-root slack|
+    of the trials with F2 = F1, where the two sides coincide.
     """
     trials = _require_int("lemma suite", "trials", trials, 1)
     seed = _require_int("lemma suite", "seed", seed, 0)
@@ -624,4 +583,20 @@ def lemma_suite(seed: int, trials: int = 200) -> LemmaSuiteReport:
         before = expected_value(inst, sched).estimate
         after = expected_value(inst, sort_nonincreasing(sched)).estimate
         s5 = min(s5, after - before)
-    return LemmaSuiteReport(trials, seed, s1, s2, s3, s4, s5, sym_gap, tuple(rows))
+    min_slack = min(s1, s2, s3, s4, s5)
+    all_hold = bool(min_slack >= -1e-9 and sym_gap <= 1e-12)
+    summary = {
+        "trials": trials,
+        "seed": seed,
+        "min_slack": min_slack,
+        "min_slack_product": s1,
+        "min_slack_pair_root": s2,
+        "min_slack_corollary": s3,
+        "min_slack_reach": s4,
+        "min_slack_monotone": s5,
+        "max_symmetric_gap": sym_gap,
+        "all_hold": all_hold,
+    }
+    columns = ("trial", "slack_product", "slack_pair_root", "slack_corollary", "slack_reach")
+    failure = None if all_hold else f"lemma suite FAILED: min slack {min_slack:.6g}"
+    return CheckReport(columns, tuple(rows), summary, failure)

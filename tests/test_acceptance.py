@@ -102,11 +102,11 @@ def test_03_adaptive_guarantee():
 
 
 def test_04_structural_lemma_suite():
-    report = lemma_suite(seed=7, trials=200)
-    min_slack = report.min_slack
-    ok = min_slack >= -1e-9 and report.max_symmetric_gap <= 1e-12
+    summary = lemma_suite(seed=7, trials=200).summary
+    min_slack, sym_gap = summary["min_slack"], summary["max_symmetric_gap"]
+    ok = min_slack >= -1e-9 and sym_gap <= 1e-12
     _verdict(4, "stop-probability lemma suite", ok,
-             f"min slack {min_slack:.3g}, symmetric gap {report.max_symmetric_gap:.3g}")
+             f"min slack {min_slack:.3g}, symmetric gap {sym_gap:.3g}")
 
 
 def test_05_oracle_vs_brute_force_and_mc():
@@ -162,13 +162,13 @@ def test_05_oracle_vs_brute_force_and_mc():
 
 
 def test_06_time_based_hardness():
-    report = hardness_time_based(k=25, grid_points=1001)
+    s = hardness_time_based(k=25, grid_points=1001).summary
     arithmetic = all(
         (1.0 - 1.0 / (2 * k)) ** (2 * k) >= 0.25 for k in range(1, 101)
     )
-    ok = report.certified and report.arithmetic_ok and arithmetic and report.min_log_gap < 0.0
+    ok = s["certified"] and s["arithmetic_ok"] and arithmetic and s["min_log_gap"] < 0.0
     _verdict(6, "time-based hardness", ok,
-             f"min log gap {report.min_log_gap:.4g}, closed-form err {report.closed_form_abs_err:.2g}")
+             f"min log gap {s['min_log_gap']:.4g}, closed-form err {s['closed_form_abs_err']:.2g}")
 
 
 def test_07_general_hardness():
@@ -178,17 +178,19 @@ def test_07_general_hardness():
         for k in range(1, 21)
     )
     report = hardness_general(k=4)
-    ok = frac_ok and report.three_p_ok and report.certified and report.log_gap < 0.0
+    s = report.summary
+    three_p_ok = report.rows[0][report.columns.index("three_p_ok")]
+    ok = frac_ok and three_p_ok and s["certified"] and s["log_gap"] < 0.0
     _verdict(7, "general hardness", ok,
-             f"bad order {report.bad_order}, DP log gap {report.log_gap:.4g}")
+             f"bad order {s['bad_order']}, DP log gap {s['log_gap']:.4g}")
 
 
 def test_08_activation_hardness():
     case1 = all((1.0 - 2.0 / k) ** k >= 0.1 for k in range(8, 201))
-    report = hardness_activation(k=61)
-    ok = case1 and report.arithmetic_ok and report.certified and report.min_log_gap < 0.0
+    s = hardness_activation(k=61).summary
+    ok = case1 and s["arithmetic_ok"] and s["certified"] and s["min_log_gap"] < 0.0
     _verdict(8, "activation hardness", ok,
-             f"min log gap {report.min_log_gap:.4g}, log eps {report.log_epsilon:.4g}")
+             f"min log gap {s['min_log_gap']:.4g}, log eps {s['log_epsilon']:.4g}")
 
 
 def test_09_separation_ordering():

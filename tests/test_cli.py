@@ -1,6 +1,7 @@
 """End-to-end CLI runs: artifacts, exit codes, deterministic replay."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -105,6 +106,28 @@ class TestDominance:
         assert "epsilon in (0, 1)" in err
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("algorithm_class", ["single", "blind"])
+    def test_epsilon_above_one_over_e_runs_without_a_bound(self, coins_file, tmp_path,
+                                                           algorithm_class):
+        # the copy bound is defined only up to 1/e; the check itself is not
+        out = tmp_path / "run"
+        args = ["dominance", "--instance", coins_file, "--class", algorithm_class]
+        assert run(args + ["--epsilon", "0.5", "--k", "4", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["epsilon"] == 0.5 and "paper_bound_k" not in summary
+
+    @pytest.mark.parametrize(
+        "command, algorithm_class",
+        [("eval", "single"), ("eval", "blind"), ("eval", "adaptive"), ("dominance", "adaptive")],
+    )
+    def test_epsilon_above_one_over_e_still_refused(self, coins_file, tmp_path, capsys,
+                                                    command, algorithm_class):
+        out = tmp_path / "run"
+        args = [command, "--instance", coins_file, "--class", algorithm_class, "--epsilon", "0.5"]
+        assert run(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: epsilon must be in (0, 1/e], got 0.5\n"
+
 
 class TestLemmas:
     def test_small_run_passes(self, tmp_path):
@@ -126,6 +149,36 @@ class TestHardness:
         out = tmp_path / "run"
         assert run(["hardness", "--class", "general", "--k", str(k), "--out", str(out)]) == 0
         assert json.loads((out / "summary.json").read_text())["dps"] == dps
+
+
+# SHA-256 of (results.csv, summary.json) of each check command, as written
+# before the suites shared one report type
+CHECK_DIGESTS = {
+    "hardness --class time-based": (
+        "29100d428b414898a0ab1d37dd63e1087b408af7f34355dd5d19fad0929078d4",
+        "bad7cda1ac60f241689ef4a924d38e17f28865a4b79492affb9c25fb7c3d3dba",
+    ),
+    "hardness --class activation": (
+        "0f74fd461bd0f9eede2bca36c19c3ef8f393f05a29b259a19e79ed52ed2790dd",
+        "25320bb7e1b5bcb818cde220a9216ec1b77a50d2e2adfbba11521720b76746f0",
+    ),
+    "hardness --class general": (
+        "b657b9e37dd4a1e5e8c9a1e1e15a55a950fdc4bdd4787f905b4b3b1389dc9e71",
+        "dc51f5c519812d9ba8615771f3a28bb1dc301bdb76dae07a9ba12b0a7db7bd01",
+    ),
+    "lemmas --trials 200 --seed 7": (
+        "0a8944215b26f3781b8c2945bacfa102207ab71fa67accf9a2f409b7a1170a18",
+        "d8988886fe9ad133e19242cabe7f5cf5a64c9e0efc14d4d6ed7aa90817636ca3",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CHECK_DIGESTS))
+def test_check_commands_keep_their_bytes(tmp_path, command):
+    assert run([*command.split(), "--out", str(tmp_path)]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("results.csv", "summary.json"))
+    assert digests == CHECK_DIGESTS[command]
 
 
 ONE_RUN_EACH = {  # "INSTANCE" stands for the instance file
@@ -278,6 +331,19 @@ class TestErrors:
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("command", ["eval", "dominance"])
+    @pytest.mark.parametrize("algorithm_class", ["single", "blind", "adaptive"])
+    def test_policy_without_the_activation_class_exits_1_with_one_line(
+            self, coins_file, tmp_path, capsys, command, algorithm_class):
+        out = tmp_path / "run"
+        args = [command, "--instance", coins_file, "--class", algorithm_class,
+                "--epsilon", "0.1", "--policy", "/nonexistent"]
+        assert run(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --policy ") and err.count("\n") == 1
+        assert f"not --class {algorithm_class}" in err
+        assert not (out / "results.csv").exists()
 
     def test_adaptive_needs_epsilon(self, coins_file, tmp_path):
         code = run([

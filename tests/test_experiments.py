@@ -1,6 +1,7 @@
 """Experiment drivers: copy-count bounds, search, dominance, hardness, lemmas."""
 
 import hashlib
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -22,8 +23,8 @@ from prophetlab import (
     make_instance,
     opt_law,
 )
+from prophetlab import experiments
 from prophetlab.experiments import (
-    LemmaSuiteReport,
     build_policy,
     dominance_check,
     exceedance,
@@ -226,8 +227,10 @@ class TestHardnessReports:
     def test_general_bad_order_exact(self):
         report = hardness_general()
         assert Fraction(math.factorial(3) ** 2, math.factorial(6)) == Fraction(1, 20)
-        assert report.stirling_ok and report.k_max_checked >= 20
-        assert report.certified
+        (row,) = report.rows
+        stirling_ok = row[report.columns.index("stirling_ok")]
+        assert stirling_ok is True and experiments._STIRLING_K_MAX >= 20
+        assert report.summary["certified"] and report.failure is None
 
     def test_general_k1_bad_order(self):
         assert Fraction(math.factorial(1) ** 2, math.factorial(2)) == Fraction(1, 2)
@@ -235,13 +238,13 @@ class TestHardnessReports:
     @pytest.mark.parametrize("k, dps", [(10, 204), (12, 281)])
     def test_general_precision_follows_k(self, k, dps):
         # eps = e^(-4k^2): a fixed 60 digits cannot see the gap at k = 10
-        report = hardness_general(k=k)
-        assert report.dps == dps
-        assert report.certified
-        assert math.isfinite(report.log_gap) and math.isfinite(report.ceiling_log_gap)
+        summary = hardness_general(k=k).summary
+        assert summary["dps"] == dps
+        assert summary["certified"]
+        assert math.isfinite(summary["log_gap"]) and math.isfinite(summary["ceiling_log_gap"])
 
     def test_general_small_k_keeps_60_digits(self):
-        assert hardness_general(k=4).dps == 60
+        assert hardness_general(k=4).summary["dps"] == 60
 
     @pytest.mark.parametrize("k", [1, 0, -3])
     def test_time_based_rejects_k_below_2(self, k):
@@ -253,7 +256,8 @@ class TestHardnessReports:
         report = hardness_time_based(k=100, grid_points=101)
         logs = [row[-1] for row in report.rows]
         assert math.isfinite(logs[0]) and math.isnan(logs[4])
-        assert not report.certified and math.isnan(report.min_log_gap)
+        assert not report.summary["certified"] and report.summary["min_log_gap"] is None
+        assert report.failure == "hardness suite 'time-based' NOT certified"
 
     def test_time_based_q1_has_full_relative_precision(self):
         # Q1 = Pr[a deterministic 1 is selected]: one arrives at u > t (they
@@ -270,16 +274,16 @@ class TestHardnessReports:
             assert q1 == pytest.approx(float(want), rel=1e-12, abs=0.0), t
 
     def test_time_based_closed_form_cross_check(self):
-        report = hardness_time_based(k=6, grid_points=51)
-        assert report.closed_form_abs_err <= 1e-10
-        assert report.arithmetic_ok
+        summary = hardness_time_based(k=6, grid_points=51).summary
+        assert summary["closed_form_abs_err"] <= 1e-10
+        assert summary["arithmetic_ok"]
 
 
 class TestLemmaSuite:
     def test_short_run_holds(self):
         report = lemma_suite(seed=3, trials=25)
-        assert report.all_hold
-        assert report.max_symmetric_gap <= 1e-12
+        assert report.summary["all_hold"] and report.failure is None
+        assert report.summary["max_symmetric_gap"] <= 1e-12
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_trials_rejected(self, trials):
@@ -299,10 +303,16 @@ class TestLemmaSuite:
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "bd7eae3a358c80256e6031ffe50e0cfac96002395bd636ebf0827d9ae9a64367"
 
-    def test_all_hold_is_a_json_bool(self):
-        # summary.json carries it, and json.dump rejects numpy.bool_; long runs
-        # leave numpy floats in the slacks and the symmetric gap
-        assert type(lemma_suite(0, trials=20).all_hold) is bool
-        zero = np.float64(0.0)
-        report = LemmaSuiteReport(1, 0, zero, zero, zero, zero, zero, zero, ())
-        assert type(report.all_hold) is bool
+    def test_all_hold_is_a_json_bool(self, monkeypatch):
+        # summary.json carries it, and json.dump rejects numpy.bool_
+        assert lemma_suite(0, trials=20).summary["all_hold"] is True
+        # stopping probabilities returned as numpy floats, each nudged by 0, 1
+        # or 2 millionths in turn, leave numpy floats in the slacks and the
+        # symmetric gap, and the check fails
+        p_tau_multi, calls = experiments.p_tau_multi, itertools.count()
+        monkeypatch.setattr(experiments, "p_tau_multi",
+                            lambda *a: np.float64(p_tau_multi(*a) + 1e-6 * (next(calls) % 3)))
+        summary = lemma_suite(0, trials=20).summary
+        assert isinstance(summary["min_slack"], np.floating)
+        assert isinstance(summary["max_symmetric_gap"], np.floating)
+        assert summary["all_hold"] is False
