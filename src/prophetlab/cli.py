@@ -5,9 +5,12 @@ A command writes nothing: it returns the header and rows of ``results.csv``
 (headline numbers: E[OPT], the closed-form copy bound, evaluator method,
 half-widths) and the one-line message of a check that failed.  ``main`` alone
 writes the three artifacts to the output directory, the summary with the
-command name added and ``manifest.json`` (config echo, seed, package
-versions) beside them.  Floats in the CSV carry 17 significant digits so
-reruns diff cleanly.
+command name added and ``manifest.json`` (config echo, seed, versions)
+beside them.  The versions are the package's, Python's and those of the
+libraries the command computed with: numpy always, mpmath for ``hardness``
+only.  A launch imports no more than that, so ``eval``, ``search-k``,
+``dominance`` and ``lemmas`` never load mpmath.  Floats in the CSV carry 17
+significant digits so reruns diff cleanly.
 
 Exit status: 0 on success, 1 on usage/config errors (bad flags, missing or
 malformed files, an output directory or artifact that cannot be written, a
@@ -26,7 +29,6 @@ import os
 import platform
 import sys
 
-import mpmath
 import numpy as np
 
 from . import __version__
@@ -92,16 +94,17 @@ def _write_text(path: str, text: str) -> None:
 
 def _manifest(args: argparse.Namespace) -> dict:
     config = {k: v for k, v in vars(args).items() if k != "func"}
+    versions = {"artifact": __version__, "numpy": np.__version__,
+                "python": platform.python_version()}
+    if args.command == "hardness":  # the one command that computes with mpmath
+        import mpmath  # already loaded by the suite
+
+        versions["mpmath"] = mpmath.__version__
     return {
         "command": args.command,
         "config": config,
         "seed": getattr(args, "seed", None),
-        "versions": {
-            "artifact": __version__,
-            "mpmath": mpmath.__version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
+        "versions": versions,
     }
 
 

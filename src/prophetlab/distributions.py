@@ -254,7 +254,8 @@ class Distribution:
 
 def _merged_grid(ds: Sequence[Distribution], extra_points=None) -> np.ndarray:
     """``np.unique`` of every breakpoint and extra point, by its own steps: a
-    NaN extra point sorts last and, as there, all NaNs keep one."""
+    NaN extra point sorts last and, as there, all NaNs keep one.  numpy 2
+    imports ``numpy.ma`` on the first ``np.unique``, which no command needs."""
     parts = [d.xs for d in ds]
     if extra_points is not None:
         parts.append(np.asarray(extra_points, dtype=float))

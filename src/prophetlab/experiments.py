@@ -9,8 +9,9 @@ message of a failed verdict), so the CLI adds only the evaluation method.
 The lower-bound suites run at concrete parameters where the implied epsilon
 is far below double precision; probabilities are computed in doubles on a
 surrogate value scale (top value replaced by 2) and the final gap arithmetic
-is done with mpmath.  For a two-type instance (deterministic 1's plus coins
-worth 1+sqrt(eps) or 0) the identity
+is done with mpmath.  Only the code of these suites imports mpmath, so the
+other commands never load it.  For a two-type instance (deterministic 1's
+plus coins worth 1+sqrt(eps) or 0) the identity
 
     E[ALG] = (1 - Q0 - Q1) * (1 + sqrt(eps)) + Q1
 
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath as mp
 import numpy as np
 
 from .distributions import Distribution, RandomizedThreshold, nth_root, product_max
@@ -284,8 +284,11 @@ def regression_instances() -> tuple[tuple[str, tuple[Distribution, ...]], ...]:
 # ----------------------------------------------- two-type hardness suites
 
 
-def _fixed_point_L(k: int) -> mp.mpf:
-    """L solving L = 4k ln L (the large root), i.e. k = ln(1/eps)/(4 ln ln(1/eps))."""
+def _fixed_point_L(k: int):
+    """L solving L = 4k ln L (the large root), i.e. k = ln(1/eps)/(4 ln ln(1/eps)),
+    as an mpmath number at the working precision."""
+    import mpmath as mp
+
     L = mp.mpf(8 * k)
     for _ in range(300):
         L = 4 * k * mp.log(L)
@@ -305,8 +308,9 @@ def _switch_schedule(t: float) -> ThresholdSchedule:
 
 
 def _channel_gap(q_no_stop: float, q_low: float, p, s, eps):
-    """(1-eps)E[OPT] - E[ALG] for the two-type instance, via the Q channels."""
-    return q_no_stop * (1 + s) + (mp.mpf(q_low) - p) * s - eps * (1 + s - p * s)
+    """(1-eps)E[OPT] - E[ALG] for the two-type instance, via the Q channels;
+    ``p``, ``s`` and ``eps`` are mpmath numbers, so every step is one too."""
+    return q_no_stop * (1 + s) + (q_low - p) * s - eps * (1 + s - p * s)
 
 
 def _two_type_sweep(k: int, p, s, eps, policies):
@@ -315,6 +319,8 @@ def _two_type_sweep(k: int, p, s, eps, policies):
     selected], ln gap) per policy; the ln of a non-positive gap is NaN.
     Every 1 is a deterministic reward and no policy accepts a coin's 0, so Q1
     and Pr[top selected] are the two identities' selection probabilities."""
+    import mpmath as mp
+
     pf = float(p)
     surrogate = make_instance(
         [Distribution.discrete([(1.0, 1.0)]), Distribution.discrete([(0.0, pf), (2.0, 1.0 - pf)])],
@@ -382,6 +388,8 @@ def hardness_time_based(k: int = 25, grid_points: int = 1001) -> CheckReport:
     """
     k = _require_int("time-based hardness", "k", k, 2, " (p = 1/k must be below 1)")
     grid_points = _require_int("time-based hardness", "grid", grid_points, 1)
+    import mpmath as mp
+
     with mp.workdps(80):
         L = _fixed_point_L(k)
         eps = mp.exp(-L)
@@ -416,6 +424,8 @@ def hardness_activation(k: int = 61, grid_points: int = 11) -> CheckReport:
     """
     k = _require_int("activation hardness", "k", k, 3, " (the switch 2/k must lie inside (0, 1))")
     grid_points = _require_int("activation hardness", "grid", grid_points, 1)
+    import mpmath as mp
+
     with mp.workdps(80):
         L = _fixed_point_L(k)
         eps = mp.exp(-L)
@@ -452,6 +462,8 @@ def hardness_general(k: int = 4) -> CheckReport:
     _STIRLING_K_MAX, and whether 3p < 4^-k.  The summary adds ``dps``, the
     decimal digits the DP ran at."""
     k = _require_int("general hardness", "k", k, 1)
+    import mpmath as mp
+
     fact = math.factorial
     stirling_ok = all(
         Fraction(fact(kk) ** 2, fact(2 * kk)) >= Fraction(1, 4**kk)

@@ -11,6 +11,7 @@ import numpy as np
 from .distributions import (
     Distribution,
     RandomizedThreshold,
+    _merged_grid,
     distribution_from_json,
     distribution_to_json,
     product_max,
@@ -71,12 +72,26 @@ class OptLaw:
         return out
 
     def _tail_integral(self) -> float:
-        """E[max] = int_0^xmax (1 - prod_i F_i(x)) dx, exact per segment."""
-        grid = np.unique(np.concatenate([[0.0], *[d.xs for d in self.base]]))
-        total = 0.0
-        # per open segment the product of linear CDF pieces has degree <= n
+        """E[max] = int_0^xmax (1 - prod_i F_i(x)) dx, exact per segment.
+
+        Between two neighbouring points of the merged grid each base CDF is
+        linear.  Where every one is constant (every segment of a discrete
+        law) the segment adds its width times 1 - prod_i F_i(a), with no
+        quadrature; elsewhere the product has degree <= n, which Gauss-Legendre
+        on n // 2 + 2 nodes integrates."""
+        grid = _merged_grid(self.base, (0.0,))
+        lows, highs = grid[:-1], grid[1:]
+        flat = np.ones(len(lows), dtype=bool)
+        for d in self.base:
+            flat &= d.cdf(lows) == d.left_and_atom(highs)[0]
+        tails = 1.0 - self.cdf(lows)
         nodes, weights = leggauss(len(self.base) // 2 + 2)
-        for a, b in zip(grid[:-1], grid[1:]):
+        total = 0.0
+        for a, b, is_flat, tail in zip(lows.tolist(), highs.tolist(), flat.tolist(),
+                                       tails.tolist()):
+            if is_flat:
+                total += (b - a) * tail
+                continue
             # halving first keeps the midpoint finite when a + b overflows
             mid, half = a / 2.0 + b / 2.0, (b - a) / 2.0
             vals = self.cdf(mid + half * nodes)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 
@@ -149,6 +150,58 @@ class TestHardness:
         out = tmp_path / "run"
         assert run(["hardness", "--class", "general", "--k", str(k), "--out", str(out)]) == 0
         assert json.loads((out / "summary.json").read_text())["dps"] == dps
+
+
+class TestManifestVersions:
+    def test_hardness_names_the_mpmath_it_computed_with(self, tmp_path):
+        import mpmath
+
+        assert run(["hardness", "--class", "general", "--out", str(tmp_path)]) == 0
+        versions = json.loads((tmp_path / "manifest.json").read_text())["versions"]
+        assert versions["mpmath"] == mpmath.__version__
+        assert versions["numpy"] == np.__version__
+
+    def test_eval_names_no_mpmath(self, coins_file, tmp_path):
+        assert run(["eval", "--instance", coins_file, "--out", str(tmp_path)]) == 0
+        versions = json.loads((tmp_path / "manifest.json").read_text())["versions"]
+        assert "mpmath" not in versions
+        assert versions["numpy"] == np.__version__
+        assert versions["artifact"] == prophetlab.__version__
+        assert versions["python"] == platform.python_version()
+
+
+_LOADED_AFTER = """
+import json, sys
+from prophetlab.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in ("mpmath", "numpy.ma") if m in sys.modules)]))
+"""
+
+
+def _loaded_after(*argvs):
+    """(exit codes, which of mpmath and numpy.ma are loaded) after a fresh
+    interpreter ran each argv through ``main``."""
+    src = os.path.dirname(os.path.dirname(prophetlab.__file__))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout.splitlines()[-1]))
+
+
+class TestWhatALaunchLoads:
+    def test_exact_commands_load_neither_mpmath_nor_numpy_ma(self, coins_file, tmp_path):
+        out = ["--out", str(tmp_path)]
+        argvs = [
+            ["eval", "--instance", coins_file, "--class", "blind", "--k", "3", *out],
+            ["search-k", "--instance", coins_file, "--epsilon", "0.3", *out],
+            ["dominance", "--instance", coins_file, "--epsilon", "0.3", "--k", "3", *out],
+        ]
+        assert _loaded_after(*argvs) == ([0, 0, 0], [])
+
+    def test_hardness_loads_mpmath(self, tmp_path):
+        argv = ["hardness", "--class", "general", "--out", str(tmp_path)]
+        assert _loaded_after(argv) == ([0], ["mpmath"])
 
 
 # SHA-256 of (results.csv, summary.json) of each check command, as written

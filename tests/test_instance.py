@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,6 +82,33 @@ class TestOptLaw:
         inst = make_instance(two_type_base(p, eps), 1)
         closed = 1.0 + math.sqrt(eps) - p * math.sqrt(eps)
         assert opt_law(inst).expected_value == pytest.approx(closed, abs=1e-9)
+
+
+    def test_point_mass_at_one_is_exactly_one(self):
+        # a flat segment takes no quadrature: leggauss(2)'s weights sum to 2 - 9e-16
+        assert OptLaw([ATOM1]).expected_value == 1.0
+
+    @pytest.mark.parametrize("base", [
+        pytest.param(base, id=name) for name, base in regression_instances()
+        if all(d.kind == "discrete" for d in base)
+    ])
+    def test_discrete_law_matches_a_rational_sum(self, base):
+        got = OptLaw(base).expected_value
+        assert abs(Fraction(got) - _rational_opt_value(base)) <= Fraction(1, 10**16)
+
+
+def _rational_opt_value(base) -> Fraction:
+    """E[max] of discrete laws as the exact sum over the merged support of
+    width times 1 - prod_i F_i, each F_i a law's stored CDF."""
+    points = sorted({0.0, *(float(x) for d in base for x in d.xs)})
+    total = Fraction(0)
+    for a, b in zip(points, points[1:]):
+        below = Fraction(1)
+        for d in base:
+            at_or_below = [Fraction(float(fr)) for x, fr in zip(d.xs, d.Fr) if x <= a]
+            below *= at_or_below[-1] if at_or_below else 0
+        total += (Fraction(b) - Fraction(a)) * (1 - below)
+    return total
 
 
 def _rejected(base, tau, accept_prob):
