@@ -9,8 +9,17 @@ command name added and ``manifest.json`` (config echo, seed, versions)
 beside them.  The versions are the package's, Python's and those of the
 libraries the command computed with: numpy always, mpmath for ``hardness``
 only.  A launch imports no more than that, so ``eval``, ``search-k``,
-``dominance`` and ``lemmas`` never load mpmath.  Floats in the CSV carry 17
-significant digits so reruns diff cleanly.
+``dominance`` and ``lemmas`` never load mpmath, and it builds the argument
+parser of its own command only (all five for ``--help`` or a missing or
+unknown command).  Floats in the CSV carry 17 significant digits so reruns
+diff cleanly.
+
+Each artifact is rendered whole and then overwritten in place: the existing
+file is opened without truncation, written from its start and cut to the new
+length, so a rerun of the same size frees no blocks.  The writes are not
+atomic, as they never were: a run that stops part way can leave a file that
+mixes new and old bytes, and an artifact that cannot be written leaves those
+before it rewritten.
 
 Exit status: 0 on success, 1 on usage/config errors (bad flags, missing or
 malformed files, an output directory or artifact that cannot be written, a
@@ -23,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -64,12 +74,13 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path: str, columns, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(columns)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+def _csv_text(columns, rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(columns)
+    for row in rows:
+        w.writerow([_fmt(v) for v in row])
+    return buf.getvalue()
 
 
 def _numpy_scalar(obj):
@@ -88,8 +99,15 @@ def _json_text(obj: dict) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
+    """Overwrite ``path`` in place with ``text`` and cut it to that length.
+
+    Opening with truncation would first free the file's blocks, which costs
+    far more than the write itself on a file system that discards freed
+    blocks; a rewrite of the same length frees none."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(text.encode())
+        fh.truncate()
 
 
 def _manifest(args: argparse.Namespace) -> dict:
@@ -342,52 +360,62 @@ def _add_problem(p: argparse.ArgumentParser, *, one_policy: bool) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, each with only the flags its command reads."""
-    parser = _Parser(prog="prophetlab", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="expected value of one policy on one instance")
-    _add_problem(p, one_policy=True)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("search-k", help="smallest copy count reaching (1-eps) E[OPT]")
-    _add_problem(p, one_policy=False)
-    p.set_defaults(func=_cmd_search_k)
-
-    p = sub.add_parser("dominance", help="pointwise exceedance check on an OPT-quantile grid")
-    _add_problem(p, one_policy=True)
-    p.set_defaults(func=_cmd_dominance)
-
-    p = sub.add_parser("hardness", help="lower-bound certificates at fixed parameters")
+def _add_hardness(p: argparse.ArgumentParser) -> None:
     p.add_argument("--class", dest="algorithm_class", choices=_HARDNESS_SUITES, required=True)
     p.add_argument("--k", type=int, default=None, help="suite parameter k")
     p.add_argument("--grid", type=int, default=None, help="sweep grid points (default per suite)")
-    p.set_defaults(func=_cmd_hardness)
 
-    p = sub.add_parser("lemmas", help="randomized exact checks of the structural inequalities")
+
+def _add_lemmas(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.set_defaults(func=_cmd_lemmas)
 
-    for p in sub.choices.values():
-        p.add_argument("--out", default=None, help=f"output dir (default ${OUTPUT_DIR_ENV} or .)")
+
+# each command: its help line, the function adding its flags, and its body
+_COMMANDS = {
+    "eval": ("expected value of one policy on one instance",
+             lambda p: _add_problem(p, one_policy=True), _cmd_eval),
+    "search-k": ("smallest copy count reaching (1-eps) E[OPT]",
+                 lambda p: _add_problem(p, one_policy=False), _cmd_search_k),
+    "dominance": ("pointwise exceedance check on an OPT-quantile grid",
+                  lambda p: _add_problem(p, one_policy=True), _cmd_dominance),
+    "hardness": ("lower-bound certificates at fixed parameters", _add_hardness, _cmd_hardness),
+    "lemmas": ("randomized exact checks of the structural inequalities", _add_lemmas,
+               _cmd_lemmas),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """One subparser per command, each with only the flags its command reads;
+    given a ``command``, the subparser of that command alone."""
+    parser = _Parser(prog="prophetlab", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, add_flags, cmd) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_)
+            add_flags(p)
+            p.add_argument("--out", default=None,
+                           help=f"output dir (default ${OUTPUT_DIR_ENV} or .)")
+            p.set_defaults(func=cmd)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a launch builds the parser of its own command only; --help and a missing
+    # or unknown command build all five, so the usage lists every command
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         outdir = _resolve_outdir(args)
         columns, rows, summary, failure = args.func(args)
         # serialised first, so a non-finite result leaves no artifact behind
-        summary_text = _json_text({"command": args.command, **summary})
-        manifest_text = _json_text(_manifest(args))
+        texts = {"results.csv": _csv_text(columns, rows),
+                 "summary.json": _json_text({"command": args.command, **summary}),
+                 "manifest.json": _json_text(_manifest(args))}
         try:
-            _write_csv(os.path.join(outdir, "results.csv"), columns, rows)
-            _write_text(os.path.join(outdir, "summary.json"), summary_text)
-            _write_text(os.path.join(outdir, "manifest.json"), manifest_text)
+            for name, text in texts.items():
+                _write_text(os.path.join(outdir, name), text)
         except OSError as exc:
             where = exc.filename or outdir
             raise ConfigError(f"cannot write {where}: {exc.strerror or exc}") from exc

@@ -66,6 +66,13 @@ class RandomizedThreshold:
     tau: float
     accept_prob: float
 
+    def __post_init__(self):
+        if math.isnan(self.tau):
+            raise InvalidParameterError("a threshold tau must be a number, got nan")
+        if not 0.0 <= self.accept_prob <= 1.0:  # NaN fails too
+            raise InvalidParameterError(
+                f"accept probability must lie in [0, 1], got {self.accept_prob!r}")
+
     def bucket_form(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """The same rule as value buckets (edges, probs): reject below tau,
         accept with ``accept_prob`` at tau, always above it."""

@@ -103,9 +103,14 @@ class OptLaw:
         return self.quantile_thresholds((q,))[0]
 
     def quantile_thresholds(self, qs: Sequence[float]) -> list[RandomizedThreshold]:
-        """One randomized threshold per q, each with Pr[OPT rejected] exactly q
-        under the randomized-tiebreak semantics (product of per-distribution
-        rejections).
+        """One randomized threshold per q; see ``quantile_arrays``."""
+        tau, accept = self.quantile_arrays(qs)
+        return [RandomizedThreshold(t, a) for t, a in zip(tau.tolist(), accept.tolist())]
+
+    def quantile_arrays(self, qs: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """The randomized thresholds of the qs as arrays (tau, accept_prob),
+        each with Pr[OPT rejected] exactly q under the randomized-tiebreak
+        semantics (product of per-distribution rejections).
 
         All qs are solved together: a crossing strictly inside a segment of
         the product CDF is the smallest double tau there with
@@ -115,10 +120,10 @@ class OptLaw:
         (``_bisect``) from a secant estimate of each q's answer (``_secant``).
         Both work elementwise and factors multiply in base order, so each
         result equals solving its q alone, bit for bit."""
-        for q in qs:
-            if not (0.0 <= q < 1.0):
-                raise InvalidQuantileError(f"quantile must be in [0, 1), got {q!r}")
         q = np.array(qs, dtype=float)
+        bad = np.flatnonzero(~((q >= 0.0) & (q < 1.0)))  # NaN is bad too
+        if bad.size:
+            raise InvalidQuantileError(f"quantile must be in [0, 1), got {q[bad[0]].item()!r}")
         grid, Fr, Fl = self.dist.xs, self.dist.Fr, self.dist.Fl
         j = np.minimum(np.searchsorted(Fr, q, side="left"), len(grid) - 1)
         prev = np.maximum(j - 1, 0)
@@ -134,7 +139,7 @@ class OptLaw:
         atom = ~inside
         if atom.any():
             accept[atom] = self._atom_accept(j[atom], q[atom])
-        return [RandomizedThreshold(t, a) for t, a in zip(tau.tolist(), accept.tolist())]
+        return tau, accept
 
     @cached_property
     def _grid_left_masses(self) -> tuple[np.ndarray, np.ndarray]:

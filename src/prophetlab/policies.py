@@ -13,13 +13,18 @@ names its ``case_quantiles``, the OPT quantiles where its proof switches cases.
 A time-pieced policy also answers ``piece_stack(identity)``, whose stack
 asks each law's questions (``cdf``, ``left_and_atom``, ``mean_between``) once
 on arrays for all pieces; a single ``RandomizedThreshold`` asks a 0-d
-``left_and_atom(tau)``, the law's scalar path (see ``distributions``).
+``left_and_atom(tau)``, the law's scalar path (see ``distributions``).  A
+threshold schedule holds its thresholds as one ``ThresholdStack`` of arrays,
+the stack of every identity; the blind schedule takes those arrays straight
+from the OPT quantile search, and its rule objects are built only if asked
+for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -56,9 +61,9 @@ class _TimePieces:
 
     ``rule(piece, identity)`` is a ``RandomizedThreshold`` or ``ValueBuckets``,
     and every rule reports its ``bucket_form()`` (edges, probs).
-    ``piece_stack(identity)`` is a ``ThresholdStack`` or ``BucketStack``; it
-    reports accepted mass, accepted mean and accepted mass above x for all
-    pieces at once.
+    ``piece_stack(identity)`` is a ``ThresholdStack`` (the same one for every
+    identity) or a ``BucketStack``; it reports accepted mass, accepted mean
+    and accepted mass above x for all pieces at once.
     """
 
     case_quantiles = ()  # a time-pieced policy's proofs switch at no further quantile
@@ -78,24 +83,33 @@ class _TimePieces:
         return np.searchsorted(self.breakpoints, times, side="right") - 1  # times lie in [0, 1)
 
 
-@dataclass(frozen=True)
 class ThresholdSchedule(_TimePieces):
-    """Breakpoints 0 = s_0 < ... < s_m = 1 with one randomized threshold per piece."""
+    """Breakpoints 0 = s_0 < ... < s_m = 1 with one randomized threshold per
+    piece, given as ``RandomizedThreshold`` rules or as a ``ThresholdStack``
+    and held as that one stack, which serves every identity."""
 
-    breakpoints: tuple[float, ...]
-    thresholds: tuple[RandomizedThreshold, ...]
-
-    def __post_init__(self):
+    def __init__(self, breakpoints, thresholds):
+        self.breakpoints = tuple(breakpoints)
+        if not isinstance(thresholds, ThresholdStack):  # a sequence of rules
+            thresholds = ThresholdStack([rt.tau for rt in thresholds],
+                                        [rt.accept_prob for rt in thresholds])
+        self.stack = thresholds
         super().__post_init__()
-        if len(self.breakpoints) != len(self.thresholds) + 1:
+        if len(self.breakpoints) != len(self.stack.tau) + 1:
             raise InvalidParameterError("need exactly one threshold per piece")
+
+    @cached_property
+    def thresholds(self) -> tuple[RandomizedThreshold, ...]:
+        """The rule of every piece."""
+        return tuple(map(RandomizedThreshold, self.stack.tau.tolist(),
+                         self.stack.accept_prob.tolist()))
 
     def rule(self, piece: int, identity: int) -> RandomizedThreshold:
         """The same threshold for every identity."""
         return self.thresholds[piece]
 
     def piece_stack(self, identity: int) -> ThresholdStack:
-        return ThresholdStack(self.thresholds)
+        return self.stack
 
 
 @dataclass(frozen=True)
@@ -138,11 +152,18 @@ def bucket_table(rules) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ThresholdStack:
-    """Randomized thresholds, one per piece."""
+    """Randomized thresholds, one per piece: the arrays ``tau`` and
+    ``accept_prob``, checked as a ``RandomizedThreshold`` checks its own."""
 
-    def __init__(self, thresholds):
-        self.tau = np.array([rt.tau for rt in thresholds], dtype=float)
-        self.accept_prob = np.array([rt.accept_prob for rt in thresholds], dtype=float)
+    def __init__(self, tau, accept_prob):
+        self.tau = np.asarray(tau, dtype=float)
+        self.accept_prob = np.asarray(accept_prob, dtype=float)
+        if self.tau.ndim != 1 or self.tau.shape != self.accept_prob.shape:
+            raise InvalidParameterError("need one accept probability per threshold")
+        if np.isnan(self.tau).any():
+            raise InvalidParameterError("a threshold tau must be a number, got nan")
+        if not ((self.accept_prob >= 0.0) & (self.accept_prob <= 1.0)).all():  # NaN fails too
+            raise InvalidParameterError("accept probability must lie in [0, 1]")
 
     def accepted_mass(self, d: Distribution) -> np.ndarray:
         """Pr[accepted] per piece: 1 - (Pr[V < tau] + (1 - a) Pr[V = tau])."""
@@ -323,9 +344,8 @@ def make_blind_schedule(opt: OptLaw, k: int, grid_resolution: int = 512) -> Thre
     if switch >= 1.0:
         return make_single_threshold(opt)
     grid = np.linspace(switch, 1.0, grid_resolution + 1)
-    thresholds = opt.quantile_thresholds([0.5, *(1.0 / (grid[:-1] * k))])
-    breaks = (0.0, switch, *grid[1:])
-    return ThresholdSchedule(breaks, tuple(thresholds))
+    tau, accept = opt.quantile_arrays(np.concatenate([[0.5], 1.0 / (grid[:-1] * k)]))
+    return ThresholdSchedule((0.0, switch, *grid[1:].tolist()), ThresholdStack(tau, accept))
 
 
 def log_inverse(epsilon: float) -> float:

@@ -234,6 +234,61 @@ def test_check_commands_keep_their_bytes(tmp_path, command):
     assert digests == CHECK_DIGESTS[command]
 
 
+# the regression laws three-point (discrete) and two-piecewise (piecewise)
+EXACT_LAWS = {
+    "three-point": [{"type": "discrete", "atoms": [[0.0, 0.2], [1.0, 0.5], [3.0, 0.3]]}],
+    "two-piecewise": [
+        {"type": "piecewise", "points": [[0.0, 0.0], [1.0, 1.0]]},
+        {"type": "piecewise", "points": [[0.0, 0.0], [0.5, 0.2], [1.5, 1.0]]},
+    ],
+}
+EXACT_RUNS = {
+    "eval": ["--class", "blind", "--epsilon", "0.05", "--k", "6"],
+    "dominance": ["--class", "blind", "--epsilon", "0.05", "--k", "6"],
+    "search-k": ["--class", "blind", "--epsilon", "0.01"],
+}
+# SHA-256 of (results.csv, summary.json) of each exact run, as written while
+# blind schedules were built one rule object per piece and artifacts were
+# written through a truncating open
+EXACT_DIGESTS = {
+    ("three-point", "eval"): (
+        "a270086ebdafe06546f4083bdc5ceb1b71c7f93c07c19152d61c2cf668f57365",
+        "80c7756b6549bd75a9a2ac081e4c653121ec4aa66ea6d492fb22fb8f1b224848",
+    ),
+    ("three-point", "dominance"): (
+        "1ff13e1184c11450cc187bf6f8efac6c6198698c010fa024129284c7281b291f",
+        "6cf1ba4a9a22c54de714643a4c5f0137cac97fcd121e61747d28e4644a9f2189",
+    ),
+    ("three-point", "search-k"): (
+        "be6c4d326aa4dcff007b8b62c9a055cd70f311a96fb85e1b9f0b4dcf0ff6f254",
+        "19c8843ec0603edd23c62c0cfad05909ee950f7f4a2ff41daaa33f28d82a6db7",
+    ),
+    ("two-piecewise", "eval"): (
+        "bb8a9e2d58a9d0fab0b235d781884a50965b2f89282dcdcf47640b9ef570b381",
+        "a69538a178f3c48472c728dbc118a1f47993d7940698c9a716ae67121839493f",
+    ),
+    ("two-piecewise", "dominance"): (
+        "6e017c279d7a355e1f146a95f7baa59edcab83cf6f04f3a61b29d0727068887f",
+        "3882b97d0b6d066bd97471f99e3a7d727124d9868d8c3cb0fc8f0b76bd54d890",
+    ),
+    ("two-piecewise", "search-k"): (
+        "2c1ff5e36369559a30c4e0cc50ec48944f70925acbf8b8ef271ce54ca76f152f",
+        "768ffd233f445f1eb4ed04b61e4ae3b87149dbcca255ff477fbb9761501d7819",
+    ),
+}
+
+
+@pytest.mark.parametrize("law, command", sorted(EXACT_DIGESTS))
+def test_exact_commands_keep_their_bytes(tmp_path, law, command):
+    inst = tmp_path / f"{law}.json"
+    inst.write_text(json.dumps({"base": EXACT_LAWS[law], "copies": 1}))
+    out = tmp_path / "run"
+    assert run([command, "--instance", str(inst), *EXACT_RUNS[command], "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("results.csv", "summary.json"))
+    assert digests == EXACT_DIGESTS[law, command]
+
+
 ONE_RUN_EACH = {  # "INSTANCE" stands for the instance file
     "eval": ["--instance", "INSTANCE", "--k", "3"],
     "search-k": ["--instance", "INSTANCE", "--epsilon", "0.3"],
@@ -301,6 +356,110 @@ class TestArtifacts:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
         assert str(out / "results.csv") in err
+
+
+class TestWriter:
+    """Artifacts are overwritten in place and cut to their new length."""
+
+    ARTIFACTS = ("results.csv", "summary.json", "manifest.json")
+
+    def test_shorter_rewrite_leaves_no_stale_tail(self, coins_file, tmp_path):
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        argv = ["dominance", "--instance", coins_file, "--epsilon", "0.1", "--k", "5"]
+        assert run([*argv, "--out", str(fresh)]) == 0
+        reused.mkdir()
+        for name in self.ARTIFACTS:  # each longer than what the run writes
+            (reused / name).write_bytes(b"stale,\n" * 20_000)
+        assert run([*argv, "--out", str(reused)]) == 0
+        for name in ("results.csv", "summary.json"):
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+        manifest = (reused / "manifest.json").read_text()
+        assert json.loads(manifest)["config"]["out"] == str(reused)
+        assert manifest == (fresh / "manifest.json").read_text().replace(str(fresh), str(reused))
+
+    def test_longer_rewrite_replaces_the_whole_file(self, coins_file, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in self.ARTIFACTS:
+            (out / name).write_bytes(b"x")
+        assert run(["eval", "--instance", coins_file, "--k", "2", "--out", str(out)]) == 0
+        assert (out / "results.csv").read_text().startswith("k,estimate,")
+        assert json.loads((out / "summary.json").read_text())["command"] == "eval"
+
+    def test_fresh_nested_output_directory_is_created_and_written(self, coins_file, tmp_path):
+        out = tmp_path / "a" / "b" / "c"
+        assert run(["eval", "--instance", coins_file, "--k", "2", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(self.ARTIFACTS)
+        assert (out / "results.csv").read_text().count("\n") == 2
+
+    @pytest.mark.parametrize("name", ARTIFACTS)
+    def test_unwritable_artifact_exits_1_without_a_traceback(self, coins_file, tmp_path, capsys,
+                                                             name):
+        out = tmp_path / "run"
+        (out / name).mkdir(parents=True)  # a directory where the file goes
+        assert run(["eval", "--instance", coins_file, "--k", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / name}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+class TestParser:
+    """A launch builds the parser of its command alone; the usage of every
+    command and the 0/1/2 exit contract stay as they were."""
+
+    COMMANDS = ("eval", "search-k", "dominance", "hardness", "lemmas")
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert text.startswith("usage: prophetlab [-h] {" + ",".join(self.COMMANDS) + "}")
+        for command in self.COMMANDS:
+            assert f"\n    {command} " in text
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"usage: prophetlab {command} [-h]") and "--out OUT" in text
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        (["--k", "3"], "invalid choice: '3'"),  # the top level has no flags
+    ], ids=["missing", "unknown", "flag-first"])
+    def test_missing_or_unknown_command_exits_1_with_usage(self, capsys, argv, message):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        usage, error = err.splitlines()[0], err.splitlines()[-1]
+        assert usage.startswith("usage: prophetlab [-h] {" + ",".join(self.COMMANDS) + "}")
+        assert error.startswith("error: ") and message in error
+
+    @pytest.mark.parametrize("argv, built", [
+        (["lemmas", "--trials", "2"], "{lemmas}"),
+        (["eval", "--instance", "INSTANCE", "--k", "2"], "{eval}"),
+        (["--help"], "{eval,search-k,dominance,hardness,lemmas}"),
+    ], ids=["lemmas", "eval", "help"])
+    def test_a_launch_builds_its_own_command_only(self, coins_file, tmp_path, monkeypatch,
+                                                  argv, built):
+        usages = []
+        build = cli.build_parser
+
+        def spy(*args):
+            parser = build(*args)
+            usages.append(parser.format_usage())
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        argv = [coins_file if a == "INSTANCE" else a for a in argv]
+        try:
+            assert run([*argv, "--out", str(tmp_path)]) == 0
+        except SystemExit as exc:  # --help
+            assert exc.code == 0
+        assert usages == [f"usage: prophetlab [-h] {built} ...\n"]
 
 
 class TestErrors:

@@ -196,6 +196,15 @@ class TestQuantileThresholds:
             opt.quantile_thresholds([0.25, bad, 0.5])
         assert opt.quantile_thresholds([]) == []
 
+    def test_arrays_are_the_thresholds_and_name_a_bad_quantile_plainly(self):
+        opt = OptLaw(regression_instances()[7][1])
+        qs = np.array([0.9, 0.1, 0.5, 1e-300])
+        tau, accept = opt.quantile_arrays(qs)
+        assert list(zip(tau.tolist(), accept.tolist())) == [
+            (rt.tau, rt.accept_prob) for rt in opt.quantile_thresholds(qs)]
+        with pytest.raises(InvalidQuantileError, match=r"got 1\.0$"):
+            opt.quantile_arrays(np.array([0.5, 1.0, 2.0]))
+
 
 def _shift(x: np.ndarray, ulps: int) -> np.ndarray:
     """x moved by ``ulps`` bit patterns, kept at or above 0.0."""

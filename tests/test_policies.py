@@ -94,6 +94,27 @@ class TestBlindSchedule:
         sched = make_blind_schedule(opt, 1)
         assert sched.num_pieces == 1
 
+    @pytest.mark.parametrize("name", [name for name, _ in regression_instances()])
+    def test_schedule_holds_the_quantile_search_bit_for_bit(self, name):
+        base = dict(regression_instances())[name]
+        opt = opt_law(make_instance(list(base), 6))
+        sched = make_blind_schedule(opt, 6, grid_resolution=64)
+        grid = np.linspace(2.0 / 6, 1.0, 65)
+        rules = opt.quantile_thresholds([0.5, *(1.0 / (grid[:-1] * 6))])
+        bits = [(rt.tau, rt.accept_prob) for rt in rules]
+        assert [(rt.tau, rt.accept_prob) for rt in sched.thresholds] == bits
+        assert [(sched.rule(r, 1).tau, sched.rule(r, 0).accept_prob)
+                for r in range(sched.num_pieces)] == bits
+        assert all(type(rt.tau) is float for rt in sched.thresholds)
+
+    def test_one_stack_serves_every_identity(self):
+        inst = make_instance([COIN, TRI, U01], 6)
+        sched = make_blind_schedule(opt_law(inst), 6, grid_resolution=32)
+        stacks = [sched.piece_stack(i) for i in range(inst.n)]
+        assert stacks[0] is stacks[1] is stacks[2]
+        assert stacks[0].tau.tolist() == [rt.tau for rt in sched.thresholds]
+        assert stacks[0].accept_prob.tolist() == [rt.accept_prob for rt in sched.thresholds]
+
 
 class TestAdaptive:
     def test_ell_and_quantiles(self):
@@ -252,6 +273,50 @@ def test_time_pieces_validated_for_both_classes(breakpoints):
         ThresholdSchedule(breakpoints, (RandomizedThreshold(0.5, 0.0),) * m)
     with pytest.raises(InvalidParameterError):
         ActivationPolicy(breakpoints, ((ValueBuckets((), (1.0,)),),) * m)
+
+
+class TestThresholdRulesRefuseNonsense:
+    """A threshold accepts with a probability in [0, 1] at a tau that is a
+    number, whether built as one rule or as a stack."""
+
+    @pytest.mark.parametrize("tau, accept_prob", [
+        (1.0, 1.5), (1.0, -0.25), (1.0, float("nan")), (float("nan"), 0.5),
+    ], ids=["above-one", "negative", "nan-prob", "nan-tau"])
+    def test_rule_and_stack_refuse(self, tau, accept_prob):
+        with pytest.raises(InvalidParameterError):
+            RandomizedThreshold(tau, accept_prob)
+        with pytest.raises(InvalidParameterError):
+            policies.ThresholdStack([0.5, tau], [0.0, accept_prob])
+        with pytest.raises(InvalidParameterError):
+            ThresholdSchedule((0.0, 0.5, 1.0), policies.ThresholdStack([0.5, tau],
+                                                                      [0.0, accept_prob]))
+
+    def test_over_accepting_rule_cannot_beat_the_prophet(self):
+        # accepting the top atom w.p. 1.5 read E[ALG] = 0.984 on three fair
+        # coins, above E[max of all three] = 0.875
+        with pytest.raises(InvalidParameterError, match=r"\[0, 1\], got 1.5"):
+            ThresholdSchedule((0.0, 1.0), (RandomizedThreshold(1.0, 1.5),))
+
+    def test_stack_needs_one_accept_probability_per_threshold(self):
+        for tau, accept_prob in (([0.5, 1.0], [0.5]), ([[0.5]], [[0.5]]), (0.5, 0.5)):
+            with pytest.raises(InvalidParameterError):
+                policies.ThresholdStack(tau, accept_prob)
+
+    def test_edges_of_the_ranges_are_rules(self):
+        for tau, accept_prob in ((0.0, 0.0), (math.inf, 1.0), (2.0, 1.0)):
+            rt = RandomizedThreshold(tau, accept_prob)
+            sched = ThresholdSchedule((0.0, 1.0), (rt,))
+            assert sched.thresholds == (rt,)
+
+    def test_stack_and_rules_build_the_same_schedule(self):
+        rules = (RandomizedThreshold(1.0, 0.25), RandomizedThreshold(0.5, 1.0))
+        from_rules = ThresholdSchedule((0.0, 0.4, 1.0), rules)
+        from_stack = ThresholdSchedule((0.0, 0.4, 1.0),
+                                       policies.ThresholdStack([1.0, 0.5], [0.25, 1.0]))
+        assert from_rules.thresholds == from_stack.thresholds == rules
+        for d in (COIN, TRI, U01):
+            assert np.array_equal(from_rules.piece_stack(0).accepted_mean(d),
+                                  from_stack.piece_stack(0).accepted_mean(d))
 
 
 def test_threshold_bucket_form_is_its_indicator_table():
