@@ -14,12 +14,10 @@ parser of its own command only (all five for ``--help`` or a missing or
 unknown command).  Floats in the CSV carry 17 significant digits so reruns
 diff cleanly.
 
-Each artifact is rendered whole and then overwritten in place: the existing
-file is opened without truncation, written from its start and cut to the new
-length, so a rerun of the same size frees no blocks.  The writes are not
-atomic, as they never were: a run that stops part way can leave a file that
-mixes new and old bytes, and an artifact that cannot be written leaves those
-before it rewritten.
+All three artifacts are rendered before the first is written, and each is
+then written through a truncating open.  The writes are not atomic: a run
+that stops part way can leave a file cut short, and an artifact that cannot
+be written leaves those before it rewritten.
 
 Exit status: 0 on success, 1 on usage/config errors (bad flags, missing or
 malformed files, an output directory or artifact that cannot be written, a
@@ -99,15 +97,8 @@ def _json_text(obj: dict) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    """Overwrite ``path`` in place with ``text`` and cut it to that length.
-
-    Opening with truncation would first free the file's blocks, which costs
-    far more than the write itself on a file system that discards freed
-    blocks; a rewrite of the same length frees none."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "wb") as fh:
-        fh.write(text.encode())
-        fh.truncate()
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _manifest(args: argparse.Namespace) -> dict:

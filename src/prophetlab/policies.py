@@ -153,11 +153,14 @@ def bucket_table(rules) -> tuple[np.ndarray, np.ndarray]:
 
 class ThresholdStack:
     """Randomized thresholds, one per piece: the arrays ``tau`` and
-    ``accept_prob``, checked as a ``RandomizedThreshold`` checks its own."""
+    ``accept_prob``, checked as a ``RandomizedThreshold`` checks its own.
+    Both are read-only copies, since one stack serves every identity."""
 
     def __init__(self, tau, accept_prob):
-        self.tau = np.asarray(tau, dtype=float)
-        self.accept_prob = np.asarray(accept_prob, dtype=float)
+        self.tau = np.array(tau, dtype=float)
+        self.accept_prob = np.array(accept_prob, dtype=float)
+        self.tau.setflags(write=False)
+        self.accept_prob.setflags(write=False)
         if self.tau.ndim != 1 or self.tau.shape != self.accept_prob.shape:
             raise InvalidParameterError("need one accept probability per threshold")
         if np.isnan(self.tau).any():

@@ -248,8 +248,7 @@ EXACT_RUNS = {
     "search-k": ["--class", "blind", "--epsilon", "0.01"],
 }
 # SHA-256 of (results.csv, summary.json) of each exact run, as written while
-# blind schedules were built one rule object per piece and artifacts were
-# written through a truncating open
+# blind schedules were built one rule object per piece
 EXACT_DIGESTS = {
     ("three-point", "eval"): (
         "a270086ebdafe06546f4083bdc5ceb1b71c7f93c07c19152d61c2cf668f57365",
@@ -359,7 +358,7 @@ class TestArtifacts:
 
 
 class TestWriter:
-    """Artifacts are overwritten in place and cut to their new length."""
+    """A rerun replaces each artifact whole, whatever its old length."""
 
     ARTIFACTS = ("results.csv", "summary.json", "manifest.json")
 

@@ -115,6 +115,15 @@ class TestBlindSchedule:
         assert stacks[0].tau.tolist() == [rt.tau for rt in sched.thresholds]
         assert stacks[0].accept_prob.tolist() == [rt.accept_prob for rt in sched.thresholds]
 
+    def test_shared_stack_is_a_read_only_copy(self):
+        tau, accept = np.array([1.0, 0.5]), np.array([0.25, 1.0])
+        stack = policies.ThresholdStack(tau, accept)
+        tau[0], accept[0] = np.nan, 1.5  # the caller's arrays are not the stack's
+        assert stack.tau.tolist() == [1.0, 0.5] and stack.accept_prob.tolist() == [0.25, 1.0]
+        for arr in (stack.tau, stack.accept_prob):
+            with pytest.raises(ValueError):
+                arr[0] = 2.0
+
 
 class TestAdaptive:
     def test_ell_and_quantiles(self):
