@@ -73,11 +73,6 @@ class RandomizedThreshold:
             raise InvalidParameterError(
                 f"accept probability must lie in [0, 1], got {self.accept_prob!r}")
 
-    def bucket_form(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """The same rule as value buckets (edges, probs): reject below tau,
-        accept with ``accept_prob`` at tau, always above it."""
-        return (self.tau, math.nextafter(self.tau, math.inf)), (0.0, self.accept_prob, 1.0)
-
     # one law's questions, one threshold at a time (policies.ThresholdStack
     # asks them for a stack of thresholds)
 

@@ -28,7 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import Distribution
-from .errors import InvalidInstanceError, PolicyMismatchError, TooLargeInstanceError
+from .errors import (InvalidInstanceError, InvalidParameterError, PolicyMismatchError,
+                     TooLargeInstanceError, is_integer)
 from .instance import Instance
 from .policies import ThresholdSchedule, check_shape
 from .quadrature import leggauss
@@ -48,6 +49,8 @@ _DP_STATE_CAP = 10**6  # the most count vectors optimal_online_dp will tabulate
 
 def p_tau_single(schedule: ThresholdSchedule, d: Distribution, t: float) -> float:
     """Pr[the threshold policy stops strictly before time t] for one reward."""
+    if math.isnan(t):
+        raise InvalidParameterError("time t must be a number, got nan")
     b = schedule.breakpoints
     total = 0.0
     for lo, hi, rt in zip(b[:-1], b[1:], schedule.thresholds):
@@ -64,8 +67,8 @@ def p_tau_multi(
     """1 - prod over the (law, multiplicity) multiset of (1 - p_tau_single)."""
     out = 1.0
     for d, mult in dist_multiset:
-        if mult < 1:
-            raise InvalidInstanceError("multiplicities must be >= 1")
+        if not is_integer(mult) or mult < 1:
+            raise InvalidInstanceError(f"multiplicities must be integers >= 1, got {mult!r}")
         out *= (1.0 - p_tau_single(schedule, d, t)) ** mult
     return 1.0 - out
 

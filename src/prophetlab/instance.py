@@ -99,13 +99,9 @@ class OptLaw:
         return total
 
     def quantile_threshold(self, q: float) -> RandomizedThreshold:
-        """(tau, accept_prob) with Pr[OPT rejected] exactly q; see ``quantile_thresholds``."""
-        return self.quantile_thresholds((q,))[0]
-
-    def quantile_thresholds(self, qs: Sequence[float]) -> list[RandomizedThreshold]:
-        """One randomized threshold per q; see ``quantile_arrays``."""
-        tau, accept = self.quantile_arrays(qs)
-        return [RandomizedThreshold(t, a) for t, a in zip(tau.tolist(), accept.tolist())]
+        """(tau, accept_prob) with Pr[OPT rejected] exactly q; see ``quantile_arrays``."""
+        tau, accept = self.quantile_arrays((q,))
+        return RandomizedThreshold(tau.item(), accept.item())
 
     def quantile_arrays(self, qs: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """The randomized thresholds of the qs as arrays (tau, accept_prob),

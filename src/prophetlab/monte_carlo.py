@@ -6,14 +6,14 @@ thread per available core (numpy releases the GIL in the kernels that do
 the work), and their statistics are summed in block order, so every
 estimate is bit-identical whatever the core count.
 
-It reads a policy only through ``num_pieces``, ``rule(piece, identity)`` and
+It reads a policy only through ``num_pieces``, ``piece_stack(identity)`` and
 ``pieces_at(times, identities)``, so every policy runs down one path.  No
 step here sorts the arrivals: the earliest accepted reward is an ``argmin``,
 and the adaptive rule's ``pieces_at`` finds the arrival order it needs by
 one sort of packed keys, the time on its 2^-53 grid above the column index.
 
 A block draws arrival times, value uniforms and tiebreaks, and decides
-acceptance on the uniform scale: each value-bucket edge of the policy is
+acceptance on the uniform scale: each edge of the stacks' ``buckets()`` is
 turned, once per simulation, into the cut on its identity's uniforms above
 which ``ppf`` reaches the edge.  Only the selected reward's uniform is mapped
 through ``ppf``.  A block is worked in chunks of rows, and its three draws
@@ -32,7 +32,7 @@ import numpy as np
 from .distributions import Distribution
 from .errors import InvalidParameterError, is_integer
 from .instance import Instance, _bisect
-from .policies import Policy, bucket_table, check_shape
+from .policies import Policy, check_shape
 from .results import EvalResult
 
 __all__ = ["McConfig", "estimate_expected_value", "estimate_exceedance",
@@ -91,17 +91,21 @@ def _cuts(d: Distribution, edges: np.ndarray) -> np.ndarray:
 
 def _acceptance_table(inst: Instance, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
     """The acceptance table on the uniform scale, as (cuts, probs) with one row
-    per cell.  Cell ``c * n + i`` holds ``policy.rule(c, i)``, identity i's
-    rule in piece c (a phase, for the adaptive rule).  Each rule's bucket
-    form gives its edges, padded with +inf (no value reaches them), and its
-    probabilities, padded with 0; each edge is stored as its cut on the value
+    per cell.  Cell ``c * n + i`` holds identity i's rule in piece c (a phase,
+    for the adaptive rule): row c of ``policy.piece_stack(i).buckets()``, its
+    edges padded across identities with +inf (no value reaches them) and its
+    probabilities with 0.  Each edge is stored as its cut on the value
     uniforms of its identity (``_cuts``), so a value's bucket is the number
     of cuts its uniform exceeds."""
     n = inst.n
-    edges, probs = bucket_table(
-        [policy.rule(c, i) for c in range(policy.num_pieces) for i in range(n)])
+    tables = [policy.piece_stack(i).buckets() for i in range(n)]
+    width = max(edges.shape[1] for edges, _ in tables)
+    edges = np.full((policy.num_pieces * n, width), math.inf)
+    probs = np.zeros((policy.num_pieces * n, width + 1))
     cuts = np.empty_like(edges)
-    for i, d in enumerate(inst.base):
+    for i, (d, (e, p)) in enumerate(zip(inst.base, tables)):
+        edges[i::n, :e.shape[1]] = e
+        probs[i::n, :p.shape[1]] = p
         cuts[i::n] = _cuts(d, edges[i::n])
     return cuts, probs
 

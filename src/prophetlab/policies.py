@@ -4,20 +4,18 @@ Threshold schedules are piecewise-constant randomized thresholds; activation
 policies attach per-identity, piecewise-constant-in-time activation tables;
 the adaptive two-threshold policy switches from a high to a low threshold at
 a data-dependent time set by the identities of the rewards still to arrive.
-Every policy answers ``num_pieces``, ``rule(piece, identity)`` and
-``pieces_at(times, identities)``, the piece of every arrival in a block of
-replications; the adaptive rule's two pieces are its phases, and it finds
-the arrival order they need by one sort of packed 64-bit keys, each time
-above its column index (a stable argsort past N = 2048).  Every policy
-names its ``case_quantiles``, the OPT quantiles where its proof switches cases.
-A time-pieced policy also answers ``piece_stack(identity)``, whose stack
-asks each law's questions (``cdf``, ``left_and_atom``, ``mean_between``) once
-on arrays for all pieces; a single ``RandomizedThreshold`` asks a 0-d
-``left_and_atom(tau)``, the law's scalar path (see ``distributions``).  A
-threshold schedule holds its thresholds as one ``ThresholdStack`` of arrays,
-the stack of every identity; the blind schedule takes those arrays straight
-from the OPT quantile search, and its rule objects are built only if asked
-for.
+
+Every policy answers ``num_pieces``, ``pieces_at(times, identities)`` (the
+piece of every arrival in a block of replications), ``case_quantiles`` (the
+OPT quantiles where its proof switches cases) and ``piece_stack(identity)``,
+the only form in which it gives its rules: one identity's rules of all
+pieces, built once.  A stack answers ``buckets()``, its rules as padded
+value-bucket tables (Monte Carlo's form), and asks each law's questions
+(``cdf``, ``left_and_atom``, ``mean_between``) once on arrays for all pieces
+(the exact integrator's form).  A threshold schedule and the adaptive rule
+hold one ``ThresholdStack`` for every identity; the adaptive rule's two
+pieces are its phases, found by one sort of packed 64-bit keys, each time
+above its column index (a stable argsort past N = 2048).
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ __all__ = [
     "ValueBuckets",
     "ThresholdStack",
     "BucketStack",
-    "bucket_table",
     "ActivationPolicy",
     "AdaptiveTwoThreshold",
     "Policy",
@@ -57,14 +54,7 @@ _TAU1_QUANTILE = 0.75  # the adaptive rule's high threshold, as an OPT quantile
 
 class _TimePieces:
     """Time pieces [s_r, s_{r+1}) of ``self.breakpoints``, 0 = s_0 < ... < s_m = 1,
-    checked to cover [0, 1] in increasing order.
-
-    ``rule(piece, identity)`` is a ``RandomizedThreshold`` or ``ValueBuckets``,
-    and every rule reports its ``bucket_form()`` (edges, probs).
-    ``piece_stack(identity)`` is a ``ThresholdStack`` (the same one for every
-    identity) or a ``BucketStack``; it reports accepted mass, accepted mean
-    and accepted mass above x for all pieces at once.
-    """
+    checked to cover [0, 1] in increasing order."""
 
     case_quantiles = ()  # a time-pieced policy's proofs switch at no further quantile
 
@@ -104,10 +94,6 @@ class ThresholdSchedule(_TimePieces):
         return tuple(map(RandomizedThreshold, self.stack.tau.tolist(),
                          self.stack.accept_prob.tolist()))
 
-    def rule(self, piece: int, identity: int) -> RandomizedThreshold:
-        """The same threshold for every identity."""
-        return self.thresholds[piece]
-
     def piece_stack(self, identity: int) -> ThresholdStack:
         return self.stack
 
@@ -132,23 +118,11 @@ class ValueBuckets:
         if not (np.isfinite(edges).all() and (np.diff(edges) > 0).all()):
             raise InvalidParameterError("bucket edges must be finite and strictly increasing")
 
-    def bucket_form(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        return self.edges, self.probs
-
-
-def bucket_table(rules) -> tuple[np.ndarray, np.ndarray]:
-    """The bucket forms of ``rules`` as arrays (edges, probs) with one row per
-    rule: edges padded with +inf (no value reaches them), probs with 0."""
-    forms = [rule.bucket_form() for rule in rules]
-    width = max(len(edges) for edges, _ in forms)
-    pads = [(math.inf,) * (width - len(edges)) for edges, _ in forms]
-    edges = np.array([e + pad for (e, _), pad in zip(forms, pads)]).reshape(len(forms), width)
-    probs = np.array([p + (0.0,) * len(pad) for (_, p), pad in zip(forms, pads)])
-    return edges, probs
-
 
 # The rules of all pieces at once.  Each answers a question for every piece
-# with the arithmetic of asking each piece's rule alone, bit for bit.
+# with the arithmetic of asking each piece's rule alone, bit for bit, and
+# ``buckets()`` gives them as (edges, probs), one row per piece: a value's
+# bucket is the number of edges at or below it.
 
 
 class ThresholdStack:
@@ -167,6 +141,13 @@ class ThresholdStack:
             raise InvalidParameterError("a threshold tau must be a number, got nan")
         if not ((self.accept_prob >= 0.0) & (self.accept_prob <= 1.0)).all():  # NaN fails too
             raise InvalidParameterError("accept probability must lie in [0, 1]")
+
+    def buckets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edges tau and the double above it, probs (0, a, 1): reject below
+        tau, accept with ``accept_prob`` at tau, always above it."""
+        edges = np.stack([self.tau, np.nextafter(self.tau, math.inf)], axis=1)
+        a = self.accept_prob
+        return edges, np.stack([np.zeros_like(a), a, np.ones_like(a)], axis=1)
 
     def accepted_mass(self, d: Distribution) -> np.ndarray:
         """Pr[accepted] per piece: 1 - (Pr[V < tau] + (1 - a) Pr[V = tau])."""
@@ -189,14 +170,24 @@ class ThresholdStack:
 
 
 class BucketStack:
-    """Value buckets, one table per piece, padded by ``bucket_table`` to a
-    common width; bucket b of a piece is [lo, hi) with lo clipped at 0."""
+    """``ValueBuckets``, one per piece, as one read-only table padded to a
+    common width with edges +inf (no value reaches them) and probs 0; bucket
+    b of a piece is [lo, hi) with lo clipped at 0."""
 
     def __init__(self, buckets):
-        edges, self.probs = bucket_table(buckets)
-        inf = np.full((len(edges), 1), math.inf)
-        self.lo = np.maximum(np.concatenate([-inf, edges], axis=1), 0.0)
-        self.hi = np.concatenate([edges, inf], axis=1)
+        width = max(len(vb.edges) for vb in buckets)
+        pads = [(math.inf,) * (width - len(vb.edges)) for vb in buckets]
+        edges = np.array([vb.edges + pad for vb, pad in zip(buckets, pads)])
+        self.edges = edges.reshape(len(buckets), width)
+        self.probs = np.array([vb.probs + (0.0,) * len(pad) for vb, pad in zip(buckets, pads)])
+        inf = np.full((len(buckets), 1), math.inf)
+        self.lo = np.maximum(np.concatenate([-inf, self.edges], axis=1), 0.0)
+        self.hi = np.concatenate([self.edges, inf], axis=1)
+        for table in (self.edges, self.probs, self.lo, self.hi):
+            table.setflags(write=False)
+
+    def buckets(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.edges, self.probs
 
     def _between(self, d: Distribution) -> tuple[np.ndarray, np.ndarray]:
         """Pr[lo <= V < hi] and Pr[V < hi] per (piece, bucket)."""
@@ -245,11 +236,12 @@ class ActivationPolicy(_TimePieces):
     def n(self) -> int:
         return len(self.tables[0])
 
-    def rule(self, piece: int, identity: int) -> ValueBuckets:
-        return self.tables[piece][identity]
+    @cached_property
+    def _stacks(self) -> tuple[BucketStack, ...]:
+        return tuple(BucketStack([row[i] for row in self.tables]) for i in range(self.n))
 
     def piece_stack(self, identity: int) -> BucketStack:
-        return BucketStack([row[identity] for row in self.tables])
+        return self._stacks[identity]
 
 
 @dataclass(frozen=True)
@@ -270,8 +262,14 @@ class AdaptiveTwoThreshold:
     def n(self) -> int:
         return len(self.q)
 
-    def rule(self, phase: int, identity: int) -> RandomizedThreshold:
-        return (self.tau1, self.tau2)[phase]
+    @cached_property
+    def _stack(self) -> ThresholdStack:
+        return ThresholdStack((self.tau1.tau, self.tau2.tau),
+                              (self.tau1.accept_prob, self.tau2.accept_prob))
+
+    def piece_stack(self, identity: int) -> ThresholdStack:
+        """The same two thresholds, (tau1, tau2), for every identity."""
+        return self._stack
 
     @property
     def case_quantiles(self) -> tuple[float, float]:
@@ -368,7 +366,8 @@ def adaptive_ell(epsilon: float) -> int:
 def make_adaptive(opt: OptLaw, inst: Instance, epsilon: float) -> AdaptiveTwoThreshold:
     """Two-threshold adaptive policy: tau1 at OPT-quantile 3/4, tau2 at e^-ell."""
     ell = adaptive_ell(epsilon)
-    tau1, tau2 = opt.quantile_thresholds((_TAU1_QUANTILE, math.exp(-ell)))
+    tau, accept = opt.quantile_arrays((_TAU1_QUANTILE, math.exp(-ell)))
+    tau1, tau2 = map(RandomizedThreshold, tau.tolist(), accept.tolist())
     q = tuple(tau2.rejected_mass(d) for d in inst.base)
     return AdaptiveTwoThreshold(float(epsilon), ell, tau1, tau2, q, inst.copies)
 

@@ -8,15 +8,22 @@ exactly the regime the unit tests use to pin the fast evaluators.
 The event scan (``sample_arrivals``, ``run_policy``) plays one realized
 arrival sequence forward, one reward at a time, and is what the vectorized
 Monte Carlo block must reproduce replication for replication.  Both it and
-the enumeration read a policy's ``rule(piece, identity)`` through
-``acceptance_prob``, which decides from ``tau`` and ``accept_prob`` or from
-the bucket edges directly, never through ``bucket_form()``.
+the enumeration read a policy's rules from its own data (``rule_of``: a
+schedule's ``thresholds``, an activation policy's ``tables``, the adaptive
+rule's ``tau1``/``tau2``), never from its piece stacks, and decide through
+``acceptance_prob``, from ``tau`` and ``accept_prob`` or from the bucket
+edges directly.
+
+``acceptance_table`` builds Monte Carlo's acceptance table from those rules,
+one ``bucket_form`` per (piece, identity) cell, padded by ``bucket_table``:
+the table that ``monte_carlo._acceptance_table``, reading the piece stacks'
+``buckets()``, must equal bit for bit.
 
 ``optimal_online_value`` is the recursive memo that the optimal-online DP
 table must equal state for state.
 
 ``reference_quantile_threshold`` is the scalar, one-q-at-a-time OPT quantile
-search that ``OptLaw.quantile_thresholds`` must reproduce bit for bit; it
+search that ``OptLaw.quantile_arrays`` must reproduce bit for bit; it
 reads the OPT law's left limits through ``opt_cdf_left``.
 
 ``adaptive_phases`` finds the adaptive rule's arrival order by a stable
@@ -53,6 +60,7 @@ from prophetlab import (
     ThresholdSchedule,
     ValueBuckets,
 )
+from prophetlab.monte_carlo import _cuts
 from prophetlab.policies import check_shape
 
 
@@ -63,6 +71,47 @@ def atoms(d):
     if abs(total - 1.0) > 1e-9:
         raise ValueError("enumeration oracle only handles discrete laws")
     return pairs
+
+
+def rule_of(policy, piece: int, identity: int):
+    """Identity ``identity``'s rule in ``piece`` (a phase, for the adaptive
+    rule), read from the policy's own data."""
+    if isinstance(policy, ThresholdSchedule):
+        return policy.thresholds[piece]
+    if isinstance(policy, ActivationPolicy):
+        return policy.tables[piece][identity]
+    return (policy.tau1, policy.tau2)[piece]
+
+
+def bucket_form(rule) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """A rule as value buckets (edges, probs): a threshold rejects below tau,
+    accepts with ``accept_prob`` at tau and always above it."""
+    if isinstance(rule, RandomizedThreshold):
+        return (rule.tau, math.nextafter(rule.tau, math.inf)), (0.0, rule.accept_prob, 1.0)
+    return rule.edges, rule.probs
+
+
+def bucket_table(rules) -> tuple[np.ndarray, np.ndarray]:
+    """The bucket forms of ``rules`` as arrays (edges, probs) with one row per
+    rule: edges padded with +inf (no value reaches them), probs with 0."""
+    forms = [bucket_form(rule) for rule in rules]
+    width = max(len(edges) for edges, _ in forms)
+    pads = [(math.inf,) * (width - len(edges)) for edges, _ in forms]
+    edges = np.array([e + pad for (e, _), pad in zip(forms, pads)]).reshape(len(forms), width)
+    probs = np.array([p + (0.0,) * len(pad) for (_, p), pad in zip(forms, pads)])
+    return edges, probs
+
+
+def acceptance_table(inst: Instance, policy) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo's (cuts, probs): cell ``c * n + i`` holds ``rule_of(policy,
+    c, i)``, each edge stored as its cut on identity i's value uniforms."""
+    n = inst.n
+    edges, probs = bucket_table(
+        [rule_of(policy, c, i) for c in range(policy.num_pieces) for i in range(n)])
+    cuts = np.empty_like(edges)
+    for i, d in enumerate(inst.base):
+        cuts[i::n] = _cuts(d, edges[i::n])
+    return cuts, probs
 
 
 def acceptance_prob(rule, value: float) -> float:
@@ -111,7 +160,7 @@ def enumerate_stop_statistics(inst: Instance, policy, payoff=None):
                 survive = 1.0
                 val = 0.0
                 for m in order:
-                    a = acceptance_prob(policy.rule(pieces[m], identities[m]), vals[m][0])
+                    a = acceptance_prob(rule_of(policy, pieces[m], identities[m]), vals[m][0])
                     val += survive * a * payoff(vals[m][0])
                     survive *= 1.0 - a
                 chain_val += val
@@ -380,7 +429,7 @@ class ScalarPieces:
         return getattr(self.policy, name)
 
     def piece_stack(self, identity: int) -> _ScalarStack:
-        return _ScalarStack([self.policy.rule(r, identity)
+        return _ScalarStack([rule_of(self.policy, r, identity)
                              for r in range(self.policy.num_pieces)])
 
 
@@ -415,8 +464,11 @@ def constant_activation(buckets_per_identity) -> ActivationPolicy:
 
 
 def activation_from_threshold(schedule: ThresholdSchedule, n: int) -> ActivationPolicy:
-    """The indicator-of-exceeding-tau activation table of a schedule."""
-    tables = tuple((ValueBuckets(*rt.bucket_form()),) * n for rt in schedule.thresholds)
+    """The indicator-of-exceeding-tau activation table of a schedule, from
+    its stack's ``buckets()``."""
+    edges, probs = schedule.piece_stack(0).buckets()
+    tables = tuple((ValueBuckets(tuple(e), tuple(p)),) * n
+                   for e, p in zip(edges.tolist(), probs.tolist()))
     return ActivationPolicy(tuple(schedule.breakpoints), tables)
 
 
@@ -486,7 +538,7 @@ def run_policy(policy, seq: ArrivalSequence) -> StopOutcome:
         t = float(seq.times[pos])
         i = int(seq.identities[pos])
         av = AugmentedValue(float(seq.values[pos]), float(seq.tiebreaks[pos]))
-        if accepts(policy.rule(piece_at(policy, t), i), av):
+        if accepts(rule_of(policy, piece_at(policy, t), i), av):
             return StopOutcome(True, t, av.value, (i, int(seq.copy_index[pos])))
     return StopOutcome.none()
 

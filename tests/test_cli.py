@@ -288,6 +288,60 @@ def test_exact_commands_keep_their_bytes(tmp_path, law, command):
     assert digests == EXACT_DIGESTS[law, command]
 
 
+# a two-piece activation table on the two-piecewise laws: identity 0 takes
+# values from 0.5 on, identity 1 takes everything early and from 1.0 on late
+MC_TABLE = {"pieces": [
+    {"t0": 0.0, "t1": 0.4, "g": [[0, 0.5, 0.0], [0, None, 0.8], [1, None, 0.3]]},
+    {"t0": 0.4, "t1": 1.0, "g": [[0, None, 0.6], [1, 1.0, 0.1], [1, None, 1.0]]},
+]}
+MC_RUNS = {
+    "eval-adaptive": ["eval", "--class", "adaptive", "--epsilon", "0.01", "--k", "4",
+                      "--reps", "20000", "--seed", "3"],
+    "dominance-single": ["dominance", "--class", "single", "--evaluator", "mc",
+                         "--epsilon", "0.05", "--k", "4", "--reps", "2000", "--seed", "5"],
+    "eval-activation": ["eval", "--class", "activation", "--evaluator", "mc", "--k", "3",
+                        "--reps", "20000", "--seed", "7", "--policy", "TABLE"],
+}
+# SHA-256 of (results.csv, summary.json) of each Monte Carlo run, as written
+# while Monte Carlo read each (piece, identity) rule on its own
+MC_DIGESTS = {
+    ("three-point", "eval-adaptive"): (
+        "f00739834983fab1fa731ceea6c5ee0deb09f25315ed5d31dfbeae15ed9bc46c",
+        "2d904c4773a50898cef1ac499348b75602babdf2a5d1cb945470e158fad9a8e7",
+    ),
+    ("two-piecewise", "eval-adaptive"): (
+        "4e8cc9c8e34127a0f3699231ae56373c1aa41a0d87230b9e4133af4dbdfcb366",
+        "497bc5414bb45e657d7a9db1d976cf49f3c1a9a80261aa352dd814a7dda24c31",
+    ),
+    ("three-point", "dominance-single"): (
+        "d31fe69f7bd4357dd0a0f1d7fe87c08d60e151010a8dea781660f11d724e2695",
+        "4f762eccb34456bc88ec9ca33db06b3706b7a003c570b752d5779e498b857b34",
+    ),
+    ("two-piecewise", "dominance-single"): (
+        "7892ae8d51e6d798f9dd2c1a368dd5aea04a5eb1a17152f9a21dcb48e9195853",
+        "b39f899aaaf8b15336d0abb8d5d9c1cc50dd259b799531fbe6ffd957a338b7a5",
+    ),
+    ("two-piecewise", "eval-activation"): (
+        "904472cf23d0bd27f36b9e3e0ddadb823788dd24f040167a98e56bd68b050134",
+        "61438f333958b2eebe38aa85f572b230a4e3c5039979dd2486880ac3232958a1",
+    ),
+}
+
+
+@pytest.mark.parametrize("law, command", sorted(MC_DIGESTS))
+def test_monte_carlo_commands_keep_their_bytes(tmp_path, law, command):
+    inst = tmp_path / f"{law}.json"
+    inst.write_text(json.dumps({"base": EXACT_LAWS[law], "copies": 1}))
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(MC_TABLE))
+    argv = [str(table) if a == "TABLE" else a for a in MC_RUNS[command]]
+    out = tmp_path / "run"
+    assert run([*argv, "--instance", str(inst), "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("results.csv", "summary.json"))
+    assert digests == MC_DIGESTS[law, command]
+
+
 ONE_RUN_EACH = {  # "INSTANCE" stands for the instance file
     "eval": ["--instance", "INSTANCE", "--k", "3"],
     "search-k": ["--instance", "INSTANCE", "--epsilon", "0.3"],

@@ -19,6 +19,8 @@ from oracles import (
 from prophetlab import (
     Distribution,
     ExactEvaluator,
+    InvalidInstanceError,
+    InvalidParameterError,
     PolicyMismatchError,
     RandomizedThreshold,
     ThresholdSchedule,
@@ -68,6 +70,20 @@ class TestPTau:
 
     def test_multi_two_coins(self):
         assert p_tau_multi(const_schedule(0.5), ((COIN, 2),), 1.0) == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("mult", [1.5, True, 2.0, 0, -1], ids=repr)
+    def test_multiplicity_must_be_a_positive_integer(self, mult):
+        # 1.5 read 0.3505 and True 0.25 on the coin at t = 0.5
+        with pytest.raises(InvalidInstanceError, match="multiplicities"):
+            p_tau_multi(const_schedule(0.5), ((COIN, mult),), 0.5)
+        assert p_tau_multi(const_schedule(0.5), ((COIN, np.int64(2)),), 1.0) == 0.75
+
+    def test_nan_time_is_refused(self):
+        # t = nan answered as t = 1 (0.5 on the coin)
+        with pytest.raises(InvalidParameterError, match="nan"):
+            p_tau_single(const_schedule(0.5), COIN, math.nan)
+        with pytest.raises(InvalidParameterError, match="nan"):
+            p_tau_multi(const_schedule(0.5), ((COIN, 1),), math.nan)
 
     def test_root_copy_closed_form(self):
         # OPT-median threshold on n k root copies:
@@ -361,8 +377,8 @@ class TestPieceStacksMatchScalarPieces:
                 self.policy, self.stacks = policy, []
 
             def __getattr__(self, name):
-                if name == "rule":
-                    raise AssertionError("the evaluator asked a single piece's rule")
+                if name in ("thresholds", "tables"):
+                    raise AssertionError("the evaluator read a single piece's rule")
                 return getattr(self.policy, name)
 
             def piece_stack(self, identity):

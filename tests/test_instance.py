@@ -120,6 +120,12 @@ def _bits(rt):
     return rt.tau.hex(), rt.accept_prob.hex()
 
 
+def _rules(opt, qs):
+    """``opt.quantile_arrays(qs)``, one ``RandomizedThreshold`` per q."""
+    tau, accept = opt.quantile_arrays(qs)
+    return [RandomizedThreshold(t, a) for t, a in zip(tau.tolist(), accept.tolist())]
+
+
 def _blind_quantiles(k: int) -> list[float]:
     """The 1 + 512 quantiles of the blind schedule for k copies (just the
     median when the schedule collapses to one threshold)."""
@@ -144,7 +150,7 @@ class TestQuantileThresholds:
     def test_blind_grids_match_reference_bitwise(self, k):
         qs = _blind_quantiles(k)
         for name, base in regression_instances():
-            got = OptLaw(base).quantile_thresholds(qs)
+            got = _rules(OptLaw(base), qs)
             ref = OptLaw(base)
             for q, rt in zip(qs, got):
                 assert _bits(rt) == _bits(reference_quantile_threshold(ref, q)), (name, q)
@@ -158,7 +164,7 @@ class TestQuantileThresholds:
         opt = OptLaw(base)
         # the product CDF's own values put q exactly on atoms and segment ends
         qs = [float(v) for v in np.concatenate([opt.dist.Fr, opt.dist.Fl]) if v < 1.0] + extra
-        for q, rt in zip(qs, opt.quantile_thresholds(qs)):
+        for q, rt in zip(qs, _rules(opt, qs)):
             assert _bits(rt) == _bits(reference_quantile_threshold(opt, q))
             rejected = _rejected(base, rt.tau, rt.accept_prob)
             assert rejected == pytest.approx(q, abs=1e-12)
@@ -180,28 +186,28 @@ class TestQuantileThresholds:
         opt = OptLaw([Distribution.piecewise([(-0.0, 0.0), (1.0, 1.0)])])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = opt.quantile_thresholds([0.3, 1e-300])
+            got = _rules(opt, [0.3, 1e-300])
         assert [rt.tau for rt in got] == [0.3, 1e-300]
 
     def test_batch_keeps_order_and_duplicates(self):
         opt = OptLaw(regression_instances()[7][1])
         qs = [0.9, 0.1, 0.5, 0.1]
-        batch = opt.quantile_thresholds(qs)
+        batch = _rules(opt, qs)
         assert [_bits(rt) for rt in batch] == [_bits(opt.quantile_threshold(q)) for q in qs]
 
     @pytest.mark.parametrize("bad", [1.0, -0.1, float("nan")])
     def test_batch_with_bad_quantile_raises(self, bad):
         opt = OptLaw([COIN, ATOM1])
         with pytest.raises(InvalidQuantileError):
-            opt.quantile_thresholds([0.25, bad, 0.5])
-        assert opt.quantile_thresholds([]) == []
+            opt.quantile_arrays([0.25, bad, 0.5])
+        assert [a.shape for a in opt.quantile_arrays([])] == [(0,), (0,)]
 
     def test_arrays_are_the_thresholds_and_name_a_bad_quantile_plainly(self):
         opt = OptLaw(regression_instances()[7][1])
         qs = np.array([0.9, 0.1, 0.5, 1e-300])
         tau, accept = opt.quantile_arrays(qs)
         assert list(zip(tau.tolist(), accept.tolist())) == [
-            (rt.tau, rt.accept_prob) for rt in opt.quantile_thresholds(qs)]
+            (rt.tau, rt.accept_prob) for rt in map(opt.quantile_threshold, qs)]
         with pytest.raises(InvalidQuantileError, match=r"got 1\.0$"):
             opt.quantile_arrays(np.array([0.5, 1.0, 2.0]))
 

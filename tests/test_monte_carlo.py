@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import oracles
 from oracles import ArrivalSequence, run_policy
 
 from prophetlab import (
@@ -208,8 +209,9 @@ def test_value_and_no_stop_from_one_simulation():
 
 
 def _table_case(base, kind):
-    """A policy of each class on a regression law; the activation tables put
-    an edge on every breakpoint of each law and one between each pair."""
+    """A policy of each class on a regression law; the activation policy's
+    first piece puts an edge on every breakpoint of each law and one between
+    each pair, its second an edge on every breakpoint only."""
     k = 16 if kind == "adaptive" else 4
     inst = make_instance(list(base), k)
     opt = opt_law(inst)
@@ -219,11 +221,56 @@ def _table_case(base, kind):
         return inst, make_blind_schedule(opt, k)
     if kind == "adaptive":
         return inst, make_adaptive(opt, inst, math.exp(-4))
-    buckets = []
+    early, late = [], []
     for d in base:
         edges = np.unique(np.concatenate((d.xs, (d.xs[:-1] + d.xs[1:]) / 2)))
-        buckets.append(ValueBuckets(tuple(edges), tuple(np.linspace(0.1, 0.9, len(edges) + 1))))
-    return inst, ActivationPolicy((0.0, 1.0), (tuple(buckets),))
+        early.append(ValueBuckets(tuple(edges), tuple(np.linspace(0.1, 0.9, len(edges) + 1))))
+        late.append(ValueBuckets(tuple(d.xs), tuple(np.linspace(0.8, 0.2, len(d.xs) + 1))))
+    return inst, ActivationPolicy((0.0, 0.4, 1.0), (tuple(early), tuple(late)))
+
+
+@pytest.mark.parametrize("kind", ["single", "blind", "adaptive", "activation"])
+def test_table_is_the_rules_bucket_table(kind):
+    # the piece stacks' buckets() give the table the rules' bucket forms gave,
+    # padding and cell order included, bit for bit
+    for name, base in regression_instances():
+        inst, policy = _table_case(base, kind)
+        got = monte_carlo._acceptance_table(inst, policy)
+        want = oracles.acceptance_table(inst, policy)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+
+def test_integer_bucket_edges_read_as_their_floats():
+    # integer edges made an integer table whose cuts truncated to 0 or -1:
+    # a fair coin with edge 1 was accepted at 0 too (no-stop 0, not 1/4)
+    inst, cfg = make_instance([COIN], 2), McConfig(20_000, 1)
+    got = [estimate_value_and_no_stop(
+        inst, ActivationPolicy((0.0, 1.0), ((ValueBuckets(edges, probs),),)), cfg)
+        for edges, probs in (((1,), (0, 1)), ((1.0,), (0.0, 1.0)))]
+    assert got[0] == got[1]
+
+
+@pytest.mark.parametrize("kind", ["single", "adaptive", "activation"])
+def test_rules_are_read_only_through_the_piece_stacks(kind):
+    class Guarded:
+        def __init__(self, policy):
+            self.policy, self.stacks = policy, []
+
+        def __getattr__(self, name):
+            if name in ("thresholds", "tables", "tau1", "tau2"):
+                raise AssertionError("Monte Carlo read a single piece's rule")
+            return getattr(self.policy, name)
+
+        def piece_stack(self, identity):
+            self.stacks.append(identity)
+            return self.policy.piece_stack(identity)
+
+    inst, policy = _table_case(regression_instances()[7][1], kind)  # mixed-four
+    guarded, cfg = Guarded(policy), McConfig(3000, 5)
+    assert estimate_expected_value(inst, guarded, cfg) == estimate_expected_value(inst, policy, cfg)
+    assert guarded.stacks == list(range(inst.n))
 
 
 @pytest.mark.parametrize("kind", ["single", "blind", "adaptive", "activation"])
@@ -237,12 +284,10 @@ def test_cut_decides_each_edge_on_the_uniform_scale(kind):
         inst, policy = _table_case(base, kind)
         cuts, _ = monte_carlo._acceptance_table(inst, policy)
         n = inst.n
-        rules = [policy.rule(r, i) for r in range(policy.num_pieces) for i in range(n)]
-        width = cuts.shape[1]
-        edges = np.array([e + (math.inf,) * (width - len(e))
-                          for e, _ in (rule.bucket_form() for rule in rules)])
         for i, d in enumerate(inst.base):
-            e, c = edges[i::n].ravel()[:, None], cuts[i::n].ravel()[:, None]
+            edges = policy.piece_stack(i).buckets()[0]
+            pad = np.full((len(edges), cuts.shape[1] - edges.shape[1]), math.inf)
+            e, c = np.hstack((edges, pad)).ravel()[:, None], cuts[i::n].ravel()[:, None]
             assert np.all((c == -1.0) | ((c >= 0.0) & (c < 1.0))), name
             near = np.hstack((c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf),
                               np.broadcast_to(ends, (len(c), 2))))

@@ -100,11 +100,11 @@ class TestBlindSchedule:
         opt = opt_law(make_instance(list(base), 6))
         sched = make_blind_schedule(opt, 6, grid_resolution=64)
         grid = np.linspace(2.0 / 6, 1.0, 65)
-        rules = opt.quantile_thresholds([0.5, *(1.0 / (grid[:-1] * 6))])
-        bits = [(rt.tau, rt.accept_prob) for rt in rules]
+        tau, accept = opt.quantile_arrays([0.5, *(1.0 / (grid[:-1] * 6))])
+        bits = list(zip(tau.tolist(), accept.tolist()))
         assert [(rt.tau, rt.accept_prob) for rt in sched.thresholds] == bits
-        assert [(sched.rule(r, 1).tau, sched.rule(r, 0).accept_prob)
-                for r in range(sched.num_pieces)] == bits
+        assert list(zip(sched.piece_stack(1).tau.tolist(),
+                        sched.piece_stack(0).accept_prob.tolist())) == bits
         assert all(type(rt.tau) is float for rt in sched.thresholds)
 
     def test_one_stack_serves_every_identity(self):
@@ -328,16 +328,43 @@ class TestThresholdRulesRefuseNonsense:
                                   from_stack.piece_stack(0).accepted_mean(d))
 
 
-def test_threshold_bucket_form_is_its_indicator_table():
-    rt = RandomizedThreshold(1.0, 0.25)
-    edges, probs = rt.bucket_form()
-    assert edges == (1.0, np.nextafter(1.0, np.inf)) and probs == (0.0, 0.25, 1.0)
-    vb = ValueBuckets(edges, probs)
-    assert vb.bucket_form() == (edges, probs)
-    for value in (0.0, 1.0, np.nextafter(1.0, np.inf), 3.0):
-        for tie in (0.0, 0.2, 0.25, 0.9):
-            av = AugmentedValue(float(value), tie)
-            assert accepts(vb, av) == accepts(rt, av)
+@pytest.mark.parametrize("kind", ["blind", "activation", "adaptive"])
+def test_each_stack_is_built_once(kind):
+    inst = make_instance([COIN, TRI, U01], 6)
+    opt = opt_law(inst)
+    policy = {"blind": lambda: make_blind_schedule(opt, 6, grid_resolution=32),
+              "activation": lambda: activation_from_threshold(make_blind_schedule(opt, 6), 3),
+              "adaptive": lambda: make_adaptive(opt, inst, math.exp(-4))}[kind]()
+    stacks = [policy.piece_stack(i) for i in range(inst.n)]
+    assert all(policy.piece_stack(i) is stack for i, stack in enumerate(stacks))
+    assert (stacks[0] is stacks[1]) == (kind != "activation")
+
+
+def test_threshold_buckets_are_its_indicator_table():
+    stack = policies.ThresholdStack([1.0, 0.5], [0.25, 1.0])
+    edges, probs = stack.buckets()
+    assert edges.tolist() == [[1.0, np.nextafter(1.0, np.inf)], [0.5, np.nextafter(0.5, np.inf)]]
+    assert probs.tolist() == [[0.0, 0.25, 1.0], [0.0, 1.0, 1.0]]
+    for r, rt in enumerate((RandomizedThreshold(1.0, 0.25), RandomizedThreshold(0.5, 1.0))):
+        vb = ValueBuckets(tuple(edges[r].tolist()), tuple(probs[r].tolist()))
+        got = policies.BucketStack([vb]).buckets()
+        assert [a.tolist() for a in got] == [edges[r:r + 1].tolist(), probs[r:r + 1].tolist()]
+        for value in (0.0, 0.5, 1.0, np.nextafter(rt.tau, np.inf), 3.0):
+            for tie in (0.0, 0.2, 0.25, 0.9, np.nextafter(1.0, 0.0)):
+                av = AugmentedValue(float(value), tie)
+                assert accepts(vb, av) == accepts(rt, av)
+
+
+def test_bucket_stack_pads_its_pieces_to_one_width():
+    pieces = [ValueBuckets((), (0.5,)), ValueBuckets((1.0, 2.0), (0.0, 0.3, 1.0))]
+    edges, probs = policies.BucketStack(pieces).buckets()
+    assert edges.tolist() == [[math.inf, math.inf], [1.0, 2.0]]
+    assert probs.tolist() == [[0.5, 0.0, 0.0], [0.0, 0.3, 1.0]]
+    for table in (edges, probs):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.25
+    edges, probs = policies.BucketStack([ValueBuckets((), (0.5,))] * 2).buckets()
+    assert edges.shape == (2, 0) and probs.tolist() == [[0.5], [0.5]]
 
 
 class TestPiecesAt:
