@@ -38,6 +38,7 @@ from .policies import (
     AdaptiveTwoThreshold,
     Policy,
     ThresholdSchedule,
+    ThresholdStack,
     ValueBuckets,
     adaptive_ell,
     log_inverse,
@@ -295,22 +296,21 @@ def _fixed_point_L(k: int):
     return L
 
 
-_HIGH = RandomizedThreshold(1.0, 0.0)  # accepts only the (surrogate) top value
-_LOW = RandomizedThreshold(0.5, 0.0)  # accepts both nonzero values
-
-
-def _switch_schedule(t: float) -> ThresholdSchedule:
-    if t <= 0.0:
-        return ThresholdSchedule((0.0, 1.0), (_LOW,))
-    if t >= 1.0:
-        return ThresholdSchedule((0.0, 1.0), (_HIGH,))
-    return ThresholdSchedule((0.0, t, 1.0), (_HIGH, _LOW))
-
-
-def _channel_gap(q_no_stop: float, q_low: float, p, s, eps):
-    """(1-eps)E[OPT] - E[ALG] for the two-type instance, via the Q channels;
-    ``p``, ``s`` and ``eps`` are mpmath numbers, so every step is one too."""
-    return q_no_stop * (1 + s) + (q_low - p) * s - eps * (1 + s - p * s)
+def _switch_schedules(ts):
+    """The single-switch schedule of each switch time t: only the (surrogate)
+    top value until t, both nonzero values after.  Every schedule holds one of
+    three shared stacks (low only, high then low, high only), so a family asks
+    each law three questions whatever the number of switch times."""
+    low = ThresholdStack((0.5,), (0.0,))  # accepts both nonzero values
+    high = ThresholdStack((1.0,), (0.0,))  # accepts only the top value
+    high_low = ThresholdStack((1.0, 0.5), (0.0, 0.0))
+    for t in ts:
+        if t <= 0.0:
+            yield ThresholdSchedule((0.0, 1.0), low)
+        elif t >= 1.0:
+            yield ThresholdSchedule((0.0, 1.0), high)
+        else:
+            yield ThresholdSchedule((0.0, t, 1.0), high_low)
 
 
 def _two_type_sweep(k: int, p, s, eps, policies):
@@ -318,7 +318,11 @@ def _two_type_sweep(k: int, p, s, eps, policies):
     k coins worth 2 with probability 1 - p).  Returns one (Q0, Q1, Pr[top
     selected], ln gap) per policy; the ln of a non-positive gap is NaN.
     Every 1 is a deterministic reward and no policy accepts a coin's 0, so Q1
-    and Pr[top selected] are the two identities' selection probabilities."""
+    and Pr[top selected] are the two identities' selection probabilities.
+
+    The policies of one piece count are evaluated as one family.  The gap is
+    (1-eps)E[OPT] - E[ALG] via the Q channels, in mpmath since ``p``, ``s``
+    and ``eps`` are mpmath numbers."""
     import mpmath as mp
 
     pf = float(p)
@@ -326,13 +330,19 @@ def _two_type_sweep(k: int, p, s, eps, policies):
         [Distribution.discrete([(1.0, 1.0)]), Distribution.discrete([(0.0, pf), (2.0, 1.0 - pf)])],
         k,
     )
-    channels = []
-    for policy in policies:
-        ev = ExactEvaluator(surrogate, policy)
-        q0 = ev.no_stop_prob()
-        q1, p_top = map(float, ev.selection_by_identity())
-        gap = _channel_gap(q0, q1, p, s, eps)
-        channels.append((q0, q1, p_top, float(mp.log(gap)) if gap > 0 else math.nan))
+    policies = tuple(policies)
+    families: dict[int, list[int]] = {}
+    for j, policy in enumerate(policies):
+        families.setdefault(policy.num_pieces, []).append(j)
+    channels = [None] * len(policies)
+    top = 1 + s
+    target = eps * (1 + s - p * s)
+    for js in families.values():
+        ev = ExactEvaluator(surrogate, [policies[j] for j in js])
+        for j, q0, picks in zip(js, ev.no_stop_prob(), ev.selection_by_identity()):
+            q1, p_top = picks.tolist()
+            gap = q0 * top + (q1 - p) * s - target
+            channels[j] = (q0, q1, p_top, float(mp.log(gap)) if gap > 0 else math.nan)
     return channels
 
 
@@ -359,13 +369,16 @@ class CheckReport:
     failure: str | None
 
 
-def _two_type_report(suite: str, k: int, p, L, columns, rows, arithmetic_ok: bool,
+def _two_type_report(suite: str, k: int, p, L, columns, rows, arithmetic: dict,
                      closed_form_abs_err: float) -> CheckReport:
     """The report of a two-type sweep whose rows end in their ln gap; it is
     certified when every gap is positive, and passes when the arithmetic
-    checks hold too."""
+    checks (``arithmetic``, each statement's truth) hold too.  A certified
+    sweep that fails only arithmetic checks names them in its message."""
     logs = [row[-1] for row in rows]
     certified = not any(math.isnan(lg) for lg in logs)
+    failed = [check for check, holds in arithmetic.items() if not holds]
+    arithmetic_ok = not failed
     summary = {
         "suite": suite,
         "k": k,
@@ -376,7 +389,13 @@ def _two_type_report(suite: str, k: int, p, L, columns, rows, arithmetic_ok: boo
         "arithmetic_ok": arithmetic_ok,
         "closed_form_abs_err": closed_form_abs_err,
     }
-    failure = None if certified and arithmetic_ok else f"hardness suite '{suite}' NOT certified"
+    if not certified:
+        failure = f"hardness suite '{suite}' NOT certified"
+    elif failed:
+        failure = (f"hardness suite '{suite}': every gap is positive, but these arithmetic "
+                   f"checks fail: {'; '.join(failed)}")
+    else:
+        failure = None
     return CheckReport(columns, tuple(rows), summary, failure)
 
 
@@ -397,22 +416,22 @@ def hardness_time_based(k: int = 25, grid_points: int = 1001) -> CheckReport:
         p = mp.mpf(1) / k
         pf = float(p)
         ts = [float(t) for t in np.linspace(0.0, 1.0, grid_points)]
-        channels = _two_type_sweep(k, p, s, eps, (_switch_schedule(t) for t in ts))
+        channels = _two_type_sweep(k, p, s, eps, _switch_schedules(ts))
         rows = [(t, q0, q1, top, pf**k * t**k, lg) for t, (q0, q1, top, lg) in zip(ts, channels)]
         p_top_at_zero = channels[0][2]  # ts[0] == 0
         # Case-1 arithmetic and the closed-form cross-check at t = 0:
         # conditioning on one coin arriving at time u and being nonzero, no
         # deterministic reward may arrive earlier and no other coin may have
         # been accepted, giving k(1-p) int (1-u)^k (1-(1-p)u)^(k-1) du.
-        arithmetic_ok = all(
+        arithmetic = {"(1 - 1/(2k))^(2k) >= 1/4 for k <= 100": all(
             (1.0 - 1.0 / (2 * kk)) ** (2 * kk) >= 0.25 for kk in range(1, 101)
-        )
+        )}
         nodes, wts = leggauss(2 * k)
         u = 0.5 * (nodes + 1.0)
         integrand = (1.0 - u) ** k * (1.0 - (1.0 - pf) * u) ** (k - 1)
         closed = k * (1.0 - pf) * 0.5 * float(wts @ integrand)
         columns = ("switch_t", "q_no_stop", "q_low_pick", "p_top", "case2_bound", "log_gap")
-        return _two_type_report("time-based", k, p, L, columns, rows, arithmetic_ok,
+        return _two_type_report("time-based", k, p, L, columns, rows, arithmetic,
                                 abs(closed - p_top_at_zero))
 
 
@@ -442,14 +461,16 @@ def hardness_activation(k: int = 61, grid_points: int = 11) -> CheckReport:
         )
         channels = _two_type_sweep(k, p, s, eps, policies)
         rows = [(ge, gl, *c) for (ge, gl), c in zip(grid, channels)]
-        arithmetic_ok = (
-            all((1.0 - 2.0 / kk) ** kk >= 0.1 for kk in range(8, 201))
-            and abs(float(mp.log(p ** (2 * k)) - mp.log(s))) <= 1e-12 * float(L)
-            and 3 * p < mp.mpf(1) / (10 * k)
-            and p <= mp.mpf(1) / k  # gives p^k (1/k)^k >= p^(2k)
-        )
+        arithmetic = {
+            "(1 - 2/k)^k >= 1/10 for 8 <= k <= 200":
+                all((1.0 - 2.0 / kk) ** kk >= 0.1 for kk in range(8, 201)),
+            "ln p^(2k) = ln sqrt(eps) within 1e-12 ln(1/eps)":
+                abs(float(mp.log(p ** (2 * k)) - mp.log(s))) <= 1e-12 * float(L),
+            "3p < 1/(10k)": bool(3 * p < mp.mpf(1) / (10 * k)),
+            "p <= 1/k": bool(p <= mp.mpf(1) / k),  # gives p^k (1/k)^k >= p^(2k)
+        }
         columns = ("g_early", "g_late", "q_no_stop", "q_low_pick", "p_top", "log_gap")
-        return _two_type_report("activation", k, p, L, columns, rows, bool(arithmetic_ok), 0.0)
+        return _two_type_report("activation", k, p, L, columns, rows, arithmetic, 0.0)
 
 
 def hardness_general(k: int = 4) -> CheckReport:
@@ -592,9 +613,8 @@ def lemma_suite(seed: int, trials: int = 200) -> CheckReport:
         base = [_random_distribution(rng) for _ in range(int(rng.integers(1, 3)))]
         inst = make_instance(base, int(rng.integers(1, 4)))
         sched = _random_schedule(rng, pieces=int(rng.integers(2, 4)))
-        before = expected_value(inst, sched).estimate
-        after = expected_value(inst, sort_nonincreasing(sched)).estimate
-        s5 = min(s5, after - before)
+        before, after = ExactEvaluator(inst, (sched, sort_nonincreasing(sched))).expected_value()
+        s5 = min(s5, after.estimate - before.estimate)
     min_slack = min(s1, s2, s3, s4, s5)
     all_hold = bool(min_slack >= -1e-9 and sym_gap <= 1e-12)
     summary = {

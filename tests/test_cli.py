@@ -234,6 +234,43 @@ def test_check_commands_keep_their_bytes(tmp_path, command):
     assert digests == CHECK_DIGESTS[command]
 
 
+# (exit code, SHA-256 of results.csv, of summary.json) of check runs past
+# CHECK_DIGESTS, as written while every policy of a sweep or sorted pair had
+# an evaluator of its own: the heaviest lemma run, sweeps with a gap that is
+# not positive (time-based k = 100) or failed arithmetic checks (activation
+# k = 3), and a sweep that certifies
+CHECK_PINS = {
+    "lemmas --trials 1000 --seed 0": (
+        0,
+        "a825fd82b98ce14636b1b7994cfc7b5088ba91f14ce20712711c4e29ff19015f",
+        "c35fa34ab095d8311908335933c747c8692b68b0e9007ee2c5906f6401981a8c",
+    ),
+    "hardness --class time-based --k 100 --grid 101": (
+        2,
+        "51d9999b63a946f1fe6da7d9db2545edb69b38fa62cc7b79183e98bfe5c695cd",
+        "b18e7ac6e3195899b2a45d38b357b03818bbcf116ca625546417e4c52460f4f1",
+    ),
+    "hardness --class activation --k 3 --grid 2": (
+        2,
+        "a3eb995c0f01f39a185e1d875a342817ff4a2b68acb3a0742329d993cdfbfc1e",
+        "9c4ae3da7a454c3e8680a0f8bbbcfea20004781550777d3de6141b38e0ae6c3b",
+    ),
+    "hardness --class time-based --k 6 --grid 51": (
+        0,
+        "a92ed5f899f11347ca9e793cc7699b60903af37a65cdccda086b26cdeeae766c",
+        "ee38d9a490100606a38392cd51edaf39db4afa3c1a0ef9890585a1802f51b69a",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CHECK_PINS))
+def test_check_runs_keep_their_bytes_and_exit_codes(tmp_path, capsys, command):
+    code = run([*command.split(), "--out", str(tmp_path)])
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("results.csv", "summary.json"))
+    assert (code, *digests) == CHECK_PINS[command]
+
+
 # the regression laws three-point (discrete) and two-piecewise (piecewise)
 EXACT_LAWS = {
     "three-point": [{"type": "discrete", "atoms": [[0.0, 0.2], [1.0, 0.5], [3.0, 0.3]]}],
@@ -386,6 +423,18 @@ class TestArtifacts:
         ]
         err = capsys.readouterr().err
         assert err == "hardness suite 'activation' NOT certified\n"
+
+    def test_failed_arithmetic_alone_is_named(self, tmp_path, capsys):
+        # every gap is positive ("certified": true) and only 3p < 1/(10k)
+        # fails, so the message may not say the suite is not certified
+        out = tmp_path / "run"
+        assert run(["hardness", "--class", "activation", "--k", "3", "--grid", "2",
+                    "--out", str(out)]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["certified"] and not summary["arithmetic_ok"]
+        assert capsys.readouterr().err == (
+            "hardness suite 'activation': every gap is positive, but these arithmetic "
+            "checks fail: 3p < 1/(10k)\n")
 
     def test_config_error_writes_no_results(self, coins_file, tmp_path, capsys):
         out = tmp_path / "run"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -37,7 +38,13 @@ from prophetlab import (
 )
 from prophetlab import exact_oracle, experiments
 from prophetlab.experiments import regression_instances
-from prophetlab.policies import ActivationPolicy, ValueBuckets, make_blind_schedule
+from prophetlab.policies import (
+    ActivationPolicy,
+    ThresholdStack,
+    ValueBuckets,
+    make_blind_schedule,
+    sort_nonincreasing,
+)
 
 COIN = Distribution.discrete([(0.0, 0.5), (1.0, 0.5)])
 TRI = Distribution.discrete([(0.0, 0.2), (1.0, 0.5), (3.0, 0.3)])
@@ -421,3 +428,135 @@ class TestPieceStacksMatchScalarPieces:
             sched = experiments._random_schedule(rng, pieces=int(rng.integers(1, 6)))
             self.assert_same(inst, sched, np.concatenate([xs, rng.uniform(0, 3, 8)]))
             self.assert_same(inst, _random_activation(rng, inst.n), xs)
+
+
+def _switches(count):
+    """``count`` two-piece switch schedules, all holding one stack."""
+    ts = np.linspace(0.0, 1.0, count + 2)[1:-1].tolist()
+    return list(experiments._switch_schedules(ts))
+
+
+class TestFamilies:
+    """One evaluator for a family of policies answers, policy by policy, the
+    bits of an evaluator for that policy alone."""
+
+    XS = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+
+    @staticmethod
+    def assert_each_alone(inst, family, xs=XS):
+        ev = ExactEvaluator(inst, family)
+        values, no_stop = ev.expected_value(), ev.no_stop_prob()
+        picks, over = ev.selection_by_identity(), ev.exceedance_many(xs)
+        assert len(values) == len(no_stop) == len(family)
+        assert picks.shape == (len(family), inst.n) and over.shape == (len(family), len(xs))
+        for j, policy in enumerate(family):
+            one = ExactEvaluator(inst, policy)
+            assert _hex(values[j].estimate) == _hex(one.expected_value().estimate), j
+            assert _hex(no_stop[j]) == _hex(one.no_stop_prob()), j
+            assert _hex(picks[j]) == _hex(one.selection_by_identity()), j
+            assert _hex(over[j]) == _hex(one.exceedance_many(xs)), j
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_families_of_one(self, k):
+        for name, base in regression_instances():
+            inst = make_instance(base, k)
+            opt = opt_law(inst)
+            for policy in (make_blind_schedule(opt, k), _random_activation(
+                    np.random.default_rng(k), inst.n)):
+                self.assert_each_alone(inst, [policy], _dominance_grid(opt, k))
+                one = ExactEvaluator(inst, policy)
+                assert isinstance(one.no_stop_prob(), float)
+                assert one.selection_by_identity().shape == (inst.n,)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_schedules_sharing_a_stack(self, k):
+        asked = []
+
+        class Asked(ThresholdStack):
+            def accepted_mass(self, d):
+                asked.append(self)
+                return super().accepted_mass(d)
+
+        shared = Asked((1.0, 0.5), (0.25, 0.0))
+        own = Asked((0.5, 1.5), (1.0, 0.5))
+        family = [ThresholdSchedule((0.0, 0.3, 1.0), shared),
+                  ThresholdSchedule((0.0, 0.6, 1.0), own),
+                  ThresholdSchedule((0.0, 0.8, 1.0), shared)]
+        for name, base in regression_instances():
+            inst = make_instance(base, k)
+            asked.clear()
+            ExactEvaluator(inst, family)
+            assert asked == [shared, own] * inst.n, name
+            self.assert_each_alone(inst, family)
+
+    def test_a_family_spanning_slices(self):
+        for name, base in regression_instances():
+            inst = make_instance(base, 4)
+            g = inst.total_rewards // 2 + 2
+            per_slice = exact_oracle._TABLE_DOUBLES // (inst.n * 2 * g)
+            family = _switches(2 * per_slice + 3)  # three slices, the last of 3
+            self.assert_each_alone(inst, family)
+
+    def test_sorted_pairs_of_the_lemma_suite(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            base = [experiments._random_distribution(rng) for _ in range(int(rng.integers(1, 3)))]
+            inst = make_instance(base, int(rng.integers(1, 4)))
+            sched = experiments._random_schedule(rng, pieces=int(rng.integers(2, 4)))
+            self.assert_each_alone(inst, [sched, sort_nonincreasing(sched)])
+
+    def test_activation_families(self):
+        rng = np.random.default_rng(17)
+        for name, base in regression_instances():
+            inst = make_instance(base, 2)
+            tables = [_random_activation(rng, inst.n) for _ in range(12)]
+            by_pieces = {}
+            for policy in tables:
+                by_pieces.setdefault(policy.num_pieces, []).append(policy)
+            for family in by_pieces.values():
+                self.assert_each_alone(inst, family)
+
+    def test_activation_hardness_family(self):
+        k = 61
+        p = float(1 / experiments._fixed_point_L(k))
+        inst = make_instance([ATOM1, Distribution.discrete([(0.0, p), (2.0, 1.0 - p)])], k)
+        top = ValueBuckets((0.5,), (0.0, 1.0))
+        gs = np.linspace(0.0, 1.0, 11).tolist()
+        family = [ActivationPolicy((0.0, 2.0 / k, 1.0),
+                                   tuple((ValueBuckets((), (g,)), top) for g in pair))
+                  for pair in itertools.product(gs, gs)]
+        self.assert_each_alone(inst, family)
+
+    def test_mixed_piece_counts_are_refused(self):
+        inst = make_instance([COIN, TRI], 2)
+        family = [const_schedule(0.5), *_switches(2)]
+        with pytest.raises(PolicyMismatchError, match=r"one number of time pieces, got \[1, 2\]"):
+            ExactEvaluator(inst, family)
+        with pytest.raises(PolicyMismatchError, match=r"got \[\]"):
+            ExactEvaluator(inst, [])
+
+    def test_every_member_is_checked(self):
+        inst = make_instance([COIN, TRI], 16)
+        adaptive = make_adaptive(opt_law(inst), inst, math.exp(-4))
+        with pytest.raises(PolicyMismatchError, match="Monte Carlo"):
+            ExactEvaluator(inst, [const_schedule(0.5), adaptive])
+        act = constant_activation([ValueBuckets((), (1.0,))] * 3)
+        with pytest.raises(PolicyMismatchError, match="n=3"):
+            ExactEvaluator(inst, [constant_activation([ValueBuckets((), (1.0,))] * 2), act])
+
+    def test_sliced_tables_bound_the_memory(self):
+        # 1,001 switch schedules at k = 25: a (policy, identity, piece, node)
+        # table of the whole family holds 1001 * 2 * 2 * 27 doubles, 845 KiB,
+        # and building it unsliced peaked at 2.0 MiB; sliced, a table holds at
+        # most 32 KiB and the peak was 304 KiB
+        coins = Distribution.discrete([(0.0, 0.04), (2.0, 0.96)])
+        inst, family = make_instance([ATOM1, coins], 25), _switches(1001)
+        ExactEvaluator(inst, family[:2])  # the nodes are cached per order
+        tracemalloc.start()
+        try:
+            ev = ExactEvaluator(inst, family)
+            ev.no_stop_prob(), ev.selection_by_identity()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 * 2**10

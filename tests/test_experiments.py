@@ -29,6 +29,7 @@ from prophetlab.experiments import (
     dominance_check,
     exceedance,
     expected_value,
+    hardness_activation,
     hardness_general,
     hardness_time_based,
     lemma_suite,
@@ -272,6 +273,13 @@ class TestHardnessReports:
                     lambda u: (1 - (u - t)) ** (k - 1) * (1 - (1 - p) * u) ** k, [t, 1]
                 )
             assert q1 == pytest.approx(float(want), rel=1e-12, abs=0.0), t
+
+    def test_failed_arithmetic_alone_is_named(self):
+        # at k = 3 every gap is positive and only 3p < 1/(10k) fails
+        report = hardness_activation(k=3, grid_points=2)
+        assert report.summary["certified"] and not report.summary["arithmetic_ok"]
+        assert report.failure == ("hardness suite 'activation': every gap is positive, but "
+                                  "these arithmetic checks fail: 3p < 1/(10k)")
 
     def test_time_based_closed_form_cross_check(self):
         summary = hardness_time_based(k=6, grid_points=51).summary

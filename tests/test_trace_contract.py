@@ -59,8 +59,11 @@ def test_every_keyed_name_resolves():
         assert callable(_resolve(name)), name
 
 
-def test_evaluator_takes_its_nodes_through_the_module_name(monkeypatch):
-    # the tracer counts exact_oracle.nodes_calls by rebinding this name
+@pytest.mark.parametrize("family", [None, 1, 400], ids=["policy", "family-of-1", "family-of-400"])
+def test_evaluator_takes_its_nodes_through_the_module_name(monkeypatch, family):
+    # the tracer counts exact_oracle.nodes_calls by rebinding this name, and
+    # exact_oracle.init_calls by wrapping ExactEvaluator.__init__: one call
+    # of each per construction, however many slices the family takes
     calls = []
     nodes = exact_oracle.leggauss
 
@@ -70,8 +73,17 @@ def test_evaluator_takes_its_nodes_through_the_module_name(monkeypatch):
 
     monkeypatch.setattr(exact_oracle, "leggauss", counting)
     inst = make_instance([COIN, TRI], 5)
-    ExactEvaluator(inst, _policies(inst)["threshold"])
-    assert calls == [inst.total_rewards // 2 + 2]
+    policy = _policies(inst)["threshold"]
+    g = inst.total_rewards // 2 + 2
+    if family is None:
+        ExactEvaluator(inst, policy)
+    else:
+        stack = policy.piece_stack(0)
+        policies = [ThresholdSchedule((0.0, t, 1.0), stack)
+                    for t in np.linspace(0.0, 1.0, family + 2)[1:-1].tolist()]
+        assert family == 1 or family > 2 * exact_oracle._TABLE_DOUBLES // (inst.n * 2 * g)
+        ExactEvaluator(inst, policies)
+    assert calls == [g]
 
 
 def test_retired_names_are_gone():
