@@ -10,7 +10,6 @@ from .distributions import (
     Distribution,
     RandomizedThreshold,
     distribution_from_json,
-    distribution_to_json,
     nth_root,
     product_max,
 )
@@ -21,15 +20,13 @@ from .errors import (
     InvalidQuantileError,
     PolicyMismatchError,
     ProphetLabError,
-    TooLargeInstanceError,
 )
-from .exact_oracle import ExactEvaluator, optimal_online_dp, p_tau_multi, p_tau_single
+from .exact_oracle import ExactEvaluator, p_tau_multi, p_tau_single
 from .experiments import exceedance, expected_value
 from .instance import (
     Instance,
     OptLaw,
     instance_from_json,
-    instance_to_json,
     make_instance,
     opt_law,
 )

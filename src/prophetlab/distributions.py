@@ -5,9 +5,10 @@ Two user-facing families are supported: discrete atom lists and
 piecewise-linear CDFs.  Internally both are stored as a breakpoint grid
 ``xs`` with left limits ``Fl`` and right-continuous values ``Fr``, which is
 also closed (at breakpoints) under the pointwise-product and n-th-root
-operators.  Discreteness of a law is emulated by the (value, tiebreak)
-lexicographic order together with randomized thresholds, so exact quantiles
-exist for every law.
+operators.  A law is these three arrays and nothing else: they state its
+form, and every evaluator reads only them.  Discreteness of a law is
+emulated by the (value, tiebreak) lexicographic order together with
+randomized thresholds, so exact quantiles exist for every law.
 
 A law answers four questions, each under one name for every input shape:
 ``cdf(x)`` = Pr[V <= x], ``left_and_atom(x)`` = (Pr[V < x], Pr[V = x]),
@@ -54,7 +55,6 @@ __all__ = [
     "RandomizedThreshold",
     "product_max",
     "nth_root",
-    "distribution_to_json",
     "distribution_from_json",
 ]
 
@@ -98,10 +98,9 @@ class Distribution:
     the jumps ``Fr - Fl``.
     """
 
-    __slots__ = ("kind", "xs", "Fl", "Fr")
+    __slots__ = ("xs", "Fl", "Fr")
 
-    def __init__(self, kind: str, xs: np.ndarray, Fl: np.ndarray, Fr: np.ndarray):
-        self.kind = kind
+    def __init__(self, xs: np.ndarray, Fl: np.ndarray, Fr: np.ndarray):
         self.xs = xs
         self.Fl = Fl
         self.Fr = Fr
@@ -131,7 +130,7 @@ class Distribution:
         Fr = np.cumsum(masses / total)
         Fr[-1] = 1.0
         Fl = np.concatenate(([0.0], Fr[:-1]))
-        return cls("discrete", xs, Fl, Fr)
+        return cls(xs, Fl, Fr)
 
     @classmethod
     def piecewise(cls, points: Iterable[tuple[float, float]], tol: float = _MASS_TOL) -> "Distribution":
@@ -156,7 +155,7 @@ class Distribution:
         Fr[-1] = 1.0
         Fl = Fr.copy()
         Fl[0] = 0.0  # any mass at the first breakpoint is an atom there
-        return cls("piecewise", xs, Fl, Fr)
+        return cls(xs, Fl, Fr)
 
     # ------------------------------------------------------------------ basics
 
@@ -251,26 +250,29 @@ class Distribution:
         return val if val.ndim else float(val)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Distribution({self.kind}, {len(self.xs)} breakpoints, max={self.support_max})"
+        return f"Distribution({len(self.xs)} breakpoints, max={self.support_max})"
 
 
 # ---------------------------------------------------------------------- ops
 
 
 def _merged_grid(ds: Sequence[Distribution], extra_points=None) -> np.ndarray:
-    """``np.unique`` of every breakpoint and extra point, by its own steps: a
-    NaN extra point sorts last and, as there, all NaNs keep one.  numpy 2
-    imports ``numpy.ma`` on the first ``np.unique``, which no command needs."""
+    """``np.unique`` of every breakpoint and extra point, by its own steps
+    (numpy 2 imports ``numpy.ma`` on the first ``np.unique``, which no command
+    needs).  Extra points become breakpoints, so they must be finite and
+    nonnegative."""
     parts = [d.xs for d in ds]
     if extra_points is not None:
         parts.append(np.asarray(extra_points, dtype=float))
     grid = np.concatenate(parts)
     grid.sort()
+    if not (grid[0] >= 0.0 and grid[-1] < math.inf):  # a NaN sorts last
+        bad = grid[0] if grid[0] < 0.0 else grid[-1]
+        raise InvalidParameterError(
+            f"extra grid points must be finite and nonnegative, got {bad.item()!r}")
     keep = np.empty(len(grid), dtype=bool)
     keep[0] = True
     np.not_equal(grid[1:], grid[:-1], out=keep[1:])
-    if grid[-1] != grid[-1]:
-        keep[grid.searchsorted(grid[-1]) + 1:] = False
     return grid[keep]
 
 
@@ -295,7 +297,6 @@ def product_max(ds: Sequence[Distribution], extra_points=None) -> Distribution:
     if not ds:
         raise InvalidInstanceError("product_max of an empty list")
     grid = _merged_grid(ds, extra_points)
-    grid = grid[(grid >= 0)]
     points = grid.tolist()
     Fr = [1.0] * len(points)
     Fl = [1.0] * len(points)
@@ -303,8 +304,7 @@ def product_max(ds: Sequence[Distribution], extra_points=None) -> Distribution:
         right, left = _limits(d, points)
         Fr = [a * b for a, b in zip(Fr, right)]
         Fl = [a * b for a, b in zip(Fl, left)]
-    kind = "discrete" if all(d.kind == "discrete" for d in ds) else "piecewise"
-    return Distribution(kind, grid, np.array(Fl), np.array(Fr))
+    return Distribution(grid, np.array(Fl), np.array(Fr))
 
 
 def nth_root(d: Distribution, n: int, extra_points=None) -> Distribution:
@@ -315,19 +315,10 @@ def nth_root(d: Distribution, n: int, extra_points=None) -> Distribution:
     right, left = _limits(d, grid.tolist())
     # numpy's power, not Python's **: the two round some roots apart
     root = 1.0 / n
-    return Distribution(d.kind, grid, np.array(left) ** root, np.array(right) ** root)
+    return Distribution(grid, np.array(left) ** root, np.array(right) ** root)
 
 
 # --------------------------------------------------------------------- JSON
-
-
-def distribution_to_json(d: Distribution) -> dict:
-    if d.kind == "discrete":
-        masses = d.Fr - d.Fl
-        return {"type": "discrete", "atoms": [[float(v), float(p)] for v, p in zip(d.xs, masses)]}
-    if np.any(d.Fr[1:] - d.Fl[1:] > 0):
-        raise InvalidInstanceError("piecewise law with interior atoms is not JSON-representable")
-    return {"type": "piecewise", "points": [[float(x), float(F)] for x, F in zip(d.xs, d.Fr)]}
 
 
 def distribution_from_json(obj: dict) -> Distribution:

@@ -28,9 +28,5 @@ class PolicyMismatchError(ProphetLabError, ValueError):
     """Policy was built for a different instance shape than the one supplied."""
 
 
-class TooLargeInstanceError(ProphetLabError, RuntimeError):
-    """Exact evaluation refused: state space exceeds the configured cap."""
-
-
 class ConfigError(ProphetLabError, ValueError):
     """Bad CLI configuration or malformed input file."""

@@ -23,8 +23,9 @@ stays bounded.  Every per-policy number has the bits of evaluating that
 policy alone; a single policy is the family of one.  A certificates round
 builds about 200 evaluators, where one per policy made 1,522.
 
-Also houses the DP table for the optimal online policy on small discrete
-instances.
+Also houses ``optimal_online_value(atom_sets, counts)``, the DP table of the
+optimal online policy over atom lists and copy counts, which certifies the
+general-algorithm hardness bound.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import Distribution
-from .errors import (InvalidInstanceError, InvalidParameterError, PolicyMismatchError,
-                     TooLargeInstanceError, is_integer)
+from .errors import InvalidInstanceError, InvalidParameterError, PolicyMismatchError, is_integer
 from .instance import Instance
 from .policies import ThresholdSchedule, check_shape
 from .quadrature import leggauss
@@ -47,12 +47,10 @@ __all__ = [
     "p_tau_single",
     "p_tau_multi",
     "ExactEvaluator",
-    "optimal_online_dp",
     "optimal_online_value",
 ]
 
 _LOG_FLOOR = 1e-300
-_DP_STATE_CAP = 10**6  # the most count vectors optimal_online_dp will tabulate
 
 
 def p_tau_single(schedule: ThresholdSchedule, d: Distribution, t: float) -> float:
@@ -195,7 +193,9 @@ class ExactEvaluator:
         return self._answer(self.inst.copies * np.sum(self.rate * self._piece_int, axis=2))
 
     def no_stop_prob(self):
-        """Pr[no reward is accepted], exact in log space."""
+        """Pr[no reward is accepted] = prod_i (1 - p_i)^k, summed as logs with
+        each 1 - p_i clamped at ``_LOG_FLOOR`` = 1e-300 and exponentiated in
+        doubles: an answer below about e^-745 reads 0.0."""
         out = []
         for stops in self._stop_by_end:
             total = 0.0
@@ -233,18 +233,3 @@ def optimal_online_value(atom_sets: Sequence[Sequence[tuple]], counts: Sequence[
             acc += c * gain
         table.append(acc / total if total else 0)
     return table[-1]
-
-
-def optimal_online_dp(inst: Instance) -> EvalResult:
-    """Exact optimal online expected value for a discrete instance; one with
-    more than ``_DP_STATE_CAP`` DP states raises TooLargeInstanceError."""
-    if any(d.kind != "discrete" for d in inst.base):
-        raise InvalidInstanceError("optimal_online_dp needs discrete base distributions")
-    states = (inst.copies + 1) ** inst.n
-    if states > _DP_STATE_CAP:
-        raise TooLargeInstanceError(f"DP state space {states} exceeds cap {_DP_STATE_CAP}")
-    atom_sets = [
-        [(float(v), float(p)) for v, p in zip(d.xs, d.Fr - d.Fl)] for d in inst.base
-    ]
-    val = optimal_online_value(atom_sets, [inst.copies] * inst.n)
-    return EvalResult(float(val), 0.0, "exact")

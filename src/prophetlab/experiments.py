@@ -584,7 +584,9 @@ def lemma_suite(seed: int, trials: int = 200) -> CheckReport:
         F2 = F1 if trial % 10 == 9 else _random_distribution(rng)
         prod = product_max([F1, F2], extra_points=taus)
         root = nth_root(prod, 2, extra_points=taus)
-        p_pair = p_tau_multi(sched, ((F1, 1), (F2, 1)), t)
+        p1 = p_tau_single(sched, F1, t)
+        p2 = p_tau_single(sched, F2, t)
+        p_pair = 1.0 - (1.0 - p1) * (1.0 - p2)  # p_tau_multi's product, asked once
         p_prod = p_tau_multi(sched, ((prod, 1),), t)
         p_root = p_tau_multi(sched, ((root, 2),), t)
         slack_product = p_pair - p_prod
@@ -601,8 +603,6 @@ def lemma_suite(seed: int, trials: int = 200) -> CheckReport:
         # reach observation: conditioning on one designated reward arriving
         # exactly at t removes its factor from the no-stop product
         copies = int(rng.integers(1, 3))
-        p1 = p_tau_single(sched, F1, t)
-        p2 = p_tau_single(sched, F2, t)
         reach = (1.0 - p1) ** (copies - 1) * (1.0 - p2) ** copies
         slack_reach = reach - reach * (1.0 - p1)
         s1, s2 = min(s1, slack_product), min(s2, slack_root)

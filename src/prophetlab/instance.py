@@ -13,14 +13,12 @@ from .distributions import (
     RandomizedThreshold,
     _merged_grid,
     distribution_from_json,
-    distribution_to_json,
     product_max,
 )
 from .errors import InvalidInstanceError, InvalidQuantileError, is_integer
 from .quadrature import leggauss
 
-__all__ = ["Instance", "OptLaw", "make_instance", "opt_law", "instance_to_json",
-           "instance_from_json"]
+__all__ = ["Instance", "OptLaw", "make_instance", "opt_law", "instance_from_json"]
 
 
 @dataclass(frozen=True)
@@ -230,10 +228,6 @@ def opt_law(inst: Instance) -> OptLaw:
 
 
 # --------------------------------------------------------------------- JSON
-
-
-def instance_to_json(inst: Instance) -> dict:
-    return {"base": [distribution_to_json(d) for d in inst.base], "copies": inst.copies}
 
 
 def instance_from_json(obj: dict) -> Instance:

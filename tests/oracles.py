@@ -64,6 +64,11 @@ from prophetlab.monte_carlo import _cuts
 from prophetlab.policies import check_shape
 
 
+def is_discrete(d) -> bool:
+    """True for a law with no mass between its breakpoints."""
+    return bool(np.array_equal(d.Fl[1:], d.Fr[:-1]))
+
+
 def atoms(d):
     """(value, mass) pairs of a purely discrete law."""
     pairs = [(float(x), float(fr - fl)) for x, fl, fr in zip(d.xs, d.Fl, d.Fr) if fr > fl]
@@ -332,20 +337,17 @@ def product_max(ds, extra_points=None) -> Distribution:
     """``distributions.product_max``, asking each law two questions."""
     grid = np.unique(np.concatenate([*(d.xs for d in ds),
                                      [] if extra_points is None else extra_points]))
-    grid = grid[grid >= 0]
     Fr, Fl = np.ones_like(grid), np.ones_like(grid)
     for d in ds:
         Fr *= d.cdf(grid)
         Fl *= d.left_and_atom(grid)[0]
-    kind = "discrete" if all(d.kind == "discrete" for d in ds) else "piecewise"
-    return Distribution(kind, grid, Fl, Fr)
+    return Distribution(grid, Fl, Fr)
 
 
 def nth_root(d, n: int, extra_points=None) -> Distribution:
     """``distributions.nth_root``, asking the law two questions."""
     grid = np.unique(np.concatenate([d.xs, [] if extra_points is None else extra_points]))
-    return Distribution(d.kind, grid, d.left_and_atom(grid)[0] ** (1.0 / n),
-                        d.cdf(grid) ** (1.0 / n))
+    return Distribution(grid, d.left_and_atom(grid)[0] ** (1.0 / n), d.cdf(grid) ** (1.0 / n))
 
 
 # ---------------------------------------------- scalar rule questions

@@ -204,179 +204,144 @@ class TestWhatALaunchLoads:
         assert _loaded_after(argv) == ([0], ["mpmath"])
 
 
-# SHA-256 of (results.csv, summary.json) of each check command, as written
-# before the suites shared one report type
-CHECK_DIGESTS = {
-    "hardness --class time-based": (
-        "29100d428b414898a0ab1d37dd63e1087b408af7f34355dd5d19fad0929078d4",
-        "bad7cda1ac60f241689ef4a924d38e17f28865a4b79492affb9c25fb7c3d3dba",
-    ),
-    "hardness --class activation": (
-        "0f74fd461bd0f9eede2bca36c19c3ef8f393f05a29b259a19e79ed52ed2790dd",
-        "25320bb7e1b5bcb818cde220a9216ec1b77a50d2e2adfbba11521720b76746f0",
-    ),
-    "hardness --class general": (
-        "b657b9e37dd4a1e5e8c9a1e1e15a55a950fdc4bdd4787f905b4b3b1389dc9e71",
-        "dc51f5c519812d9ba8615771f3a28bb1dc301bdb76dae07a9ba12b0a7db7bd01",
-    ),
-    "lemmas --trials 200 --seed 7": (
-        "0a8944215b26f3781b8c2945bacfa102207ab71fa67accf9a2f409b7a1170a18",
-        "d8988886fe9ad133e19242cabe7f5cf5a64c9e0efc14d4d6ed7aa90817636ca3",
-    ),
-}
-
-
-@pytest.mark.parametrize("command", sorted(CHECK_DIGESTS))
-def test_check_commands_keep_their_bytes(tmp_path, command):
-    assert run([*command.split(), "--out", str(tmp_path)]) == 0
-    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                    for name in ("results.csv", "summary.json"))
-    assert digests == CHECK_DIGESTS[command]
-
-
-# (exit code, SHA-256 of results.csv, of summary.json) of check runs past
-# CHECK_DIGESTS, as written while every policy of a sweep or sorted pair had
-# an evaluator of its own: the heaviest lemma run, sweeps with a gap that is
-# not positive (time-based k = 100) or failed arithmetic checks (activation
-# k = 3), and a sweep that certifies
-CHECK_PINS = {
-    "lemmas --trials 1000 --seed 0": (
-        0,
-        "a825fd82b98ce14636b1b7994cfc7b5088ba91f14ce20712711c4e29ff19015f",
-        "c35fa34ab095d8311908335933c747c8692b68b0e9007ee2c5906f6401981a8c",
-    ),
-    "hardness --class time-based --k 100 --grid 101": (
-        2,
-        "51d9999b63a946f1fe6da7d9db2545edb69b38fa62cc7b79183e98bfe5c695cd",
-        "b18e7ac6e3195899b2a45d38b357b03818bbcf116ca625546417e4c52460f4f1",
-    ),
-    "hardness --class activation --k 3 --grid 2": (
-        2,
-        "a3eb995c0f01f39a185e1d875a342817ff4a2b68acb3a0742329d993cdfbfc1e",
-        "9c4ae3da7a454c3e8680a0f8bbbcfea20004781550777d3de6141b38e0ae6c3b",
-    ),
-    "hardness --class time-based --k 6 --grid 51": (
-        0,
-        "a92ed5f899f11347ca9e793cc7699b60903af37a65cdccda086b26cdeeae766c",
-        "ee38d9a490100606a38392cd51edaf39db4afa3c1a0ef9890585a1802f51b69a",
-    ),
-}
-
-
-@pytest.mark.parametrize("command", sorted(CHECK_PINS))
-def test_check_runs_keep_their_bytes_and_exit_codes(tmp_path, capsys, command):
-    code = run([*command.split(), "--out", str(tmp_path)])
-    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                    for name in ("results.csv", "summary.json"))
-    assert (code, *digests) == CHECK_PINS[command]
-
-
 # the regression laws three-point (discrete) and two-piecewise (piecewise)
-EXACT_LAWS = {
+LAWS = {
     "three-point": [{"type": "discrete", "atoms": [[0.0, 0.2], [1.0, 0.5], [3.0, 0.3]]}],
     "two-piecewise": [
         {"type": "piecewise", "points": [[0.0, 0.0], [1.0, 1.0]]},
         {"type": "piecewise", "points": [[0.0, 0.0], [0.5, 0.2], [1.5, 1.0]]},
     ],
 }
-EXACT_RUNS = {
-    "eval": ["--class", "blind", "--epsilon", "0.05", "--k", "6"],
-    "dominance": ["--class", "blind", "--epsilon", "0.05", "--k", "6"],
-    "search-k": ["--class", "blind", "--epsilon", "0.01"],
-}
-# SHA-256 of (results.csv, summary.json) of each exact run, as written while
-# blind schedules were built one rule object per piece
-EXACT_DIGESTS = {
-    ("three-point", "eval"): (
-        "a270086ebdafe06546f4083bdc5ceb1b71c7f93c07c19152d61c2cf668f57365",
-        "80c7756b6549bd75a9a2ac081e4c653121ec4aa66ea6d492fb22fb8f1b224848",
-    ),
-    ("three-point", "dominance"): (
-        "1ff13e1184c11450cc187bf6f8efac6c6198698c010fa024129284c7281b291f",
-        "6cf1ba4a9a22c54de714643a4c5f0137cac97fcd121e61747d28e4644a9f2189",
-    ),
-    ("three-point", "search-k"): (
-        "be6c4d326aa4dcff007b8b62c9a055cd70f311a96fb85e1b9f0b4dcf0ff6f254",
-        "19c8843ec0603edd23c62c0cfad05909ee950f7f4a2ff41daaa33f28d82a6db7",
-    ),
-    ("two-piecewise", "eval"): (
-        "bb8a9e2d58a9d0fab0b235d781884a50965b2f89282dcdcf47640b9ef570b381",
-        "a69538a178f3c48472c728dbc118a1f47993d7940698c9a716ae67121839493f",
-    ),
-    ("two-piecewise", "dominance"): (
-        "6e017c279d7a355e1f146a95f7baa59edcab83cf6f04f3a61b29d0727068887f",
-        "3882b97d0b6d066bd97471f99e3a7d727124d9868d8c3cb0fc8f0b76bd54d890",
-    ),
-    ("two-piecewise", "search-k"): (
-        "2c1ff5e36369559a30c4e0cc50ec48944f70925acbf8b8ef271ce54ca76f152f",
-        "768ffd233f445f1eb4ed04b61e4ae3b87149dbcca255ff477fbb9761501d7819",
-    ),
-}
-
-
-@pytest.mark.parametrize("law, command", sorted(EXACT_DIGESTS))
-def test_exact_commands_keep_their_bytes(tmp_path, law, command):
-    inst = tmp_path / f"{law}.json"
-    inst.write_text(json.dumps({"base": EXACT_LAWS[law], "copies": 1}))
-    out = tmp_path / "run"
-    assert run([command, "--instance", str(inst), *EXACT_RUNS[command], "--out", str(out)]) == 0
-    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
-                    for name in ("results.csv", "summary.json"))
-    assert digests == EXACT_DIGESTS[law, command]
-
-
 # a two-piece activation table on the two-piecewise laws: identity 0 takes
 # values from 0.5 on, identity 1 takes everything early and from 1.0 on late
 MC_TABLE = {"pieces": [
     {"t0": 0.0, "t1": 0.4, "g": [[0, 0.5, 0.0], [0, None, 0.8], [1, None, 0.3]]},
     {"t0": 0.4, "t1": 1.0, "g": [[0, None, 0.6], [1, 1.0, 0.1], [1, None, 1.0]]},
 ]}
-MC_RUNS = {
-    "eval-adaptive": ["eval", "--class", "adaptive", "--epsilon", "0.01", "--k", "4",
-                      "--reps", "20000", "--seed", "3"],
-    "dominance-single": ["dominance", "--class", "single", "--evaluator", "mc",
-                         "--epsilon", "0.05", "--k", "4", "--reps", "2000", "--seed", "5"],
-    "eval-activation": ["eval", "--class", "activation", "--evaluator", "mc", "--k", "3",
-                        "--reps", "20000", "--seed", "7", "--policy", "TABLE"],
-}
-# SHA-256 of (results.csv, summary.json) of each Monte Carlo run, as written
-# while Monte Carlo read each (piece, identity) rule on its own
-MC_DIGESTS = {
-    ("three-point", "eval-adaptive"): (
-        "f00739834983fab1fa731ceea6c5ee0deb09f25315ed5d31dfbeae15ed9bc46c",
-        "2d904c4773a50898cef1ac499348b75602babdf2a5d1cb945470e158fad9a8e7",
+# (exit code, SHA-256 of results.csv, of summary.json) of each pinned run.  In
+# an argv, a name of LAWS stands for a file of that law with k = 1, and TABLE
+# for the MC_TABLE file; "--out" follows the argv.
+PINS = {
+    # check commands, as written before the suites shared one report type
+    "hardness --class activation": (
+        0,
+        "0f74fd461bd0f9eede2bca36c19c3ef8f393f05a29b259a19e79ed52ed2790dd",
+        "25320bb7e1b5bcb818cde220a9216ec1b77a50d2e2adfbba11521720b76746f0",
     ),
-    ("two-piecewise", "eval-adaptive"): (
-        "4e8cc9c8e34127a0f3699231ae56373c1aa41a0d87230b9e4133af4dbdfcb366",
-        "497bc5414bb45e657d7a9db1d976cf49f3c1a9a80261aa352dd814a7dda24c31",
+    "hardness --class general": (
+        0,
+        "b657b9e37dd4a1e5e8c9a1e1e15a55a950fdc4bdd4787f905b4b3b1389dc9e71",
+        "dc51f5c519812d9ba8615771f3a28bb1dc301bdb76dae07a9ba12b0a7db7bd01",
     ),
-    ("three-point", "dominance-single"): (
+    "hardness --class time-based": (
+        0,
+        "29100d428b414898a0ab1d37dd63e1087b408af7f34355dd5d19fad0929078d4",
+        "bad7cda1ac60f241689ef4a924d38e17f28865a4b79492affb9c25fb7c3d3dba",
+    ),
+    "lemmas --trials 200 --seed 7": (
+        0,
+        "0a8944215b26f3781b8c2945bacfa102207ab71fa67accf9a2f409b7a1170a18",
+        "d8988886fe9ad133e19242cabe7f5cf5a64c9e0efc14d4d6ed7aa90817636ca3",
+    ),
+    # check runs, as written while every policy of a sweep or sorted pair had
+    # an evaluator of its own: the heaviest lemma run, sweeps with a gap that
+    # is not positive (time-based k = 100) or failed arithmetic checks
+    # (activation k = 3), and a sweep that certifies
+    "hardness --class activation --k 3 --grid 2": (
+        2,
+        "a3eb995c0f01f39a185e1d875a342817ff4a2b68acb3a0742329d993cdfbfc1e",
+        "9c4ae3da7a454c3e8680a0f8bbbcfea20004781550777d3de6141b38e0ae6c3b",
+    ),
+    "hardness --class time-based --k 100 --grid 101": (
+        2,
+        "51d9999b63a946f1fe6da7d9db2545edb69b38fa62cc7b79183e98bfe5c695cd",
+        "b18e7ac6e3195899b2a45d38b357b03818bbcf116ca625546417e4c52460f4f1",
+    ),
+    "hardness --class time-based --k 6 --grid 51": (
+        0,
+        "a92ed5f899f11347ca9e793cc7699b60903af37a65cdccda086b26cdeeae766c",
+        "ee38d9a490100606a38392cd51edaf39db4afa3c1a0ef9890585a1802f51b69a",
+    ),
+    "lemmas --trials 1000 --seed 0": (
+        0,
+        "a825fd82b98ce14636b1b7994cfc7b5088ba91f14ce20712711c4e29ff19015f",
+        "c35fa34ab095d8311908335933c747c8692b68b0e9007ee2c5906f6401981a8c",
+    ),
+    # exact runs, as written while blind schedules were built one rule object
+    # per piece
+    "dominance --instance three-point --class blind --epsilon 0.05 --k 6": (
+        0,
+        "1ff13e1184c11450cc187bf6f8efac6c6198698c010fa024129284c7281b291f",
+        "6cf1ba4a9a22c54de714643a4c5f0137cac97fcd121e61747d28e4644a9f2189",
+    ),
+    "eval --instance three-point --class blind --epsilon 0.05 --k 6": (
+        0,
+        "a270086ebdafe06546f4083bdc5ceb1b71c7f93c07c19152d61c2cf668f57365",
+        "80c7756b6549bd75a9a2ac081e4c653121ec4aa66ea6d492fb22fb8f1b224848",
+    ),
+    "search-k --instance three-point --class blind --epsilon 0.01": (
+        0,
+        "be6c4d326aa4dcff007b8b62c9a055cd70f311a96fb85e1b9f0b4dcf0ff6f254",
+        "19c8843ec0603edd23c62c0cfad05909ee950f7f4a2ff41daaa33f28d82a6db7",
+    ),
+    "dominance --instance two-piecewise --class blind --epsilon 0.05 --k 6": (
+        0,
+        "6e017c279d7a355e1f146a95f7baa59edcab83cf6f04f3a61b29d0727068887f",
+        "3882b97d0b6d066bd97471f99e3a7d727124d9868d8c3cb0fc8f0b76bd54d890",
+    ),
+    "eval --instance two-piecewise --class blind --epsilon 0.05 --k 6": (
+        0,
+        "bb8a9e2d58a9d0fab0b235d781884a50965b2f89282dcdcf47640b9ef570b381",
+        "a69538a178f3c48472c728dbc118a1f47993d7940698c9a716ae67121839493f",
+    ),
+    "search-k --instance two-piecewise --class blind --epsilon 0.01": (
+        0,
+        "2c1ff5e36369559a30c4e0cc50ec48944f70925acbf8b8ef271ce54ca76f152f",
+        "768ffd233f445f1eb4ed04b61e4ae3b87149dbcca255ff477fbb9761501d7819",
+    ),
+    # Monte Carlo runs, as written while Monte Carlo read each (piece,
+    # identity) rule on its own
+    "dominance --instance three-point --class single --evaluator mc --epsilon 0.05 --k 4 --reps 2000 --seed 5": (
+        0,
         "d31fe69f7bd4357dd0a0f1d7fe87c08d60e151010a8dea781660f11d724e2695",
         "4f762eccb34456bc88ec9ca33db06b3706b7a003c570b752d5779e498b857b34",
     ),
-    ("two-piecewise", "dominance-single"): (
+    "eval --instance three-point --class adaptive --epsilon 0.01 --k 4 --reps 20000 --seed 3": (
+        0,
+        "f00739834983fab1fa731ceea6c5ee0deb09f25315ed5d31dfbeae15ed9bc46c",
+        "2d904c4773a50898cef1ac499348b75602babdf2a5d1cb945470e158fad9a8e7",
+    ),
+    "dominance --instance two-piecewise --class single --evaluator mc --epsilon 0.05 --k 4 --reps 2000 --seed 5": (
+        0,
         "7892ae8d51e6d798f9dd2c1a368dd5aea04a5eb1a17152f9a21dcb48e9195853",
         "b39f899aaaf8b15336d0abb8d5d9c1cc50dd259b799531fbe6ffd957a338b7a5",
     ),
-    ("two-piecewise", "eval-activation"): (
+    "eval --instance two-piecewise --class activation --evaluator mc --k 3 --reps 20000 --seed 7 --policy TABLE": (
+        0,
         "904472cf23d0bd27f36b9e3e0ddadb823788dd24f040167a98e56bd68b050134",
         "61438f333958b2eebe38aa85f572b230a4e3c5039979dd2486880ac3232958a1",
+    ),
+    "eval --instance two-piecewise --class adaptive --epsilon 0.01 --k 4 --reps 20000 --seed 3": (
+        0,
+        "4e8cc9c8e34127a0f3699231ae56373c1aa41a0d87230b9e4133af4dbdfcb366",
+        "497bc5414bb45e657d7a9db1d976cf49f3c1a9a80261aa352dd814a7dda24c31",
     ),
 }
 
 
-@pytest.mark.parametrize("law, command", sorted(MC_DIGESTS))
-def test_monte_carlo_commands_keep_their_bytes(tmp_path, law, command):
-    inst = tmp_path / f"{law}.json"
-    inst.write_text(json.dumps({"base": EXACT_LAWS[law], "copies": 1}))
-    table = tmp_path / "table.json"
-    table.write_text(json.dumps(MC_TABLE))
-    argv = [str(table) if a == "TABLE" else a for a in MC_RUNS[command]]
+@pytest.mark.parametrize("argv", sorted(PINS))
+def test_pinned_runs_keep_their_bytes_and_exit_codes(tmp_path, capsys, argv):
+    files = {"TABLE": MC_TABLE, **{law: {"base": base, "copies": 1} for law, base in LAWS.items()}}
+    args = argv.split()
+    for i, arg in enumerate(args):
+        if arg in files:
+            args[i] = str(tmp_path / f"{arg}.json")
+            (tmp_path / f"{arg}.json").write_text(json.dumps(files[arg]))
     out = tmp_path / "run"
-    assert run([*argv, "--instance", str(inst), "--out", str(out)]) == 0
+    code = run([*args, "--out", str(out)])
     digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                     for name in ("results.csv", "summary.json"))
-    assert digests == MC_DIGESTS[law, command]
+    assert (code, *digests) == PINS[argv]
 
 
 ONE_RUN_EACH = {  # "INSTANCE" stands for the instance file

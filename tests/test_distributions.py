@@ -15,7 +15,6 @@ from prophetlab import (
     InvalidQuantileError,
     OptLaw,
     distribution_from_json,
-    distribution_to_json,
     nth_root,
     product_max,
 )
@@ -26,24 +25,30 @@ _VALUES = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0]
 
 
 @st.composite
-def discrete_laws(draw):
+def atom_lists(draw):
     n = draw(st.integers(min_value=1, max_value=4))
     vals = draw(st.lists(st.sampled_from(_VALUES), min_size=n, max_size=n, unique=True))
     weights = draw(st.lists(st.integers(min_value=1, max_value=5), min_size=n, max_size=n))
     total = sum(weights)
-    return Distribution.discrete([(v, w / total) for v, w in zip(sorted(vals), weights)])
+    return [(v, w / total) for v, w in zip(sorted(vals), weights)]
 
 
 @st.composite
-def piecewise_laws(draw):
+def point_lists(draw):
     n = draw(st.integers(min_value=2, max_value=5))
     xs = draw(st.lists(st.sampled_from(_VALUES), min_size=n, max_size=n, unique=True))
     fs = sorted(draw(st.lists(st.integers(min_value=0, max_value=8), min_size=n, max_size=n)))
     if fs[-1] == 0:
         fs[-1] = 1
-    return Distribution.piecewise(
-        [(x, f / fs[-1]) for x, f in zip(sorted(xs), fs)]
-    )
+    return [(x, f / fs[-1]) for x, f in zip(sorted(xs), fs)]
+
+
+def discrete_laws():
+    return atom_lists().map(Distribution.discrete)
+
+
+def piecewise_laws():
+    return point_lists().map(Distribution.piecewise)
 
 
 class TestCdf:
@@ -304,6 +309,10 @@ class TestOneLookup:
     merged without ``np.unique``; every bit stays that of the two-question
     references in ``oracles``."""
 
+    _GRID_LAWS = [Distribution.discrete([(0.0, 0.5), (1.0, 0.25), (3.0, 0.25)]),
+                  Distribution.piecewise([(-0.0, 0.0), (0.25, 0.5), (1.0, 1.0)]),
+                  Distribution.discrete([(1.0, 1.0)])]
+
     @staticmethod
     def _cases():
         for name, ds, n, taus, law in _lemma_laws():
@@ -312,11 +321,6 @@ class TestOneLookup:
             opt = OptLaw(base).dist
             yield f"{name}/opt", base, 1, None, opt
             yield f"{name}/root", [opt], len(base) + 1, None, nth_root(opt, len(base) + 1)
-        nan = [0.5, math.nan, -1.0, math.nan, 2.0]
-        ds = [Distribution.discrete([(0.0, 0.25), (1.0, 0.75)]),
-              Distribution.piecewise([(0.5, 0.0), (2.0, 1.0)])]
-        yield "nan/prod", ds, 1, nan, product_max(ds, extra_points=nan)
-        yield "nan/root", ds[1:], 3, nan, nth_root(ds[1], 3, extra_points=nan)
 
     def test_product_and_root_equal_the_two_question_references(self):
         for name, ds, n, taus, law in self._cases():
@@ -324,7 +328,6 @@ class TestOneLookup:
                 want = oracles.product_max(ds, extra_points=taus)
             else:
                 want = oracles.nth_root(ds[0], n, extra_points=taus)
-            assert law.kind == want.kind, name
             for got, ref in ((law.xs, want.xs), (law.Fl, want.Fl), (law.Fr, want.Fr)):
                 assert _hex(got) == _hex(ref), name
 
@@ -334,18 +337,38 @@ class TestOneLookup:
         [1.0, 1.0, 0.25, 3.0],
         [0.0, -0.0, -0.0, 0.0],
         [-0.0, 0.0, 2.0, -0.0],
-        [math.nan],
-        [math.nan, 1.0, math.nan, -math.nan, 0.5],
-        [math.inf, -math.inf, math.inf, -1.0],
-    ], ids=["none", "empty", "duplicates", "zeros", "neg-zero-first", "nan", "nans",
-            "infs"])
+    ], ids=["none", "empty", "duplicates", "zeros", "neg-zero-first"])
     def test_merged_grid_equals_np_unique(self, extra):
-        ds = [Distribution.discrete([(0.0, 0.5), (1.0, 0.25), (3.0, 0.25)]),
-              Distribution.piecewise([(-0.0, 0.0), (0.25, 0.5), (1.0, 1.0)]),
-              Distribution.discrete([(1.0, 1.0)])]
-        pool = np.concatenate([*(d.xs for d in ds), [] if extra is None else extra])
-        got = distributions._merged_grid(ds, extra)
+        pool = np.concatenate([*(d.xs for d in self._GRID_LAWS), [] if extra is None else extra])
+        got = distributions._merged_grid(self._GRID_LAWS, extra)
         assert _hex(got) == _hex(np.unique(pool))
+
+    # an extra point becomes a breakpoint, so it must be finite and nonnegative
+    _OFF_SUPPORT = pytest.mark.parametrize("extra, bad", [
+        ([math.nan], "nan"),
+        ([math.nan, 1.0, math.nan, -math.nan, 0.5], "nan"),
+        ([0.5, math.nan, -1.0, math.nan, 2.0], "-1.0"),
+        ([math.inf, -math.inf, math.inf, -1.0], "-inf"),
+        ([math.inf, 0.5], "inf"),
+        ([-1.0], "-1.0"),
+        ([-5e-324], "-5e-324"),
+    ], ids=["nan", "nans", "nan-and-negative", "infs", "inf", "negative", "negative-subnormal"])
+
+    @_OFF_SUPPORT
+    def test_merged_grid_refuses_a_point_off_the_support(self, extra, bad):
+        with pytest.raises(InvalidParameterError) as info:
+            distributions._merged_grid(self._GRID_LAWS, extra)
+        assert str(info.value) == f"extra grid points must be finite and nonnegative, got {bad}"
+
+    @_OFF_SUPPORT
+    def test_product_and_root_refuse_a_point_off_the_support(self, extra, bad):
+        ds = [Distribution.discrete([(0.0, 0.25), (1.0, 0.75)]),
+              Distribution.piecewise([(0.5, 0.0), (2.0, 1.0)])]
+        for build in (lambda: product_max(ds, extra_points=extra),
+                      lambda: product_max(ds[:1], extra_points=extra),
+                      lambda: nth_root(ds[1], 3, extra_points=extra)):
+            with pytest.raises(InvalidParameterError, match=f"got {bad}$"):
+                build()
 
 
 class TestMalformedLaws:
@@ -405,11 +428,27 @@ class TestWideLaw:
         assert d.mean_between(0.0, np.inf) == pytest.approx(5e299, rel=1e-15)
 
 
-class TestJsonRoundtrip:
-    @given(discrete_laws() | piecewise_laws())
+class TestJsonReader:
+    """The reader builds each law with the constructor of its type, from
+    numbers given as doubles or as their decimal strings."""
+
+    @given(atom_lists(), st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_roundtrip(self, d):
-        back = distribution_from_json(distribution_to_json(d))
-        assert back.kind == d.kind
-        np.testing.assert_allclose(back.xs, d.xs)
-        np.testing.assert_allclose(back.Fr, d.Fr)
+    def test_atoms_read_as_the_discrete_constructor_builds_them(self, atoms, as_text):
+        cell = repr if as_text else float
+        got = distribution_from_json(
+            {"type": "discrete", "atoms": [[cell(v), cell(p)] for v, p in atoms]})
+        assert same_law(got, Distribution.discrete(atoms))
+
+    @given(point_lists(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_points_read_as_the_piecewise_constructor_builds_them(self, points, as_text):
+        cell = repr if as_text else float
+        got = distribution_from_json(
+            {"type": "piecewise", "points": [[cell(x), cell(F)] for x, F in points]})
+        assert same_law(got, Distribution.piecewise(points))
+
+
+def same_law(a, b) -> bool:
+    """True when the two laws' arrays are equal bit for bit."""
+    return all(_hex(x) == _hex(y) for x, y in ((a.xs, b.xs), (a.Fl, b.Fl), (a.Fr, b.Fr)))

@@ -25,14 +25,12 @@ from prophetlab import (
     PolicyMismatchError,
     RandomizedThreshold,
     ThresholdSchedule,
-    TooLargeInstanceError,
     exceedance,
     expected_value,
     make_adaptive,
     make_instance,
     nth_root,
     opt_law,
-    optimal_online_dp,
     p_tau_multi,
     p_tau_single,
 )
@@ -275,23 +273,26 @@ class TestEnumerationSweep:
                 assert got == pytest.approx(enumerate_exceedance(inst, sched, x), abs=1e-7)
 
 
+def optimal_online(base, k):
+    """The optimal online value of ``base`` at k copies each, from its atoms."""
+    return exact_oracle.optimal_online_value([oracles.atoms(d) for d in base], [k] * len(base))
+
+
 class TestOptimalOnlineDp:
     def test_single_deterministic(self):
-        inst = make_instance([Distribution.discrete([(2.5, 1.0)])], 1)
-        assert optimal_online_dp(inst).estimate == pytest.approx(2.5)
+        assert optimal_online([Distribution.discrete([(2.5, 1.0)])], 1) == pytest.approx(2.5)
 
     def test_two_reward_hand_enumeration(self):
         # deterministic 1 and a coin paying 1.5 w.p. 1/2, uniform order:
         # coin first -> take 1.5 if it shows, else fall back to the 1;
         # deterministic first -> take it (1 > E[coin] = 0.75)
         coin = Distribution.discrete([(0.0, 0.5), (1.5, 0.5)])
-        inst = make_instance([ATOM1, coin], 1)
         want = 0.5 * (0.5 * 1.5 + 0.5 * 1.0) + 0.5 * 1.0
-        assert optimal_online_dp(inst).estimate == pytest.approx(want, abs=1e-12)
+        assert optimal_online([ATOM1, coin], 1) == pytest.approx(want, abs=1e-12)
 
     def test_dominates_threshold_policies(self):
         inst = make_instance([COIN, TRI], 2)
-        best = optimal_online_dp(inst).estimate
+        best = optimal_online(inst.base, inst.copies)
         for sched in TestEnumerationSweep.SCHEDULES:
             assert best >= expected_value(inst, sched).estimate - 1e-12
 
@@ -321,14 +322,7 @@ class TestOptimalOnlineDp:
 
     def test_more_copies_than_the_recursion_limit(self):
         # 1,201 states, one law: a recursion 1,200 deep
-        inst = make_instance([COIN], 1200)
-        assert optimal_online_dp(inst).estimate == 1.0
-
-    def test_state_space_above_cap_rejected(self):
-        # two laws at k = 1000 span 1001^2 > 10^6 count vectors
-        inst = make_instance([COIN, TRI], 1000)
-        with pytest.raises(TooLargeInstanceError, match="exceeds cap"):
-            optimal_online_dp(inst)
+        assert optimal_online([COIN], 1200) == 1.0
 
 
 def _hex(values):

@@ -9,14 +9,13 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
+import oracles
 import pytest
 
 from prophetlab import (
     Distribution,
     InvalidParameterError,
     McConfig,
-    distribution_from_json,
-    distribution_to_json,
     estimate_exceedance,
     estimate_expected_value,
     make_adaptive,
@@ -100,11 +99,10 @@ class TestSearchK:
 
 
 def _scaled(d, c):
-    """d with every value multiplied by c, built through its JSON form."""
-    obj = distribution_to_json(d)
-    key = "atoms" if obj["type"] == "discrete" else "points"
-    obj[key] = [[x * c, p] for x, p in obj[key]]
-    return distribution_from_json(obj)
+    """d with every value multiplied by c, rebuilt from its atoms or its CDF points."""
+    if oracles.is_discrete(d):
+        return Distribution.discrete([(x * c, p) for x, p in oracles.atoms(d)])
+    return Distribution.piecewise([(x * c, F) for x, F in zip(d.xs.tolist(), d.Fr.tolist())])
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 """Instance assembly, the benchmark law, and the reference arrival sampling."""
 
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import opt_cdf_left, reference_quantile_threshold, sample_arrivals
-from test_distributions import discrete_laws, piecewise_laws
+from oracles import is_discrete, opt_cdf_left, reference_quantile_threshold, sample_arrivals
+from test_distributions import atom_lists, discrete_laws, piecewise_laws, point_lists, same_law
 
 from prophetlab import (
     Distribution,
@@ -20,7 +21,6 @@ from prophetlab import (
     OptLaw,
     RandomizedThreshold,
     instance_from_json,
-    instance_to_json,
     make_instance,
     nth_root,
     opt_law,
@@ -90,7 +90,7 @@ class TestOptLaw:
 
     @pytest.mark.parametrize("base", [
         pytest.param(base, id=name) for name, base in regression_instances()
-        if all(d.kind == "discrete" for d in base)
+        if all(is_discrete(d) for d in base)
     ])
     def test_discrete_law_matches_a_rational_sum(self, base):
         got = OptLaw(base).expected_value
@@ -314,11 +314,21 @@ class TestSampleArrivals:
         np.testing.assert_array_equal(a.tiebreaks, b.tiebreaks)
 
 
-def test_json_roundtrip():
-    inst = make_instance(two_type_base(0.3, 0.04), 6)
-    back = instance_from_json(instance_to_json(inst))
-    assert back.copies == 6 and back.n == 2
-    assert opt_law(back).expected_value == pytest.approx(opt_law(inst).expected_value)
+_LAW_TYPES = {"atoms": ("discrete", Distribution.discrete),
+              "points": ("piecewise", Distribution.piecewise)}
+
+
+@given(st.lists(atom_lists().map(lambda pairs: ("atoms", pairs))
+                | point_lists().map(lambda pairs: ("points", pairs)), min_size=1, max_size=3),
+       st.integers(min_value=1, max_value=8))
+@settings(max_examples=40, deadline=None)
+def test_json_reader_builds_each_law_with_its_constructor(laws, k):
+    text = json.dumps({"base": [{"type": _LAW_TYPES[key][0], key: pairs} for key, pairs in laws],
+                       "copies": k})
+    inst = instance_from_json(json.loads(text))
+    assert inst.copies == k and inst.n == len(laws)
+    for got, (key, pairs) in zip(inst.base, laws):
+        assert same_law(got, _LAW_TYPES[key][1](pairs))
 
 
 # every integer parameter of the library, with the error class its site raises
