@@ -20,28 +20,36 @@ path in Python floats and returns floats; any other shape takes the numpy
 path.  Both do the same arithmetic, so every element is equal bit for bit.
 The scalar path stays because the certificates ask one threshold at a time
 by the thousand: the lemma suite's ``p_tau_single`` asks a 1-3-piece
-schedule about ten times per trial, and one 0-d question costs about 4.5 us
-on the scalar path against about 22-26 us on a one-element array (a
-two-law ``p_tau_multi`` call 10-13 us against 54-61 us; best of 5 x 20,000
-calls, one core of a 2-core Xeon).
+schedule about ten times per trial.  A Python float is recognised by its
+type, before ``np.ndim``, whose call costs as much as the rest of the
+question: one question at a float costs about 1.4 us, and 3.0 us through
+``np.ndim`` (best of 7 x 50,000 calls, one core of a 2-core Xeon).
 
-The lemma suite also builds about five thousand laws of 1-4 points and
-their products and roots, where numpy's fixed cost per call outweighs the
-work.  So the constructors run their checks in Python floats over the lists
-they already hold and make each array once.  ``product_max`` and
-``nth_root`` merge the grid by sort and keep-mask, the steps of
-``np.unique``, ask each law ``_lookup_scalar`` at each grid point (the right
-limit is ``Fr[at]`` at a hit, else the left one), multiply in Python floats
-and make each array once; the root stays numpy's array power, which rounds
-some roots apart from Python's ``**``.  Every output keeps its bits.  On the
-same core, a 3-atom ``discrete`` law costs 14 us (39 us with numpy checks), a
-4-point ``piecewise`` law 9 us (34 us), and a two-law ``product_max`` on an
-8-point grid 32 us (41 us with one array lookup per law) and its square
-root 14 us (21 us).
+The lemma suite also builds about five thousand laws of 1-4 points per
+thousand trials, and their products and roots, where numpy's fixed cost per
+call outweighs the work.  So the constructors check their lists in one pass,
+running the ordered checks only to name the first failure, do their
+arithmetic in Python floats (a discrete law's masses are summed by
+``np.add.reduce``, in numpy's order: one after another below 8 terms,
+pairwise from 8) and make each array once.  ``product_max`` and ``nth_root``
+merge the grid by sort and keep-mask, the steps of ``np.unique``, and walk
+each law along it.  At the law's own breakpoint j the right and left limits
+are ``Fr[j]`` and ``Fl[j]`` (0.0 at the first), as ``_lookup_scalar`` gives;
+a point the law lacks lies between two known breakpoints and takes
+``_lookup_scalar``'s interpolation with no search.  So the lemma suite's
+root of a product, asked on the product's own grid, only reads arrays.  Both
+multiply in Python floats and make each array once; the root stays numpy's
+array power, which rounds some roots apart from Python's ``**``.  Every
+output keeps its bits.  On the same core, a 3-atom ``discrete`` law costs
+6.5 us (10.5 us with a pass per check and numpy arithmetic), a 4-point
+``piecewise`` law 4.6 us (6.1 us), a two-law ``product_max`` on a 10-point
+grid 14 us (33 us with a lookup at every point) and its square root on its
+own grid 8 us (16 us).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -115,22 +123,22 @@ class Distribution:
             raise InvalidInstanceError("discrete distribution needs at least one atom")
         xs = [v for v, _ in items]
         masses = [p for _, p in items]
-        if not all(math.isfinite(v) and math.isfinite(p) for v, p in items):
-            raise InvalidInstanceError("atom values and masses must be finite")
-        if any(p <= 0 for p in masses):
-            raise InvalidInstanceError("atom masses must be positive")
-        if any(v < 0 for v in xs):
-            raise InvalidInstanceError("atom values must be nonnegative")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
+        # one pass passes exactly the lists that pass every check below
+        if not (all(0.0 <= v < math.inf and 0.0 < p < math.inf for v, p in items)
+                and all(a < b for a, b in zip(xs, xs[1:]))):
+            if not all(math.isfinite(v) and math.isfinite(p) for v, p in items):
+                raise InvalidInstanceError("atom values and masses must be finite")
+            if any(p <= 0 for p in masses):
+                raise InvalidInstanceError("atom masses must be positive")
+            if any(v < 0 for v in xs):
+                raise InvalidInstanceError("atom values must be nonnegative")
             raise InvalidInstanceError("atom values must be distinct")
-        xs, masses = np.array(xs), np.array(masses)
-        total = masses.sum()
+        total = float(np.add.reduce(masses))  # numpy's summation order, pairwise from 8 terms
         if abs(total - 1.0) > tol:
-            raise InvalidInstanceError(f"atom masses sum to {float(total)!r}, not 1")
-        Fr = np.cumsum(masses / total)
+            raise InvalidInstanceError(f"atom masses sum to {total!r}, not 1")
+        Fr = list(itertools.accumulate(p / total for p in masses))
         Fr[-1] = 1.0
-        Fl = np.concatenate(([0.0], Fr[:-1]))
-        return cls(xs, Fl, Fr)
+        return cls(np.array(xs), np.array([0.0, *Fr[:-1]]), np.array(Fr))
 
     @classmethod
     def piecewise(cls, points: Iterable[tuple[float, float]], tol: float = _MASS_TOL) -> "Distribution":
@@ -140,22 +148,24 @@ class Distribution:
             raise InvalidInstanceError("piecewise CDF needs at least two points")
         xs = [x for x, _ in pts]
         Fs = [F for _, F in pts]
-        if not all(math.isfinite(x) and math.isfinite(F) for x, F in pts):
-            raise InvalidInstanceError("cdf points must be finite")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise InvalidInstanceError("cdf breakpoints must be strictly increasing in x")
-        if any(b < a for a, b in zip(Fs, Fs[1:])):
-            raise InvalidInstanceError("cdf values must be nondecreasing")
-        if any(x < 0 for x in xs):
-            raise InvalidInstanceError("support must be nonnegative")
-        if Fs[0] < 0 or abs(Fs[-1] - 1.0) > tol:
+        # one pass passes exactly the lists that pass every check below
+        if not (all(0.0 <= x < math.inf and 0.0 <= F < math.inf for x, F in pts)
+                and all(a[0] < b[0] and a[1] <= b[1] for a, b in zip(pts, pts[1:]))
+                and not abs(Fs[-1] - 1.0) > tol):
+            if not all(math.isfinite(x) and math.isfinite(F) for x, F in pts):
+                raise InvalidInstanceError("cdf points must be finite")
+            if any(b <= a for a, b in zip(xs, xs[1:])):
+                raise InvalidInstanceError("cdf breakpoints must be strictly increasing in x")
+            if any(b < a for a, b in zip(Fs, Fs[1:])):
+                raise InvalidInstanceError("cdf values must be nondecreasing")
+            if any(x < 0 for x in xs):
+                raise InvalidInstanceError("support must be nonnegative")
             raise InvalidInstanceError("cdf must start >= 0 and end at 1")
-        xs, Fs = np.array(xs), np.array(Fs)
-        Fr = Fs / Fs[-1]
+        top = Fs[-1]
+        Fr = [F / top for F in Fs]
         Fr[-1] = 1.0
-        Fl = Fr.copy()
-        Fl[0] = 0.0  # any mass at the first breakpoint is an atom there
-        return cls(xs, Fl, Fr)
+        # any mass at the first breakpoint is an atom there
+        return cls(np.array(xs), np.array([0.0, *Fr[1:]]), np.array(Fr))
 
     # ------------------------------------------------------------------ basics
 
@@ -165,7 +175,7 @@ class Distribution:
 
     def cdf(self, x):
         """Right-continuous Pr[V <= x]."""
-        if np.ndim(x) == 0:
+        if type(x) is float or np.ndim(x) == 0:
             left, j, hit = self._lookup_scalar(float(x))
             return float(self.Fr[j]) if hit else left
         left, at, hit = self._lookup(np.asarray(x, dtype=float))
@@ -173,7 +183,7 @@ class Distribution:
 
     def left_and_atom(self, x):
         """(Pr[V < x], Pr[V = x])."""
-        if np.ndim(x) == 0:
+        if type(x) is float or np.ndim(x) == 0:
             left, j, hit = self._lookup_scalar(float(x))
             return left, (float(self.Fr[j] - self.Fl[j]) if hit else 0.0)
         left, at, hit = self._lookup(np.asarray(x, dtype=float))
@@ -259,11 +269,18 @@ class Distribution:
 def _merged_grid(ds: Sequence[Distribution], extra_points=None) -> np.ndarray:
     """``np.unique`` of every breakpoint and extra point, by its own steps
     (numpy 2 imports ``numpy.ma`` on the first ``np.unique``, which no command
-    needs).  Extra points become breakpoints, so they must be finite and
-    nonnegative."""
+    needs).  Extra points become breakpoints, so they must be a flat list of
+    finite, nonnegative numbers."""
     parts = [d.xs for d in ds]
     if extra_points is not None:
-        parts.append(np.asarray(extra_points, dtype=float))
+        try:
+            extra = np.asarray(extra_points, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidParameterError("extra grid points must be numbers") from None
+        if extra.ndim != 1:
+            raise InvalidParameterError(
+                f"extra grid points must be a flat list, got shape {extra.shape}")
+        parts.append(extra)
     grid = np.concatenate(parts)
     grid.sort()
     if not (grid[0] >= 0.0 and grid[-1] < math.inf):  # a NaN sorts last
@@ -277,12 +294,28 @@ def _merged_grid(ds: Sequence[Distribution], extra_points=None) -> np.ndarray:
 
 
 def _limits(d: Distribution, points: list[float]) -> tuple[list[float], list[float]]:
-    """``d.cdf`` and ``d.left_and_atom(...)[0]`` at each point, from one
-    scalar lookup each."""
+    """``d.cdf`` and ``d.left_and_atom(...)[0]`` at each point of a sorted grid
+    that holds every breakpoint of ``d``, in one walk along both.  At
+    breakpoint j they are ``Fr[j]`` and ``Fl[j]`` (0.0 at the first), read
+    straight from the arrays; a point the law lacks lies below breakpoint j
+    and above j - 1, and takes ``_lookup_scalar``'s arithmetic there."""
+    xs, Fl, Fr = d.xs.tolist(), d.Fl.tolist(), d.Fr.tolist()
     right, left = [], []
+    j, last = 0, len(xs)
     for x in points:
-        below, j, hit = d._lookup_scalar(x)
-        right.append(float(d.Fr[j]) if hit else below)
+        if j < last and xs[j] == x:
+            right.append(Fr[j])
+            left.append(Fl[j] if j else 0.0)
+            j += 1
+            continue
+        if j == 0:
+            below = 0.0
+        elif j == last:
+            below = 1.0
+        else:
+            x0, fr = xs[j - 1], Fr[j - 1]
+            below = fr + (Fl[j] - fr) * ((x - x0) / (xs[j] - x0))
+        right.append(below)
         left.append(below)
     return right, left
 

@@ -53,17 +53,30 @@ __all__ = [
 _LOG_FLOOR = 1e-300
 
 
+def _pieces(schedule: ThresholdSchedule) -> tuple[tuple[float, float, float, float], ...]:
+    """The schedule's (lo, hi, tau, accept_prob) pieces; other policies have
+    no single threshold per piece."""
+    if not isinstance(schedule, ThresholdSchedule):
+        raise PolicyMismatchError(
+            f"the stop probability p_tau needs a ThresholdSchedule, got {type(schedule).__name__}")
+    return schedule.pieces
+
+
 def p_tau_single(schedule: ThresholdSchedule, d: Distribution, t: float) -> float:
-    """Pr[the threshold policy stops strictly before time t] for one reward."""
+    """Pr[the threshold policy stops strictly before time t] for one reward:
+    the length of each piece before t times its Pr[accepted], with the
+    arithmetic of ``RandomizedThreshold.accepted_mass``, one scalar lookup
+    per piece."""
+    pieces = _pieces(schedule)
     if math.isnan(t):
         raise InvalidParameterError("time t must be a number, got nan")
-    b = schedule.breakpoints
     total = 0.0
-    for lo, hi, rt in zip(b[:-1], b[1:], schedule.thresholds):
+    for lo, hi, tau, accept in pieces:
         hi = min(hi, t)
         if hi <= lo:
             break
-        total += (hi - lo) * rt.accepted_mass(d)
+        left, atom = d.left_and_atom(tau)
+        total += (hi - lo) * (1.0 - (left + (1.0 - accept) * atom))
     return min(total, 1.0)
 
 
@@ -71,6 +84,7 @@ def p_tau_multi(
     schedule: ThresholdSchedule, dist_multiset: Sequence[tuple[Distribution, int]], t: float
 ) -> float:
     """1 - prod over the (law, multiplicity) multiset of (1 - p_tau_single)."""
+    _pieces(schedule)  # refuses another policy even for an empty multiset
     out = 1.0
     for d, mult in dist_multiset:
         if not is_integer(mult) or mult < 1:

@@ -76,7 +76,9 @@ class _TimePieces:
 class ThresholdSchedule(_TimePieces):
     """Breakpoints 0 = s_0 < ... < s_m = 1 with one randomized threshold per
     piece, given as ``RandomizedThreshold`` rules or as a ``ThresholdStack``
-    and held as that one stack, which serves every identity."""
+    and held as that one stack, which serves every identity.  ``pieces``
+    lists the same rules by piece in Python floats, built on first use, for
+    ``p_tau_single``, which asks one threshold at a time."""
 
     def __init__(self, breakpoints, thresholds):
         self.breakpoints = tuple(breakpoints)
@@ -87,6 +89,12 @@ class ThresholdSchedule(_TimePieces):
         super().__post_init__()
         if len(self.breakpoints) != len(self.stack.tau) + 1:
             raise InvalidParameterError("need exactly one threshold per piece")
+
+    @cached_property
+    def pieces(self) -> tuple[tuple[float, float, float, float], ...]:
+        """(lo, hi, tau, accept_prob) of every piece, in Python floats."""
+        b = [float(s) for s in self.breakpoints]
+        return tuple(zip(b[:-1], b[1:], self.stack.tau.tolist(), self.stack.accept_prob.tolist()))
 
     @cached_property
     def thresholds(self) -> tuple[RandomizedThreshold, ...]:

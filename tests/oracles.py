@@ -38,6 +38,17 @@ questions must equal bit for bit, on its scalar and its array path alike.
 ``left_and_atom`` for the left ones: the two-question constructions that the
 one-lookup operators must equal bit for bit.
 
+The retired lemma-trial paths pin the cheaper ones bit for bit:
+``p_tau_single`` asks each piece's ``RandomizedThreshold`` its
+``accepted_mass``; ``product_max_by_lookups`` and ``nth_root_by_lookups``
+ask each law one ``_lookup_scalar`` at every point of the merged grid;
+``discrete_by_arrays`` and ``piecewise_by_arrays`` build a law's arrays by
+numpy array arithmetic; and
+``random_distribution`` and ``random_schedule`` draw from numpy arrays,
+build the schedule from per-piece rules and make the same generator calls
+as the lemma suite's draw helpers, which must leave the stream where these
+leave it.
+
 ``ScalarPieces`` wraps a time-pieced policy so that the exact evaluator asks
 every (identity, piece) rule its question on its own, through the scalar
 rule questions below (``accepted_mass``, ``accepted_mean``,
@@ -60,6 +71,7 @@ from prophetlab import (
     ThresholdSchedule,
     ValueBuckets,
 )
+from prophetlab import distributions
 from prophetlab.monte_carlo import _cuts
 from prophetlab.policies import check_shape
 
@@ -433,6 +445,101 @@ class ScalarPieces:
     def piece_stack(self, identity: int) -> _ScalarStack:
         return _ScalarStack([rule_of(self.policy, r, identity)
                              for r in range(self.policy.num_pieces)])
+
+
+# ---------------------------------------------- retired lemma-trial paths
+
+
+def p_tau_single(schedule: ThresholdSchedule, d, t: float) -> float:
+    """``exact_oracle.p_tau_single``, asking each piece's rule."""
+    b = schedule.breakpoints
+    total = 0.0
+    for lo, hi, rt in zip(b[:-1], b[1:], schedule.thresholds):
+        hi = min(hi, t)
+        if hi <= lo:
+            break
+        total += (hi - lo) * rt.accepted_mass(d)
+    return min(total, 1.0)
+
+
+def _lookup_limits(d, points):
+    """``d.cdf`` and ``d.left_and_atom(...)[0]`` from one lookup each."""
+    right, left = [], []
+    for x in points:
+        below, j, hit = d._lookup_scalar(x)
+        right.append(float(d.Fr[j]) if hit else below)
+        left.append(below)
+    return right, left
+
+
+def product_max_by_lookups(ds, extra_points=None) -> Distribution:
+    """``distributions.product_max``, one lookup per law and grid point."""
+    grid = distributions._merged_grid(ds, extra_points)
+    points = grid.tolist()
+    Fr, Fl = [1.0] * len(points), [1.0] * len(points)
+    for d in ds:
+        right, left = _lookup_limits(d, points)
+        Fr = [a * b for a, b in zip(Fr, right)]
+        Fl = [a * b for a, b in zip(Fl, left)]
+    return Distribution(grid, np.array(Fl), np.array(Fr))
+
+
+def nth_root_by_lookups(d, n: int, extra_points=None) -> Distribution:
+    """``distributions.nth_root``, one lookup per grid point."""
+    grid = distributions._merged_grid([d], extra_points)
+    right, left = _lookup_limits(d, grid.tolist())
+    return Distribution(grid, np.array(left) ** (1.0 / n), np.array(right) ** (1.0 / n))
+
+
+_VALUE_POOL = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+_CUT_POOL = np.linspace(0.05, 0.95, 19)
+_ACCEPT_POOL = (0.0, 0.25, 0.5, 1.0)
+
+
+def discrete_by_arrays(atoms) -> Distribution:
+    """``Distribution.discrete`` of well-formed atoms, in numpy arrays."""
+    items = sorted(atoms)
+    masses = np.array([p for _, p in items])
+    Fr = np.cumsum(masses / masses.sum())
+    Fr[-1] = 1.0
+    return Distribution(np.array([v for v, _ in items]), np.concatenate(([0.0], Fr[:-1])), Fr)
+
+
+def piecewise_by_arrays(points) -> Distribution:
+    """``Distribution.piecewise`` of well-formed points, in numpy arrays."""
+    Fs = np.array([F for _, F in points])
+    Fr = Fs / Fs[-1]
+    Fr[-1] = 1.0
+    Fl = Fr.copy()
+    Fl[0] = 0.0
+    return Distribution(np.array([x for x, _ in points]), Fl, Fr)
+
+
+def random_distribution(rng: np.random.Generator) -> Distribution:
+    """The lemma suite's random law, drawn as numpy arrays."""
+    if rng.random() < 0.5:
+        size = int(rng.integers(1, 4))
+        vals = rng.choice(_VALUE_POOL, size=size, replace=False)
+        w = rng.integers(1, 6, size=size).astype(float)
+        return Distribution.discrete(zip(np.sort(vals), w / w.sum()))
+    size = int(rng.integers(2, 5))
+    xs = np.sort(rng.choice(_VALUE_POOL, size=size, replace=False))
+    w = rng.integers(1, 6, size=size).astype(float)
+    F = np.cumsum(w) / w.sum()
+    F[-1] = 1.0
+    return Distribution.piecewise(zip(xs, F))
+
+
+def random_schedule(rng: np.random.Generator, pieces=None) -> ThresholdSchedule:
+    """The lemma suite's random schedule, built from per-piece rules."""
+    m = int(pieces if pieces is not None else rng.integers(1, 4))
+    cuts = np.sort(rng.choice(_CUT_POOL, size=m - 1, replace=False)) if m > 1 else []
+    rts = []
+    for _ in range(m):
+        tau = float(rng.choice(_VALUE_POOL)) if rng.random() < 0.7 else float(rng.uniform(0, 3))
+        ap = float(rng.choice(_ACCEPT_POOL)) if rng.random() < 0.7 else float(rng.random())
+        rts.append(RandomizedThreshold(tau, ap))
+    return ThresholdSchedule((0.0, *map(float, cuts), 1.0), tuple(rts))
 
 
 # ------------------------------------------------------------ event scan

@@ -305,8 +305,8 @@ class TestArrayQuestions:
 
 
 class TestOneLookup:
-    """``product_max`` and ``nth_root`` ask each law one lookup on a grid
-    merged without ``np.unique``; every bit stays that of the two-question
+    """``product_max`` and ``nth_root`` walk each law along a grid merged
+    without ``np.unique``; every bit stays that of the two-question
     references in ``oracles``."""
 
     _GRID_LAWS = [Distribution.discrete([(0.0, 0.5), (1.0, 0.25), (3.0, 0.25)]),
@@ -369,6 +369,104 @@ class TestOneLookup:
                       lambda: nth_root(ds[1], 3, extra_points=extra)):
             with pytest.raises(InvalidParameterError, match=f"got {bad}$"):
                 build()
+
+
+# a hand-built law whose first left limit is not 0: every question reads
+# Pr[V < xs[0]] as 0.0 all the same
+_FL0_LAW = Distribution(np.array([0.5, 1.0, 2.0]), np.array([0.25, 0.5, 0.75]),
+                        np.array([0.4, 0.6, 1.0]))
+
+
+class TestCheaperTrials:
+    """The lemma trials' cheaper paths equal the retired ones in ``oracles``
+    bit for bit: own breakpoints read straight from ``Fl``/``Fr``, and the
+    constructors' Python-float arithmetic."""
+
+    @staticmethod
+    def _extra_points(rng, ds):
+        """Points inside the support, below and above it, and on breakpoints."""
+        xs = np.concatenate([d.xs for d in ds])
+        lo, hi = float(xs.min()), float(xs.max())
+        extra = [float(rng.uniform(lo, hi)) for _ in range(2)]
+        extra += [hi + 0.5, float(rng.choice(xs))]
+        if lo > 0.0:
+            extra.append(lo / 2.0)
+        return extra
+
+    def test_product_and_root_equal_the_lookup_references(self):
+        rng = np.random.default_rng(27)
+        for trial in range(600):
+            ds = [_FL0_LAW if trial % 25 == 0 and i == 0 else experiments._random_distribution(rng)
+                  for i in range(int(rng.integers(1, 4)))]
+            for extra in (None, self._extra_points(rng, ds)):
+                got = product_max(ds, extra_points=extra)
+                want = oracles.product_max_by_lookups(ds, extra_points=extra)
+                for a, b in ((got.xs, want.xs), (got.Fl, want.Fl), (got.Fr, want.Fr)):
+                    assert _hex(a) == _hex(b), (trial, extra)
+                n = len(ds) + 1
+                for d in (ds[0], got):
+                    root = nth_root(d, n, extra_points=extra)
+                    want = oracles.nth_root_by_lookups(d, n, extra_points=extra)
+                    for a, b in ((root.xs, want.xs), (root.Fl, want.Fl), (root.Fr, want.Fr)):
+                        assert _hex(a) == _hex(b), (trial, extra)
+
+    def test_product_and_root_search_no_point(self, monkeypatch):
+        # a law's own breakpoints are read from its arrays and the points it
+        # lacks are interpolated between the breakpoints the walk has found
+        rng = np.random.default_rng(3)
+        cases = []
+        for _ in range(50):
+            taus = experiments._random_schedule(rng).stack.tau
+            Fs = [experiments._random_distribution(rng) for _ in range(int(rng.integers(2, 5)))]
+            cases.append((Fs, taus))
+
+        def no_lookup(self, x):
+            raise AssertionError(f"looked up {x!r}")
+
+        monkeypatch.setattr(Distribution, "_lookup_scalar", no_lookup)
+        for Fs, taus in cases:
+            prod = product_max(Fs, extra_points=taus)
+            nth_root(prod, len(Fs), extra_points=taus)
+            nth_root(Fs[0], 2, extra_points=taus)
+
+    def test_first_left_limit_reads_zero(self):
+        prod = product_max([_FL0_LAW], extra_points=[0.75])
+        assert prod.Fl.tolist() == [0.0, 0.45, 0.5, 0.75]
+        assert prod.Fr.tolist() == [0.4, 0.45, 0.6, 1.0]
+        assert nth_root(_FL0_LAW, 2).Fl[0] == 0.0
+
+    def test_constructors_equal_numpy_array_arithmetic(self):
+        # up to 20 atoms: numpy sums masses in order below 8 terms, pairwise from 8
+        rng = np.random.default_rng(9)
+        for _ in range(600):
+            n = int(rng.integers(1, 21))
+            vals = rng.choice(np.arange(40) / 4.0, size=n, replace=False)
+            masses = rng.random(n) + 0.01
+            atoms = list(zip(vals.tolist(), (masses / masses.sum()).tolist()))
+            got, want = Distribution.discrete(atoms), oracles.discrete_by_arrays(atoms)
+            for a, b in ((got.xs, want.xs), (got.Fl, want.Fl), (got.Fr, want.Fr)):
+                assert _hex(a) == _hex(b), atoms
+            if n > 1:
+                Fs = np.cumsum(rng.random(n))
+                points = list(zip(np.sort(vals).tolist(), (Fs / Fs[-1] * (1 + 1e-13)).tolist()))
+                got, want = Distribution.piecewise(points), oracles.piecewise_by_arrays(points)
+                for a, b in ((got.xs, want.xs), (got.Fl, want.Fl), (got.Fr, want.Fr)):
+                    assert _hex(a) == _hex(b), points
+
+    @pytest.mark.parametrize("extra, message", [
+        (1.5, "extra grid points must be a flat list, got shape ()"),
+        ([[1.5]], "extra grid points must be a flat list, got shape (1, 1)"),
+        ([1.5, "x"], "extra grid points must be numbers"),
+    ], ids=["scalar", "nested", "non-number"])
+    def test_product_and_root_refuse_a_bad_shape(self, extra, message):
+        # each let numpy's ValueError escape from the grid merge
+        ds = [Distribution.discrete([(0.0, 0.25), (1.0, 0.75)]),
+              Distribution.piecewise([(0.5, 0.0), (2.0, 1.0)])]
+        for build in (lambda: product_max(ds, extra_points=extra),
+                      lambda: nth_root(ds[1], 3, extra_points=extra)):
+            with pytest.raises(InvalidParameterError) as info:
+                build()
+            assert str(info.value) == message
 
 
 class TestMalformedLaws:

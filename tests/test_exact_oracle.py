@@ -90,6 +90,37 @@ class TestPTau:
         with pytest.raises(InvalidParameterError, match="nan"):
             p_tau_multi(const_schedule(0.5), ((COIN, 1),), math.nan)
 
+    def test_piece_walk_equals_the_retired_rule_loop(self):
+        # t <= 0, t on and an ulp either side of each breakpoint, t >= 1 and
+        # t = inf, on random laws and on a hand-built one with Fl[0] != 0
+        rng = np.random.default_rng(27)
+        fl0 = Distribution(np.array([0.5, 1.0, 2.0]), np.array([0.25, 0.5, 0.75]),
+                           np.array([0.4, 0.6, 1.0]))
+        for trial in range(600):
+            sched = experiments._random_schedule(rng)
+            law = fl0 if trial % 20 == 0 else experiments._random_distribution(rng)
+            b = np.array(sched.breakpoints)
+            times = [-1.0, -0.0, *b.tolist(), *np.nextafter(b, -1.0).tolist(),
+                     *np.nextafter(b, 2.0).tolist(), float(rng.random()), 1.5, math.inf]
+            for t in times:
+                want = oracles.p_tau_single(sched, law, t)
+                assert p_tau_single(sched, law, t).hex() == want.hex(), (trial, t)
+                got = p_tau_multi(sched, ((law, 2), (fl0, 1)), t)
+                want = 1.0 - (1.0 - want) ** 2 * (1.0 - oracles.p_tau_single(sched, fl0, t))
+                assert got.hex() == want.hex(), (trial, t)
+
+    @pytest.mark.parametrize("policy", [
+        ActivationPolicy((0.0, 1.0), ((ValueBuckets((0.5,), (0.0, 1.0)),),)),
+        make_adaptive(opt_law(make_instance([COIN], 2)), make_instance([COIN], 2), 0.05),
+    ], ids=["activation", "adaptive"])
+    def test_a_policy_without_one_threshold_per_piece_is_refused(self, policy):
+        # each raised AttributeError: no attribute 'thresholds'
+        name = type(policy).__name__
+        with pytest.raises(PolicyMismatchError, match=f"got {name}$"):
+            p_tau_single(policy, COIN, 0.5)
+        with pytest.raises(PolicyMismatchError, match=f"got {name}$"):
+            p_tau_multi(policy, ((COIN, 1),), 0.5)
+
     def test_root_copy_closed_form(self):
         # OPT-median threshold on n k root copies:
         # p = 1 - (1 - t + t q^{1/n})^{nk} with q = Pr[root rejected]

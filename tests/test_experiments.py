@@ -285,6 +285,33 @@ class TestHardnessReports:
         assert summary["arithmetic_ok"]
 
 
+class TestDrawHelpers:
+    """The lemma suite draws its laws and schedules in Python floats, with the
+    generator calls of the retired helpers in ``oracles``."""
+
+    @staticmethod
+    def _draws(draw_law, draw_schedule, seed, count):
+        rng = np.random.default_rng(seed)
+        out = [(draw_law(rng), draw_schedule(rng, pieces=None if i % 3 else i % 5 + 1))
+               for i in range(count)]
+        return out, rng
+
+    def test_draws_equal_the_retired_helpers(self):
+        new, _ = self._draws(experiments._random_distribution, experiments._random_schedule, 5, 600)
+        old, _ = self._draws(oracles.random_distribution, oracles.random_schedule, 5, 600)
+        for (law, sched), (law0, sched0) in zip(new, old):
+            for a, b in ((law.xs, law0.xs), (law.Fl, law0.Fl), (law.Fr, law0.Fr),
+                         (sched.breakpoints, sched0.breakpoints),
+                         (sched.stack.tau, sched0.stack.tau),
+                         (sched.stack.accept_prob, sched0.stack.accept_prob)):
+                assert [float(v).hex() for v in a] == [float(v).hex() for v in b]
+
+    def test_draws_leave_the_stream_where_the_retired_helpers_do(self):
+        _, rng = self._draws(experiments._random_distribution, experiments._random_schedule, 0, 1000)
+        _, rng0 = self._draws(oracles.random_distribution, oracles.random_schedule, 0, 1000)
+        assert rng.random() == rng0.random()
+
+
 class TestLemmaSuite:
     def test_short_run_holds(self):
         report = lemma_suite(seed=3, trials=25)
