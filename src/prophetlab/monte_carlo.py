@@ -8,18 +8,22 @@ estimate is bit-identical whatever the core count.
 
 It reads a policy only through ``num_pieces``, ``piece_stack(identity)`` and
 ``pieces_at(times, identities)``, so every policy runs down one path.  No
-step here sorts the arrivals: the earliest accepted reward is an ``argmin``,
-and the adaptive rule's ``pieces_at`` finds the arrival order it needs by
-one sort of packed keys, the time on its 2^-53 grid above the column index.
+step here sorts the arrivals: a rejected reward's time is moved up by 1, so
+the earliest accepted reward is the ``argmin`` of the times, and the
+adaptive rule's ``pieces_at`` finds the arrival order it needs from packed
+keys, the time on its 2^-53 grid above the column index: one sort, or one
+``np.partition`` when every identity has the same q.
 
 A block draws arrival times, value uniforms and tiebreaks, and decides
 acceptance on the uniform scale: each edge of the stacks' ``buckets()`` is
 turned, once per simulation, into the cut on its identity's uniforms above
 which ``ppf`` reaches the edge.  Only the selected reward's uniform is mapped
-through ``ppf``.  A block is worked in chunks of rows, and its three draws
-are streamed by chunk: three generators on the block's key each start where
-one of them begins in the block's stream and reads each chunk into one
-reused buffer, so a block holds one chunk of draws, not all of them.
+through ``ppf``.  When every acceptance probability is 0 or 1 the tiebreaks
+cannot matter and are not drawn.  A block is worked in chunks of rows, and
+its two or three draw parts are streamed by chunk: one generator per part,
+on the block's key, starts where its part begins in the block's stream and
+reads each chunk into one reused buffer, so a block holds one chunk of
+draws, not all of them.
 """
 
 from __future__ import annotations
@@ -83,10 +87,12 @@ def _cuts(d: Distribution, edges: np.ndarray) -> np.ndarray:
     uniform draw u, ``d.ppf(u) >= e`` exactly when ``u > cut``.  The cut is
     the double just below the smallest u in [0, 1] with ``d.ppf(u) >= e``
     (1.0 standing in for "none below 1"), found by the OPT quantiles' search
-    over bit patterns, ``_bisect``, halving (-1, 1] with no estimate."""
-    first = _bisect(np.full(edges.shape, -1.0), np.ones(edges.shape),
-                    lambda u: d.ppf(u) >= edges)
-    return np.where(first > 0.0, np.nextafter(first, -np.inf), -1.0)
+    over bit patterns, ``_bisect``, on (-1, 1] from the estimate Pr[V < e];
+    the search's answer does not depend on its estimate."""
+    e = edges.ravel()
+    first = _bisect(np.full(e.shape, -1.0), np.ones(e.shape), lambda u: d.ppf(u) >= e,
+                    d.left_and_atom(e)[0])
+    return np.where(first > 0.0, np.nextafter(first, -np.inf), -1.0).reshape(edges.shape)
 
 
 def _acceptance_table(inst: Instance, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
@@ -110,18 +116,20 @@ def _acceptance_table(inst: Instance, policy: Policy) -> tuple[np.ndarray, np.nd
     return cuts, probs
 
 
-def _draws(master_seed: int, block: int, nrep: int, N: int):
+def _draws(master_seed: int, block: int, nrep: int, N: int, tiebreaks: bool = True):
     """Block ``block``'s (rows, times, value uniforms, tiebreaks), ``_CHUNK``
     rows at a time: the rows of ``_block_rng(master_seed, block).random((3,
-    nrep, N))``, read from three generators that each start where one of the
-    three begins in the stream.  Every chunk is read into the same buffer,
-    so a chunk's arrays hold until the next one is asked for."""
-    parts = [_block_rng(master_seed, block, part * nrep * N) for part in range(3)]
-    buf = np.empty((3, min(_CHUNK, nrep), N))
+    nrep, N))``, read from generators that each start where one of the
+    three parts begins in the stream.  Without ``tiebreaks`` the third part
+    is never drawn and comes as None; the other two keep their numbers.
+    Every chunk is read into the same buffer, so a chunk's arrays hold until
+    the next one is asked for."""
+    parts = [_block_rng(master_seed, block, part * nrep * N) for part in range(2 + tiebreaks)]
+    buf = np.empty((len(parts), min(_CHUNK, nrep), N))
     for start in range(0, nrep, _CHUNK):
         rows = min(_CHUNK, nrep - start)
-        times, uvals, ties = (rng.random(out=out[:rows]) for rng, out in zip(parts, buf))
-        yield slice(start, start + rows), times, uvals, ties
+        times, uvals, *ties = (rng.random(out=out[:rows]) for rng, out in zip(parts, buf))
+        yield slice(start, start + rows), times, uvals, (ties[0] if ties else None)
 
 
 def _simulate_block(inst: Instance, policy: Policy, table: tuple[np.ndarray, np.ndarray],
@@ -132,28 +140,38 @@ def _simulate_block(inst: Instance, policy: Policy, table: tuple[np.ndarray, np.
     Each reward reads one cell of the acceptance ``table``: its (piece,
     identity) rule, the piece coming from ``policy.pieces_at``.  It is
     accepted when its tiebreak is below the cell's probability for the
-    bucket of its value uniform; the earliest accepted reward is selected,
-    equal times going to the lower (identity, copy) column.  Only the
-    selected rewards' uniforms are mapped to values.  The draws are read and
-    worked ``_CHUNK`` rows at a time.
+    bucket of its value uniform.  When every probability of the table is 0
+    or 1 the tiebreak cannot matter and is not drawn.  A rejected reward's
+    time is moved up by 1, to 1 or later, so the earliest accepted reward is
+    the ``argmin`` of the times, equal times going to the lower (identity,
+    copy) column, and a replication stopped when its ``argmin`` is below 1.
+    Only the selected rewards' uniforms are mapped to values.  The draws are
+    read and worked ``_CHUNK`` rows at a time.
     """
     n, k = inst.n, inst.copies
     identities = np.repeat(np.arange(n), k)
     cuts, probs = table
+    tiebreaks = bool(((probs > 0.0) & (probs < 1.0)).any())
+    rejected = 1.0 - probs  # the rejected mass of a cell's bucket: 0 or 1 without tiebreaks
     stopped = np.empty(nrep, dtype=bool)
     owner = np.empty(nrep, dtype=np.intp)  # identity of the selected reward
     chosen = np.empty(nrep)  # its value uniform
-    for rows, t, u, ties in _draws(master_seed, block, nrep, n * k):
-        cell = policy.pieces_at(t, identities) * n + identities
+    for rows, t, u, ties in _draws(master_seed, block, nrep, n * k, tiebreaks):
+        cell = policy.pieces_at(t, identities)
+        cell *= n
+        cell += identities
         flat = cell * probs.shape[1]  # index of (cell, bucket) in probs, bucket counted below
         for column in cuts.T:
             flat += u > column.take(cell)
-        accept = ties < probs.take(flat)
-        stopped[rows] = accept.any(axis=1)
-        np.copyto(t, np.inf, where=~accept)  # a rejected reward is never the earliest
+        if tiebreaks:
+            t += ties >= probs.take(flat)
+        else:
+            t += rejected.take(flat)
         picked = t.argmin(axis=1)
+        at = np.arange(len(picked))
+        stopped[rows] = t[at, picked] < 1.0
         owner[rows] = identities[picked]
-        chosen[rows] = u[np.arange(len(picked)), picked]
+        chosen[rows] = u[at, picked]
     selected = np.zeros(nrep)
     for i, d in enumerate(inst.base):
         mine = stopped & (owner == i)

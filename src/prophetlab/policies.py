@@ -14,15 +14,16 @@ value-bucket tables (Monte Carlo's form), and asks each law's questions
 (``cdf``, ``left_and_atom``, ``mean_between``) once on arrays for all pieces
 (the exact integrator's form).  A threshold schedule and the adaptive rule
 hold one ``ThresholdStack`` for every identity; the adaptive rule's two
-pieces are its phases, found by one sort of packed 64-bit keys, each time
-above its column index (a stable argsort past N = 2048).
+pieces are its phases, found from packed 64-bit keys, each time above its
+column index: one sort, or one ``np.partition`` when every identity has the
+same q (a stable argsort past N = 2048).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -284,27 +285,49 @@ class AdaptiveTwoThreshold:
         """The OPT quantiles of tau1 and tau2."""
         return _TAU1_QUANTILE, math.exp(-self.ell)
 
+    @cached_property
+    def _log_q(self) -> np.ndarray:
+        return np.log(np.asarray(self.q))
+
     def pieces_at(self, times: np.ndarray, identities: np.ndarray) -> np.ndarray:
         """The phase of every arrival in a (rows, N) block of ``times``, column
         j being identity ``identities[j]``: 1 (tau2) once the rewards arriving
         strictly later all fall below tau2 with probability above epsilon, a
         suffix product in arrival order, equal times in column order.
 
-        The arrival order comes from one sort of packed keys.  With s the
-        bit length of N - 1, a time t on the 2^-53 grid of ``Generator.random``
-        makes the integer t * 2^(53+s), whose low s bits, all zero, take the
-        column index.  The keys are distinct, so they sort into exactly the
-        stable order of the times.  The keys fit 64 bits for N <= 2048; above
-        that the times are argsorted stably.  A time off the grid counts as
-        the grid time below it.  The log q of the arrivals still to come are
-        summed from the last arrival back, the additions of ``cumsum`` over
-        the reversed order."""
+        The arrival order comes from packed keys.  With s the bit length of
+        N - 1, a time t in [0, 1) makes the integer floor(t * 2^53), shifted
+        up s bits, whose low s bits take the column index: a time off the
+        2^-53 grid of ``Generator.random`` counts as the grid time below it.
+        The keys are distinct, so they order as the stable order of the
+        times.  They fit 64 bits for N <= 2048; above that the times are
+        argsorted stably.
+
+        The log q of the arrivals still to come are summed from the last
+        arrival back, the additions of ``cumsum`` over the reversed order.
+        When every identity has the same q, those sums depend on the arrival
+        rank alone, so they are taken once per (q, epsilon, N) on one row
+        (``_rank_step``).  Where the phases by rank step from 0 to 1 at rank
+        r0 and the keys fit, an arrival's phase is whether its key is at
+        least the r0-th smallest of its row, which ``np.partition`` finds
+        without a sort."""
         rows, N = times.shape
+        log_q, log_eps = self._log_q, math.log(self.epsilon)
         shift = (N - 1).bit_length()
         if 53 + shift <= 64:
-            key = np.empty(times.shape, dtype=np.uint64)
-            np.multiply(times, 2.0 ** (53 + shift), out=key, casting="unsafe")  # exact
+            key = np.empty(times.shape, dtype=np.int64)
+            np.multiply(times, 2.0 ** 53, out=key, casting="unsafe")  # truncates to the grid
+            key = key.view(np.uint64)
+            key <<= shift
             key |= np.arange(N, dtype=np.uint64)
+            r0 = _rank_step(float(log_q[0]), log_eps, N) if (log_q == log_q[0]).all() else None
+            if r0 is not None:
+                phase = key.view(np.intp)  # each key is read before its phase is written
+                if 0 < r0 < N:
+                    np.greater_equal(key, np.partition(key, r0, axis=1)[:, r0, None], out=phase)
+                else:
+                    phase.fill(r0 == 0)
+                return phase
             key.sort(axis=1)
             key &= np.uint64((1 << shift) - 1)
             order = key.view(np.intp)
@@ -314,16 +337,28 @@ class AdaptiveTwoThreshold:
         # and the phases in later's, so a call makes three (rows, N) arrays
         phase = np.empty(times.shape, dtype=np.intp)
         contrib = phase.view(np.float64)
-        log_q = np.log(np.asarray(self.q))[identities]
-        np.take(log_q, order, out=contrib, mode="clip")  # "raise" would buffer out
+        np.take(log_q[identities], order, out=contrib, mode="clip")  # "raise" would buffer out
         later = np.empty_like(contrib)
         np.cumsum(contrib[:, ::-1], axis=1, out=later[:, ::-1])
         later -= contrib
         switched = later.view(np.intp)
-        np.greater(later, math.log(self.epsilon), out=switched)
+        np.greater(later, log_eps, out=switched)
         order += np.arange(0, rows * N, N)[:, None]  # flat index of each arrival
         phase.ravel()[order] = switched
         return phase
+
+
+@lru_cache(maxsize=1024)
+def _rank_step(log_q: float, log_eps: float, N: int) -> int | None:
+    """The rank r0 from which on N arrivals that all have ``log_q`` are in
+    phase 1, or None if their phases by rank are no step from 0 to 1: the
+    suffix sums of ``AdaptiveTwoThreshold.pieces_at``, taken by the same
+    ``cumsum`` additions on one row."""
+    contrib = np.full(N, log_q)
+    later = np.cumsum(contrib[::-1])[::-1] - contrib
+    switched = later > log_eps
+    r0 = N - int(switched.sum())
+    return r0 if switched[r0:].all() else None
 
 
 Policy = Union[ThresholdSchedule, ActivationPolicy, AdaptiveTwoThreshold]

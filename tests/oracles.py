@@ -27,8 +27,16 @@ search that ``OptLaw.quantile_arrays`` must reproduce bit for bit; it
 reads the OPT law's left limits through ``opt_cdf_left``.
 
 ``adaptive_phases`` finds the adaptive rule's arrival order by a stable
-argsort of the times: the reference that ``AdaptiveTwoThreshold.pieces_at``
-and its packed-key sort must equal element for element.
+argsort of the times: the reference that ``AdaptiveTwoThreshold.pieces_at``,
+its packed-key sort and its equal-q rank step must equal element for
+element.
+
+``simulate_block_reference`` is the Monte Carlo block as a plain pass per
+step: all three draw parts at once, the masked copy of the rejected times
+and ``any`` for the stopped rows, and the adaptive rule's phases from
+``adaptive_phases``; ``monte_carlo._simulate_block`` must give its selected
+values and stopped rows bit for bit.  ``cuts_by_bisection`` finds the cuts
+by bisection with no estimate, which ``monte_carlo._cuts`` must equal.
 
 ``cdf``, ``cdf_left``, ``point_mass`` and ``mean_between`` ask a law one
 point at a time, in Python floats: the references that ``Distribution``'s
@@ -72,7 +80,8 @@ from prophetlab import (
     ValueBuckets,
 )
 from prophetlab import distributions
-from prophetlab.monte_carlo import _cuts
+from prophetlab.instance import _bisect
+from prophetlab.monte_carlo import _block_rng, _cuts
 from prophetlab.policies import check_shape
 
 
@@ -129,6 +138,44 @@ def acceptance_table(inst: Instance, policy) -> tuple[np.ndarray, np.ndarray]:
     for i, d in enumerate(inst.base):
         cuts[i::n] = _cuts(d, edges[i::n])
     return cuts, probs
+
+
+def cuts_by_bisection(d, edges: np.ndarray) -> np.ndarray:
+    """``monte_carlo._cuts`` by halving (-1, 1] with no estimate."""
+    first = _bisect(np.full(edges.shape, -1.0), np.ones(edges.shape),
+                    lambda u: d.ppf(u) >= edges)
+    return np.where(first > 0.0, np.nextafter(first, -np.inf), -1.0)
+
+
+def simulate_block_reference(inst: Instance, policy, table, master_seed: int, block: int,
+                             nrep: int) -> tuple[np.ndarray, np.ndarray]:
+    """(selected values, stopped mask) of Monte Carlo block ``block``: every
+    reward's cell read from the acceptance ``table``, accepted when its
+    tiebreak is below the cell's probability for its bucket; the earliest
+    accepted time is selected, equal times going to the lower column."""
+    n, k = inst.n, inst.copies
+    identities = np.repeat(np.arange(n), k)
+    cuts, probs = table
+    t, u, ties = _block_rng(master_seed, block).random((3, nrep, n * k))
+    if isinstance(policy, AdaptiveTwoThreshold):
+        pieces = adaptive_phases(policy, t, identities)
+    else:
+        pieces = policy.pieces_at(t, identities)
+    cell = pieces * n + identities
+    flat = cell * probs.shape[1]
+    for column in cuts.T:
+        flat += u > column.take(cell)
+    accept = ties < probs.take(flat)
+    stopped = accept.any(axis=1)
+    np.copyto(t, np.inf, where=~accept)
+    picked = t.argmin(axis=1)
+    owner = identities[picked]
+    chosen = u[np.arange(nrep), picked]
+    selected = np.zeros(nrep)
+    for i, d in enumerate(inst.base):
+        mine = stopped & (owner == i)
+        selected[mine] = d.ppf(chosen[mine])
+    return selected, stopped
 
 
 def acceptance_prob(rule, value: float) -> float:

@@ -199,6 +199,49 @@ def test_block_matches_event_scan(kind):
     assert stopped.any()
 
 
+@pytest.mark.parametrize("nrep", [7, 1024, 8191])
+@pytest.mark.parametrize("kind", ["single", "blind", "activation", "adaptive"])
+def test_block_matches_the_reference_kernel(kind, nrep):
+    # selection by shifted times, phases by rank, skipped tiebreaks and cells
+    # built in place give the plain kernel's selected values and stopped
+    # rows bit for bit, on every regression law, in one chunk and across several
+    table_kinds = set()
+    for name, base in regression_instances():
+        inst, policy = _table_case(base, kind)
+        table = monte_carlo._acceptance_table(inst, policy)
+        got = monte_carlo._simulate_block(inst, policy, table, 37, 2, nrep)
+        want = oracles.simulate_block_reference(inst, policy, table, 37, 2, nrep)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        probs = table[1]
+        table_kinds.add(bool(((probs > 0.0) & (probs < 1.0)).any()))
+    if kind != "activation":  # every activation table here has fractional probabilities
+        assert table_kinds == {False, True}  # some laws draw tiebreaks, some do not
+
+
+def test_uniform_block_draws_no_tiebreaks(monkeypatch):
+    # the adaptive rule on the uniform law accepts with probability 0 or 1 in
+    # every bucket, so a block opens the times and value parts of its stream
+    # only, and still selects what the event scan selects
+    inst, policy = _table_case(dict(regression_instances())["uniform"], "adaptive")
+    table = monte_carlo._acceptance_table(inst, policy)
+    assert set(table[1].ravel()) == {0.0, 1.0}
+    block_rng, opened = monte_carlo._block_rng, []
+
+    def recorded(master_seed, block, skip=0):
+        opened.append(skip)
+        return block_rng(master_seed, block, skip)
+
+    monkeypatch.setattr(monte_carlo, "_block_rng", recorded)
+    nrep = 3000
+    selected, stopped = monte_carlo._simulate_block(inst, policy, table, 61, 0, nrep)
+    assert opened == [0, nrep * inst.total_rewards]
+    for r, seq in enumerate(_replayed_block(inst, 61, nrep)):
+        out = run_policy(policy, seq)
+        assert (bool(stopped[r]), float(selected[r])) == (out.stopped, out.selected_value), r
+    assert 0 < stopped.sum() < nrep
+
+
 def test_value_and_no_stop_from_one_simulation():
     inst = make_instance([COIN, TRI], 16)
     pol = make_adaptive(opt_law(inst), inst, math.exp(-4))
@@ -298,6 +341,21 @@ def test_cut_decides_each_edge_on_the_uniform_scale(kind):
             assert np.array_equal(d.ppf(u) >= e, u > c), name
 
 
+def test_cuts_do_not_depend_on_the_estimate():
+    # the estimate Pr[V < e] only narrows the search: on every regression law
+    # and 200 random ones, at each breakpoint, an ulp either side of it and
+    # +inf padding, the cuts equal those of the bisection with no estimate
+    rng = np.random.default_rng(11)
+    laws = [d for _, base in regression_instances() for d in base]
+    laws += [oracles.random_distribution(rng) for _ in range(200)]
+    for d in laws:
+        xs = d.xs
+        edges = np.full((3, len(xs) + 2), math.inf)
+        edges[:, :len(xs)] = (xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf))
+        got, want = monte_carlo._cuts(d, edges), oracles.cuts_by_bisection(d, edges)
+        assert got.shape == edges.shape and got.tobytes() == want.tobytes(), xs
+
+
 def test_block_peak_memory():
     # a block holds one chunk of draws, 3 * 1024 * 48 doubles = 1.1 MiB, and
     # that chunk's temporaries (4.5 MiB in all at this block); the block's
@@ -319,16 +377,22 @@ def test_block_peak_memory():
     ([COIN], 3, 2, monte_carlo._BLOCK - 1),  # a partial last block, nrep * N = 24,573
     ([TRI], 1, 5, 7),  # fewer rows than a chunk, 21 draws per part
 ], ids=["full-block", "partial-block", "short-block"])
-def test_streamed_draws_equal_the_block_stream(base, k, block, nrep):
-    # three generators started inside the block's stream, read chunk by
-    # chunk, give the numbers of one call drawing the whole block
+@pytest.mark.parametrize("tiebreaks", [True, False], ids=["tiebreaks", "no-tiebreaks"])
+def test_streamed_draws_equal_the_block_stream(base, k, block, nrep, tiebreaks):
+    # generators started inside the block's stream, read chunk by chunk,
+    # give the numbers of one call drawing the whole block; without the
+    # tiebreaks, the times and value uniforms keep theirs.  The next chunk
+    # reuses the arrays, so each chunk is copied
     N = len(base) * k
-    chunks = [(rows, *(part.copy() for part in parts))  # the next chunk reuses the arrays
-              for rows, *parts in monte_carlo._draws(19, block, nrep, N)]
+    chunks = [(rows, *(None if part is None else part.copy() for part in parts))
+              for rows, *parts in monte_carlo._draws(19, block, nrep, N, tiebreaks)]
     assert [c[0] for c in chunks] == [slice(s, min(s + monte_carlo._CHUNK, nrep))
                                       for s in range(0, nrep, monte_carlo._CHUNK)]
-    streamed = np.stack([np.concatenate([c[part] for c in chunks]) for part in (1, 2, 3)])
-    assert np.array_equal(streamed, monte_carlo._block_rng(19, block).random((3, nrep, N)))
+    drawn = (1, 2, 3) if tiebreaks else (1, 2)
+    assert all((c[3] is None) != tiebreaks for c in chunks)
+    streamed = np.stack([np.concatenate([c[part] for c in chunks]) for part in drawn])
+    whole = monte_carlo._block_rng(19, block).random((3, nrep, N))
+    assert np.array_equal(streamed, whole[:len(drawn)])
 
 
 def _per_core_count_results(monkeypatch, cores, kind):

@@ -417,6 +417,52 @@ class TestPiecesAt:
         assert np.array_equal(got, adaptive_phases(pol, times, identities))
         assert N == 1 or 0 < got.sum() < got.size
 
+    # (q, epsilon, where the phase steps by rank): fair-coin's q = e^-2 at
+    # eps = e^-4, where two copies still to come sum to ln(eps), tie and all;
+    # q near 1 is in phase 1 from the first arrival, and at eps = 1 no
+    # arrival ever is; ln q summing to about -8 steps halfway
+    @pytest.mark.parametrize("q, epsilon, step", [
+        (math.exp(-2), math.exp(-4), "tie"),
+        (0.999, math.exp(-4), "first"),
+        (0.5, 1.0, "never"),
+        (None, math.exp(-4), "halfway"),
+    ])
+    @pytest.mark.parametrize("N", [1, 2, 16, 48, 2048])
+    def test_equal_q_phase_by_rank_matches_argsort_reference(self, N, q, epsilon, step):
+        q = math.exp(-8.0 / N) if q is None else q
+        rng = np.random.default_rng(N)
+        identities = rng.integers(0, 3, N)
+        tau = RandomizedThreshold(1.0, 0.5)
+        pol = AdaptiveTwoThreshold(epsilon, 2, tau, tau, (q,) * 3, N)
+        r0 = policies._rank_step(math.log(q), math.log(epsilon), N)
+        if step == "first":
+            assert r0 == 0
+        elif step == "never":
+            assert r0 == N
+        elif N > 2:
+            assert 0 < r0 < N
+        times = rng.random((40, N))
+        times[20:] = np.floor(times[20:] * 8) / 8
+        times[0] = np.where(rng.random(N) < 0.5, 0.0, np.nextafter(1.0, 0.0))
+        got = pol.pieces_at(times, identities)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, adaptive_phases(pol, times, identities))
+
+    @pytest.mark.parametrize("q", [(0.3, 0.3), (0.3, 0.6)], ids=["equal-q", "unequal-q"])
+    def test_adaptive_phase_floors_off_grid_times(self, q):
+        # a time off the 2^-53 grid counts as the grid time below it: scaled
+        # by 2^55 before truncating, 2^-54 and 3 * 2^-55 reached the column
+        # bits of a 4-column row, and a column's phase went unwritten
+        tau = RandomizedThreshold(1.0, 0.5)
+        pol = AdaptiveTwoThreshold(math.exp(-2), 1, tau, tau, q, 2)
+        identities = np.repeat(np.arange(2), 2)
+        times = np.random.default_rng(8).random((36, 4))
+        for r, t in enumerate((2.0**-54, 3 * 2.0**-55, 5e-324) * 12):
+            times[r, r % 4] = t
+        got = pol.pieces_at(times, identities)
+        on_grid = np.floor(times * 2.0**53) / 2.0**53
+        assert np.array_equal(got, adaptive_phases(pol, on_grid, identities))
+
     @pytest.mark.parametrize("kind", ["blind", "activation"])
     def test_time_pieces_match_piece_at(self, kind):
         inst = make_instance([COIN, TRI], 6)
