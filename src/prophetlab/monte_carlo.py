@@ -1,10 +1,12 @@
 """Vectorized Monte Carlo simulation of any policy with reproducible seeding.
 
 Replications are partitioned into fixed-size blocks; block b draws from a
-Philox stream keyed by (master_seed, b).  The blocks are simulated on one
-thread per available core (numpy releases the GIL in the kernels that do
-the work), and their statistics are summed in block order, so every
-estimate is bit-identical whatever the core count.
+Philox stream keyed by (master_seed, b).  The blocks are simulated on up to
+one thread per available core (numpy releases the GIL in the kernels that
+do the work), claimed on demand, in block order, so a slow thread holds up
+no other, and their statistics are summed in block order, so every
+estimate is bit-identical whatever the core count and whichever thread
+simulated which block.
 
 It reads a policy only through ``num_pieces``, ``piece_stack(identity)`` and
 ``pieces_at(times, identities)``, so every policy runs down one path.  No
@@ -23,12 +25,16 @@ cannot matter and are not drawn.  A block is worked in chunks of rows, and
 its two or three draw parts are streamed by chunk: one generator per part,
 on the block's key, starts where its part begins in the block's stream and
 reads each chunk into one reused buffer, so a block holds one chunk of
-draws, not all of them.
+draws, not all of them.  Each worker reuses its chunk work arrays (cell and
+bucket indices, gathered table entries, comparisons, the policy's pieces
+through ``pieces_at(..., out=)``) from chunk to chunk and block to block, so
+the heap is not trimmed and faulted back in every chunk.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +51,7 @@ __all__ = ["McConfig", "estimate_expected_value", "estimate_exceedance",
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _BLOCK = 8192
 _CHUNK = 1024  # rows of a block drawn and worked at once, so a block stays small
+_per_thread = threading.local()  # a thread's chunk work arrays (``_work_arrays``)
 
 
 @dataclass(frozen=True)
@@ -132,6 +139,22 @@ def _draws(master_seed: int, block: int, nrep: int, N: int, tiebreaks: bool = Tr
         yield slice(start, start + rows), times, uvals, (ties[0] if ties else None)
 
 
+def _work_arrays(rows: int, N: int) -> tuple[np.ndarray, ...]:
+    """The calling thread's work arrays for chunks of up to ``rows`` rows of N
+    rewards: cell, flat (intp), looked (float), above (bool), each (rows, N)
+    or longer, then picked (intp) and the row numbers, one per row.  They are
+    kept for the thread's next block with N rewards, so a worker's blocks
+    allocate them once; every chunk writes an array's rows before it reads
+    them.  ``_block_sums`` drops a worker's arrays when no block is left."""
+    kept = getattr(_per_thread, "arrays", None)
+    if kept is None or kept[0].shape[1] != N or len(kept[0]) < rows:
+        shape = (rows, N)
+        kept = _per_thread.arrays = (
+            np.empty(shape, dtype=np.intp), np.empty(shape, dtype=np.intp), np.empty(shape),
+            np.empty(shape, dtype=bool), np.empty(rows, dtype=np.intp), np.arange(rows))
+    return kept
+
+
 def _simulate_block(inst: Instance, policy: Policy, table: tuple[np.ndarray, np.ndarray],
                     master_seed: int, block: int, nrep: int):
     """Returns (selected values, stopped mask) for the nrep replications of
@@ -146,7 +169,9 @@ def _simulate_block(inst: Instance, policy: Policy, table: tuple[np.ndarray, np.
     the ``argmin`` of the times, equal times going to the lower (identity,
     copy) column, and a replication stopped when its ``argmin`` is below 1.
     Only the selected rewards' uniforms are mapped to values.  The draws are
-    read and worked ``_CHUNK`` rows at a time.
+    read and worked ``_CHUNK`` rows at a time, each chunk in the thread's
+    work arrays (``_work_arrays``) and the policy's pieces written into one
+    of them.
     """
     n, k = inst.n, inst.copies
     identities = np.repeat(np.arange(n), k)
@@ -156,19 +181,25 @@ def _simulate_block(inst: Instance, policy: Policy, table: tuple[np.ndarray, np.
     stopped = np.empty(nrep, dtype=bool)
     owner = np.empty(nrep, dtype=np.intp)  # identity of the selected reward
     chosen = np.empty(nrep)  # its value uniform
+    work = _work_arrays(min(_CHUNK, nrep), n * k)
     for rows, t, u, ties in _draws(master_seed, block, nrep, n * k, tiebreaks):
-        cell = policy.pieces_at(t, identities)
+        cell, flat, looked, above, picked, at = (a[:len(t)] for a in work)
+        policy.pieces_at(t, identities, out=cell)
         cell *= n
         cell += identities
-        flat = cell * probs.shape[1]  # index of (cell, bucket) in probs, bucket counted below
-        for column in cuts.T:
-            flat += u > column.take(cell)
+        np.multiply(cell, probs.shape[1], out=flat)  # (cell, bucket) in probs, bucket counted below
+        for column in cuts.T:  # "clip" takes straight into out; every index is in range
+            column.take(cell, out=looked, mode="clip")
+            np.greater(u, looked, out=above)
+            flat += above
         if tiebreaks:
-            t += ties >= probs.take(flat)
+            probs.take(flat, out=looked, mode="clip")
+            np.greater_equal(ties, looked, out=above)
+            t += above
         else:
-            t += rejected.take(flat)
-        picked = t.argmin(axis=1)
-        at = np.arange(len(picked))
+            rejected.take(flat, out=looked, mode="clip")
+            t += looked
+        t.argmin(axis=1, out=picked)
         stopped[rows] = t[at, picked] < 1.0
         owner[rows] = identities[picked]
         chosen[rows] = u[at, picked]
@@ -181,27 +212,33 @@ def _simulate_block(inst: Instance, policy: Policy, table: tuple[np.ndarray, np.
 
 def _block_sums(inst: Instance, policy: Policy, cfg: McConfig, reduce) -> list:
     """``reduce(selected, stopped)`` of every block, in block order.  The
-    blocks go round-robin to ``min(_cores(), blocks)`` threads, this one
-    among them.  If a block raises, every thread stops taking blocks, all
-    are joined, and the first exception is raised here."""
-    import threading
-
+    blocks are simulated on ``min(_cores(), blocks)`` threads, this one among
+    them: worker w takes block w, so every thread simulates at least one,
+    then each claims the next unclaimed block on demand, in block order, so
+    a slow thread holds up no other.  A worker reuses its chunk work arrays
+    from block to block (``_work_arrays``) and drops them when no block is
+    left.  If a block raises, every thread stops taking blocks, all are
+    joined, and the first exception is raised here."""
     table = _acceptance_table(inst, policy)
     R = cfg.replications
     blocks = -(-R // _BLOCK)
     workers = min(_cores(), blocks)
     sums = [None] * blocks
     errors = []
+    claim = threading.Lock()
+    unclaimed = workers
 
-    def work(first):
-        for b in range(first, blocks, workers):
-            if errors:
-                return
+    def work(b):
+        nonlocal unclaimed
+        while b < blocks and not errors:
             try:
                 nrep = min(_BLOCK, R - b * _BLOCK)
                 sums[b] = reduce(*_simulate_block(inst, policy, table, cfg.master_seed, b, nrep))
             except BaseException as exc:  # raised below, once every thread has stopped
                 errors.append(exc)
+            with claim:
+                b, unclaimed = unclaimed, unclaimed + 1
+        _per_thread.arrays = None  # a thread holds its chunk arrays for one simulation
 
     helpers = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
     for thread in helpers:

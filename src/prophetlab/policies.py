@@ -5,8 +5,9 @@ policies attach per-identity, piecewise-constant-in-time activation tables;
 the adaptive two-threshold policy switches from a high to a low threshold at
 a data-dependent time set by the identities of the rewards still to arrive.
 
-Every policy answers ``num_pieces``, ``pieces_at(times, identities)`` (the
-piece of every arrival in a block of replications), ``case_quantiles`` (the
+Every policy answers ``num_pieces``, ``pieces_at(times, identities, out=None)``
+(the piece of every arrival in a block of replications, written into ``out``
+when one is given), ``case_quantiles`` (the
 OPT quantiles where its proof switches cases) and ``piece_stack(identity)``,
 the only form in which it gives its rules: one identity's rules of all
 pieces, built once.  A stack answers ``buckets()``, its rules as padded
@@ -70,8 +71,10 @@ class _TimePieces:
     def num_pieces(self) -> int:
         return len(self.breakpoints) - 1
 
-    def pieces_at(self, times: np.ndarray, identities: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.breakpoints, times, side="right") - 1  # times lie in [0, 1)
+    def pieces_at(self, times: np.ndarray, identities: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        found = np.searchsorted(self.breakpoints, times, side="right")
+        return np.subtract(found, 1, out=out)  # times lie in [0, 1)
 
 
 class ThresholdSchedule(_TimePieces):
@@ -289,7 +292,8 @@ class AdaptiveTwoThreshold:
     def _log_q(self) -> np.ndarray:
         return np.log(np.asarray(self.q))
 
-    def pieces_at(self, times: np.ndarray, identities: np.ndarray) -> np.ndarray:
+    def pieces_at(self, times: np.ndarray, identities: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
         """The phase of every arrival in a (rows, N) block of ``times``, column
         j being identity ``identities[j]``: 1 (tau2) once the rewards arriving
         strictly later all fall below tau2 with probability above epsilon, a
@@ -310,19 +314,23 @@ class AdaptiveTwoThreshold:
         (``_rank_step``).  Where the phases by rank step from 0 to 1 at rank
         r0 and the keys fit, an arrival's phase is whether its key is at
         least the r0-th smallest of its row, which ``np.partition`` finds
-        without a sort."""
+        without a sort.
+
+        The phases go to ``out``, a C-contiguous (rows, N) intp array, when
+        one is given; it may not overlap ``times``."""
         rows, N = times.shape
         log_q, log_eps = self._log_q, math.log(self.epsilon)
         shift = (N - 1).bit_length()
+        phase = np.empty(times.shape, dtype=np.intp) if out is None else out
         if 53 + shift <= 64:
-            key = np.empty(times.shape, dtype=np.int64)
+            r0 = _rank_step(float(log_q[0]), log_eps, N) if (log_q == log_q[0]).all() else None
+            # by rank, each key is read before its phase is written over it
+            key = phase if r0 is not None else np.empty_like(phase)
             np.multiply(times, 2.0 ** 53, out=key, casting="unsafe")  # truncates to the grid
             key = key.view(np.uint64)
             key <<= shift
             key |= np.arange(N, dtype=np.uint64)
-            r0 = _rank_step(float(log_q[0]), log_eps, N) if (log_q == log_q[0]).all() else None
             if r0 is not None:
-                phase = key.view(np.intp)  # each key is read before its phase is written
                 if 0 < r0 < N:
                     np.greater_equal(key, np.partition(key, r0, axis=1)[:, r0, None], out=phase)
                 else:
@@ -334,8 +342,8 @@ class AdaptiveTwoThreshold:
         else:
             order = np.argsort(times, axis=1, kind="stable")
         # contrib lives in the output's memory until the phases overwrite it,
-        # and the phases in later's, so a call makes three (rows, N) arrays
-        phase = np.empty(times.shape, dtype=np.intp)
+        # and the phases in later's, so a call makes two (rows, N) arrays
+        # besides its output
         contrib = phase.view(np.float64)
         np.take(log_q[identities], order, out=contrib, mode="clip")  # "raise" would buffer out
         later = np.empty_like(contrib)

@@ -1,8 +1,11 @@
 """Monte Carlo engine: determinism, CI arithmetic, agreement with the oracle."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -357,9 +360,11 @@ def test_cuts_do_not_depend_on_the_estimate():
 
 
 def test_block_peak_memory():
-    # a block holds one chunk of draws, 3 * 1024 * 48 doubles = 1.1 MiB, and
-    # that chunk's temporaries (4.5 MiB in all at this block); the block's
-    # draws held at once would take 9 MiB alone
+    # a block holds one chunk of draws, 3 * 1024 * 48 doubles = 1.1 MiB, the
+    # thread's chunk work arrays (1.2 MiB, allocated by the thread's first
+    # block) and pieces_at's temporaries: a peak of 4.0 MiB at this block, 2.1
+    # MiB once the thread holds its work arrays; the block's draws held at
+    # once would take 9 MiB alone
     inst = make_instance(list(dict(regression_instances())["tiered"]), 16)
     policy = make_adaptive(opt_law(inst), inst, math.exp(-4))
     table = monte_carlo._acceptance_table(inst, policy)
@@ -447,9 +452,87 @@ def test_more_threads_than_cores_sum_every_block(monkeypatch):
     assert got == [serial]
 
 
+@pytest.mark.parametrize("switch", [None, 1e-6], ids=["default-switching", "fast-switching"])
+def test_a_slow_worker_leaves_its_blocks_to_the_others(monkeypatch, switch):
+    # blocks are claimed on demand: while a helper sleeps 0.1 s before each
+    # of its blocks, the calling thread claims at least 7 of the 10 (a
+    # round-robin deal gives each thread five), and no estimate moves
+    inst = make_instance([COIN, TRI], 1)
+    policy = const_schedule(1.0, 0.5)
+    cfg = McConfig(10 * monte_carlo._BLOCK - 5, 13)
+    xs = [0.0, 0.5, 1.0, 2.5]
+
+    def both():
+        return estimate_value_and_no_stop(inst, policy, cfg), estimate_exceedance(inst, policy, xs, cfg)
+
+    monkeypatch.setattr(monte_carlo, "_cores", lambda: 1)
+    serial = both()
+    monkeypatch.setattr(monte_carlo, "_cores", lambda: 2)
+    simulate, caller_blocks = monte_carlo._simulate_block, []
+
+    def slow_helpers(*args):
+        if threading.current_thread() is runner:
+            caller_blocks.append(args[4])
+        else:
+            time.sleep(0.1)
+        return simulate(*args)
+
+    monkeypatch.setattr(monte_carlo, "_simulate_block", slow_helpers)
+    got = []
+    runner = threading.Thread(target=lambda: got.append(both()))
+    interval = sys.getswitchinterval()
+    if switch is not None:
+        sys.setswitchinterval(switch)
+    try:
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert got == [serial]
+    assert caller_blocks.count(0) == 2  # one per estimator, both on the calling thread
+    second = caller_blocks.index(0, 1)
+    for run in (caller_blocks[:second], caller_blocks[second:]):
+        assert len(run) >= 7 and run == sorted(run), run
+
+
+_SECOND_RUN_FAULTS = """
+import math, resource
+from prophetlab import McConfig, estimate_value_and_no_stop, make_adaptive, make_instance, opt_law
+from prophetlab import monte_carlo
+from prophetlab.experiments import regression_instances
+monte_carlo._cores = lambda: 1
+inst = make_instance(list(dict(regression_instances())["tiered"]), 16)
+policy = make_adaptive(opt_law(inst), inst, math.exp(-4))
+cfg = McConfig(25 * monte_carlo._BLOCK, 1)
+first = estimate_value_and_no_stop(inst, policy, cfg)
+before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+second = estimate_value_and_no_stop(inst, policy, cfg)
+print(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before, second == first)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="per-thread rusage is Linux's")
+def test_a_repeated_simulation_faults_in_few_pages():
+    # a worker keeps its chunk arrays from block to block, so a second run of
+    # tiered's 25 blocks (k = 16, N = 48) faults in few pages: 368 with
+    # glibc 2.36 on x86-64 Linux, against 18,400 when every chunk allocated
+    # its (1024, 48) arrays and the heap was trimmed and faulted back in each
+    # time.  A fresh interpreter runs it, so no earlier test's allocations
+    # set the heap's trim threshold
+    src = os.path.dirname(os.path.dirname(monte_carlo.__file__))
+    proc = subprocess.run([sys.executable, "-c", _SECOND_RUN_FAULTS], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    faults, same = proc.stdout.split()
+    assert same == "True"
+    assert int(faults) <= 2000
+
+
 @pytest.mark.parametrize("failing", [0, 1, 2])
 def test_block_error_reaches_the_caller_and_no_thread_outlives_it(monkeypatch, failing):
-    # with two workers, blocks 0 and 2 run on the calling thread, block 1 on a helper
+    # with two workers, the calling thread starts on block 0 and a helper on
+    # block 1; block 2 goes to whichever claims it first
     class Boom(RuntimeError):
         pass
 

@@ -448,6 +448,28 @@ class TestPiecesAt:
         assert got.dtype == np.intp
         assert np.array_equal(got, adaptive_phases(pol, times, identities))
 
+    @pytest.mark.parametrize("kind", ["blind", "activation", "equal-q", "unequal-q", "argsort"])
+    def test_pieces_go_into_a_given_out(self, kind):
+        # into the first rows of an array an earlier call left dirty, the
+        # pieces of a call that allocates its own, and no row more
+        if kind in ("blind", "activation"):
+            inst = make_instance([COIN, TRI], 6)
+            pol = make_blind_schedule(opt_law(inst), 6, grid_resolution=64)
+            pol = pol if kind == "blind" else activation_from_threshold(pol, inst.n)
+            N, identities = inst.total_rewards, np.repeat(np.arange(inst.n), 6)
+        else:
+            N = 2049 if kind == "argsort" else 48
+            identities = np.arange(N) % 3
+            q = (math.exp(-8.0 / N),) * 3 if kind == "equal-q" else (0.7, 0.8, 0.9)
+            tau = RandomizedThreshold(1.0, 0.5)
+            pol = AdaptiveTwoThreshold(math.exp(-4), 2, tau, tau, q, N)
+        times = np.random.default_rng(23).random((30, N))
+        out = np.full((40, N), -7, dtype=np.intp)
+        rows = out[:30]
+        assert pol.pieces_at(times, identities, out=rows) is rows
+        assert np.array_equal(out[:30], pol.pieces_at(times, identities))
+        assert 0 < out[:30].sum() and (out[30:] == -7).all()
+
     @pytest.mark.parametrize("q", [(0.3, 0.3), (0.3, 0.6)], ids=["equal-q", "unequal-q"])
     def test_adaptive_phase_floors_off_grid_times(self, q):
         # a time off the 2^-53 grid counts as the grid time below it: scaled
