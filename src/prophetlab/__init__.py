@@ -6,13 +6,7 @@ rule picks at most one reward.  The benchmark is the expected maximum over a
 single copy of each base distribution.
 """
 
-from .distributions import (
-    Distribution,
-    RandomizedThreshold,
-    distribution_from_json,
-    nth_root,
-    product_max,
-)
+from .distributions import Distribution, distribution_from_json, nth_root, product_max
 from .errors import (
     ConfigError,
     InvalidInstanceError,
@@ -40,6 +34,7 @@ from .policies import (
     ActivationPolicy,
     AdaptiveTwoThreshold,
     ThresholdSchedule,
+    ThresholdStack,
     ValueBuckets,
     make_adaptive,
     make_blind_schedule,

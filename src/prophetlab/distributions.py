@@ -1,5 +1,4 @@
-"""Reward distributions with exact CDF and inverse CDF, max/root operators,
-and the randomized threshold rule.
+"""Reward distributions with exact CDF and inverse CDF, and max/root operators.
 
 Two user-facing families are supported: discrete atom lists and
 piecewise-linear CDFs.  Internally both are stored as a breakpoint grid
@@ -8,7 +7,8 @@ also closed (at breakpoints) under the pointwise-product and n-th-root
 operators.  A law is these three arrays and nothing else: they state its
 form, and every evaluator reads only them.  Discreteness of a law is
 emulated by the (value, tiebreak) lexicographic order together with
-randomized thresholds, so exact quantiles exist for every law.
+randomized thresholds (``policies.ThresholdStack``), so exact quantiles exist
+for every law.
 
 A law answers four questions, each under one name for every input shape:
 ``cdf(x)`` = Pr[V <= x], ``left_and_atom(x)`` = (Pr[V < x], Pr[V = x]),
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,41 +59,12 @@ from .errors import InvalidInstanceError, InvalidParameterError, is_integer
 
 __all__ = [
     "Distribution",
-    "RandomizedThreshold",
     "product_max",
     "nth_root",
     "distribution_from_json",
 ]
 
 _MASS_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class RandomizedThreshold:
-    """Accept values above ``tau`` always, values equal to ``tau`` with
-    probability ``accept_prob``."""
-
-    tau: float
-    accept_prob: float
-
-    def __post_init__(self):
-        if math.isnan(self.tau):
-            raise InvalidParameterError("a threshold tau must be a number, got nan")
-        if not 0.0 <= self.accept_prob <= 1.0:  # NaN fails too
-            raise InvalidParameterError(
-                f"accept probability must lie in [0, 1], got {self.accept_prob!r}")
-
-    # one law's questions, one threshold at a time (policies.ThresholdStack
-    # asks them for a stack of thresholds)
-
-    def rejected_mass(self, d: Distribution) -> float:
-        """Pr[rejected]."""
-        left, atom = d.left_and_atom(self.tau)
-        return left + (1.0 - self.accept_prob) * atom
-
-    def accepted_mass(self, d: Distribution) -> float:
-        """Pr[accepted]."""
-        return 1.0 - self.rejected_mass(d)
 
 
 class Distribution:

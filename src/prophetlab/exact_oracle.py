@@ -65,8 +65,8 @@ def _pieces(schedule: ThresholdSchedule) -> tuple[tuple[float, float, float, flo
 def p_tau_single(schedule: ThresholdSchedule, d: Distribution, t: float) -> float:
     """Pr[the threshold policy stops strictly before time t] for one reward:
     the length of each piece before t times its Pr[accepted], with the
-    arithmetic of ``RandomizedThreshold.accepted_mass``, one scalar lookup
-    per piece."""
+    arithmetic of ``ThresholdStack.accepted_mass``, one scalar lookup per
+    piece."""
     pieces = _pieces(schedule)
     if math.isnan(t):
         raise InvalidParameterError("time t must be a number, got nan")

@@ -224,7 +224,7 @@ def dominance_check(
 
     The grid is the 99 percentile points plus the case boundaries where the
     sufficiency proofs switch: the OPT median, quantile 1 - 1/k, and the
-    policy's own ``case_quantiles`` (the adaptive policy's tau1/tau2).
+    policy's own ``case_quantiles`` (the adaptive policy's two thresholds).
     ``opt`` is the instance's OPT law when the caller has already built it.
     The report's evaluator is the one that ran: "mc" for the adaptive policy
     whatever was asked.

@@ -8,13 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import (
-    Distribution,
-    RandomizedThreshold,
-    _merged_grid,
-    distribution_from_json,
-    product_max,
-)
+from .distributions import Distribution, _merged_grid, distribution_from_json, product_max
 from .errors import InvalidInstanceError, InvalidQuantileError, is_integer
 from .quadrature import leggauss
 
@@ -96,14 +90,11 @@ class OptLaw:
             total += half * float(np.sum(weights * (1.0 - vals)))
         return total
 
-    def quantile_threshold(self, q: float) -> RandomizedThreshold:
-        """(tau, accept_prob) with Pr[OPT rejected] exactly q; see ``quantile_arrays``."""
-        tau, accept = self.quantile_arrays((q,))
-        return RandomizedThreshold(tau.item(), accept.item())
-
-    def quantile_arrays(self, qs: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    def quantile_threshold(self, qs: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """The randomized thresholds of the qs as arrays (tau, accept_prob),
-        each with Pr[OPT rejected] exactly q under the randomized-tiebreak
+        the rows of a ``policies.ThresholdStack``: each accepts values above
+        tau always and values equal to tau with probability accept_prob, and
+        has Pr[OPT rejected] exactly q under the randomized-tiebreak
         semantics (product of per-distribution rejections).
 
         All qs are solved together: a crossing strictly inside a segment of
@@ -113,8 +104,9 @@ class OptLaw:
         come from one exact search over the bit patterns of doubles
         (``_bisect``) from a secant estimate of each q's answer (``_secant``).
         Both work elementwise and factors multiply in base order, so each
-        result equals solving its q alone, bit for bit."""
-        q = np.array(qs, dtype=float)
+        result equals solving its q alone, bit for bit.  A lone q is the
+        batch [q]."""
+        q = np.array(qs, dtype=float, ndmin=1)
         bad = np.flatnonzero(~((q >= 0.0) & (q < 1.0)))  # NaN is bad too
         if bad.size:
             raise InvalidQuantileError(f"quantile must be in [0, 1), got {q[bad[0]].item()!r}")

@@ -1,9 +1,12 @@
 """The four algorithm classes as executable accept/reject rules.
 
-Threshold schedules are piecewise-constant randomized thresholds; activation
-policies attach per-identity, piecewise-constant-in-time activation tables;
-the adaptive two-threshold policy switches from a high to a low threshold at
-a data-dependent time set by the identities of the rewards still to arrive.
+A randomized threshold accepts values above tau always and values equal to
+tau with probability accept_prob.  It has one form, a row of a
+``ThresholdStack``: a single-threshold rule is a one-row stack, a blind
+schedule one row per time piece, and the adaptive rule two rows (tau1, then
+tau2) between which it switches online, at a data-dependent time set by the
+identities of the rewards still to arrive.  Activation policies attach
+per-identity, piecewise-constant-in-time activation tables.
 
 Every policy answers ``num_pieces``, ``pieces_at(times, identities, out=None)``
 (the piece of every arrival in a block of replications, written into ``out``
@@ -13,15 +16,15 @@ the only form in which it gives its rules: one identity's rules of all
 pieces, built once.  A stack answers ``buckets()``, its rules as padded
 value-bucket tables (Monte Carlo's form), and asks each law's questions
 (``cdf``, ``left_and_atom``, ``mean_between``) once on arrays for all pieces
-(the exact integrator's form).  A threshold schedule and the adaptive rule
-hold one ``ThresholdStack`` for every identity; the adaptive rule's two
-pieces are its phases, found from packed 64-bit keys, each time above its
-column index: one sort, or one ``np.partition`` when every identity has the
-same q (a stable argsort past N = 2048).
+(the exact integrator's form).  The adaptive rule's two pieces are its
+phases, found from packed 64-bit keys, each time above its column index: one
+sort, or one ``np.partition`` when every identity has the same q (a stable
+argsort past N = 2048).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -29,7 +32,7 @@ from typing import Union
 
 import numpy as np
 
-from .distributions import Distribution, RandomizedThreshold
+from .distributions import Distribution
 from .errors import InvalidParameterError, PolicyMismatchError, is_integer
 from .instance import Instance, OptLaw
 
@@ -78,18 +81,17 @@ class _TimePieces:
 
 
 class ThresholdSchedule(_TimePieces):
-    """Breakpoints 0 = s_0 < ... < s_m = 1 with one randomized threshold per
-    piece, given as ``RandomizedThreshold`` rules or as a ``ThresholdStack``
-    and held as that one stack, which serves every identity.  ``pieces``
-    lists the same rules by piece in Python floats, built on first use, for
-    ``p_tau_single``, which asks one threshold at a time."""
+    """Breakpoints 0 = s_0 < ... < s_m = 1 and a ``ThresholdStack`` with one
+    row per piece, which serves every identity.  ``pieces`` lists the same
+    rows by piece in Python floats, built on first use, for ``p_tau_single``,
+    which asks one threshold at a time."""
 
-    def __init__(self, breakpoints, thresholds):
+    def __init__(self, breakpoints, stack):
+        if not isinstance(stack, ThresholdStack):
+            raise InvalidParameterError(
+                f"a threshold schedule needs a ThresholdStack, got {type(stack).__name__}")
         self.breakpoints = tuple(breakpoints)
-        if not isinstance(thresholds, ThresholdStack):  # a sequence of rules
-            thresholds = ThresholdStack([rt.tau for rt in thresholds],
-                                        [rt.accept_prob for rt in thresholds])
-        self.stack = thresholds
+        self.stack = stack
         super().__post_init__()
         if len(self.breakpoints) != len(self.stack.tau) + 1:
             raise InvalidParameterError("need exactly one threshold per piece")
@@ -99,12 +101,6 @@ class ThresholdSchedule(_TimePieces):
         """(lo, hi, tau, accept_prob) of every piece, in Python floats."""
         b = [float(s) for s in self.breakpoints]
         return tuple(zip(b[:-1], b[1:], self.stack.tau.tolist(), self.stack.accept_prob.tolist()))
-
-    @cached_property
-    def thresholds(self) -> tuple[RandomizedThreshold, ...]:
-        """The rule of every piece."""
-        return tuple(map(RandomizedThreshold, self.stack.tau.tolist(),
-                         self.stack.accept_prob.tolist()))
 
     def piece_stack(self, identity: int) -> ThresholdStack:
         return self.stack
@@ -138,9 +134,11 @@ class ValueBuckets:
 
 
 class ThresholdStack:
-    """Randomized thresholds, one per piece: the arrays ``tau`` and
-    ``accept_prob``, checked as a ``RandomizedThreshold`` checks its own.
-    Both are read-only copies, since one stack serves every identity."""
+    """Randomized thresholds, one per piece: the arrays ``tau`` (any number,
+    infinities included) and ``accept_prob`` (in [0, 1]).  Row r accepts
+    values above tau[r] always and values equal to tau[r] with probability
+    accept_prob[r].  Both are read-only copies, since one stack serves every
+    identity."""
 
     def __init__(self, tau, accept_prob):
         self.tau = np.array(tau, dtype=float)
@@ -151,8 +149,10 @@ class ThresholdStack:
             raise InvalidParameterError("need one accept probability per threshold")
         if np.isnan(self.tau).any():
             raise InvalidParameterError("a threshold tau must be a number, got nan")
-        if not ((self.accept_prob >= 0.0) & (self.accept_prob <= 1.0)).all():  # NaN fails too
-            raise InvalidParameterError("accept probability must lie in [0, 1]")
+        bad = self.accept_prob[~((self.accept_prob >= 0.0) & (self.accept_prob <= 1.0))]
+        if bad.size:  # NaN is bad too
+            raise InvalidParameterError(
+                f"accept probability must lie in [0, 1], got {bad[0].item()!r}")
 
     def buckets(self) -> tuple[np.ndarray, np.ndarray]:
         """Edges tau and the double above it, probs (0, a, 1): reject below
@@ -161,16 +161,23 @@ class ThresholdStack:
         a = self.accept_prob
         return edges, np.stack([np.zeros_like(a), a, np.ones_like(a)], axis=1)
 
-    def accepted_mass(self, d: Distribution) -> np.ndarray:
-        """Pr[accepted] per piece: 1 - (Pr[V < tau] + (1 - a) Pr[V = tau])."""
+    def rejected_mass(self, d: Distribution) -> np.ndarray:
+        """Pr[rejected] per piece: Pr[V < tau] + (1 - a) Pr[V = tau]."""
         left, atom = d.left_and_atom(self.tau)
-        return 1.0 - (left + (1.0 - self.accept_prob) * atom)
+        return left + (1.0 - self.accept_prob) * atom
+
+    def accepted_mass(self, d: Distribution) -> np.ndarray:
+        """Pr[accepted] per piece."""
+        return 1.0 - self.rejected_mass(d)
 
     def accepted_mean(self, d: Distribution) -> np.ndarray:
-        """E[V * 1{accepted}] per piece."""
+        """E[V * 1{accepted}] per piece: E[V 1{V > tau}] plus a tau Pr[V = tau]
+        where that atom is positive, so an infinite tau adds no inf * 0."""
         _, atom = d.left_and_atom(self.tau)
         above = d.mean_between(self.tau, np.inf, open_left=True)
-        return above + self.accept_prob * self.tau * atom
+        at_tau = np.multiply(self.accept_prob, self.tau, out=np.zeros_like(atom),
+                             where=atom > 0.0)
+        return above + at_tau * atom
 
     def accepted_mass_above(self, d: Distribution, xs: np.ndarray) -> np.ndarray:
         """Pr[accepted and V > x] per (x, piece): 1 - F(tau) + a Pr[V = tau]
@@ -258,30 +265,29 @@ class ActivationPolicy(_TimePieces):
 
 @dataclass(frozen=True)
 class AdaptiveTwoThreshold:
-    """High threshold tau1 until the online switch time, low threshold tau2
-    after: its pieces are these two phases, not spans of time."""
+    """The high threshold tau1 (row 0 of ``stack``) until the online switch
+    time, the low threshold tau2 (row 1) after: its pieces are these two
+    phases, not spans of time."""
 
     epsilon: float
     ell: int
-    tau1: RandomizedThreshold
-    tau2: RandomizedThreshold
+    stack: ThresholdStack  # rows (tau1, tau2)
     q: tuple[float, ...]  # per-identity Pr[V_i rejected at tau2]
     copies: int
 
     num_pieces = 2
 
+    def __post_init__(self):
+        if len(self.stack.tau) != 2:
+            raise InvalidParameterError("the adaptive rule needs a two-row stack (tau1, tau2)")
+
     @property
     def n(self) -> int:
         return len(self.q)
 
-    @cached_property
-    def _stack(self) -> ThresholdStack:
-        return ThresholdStack((self.tau1.tau, self.tau2.tau),
-                              (self.tau1.accept_prob, self.tau2.accept_prob))
-
     def piece_stack(self, identity: int) -> ThresholdStack:
         """The same two thresholds, (tau1, tau2), for every identity."""
-        return self._stack
+        return self.stack
 
     @property
     def case_quantiles(self) -> tuple[float, float]:
@@ -377,7 +383,7 @@ Policy = Union[ThresholdSchedule, ActivationPolicy, AdaptiveTwoThreshold]
 
 def make_single_threshold(opt: OptLaw) -> ThresholdSchedule:
     """The blind single-threshold rule at the OPT median."""
-    return ThresholdSchedule((0.0, 1.0), (opt.quantile_threshold(0.5),))
+    return ThresholdSchedule((0.0, 1.0), ThresholdStack(*opt.quantile_threshold((0.5,))))
 
 
 def make_blind_schedule(opt: OptLaw, k: int, grid_resolution: int = 512) -> ThresholdSchedule:
@@ -396,8 +402,8 @@ def make_blind_schedule(opt: OptLaw, k: int, grid_resolution: int = 512) -> Thre
     if switch >= 1.0:
         return make_single_threshold(opt)
     grid = np.linspace(switch, 1.0, grid_resolution + 1)
-    tau, accept = opt.quantile_arrays(np.concatenate([[0.5], 1.0 / (grid[:-1] * k)]))
-    return ThresholdSchedule((0.0, switch, *grid[1:].tolist()), ThresholdStack(tau, accept))
+    stack = ThresholdStack(*opt.quantile_threshold(np.concatenate([[0.5], 1.0 / (grid[:-1] * k)])))
+    return ThresholdSchedule((0.0, switch, *grid[1:].tolist()), stack)
 
 
 def log_inverse(epsilon: float) -> float:
@@ -417,25 +423,24 @@ def adaptive_ell(epsilon: float) -> int:
 def make_adaptive(opt: OptLaw, inst: Instance, epsilon: float) -> AdaptiveTwoThreshold:
     """Two-threshold adaptive policy: tau1 at OPT-quantile 3/4, tau2 at e^-ell."""
     ell = adaptive_ell(epsilon)
-    tau, accept = opt.quantile_arrays((_TAU1_QUANTILE, math.exp(-ell)))
-    tau1, tau2 = map(RandomizedThreshold, tau.tolist(), accept.tolist())
-    q = tuple(tau2.rejected_mass(d) for d in inst.base)
-    return AdaptiveTwoThreshold(float(epsilon), ell, tau1, tau2, q, inst.copies)
+    stack = ThresholdStack(*opt.quantile_threshold((_TAU1_QUANTILE, math.exp(-ell))))
+    q = tuple(stack.rejected_mass(d)[1].item() for d in inst.base)
+    return AdaptiveTwoThreshold(float(epsilon), ell, stack, q, inst.copies)
 
 
 def sort_nonincreasing(schedule: ThresholdSchedule) -> ThresholdSchedule:
-    """Rearrange the pieces (keeping their lengths) into nonincreasing order."""
-    lengths = np.diff(schedule.breakpoints)
-    order = sorted(
-        range(schedule.num_pieces),
-        key=lambda r: (schedule.thresholds[r].tau, -schedule.thresholds[r].accept_prob),
-        reverse=True,
-    )
-    breaks = [0.0]
-    for r in order:
-        breaks.append(breaks[-1] + float(lengths[r]))
+    """Rearrange the pieces (keeping their lengths) into nonincreasing order:
+    tau falling, then accept_prob rising, ties in piece order.  A rearranged
+    sum of lengths can round up to its successor (or to 1.0); each such
+    breakpoint moves down to the double below its successor."""
+    stack = schedule.stack
+    order = np.lexsort((stack.accept_prob, -stack.tau))
+    breaks = [0.0, *itertools.accumulate(np.diff(schedule.breakpoints)[order].tolist())]
     breaks[-1] = 1.0
-    return ThresholdSchedule(tuple(breaks), tuple(schedule.thresholds[r] for r in order))
+    for r in range(len(breaks) - 2, 0, -1):
+        if breaks[r] >= breaks[r + 1]:
+            breaks[r] = math.nextafter(breaks[r + 1], 0.0)
+    return ThresholdSchedule(breaks, ThresholdStack(stack.tau[order], stack.accept_prob[order]))
 
 
 # -------------------------------------------------------------------- shape

@@ -8,11 +8,17 @@ exactly the regime the unit tests use to pin the fast evaluators.
 The event scan (``sample_arrivals``, ``run_policy``) plays one realized
 arrival sequence forward, one reward at a time, and is what the vectorized
 Monte Carlo block must reproduce replication for replication.  Both it and
-the enumeration read a policy's rules from its own data (``rule_of``: a
-schedule's ``thresholds``, an activation policy's ``tables``, the adaptive
-rule's ``tau1``/``tau2``), never from its piece stacks, and decide through
-``acceptance_prob``, from ``tau`` and ``accept_prob`` or from the bucket
-edges directly.
+the enumeration read a policy's rules from its own data (``rule_of``: row r
+of a schedule's or the adaptive rule's ``stack``, read from its arrays
+``tau`` and ``accept_prob`` as a ``RandomizedThreshold``, or an activation
+policy's ``tables``), never from a stack's answers (``buckets()``,
+``accepted_*``), and decide through ``acceptance_prob``, from ``tau`` and
+``accept_prob`` or from the bucket edges directly.
+
+``RandomizedThreshold`` is the scalar reference rule, retired from the
+library, whose one threshold form is a row of ``policies.ThresholdStack``:
+it asks a law one question at a time for its ``rejected_mass`` and
+``accepted_mass``.  ``rules_of`` reads a stack's rows as such rules.
 
 ``acceptance_table`` builds Monte Carlo's acceptance table from those rules,
 one ``bucket_form`` per (piece, identity) cell, padded by ``bucket_table``:
@@ -23,7 +29,7 @@ the table that ``monte_carlo._acceptance_table``, reading the piece stacks'
 table must equal state for state.
 
 ``reference_quantile_threshold`` is the scalar, one-q-at-a-time OPT quantile
-search that ``OptLaw.quantile_arrays`` must reproduce bit for bit; it
+search that ``OptLaw.quantile_threshold`` must reproduce bit for bit; it
 reads the OPT law's left limits through ``opt_cdf_left``.
 
 ``adaptive_phases`` finds the adaptive rule's arrival order by a stable
@@ -53,7 +59,7 @@ ask each law one ``_lookup_scalar`` at every point of the merged grid;
 ``discrete_by_arrays`` and ``piecewise_by_arrays`` build a law's arrays by
 numpy array arithmetic; and
 ``random_distribution`` and ``random_schedule`` draw from numpy arrays,
-build the schedule from per-piece rules and make the same generator calls
+build the schedule from per-piece floats and make the same generator calls
 as the lemma suite's draw helpers, which must leave the stream where these
 leave it.
 
@@ -75,8 +81,8 @@ from prophetlab import (
     AdaptiveTwoThreshold,
     Distribution,
     Instance,
-    RandomizedThreshold,
     ThresholdSchedule,
+    ThresholdStack,
     ValueBuckets,
 )
 from prophetlab import distributions
@@ -99,14 +105,37 @@ def atoms(d):
     return pairs
 
 
+@dataclass(frozen=True)
+class RandomizedThreshold:
+    """Accept values above ``tau`` always, values equal to ``tau`` with
+    probability ``accept_prob``: one row of a ``ThresholdStack``, asked one
+    scalar question at a time."""
+
+    tau: float
+    accept_prob: float
+
+    def rejected_mass(self, d) -> float:
+        """Pr[rejected]."""
+        left, atom = d.left_and_atom(self.tau)
+        return left + (1.0 - self.accept_prob) * atom
+
+    def accepted_mass(self, d) -> float:
+        """Pr[accepted]."""
+        return 1.0 - self.rejected_mass(d)
+
+
+def rules_of(stack: ThresholdStack) -> tuple[RandomizedThreshold, ...]:
+    """The rows of a stack as rules, read from its arrays in Python floats."""
+    return tuple(map(RandomizedThreshold, stack.tau.tolist(), stack.accept_prob.tolist()))
+
+
 def rule_of(policy, piece: int, identity: int):
     """Identity ``identity``'s rule in ``piece`` (a phase, for the adaptive
     rule), read from the policy's own data."""
-    if isinstance(policy, ThresholdSchedule):
-        return policy.thresholds[piece]
     if isinstance(policy, ActivationPolicy):
         return policy.tables[piece][identity]
-    return (policy.tau1, policy.tau2)[piece]
+    stack = policy.stack
+    return RandomizedThreshold(stack.tau[piece].item(), stack.accept_prob[piece].item())
 
 
 def bucket_form(rule) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -445,9 +474,9 @@ def accepted_mass(rule, d) -> float:
 def accepted_mean(rule, d) -> float:
     """E[V * 1{``rule`` accepts V}] for V drawn from ``d``."""
     if isinstance(rule, RandomizedThreshold):
-        return mean_between(d, rule.tau, np.inf, open_left=True) + (
-            rule.accept_prob * rule.tau * point_mass(d, rule.tau)
-        )
+        mass = point_mass(d, rule.tau)  # no atom adds nothing, even at an infinite tau
+        at_tau = rule.accept_prob * rule.tau * mass if mass > 0.0 else 0.0
+        return mean_between(d, rule.tau, np.inf, open_left=True) + at_tau
     return sum(p * mean_between(d, lo, hi) for lo, hi, p in bucket_bounds(rule))
 
 
@@ -501,7 +530,7 @@ def p_tau_single(schedule: ThresholdSchedule, d, t: float) -> float:
     """``exact_oracle.p_tau_single``, asking each piece's rule."""
     b = schedule.breakpoints
     total = 0.0
-    for lo, hi, rt in zip(b[:-1], b[1:], schedule.thresholds):
+    for lo, hi, rt in zip(b[:-1], b[1:], rules_of(schedule.stack)):
         hi = min(hi, t)
         if hi <= lo:
             break
@@ -578,15 +607,16 @@ def random_distribution(rng: np.random.Generator) -> Distribution:
 
 
 def random_schedule(rng: np.random.Generator, pieces=None) -> ThresholdSchedule:
-    """The lemma suite's random schedule, built from per-piece rules."""
+    """The lemma suite's random schedule, built from per-piece floats."""
     m = int(pieces if pieces is not None else rng.integers(1, 4))
     cuts = np.sort(rng.choice(_CUT_POOL, size=m - 1, replace=False)) if m > 1 else []
-    rts = []
+    taus, accepts = [], []
     for _ in range(m):
         tau = float(rng.choice(_VALUE_POOL)) if rng.random() < 0.7 else float(rng.uniform(0, 3))
         ap = float(rng.choice(_ACCEPT_POOL)) if rng.random() < 0.7 else float(rng.random())
-        rts.append(RandomizedThreshold(tau, ap))
-    return ThresholdSchedule((0.0, *map(float, cuts), 1.0), tuple(rts))
+        taus.append(tau)
+        accepts.append(ap)
+    return ThresholdSchedule((0.0, *map(float, cuts), 1.0), ThresholdStack(taus, accepts))
 
 
 # ------------------------------------------------------------ event scan
@@ -611,7 +641,7 @@ def piece_at(policy, t: float) -> int:
 
 
 def threshold_at(schedule: ThresholdSchedule, t: float) -> RandomizedThreshold:
-    return schedule.thresholds[piece_at(schedule, t)]
+    return rule_of(schedule, piece_at(schedule, t), 0)
 
 
 def constant_activation(buckets_per_identity) -> ActivationPolicy:
@@ -732,7 +762,7 @@ def _run_adaptive(policy: AdaptiveTwoThreshold, seq: ArrivalSequence) -> StopOut
     for pos, later in enumerate(later_log_q(policy, seq)):
         i = int(seq.identities[pos])
         # suffix product over strictly-later arrivals decides the phase
-        rt = policy.tau2 if later > log_eps else policy.tau1
+        rt = rule_of(policy, 1 if later > log_eps else 0, i)
         av = AugmentedValue(float(seq.values[pos]), float(seq.tiebreaks[pos]))
         if accepts(rt, av):
             return StopOutcome(True, float(seq.times[pos]), av.value,

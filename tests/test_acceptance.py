@@ -16,8 +16,8 @@ from oracles import enumerate_expected_value
 from prophetlab import (
     Distribution,
     McConfig,
-    RandomizedThreshold,
     ThresholdSchedule,
+    ThresholdStack,
     estimate_expected_value,
     estimate_value_and_no_stop,
     expected_value,
@@ -117,12 +117,9 @@ def test_05_oracle_vs_brute_force_and_mc():
         "skew": Distribution.discrete([(0.0, 0.7), (2.5, 0.3)]),
     }
     schedules = [
-        ThresholdSchedule((0.0, 1.0), (RandomizedThreshold(0.5, 0.0),)),
-        ThresholdSchedule((0.0, 1.0), (RandomizedThreshold(1.0, 0.5),)),
-        ThresholdSchedule(
-            (0.0, 0.3, 1.0),
-            (RandomizedThreshold(2.0, 0.25), RandomizedThreshold(0.0, 0.9)),
-        ),
+        ThresholdSchedule((0.0, 1.0), ThresholdStack([0.5], [0.0])),
+        ThresholdSchedule((0.0, 1.0), ThresholdStack([1.0], [0.5])),
+        ThresholdSchedule((0.0, 0.3, 1.0), ThresholdStack([2.0, 0.0], [0.25, 0.9])),
     ]
     worst = 0.0
     names = sorted(pool)
@@ -144,9 +141,8 @@ def test_05_oracle_vs_brute_force_and_mc():
     for trial in range(20):
         base = [laws[i] for i in rng.integers(0, len(laws), size=rng.integers(1, 4))]
         inst = make_instance(base, int(rng.integers(1, 4)))
-        sched = ThresholdSchedule(
-            (0.0, 1.0), (RandomizedThreshold(float(rng.choice([0.0, 0.5, 1.0, 2.0])), float(rng.random())),)
-        )
+        tau = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
+        sched = ThresholdSchedule((0.0, 1.0), ThresholdStack([tau], [float(rng.random())]))
         exact = expected_value(inst, sched).estimate
         res = estimate_expected_value(inst, sched, McConfig(200_000, 9_000 + trial))
         # 99% CI, one retry allowed; the 1e-12 floor covers constant-reward

@@ -14,6 +14,7 @@ from prophetlab import (
     InvalidParameterError,
     InvalidQuantileError,
     OptLaw,
+    ThresholdStack,
     distribution_from_json,
     nth_root,
     product_max,
@@ -83,32 +84,33 @@ class TestCdf:
 class TestQuantileThreshold:
     def test_atom_boundary_exact(self):
         d = Distribution.discrete([(1.0, 0.5), (2.0, 0.5)])
-        rt = OptLaw([d]).quantile_threshold(0.5)
-        assert (rt.tau, rt.accept_prob) == (1.0, 0.0)
+        tau, accept = OptLaw([d]).quantile_threshold([0.5])
+        assert (tau.tolist(), accept.tolist()) == ([1.0], [0.0])
 
     def test_interior_of_atom(self):
         d = Distribution.discrete([(1.0, 0.5), (2.0, 0.5)])
-        rt = OptLaw([d]).quantile_threshold(0.25)
-        assert rt.tau == 1.0
-        assert rt.accept_prob == pytest.approx(0.5, abs=1e-15)
+        (tau,), (accept,) = OptLaw([d]).quantile_threshold([0.25])
+        assert tau == 1.0
+        assert accept == pytest.approx(0.5, abs=1e-15)
 
     def test_uniform_median(self):
         d = Distribution.piecewise([(0.0, 0.0), (1.0, 1.0)])
-        assert OptLaw([d]).quantile_threshold(0.5).tau == pytest.approx(0.5, abs=1e-12)
+        (tau,), _ = OptLaw([d]).quantile_threshold([0.5])
+        assert tau == pytest.approx(0.5, abs=1e-12)
 
     def test_rejects_bad_quantile(self):
         d = Distribution.discrete([(1.0, 1.0)])
         with pytest.raises(InvalidQuantileError):
-            OptLaw([d]).quantile_threshold(1.0)
+            OptLaw([d]).quantile_threshold([1.0])
         with pytest.raises(InvalidQuantileError):
-            OptLaw([d]).quantile_threshold(-0.1)
+            OptLaw([d]).quantile_threshold([-0.1])
 
     @given(discrete_laws(), st.integers(min_value=0, max_value=99))
     @settings(max_examples=100, deadline=None)
     def test_roundtrip_rejection_probability(self, d, hundredths):
         q = hundredths / 100.0
-        rt = OptLaw([d]).quantile_threshold(q)
-        assert abs(rt.rejected_mass(d) - q) <= 1e-12
+        (rejected,) = ThresholdStack(*OptLaw([d]).quantile_threshold([q])).rejected_mass(d)
+        assert abs(rejected - q) <= 1e-12
 
 
 class TestProductMax:
@@ -223,7 +225,7 @@ def _lemma_laws(trials=40, seed=0):
     order, extra points, the law built)."""
     rng = np.random.default_rng(seed)
     for trial in range(trials):
-        taus = [rt.tau for rt in experiments._random_schedule(rng).thresholds]
+        taus = experiments._random_schedule(rng).stack.tau.tolist()
         Fs = [experiments._random_distribution(rng) for _ in range(int(rng.integers(2, 5)))]
         prod = product_max(Fs, extra_points=taus)
         yield f"lemma{trial}/prod", Fs, 1, taus, prod

@@ -22,8 +22,8 @@ from prophetlab import (
     ExactEvaluator,
     InvalidInstanceError,
     InvalidParameterError,
+    McConfig,
     PolicyMismatchError,
-    RandomizedThreshold,
     ThresholdSchedule,
     exceedance,
     expected_value,
@@ -50,7 +50,7 @@ ATOM1 = Distribution.discrete([(1.0, 1.0)])
 
 
 def const_schedule(tau, accept_prob=0.0):
-    return ThresholdSchedule((0.0, 1.0), (RandomizedThreshold(tau, accept_prob),))
+    return ThresholdSchedule((0.0, 1.0), ThresholdStack([tau], [accept_prob]))
 
 
 def exceedance_at(inst, policy, x):
@@ -127,10 +127,10 @@ class TestPTau:
         n, k = 2, 3
         base = [COIN, TRI]
         opt = opt_law(make_instance(base, k))
-        rt = opt.quantile_threshold(0.5)
+        stack = ThresholdStack(*opt.quantile_threshold([0.5]))
         root = nth_root(opt.dist, n)
-        sched = ThresholdSchedule((0.0, 1.0), (rt,))
-        q = rt.rejected_mass(root)
+        sched = ThresholdSchedule((0.0, 1.0), stack)
+        (q,) = stack.rejected_mass(root)
         for t in (0.25, 0.7, 1.0):
             got = p_tau_multi(sched, ((root, n * k),), t)
             assert got == pytest.approx(1.0 - (1.0 - t + t * q) ** (n * k), abs=1e-12)
@@ -149,12 +149,21 @@ class TestExpectedValueThreshold:
 
     def test_matches_enumeration_on_mixed_schedule(self):
         inst = make_instance([COIN, TRI], 2)
-        sched = ThresholdSchedule(
-            (0.0, 0.4, 1.0),
-            (RandomizedThreshold(1.0, 0.3), RandomizedThreshold(0.0, 0.6)),
-        )
+        sched = ThresholdSchedule((0.0, 0.4, 1.0), ThresholdStack([1.0, 0.0], [0.3, 0.6]))
         exact = expected_value(inst, sched).estimate
         assert exact == pytest.approx(enumerate_expected_value(inst, sched), abs=1e-10)
+
+    @pytest.mark.parametrize("accept_prob", [0.0, 1.0])
+    @pytest.mark.parametrize("tau, want", [(math.inf, 0.0), (-math.inf, 0.5)], ids=["inf", "-inf"])
+    def test_infinite_threshold(self, tau, want, accept_prob):
+        # the mean's a * tau * Pr[V = tau] read inf * 0 = NaN with no value at
+        # tau; Monte Carlo read 0.0 and 0.4975 on the fair coin at k = 2
+        inst = make_instance([COIN], 2)
+        policy = const_schedule(tau, accept_prob)
+        exact = expected_value(inst, policy).estimate
+        assert exact == pytest.approx(want, abs=1e-12)
+        mc = expected_value(inst, policy, method="mc", mc=McConfig(200_000, 7))
+        assert abs(exact - mc.estimate) <= mc.half_width
 
     # the reduction's roundoff put each of these above the largest value
     @pytest.mark.parametrize("name,algorithm_class,k", [
@@ -189,10 +198,7 @@ class TestExceedance:
 
     def test_exceedance_many_matches_scalar(self):
         inst = make_instance([COIN, TRI], 2)
-        sched = ThresholdSchedule(
-            (0.0, 0.3, 1.0),
-            (RandomizedThreshold(1.0, 0.0), RandomizedThreshold(0.5, 0.0)),
-        )
+        sched = ThresholdSchedule((0.0, 0.3, 1.0), ThresholdStack([1.0, 0.5], [0.0, 0.0]))
         ev = ExactEvaluator(inst, sched)
         xs = np.array([0.0, 0.5, 1.0, 2.9])
         many = ev.exceedance_many(xs)
@@ -203,10 +209,7 @@ class TestExceedance:
 class TestActivation:
     def test_indicator_tables_match_threshold(self):
         inst = make_instance([COIN, TRI], 2)
-        sched = ThresholdSchedule(
-            (0.0, 0.4, 1.0),
-            (RandomizedThreshold(1.0, 0.3), RandomizedThreshold(0.0, 0.6)),
-        )
+        sched = ThresholdSchedule((0.0, 0.4, 1.0), ThresholdStack([1.0, 0.0], [0.3, 0.6]))
         act = activation_from_threshold(sched, inst.n)
         a = expected_value(inst, act).estimate
         b = expected_value(inst, sched).estimate
@@ -263,10 +266,7 @@ class TestEnumerationSweep:
     SCHEDULES = [
         const_schedule(0.5),
         const_schedule(1.0, 0.5),
-        ThresholdSchedule(
-            (0.0, 0.3, 1.0),
-            (RandomizedThreshold(2.0, 0.25), RandomizedThreshold(0.0, 0.9)),
-        ),
+        ThresholdSchedule((0.0, 0.3, 1.0), ThresholdStack([2.0, 0.0], [0.25, 0.9])),
     ]
 
     def combos(self):
@@ -409,7 +409,7 @@ class TestPieceStacksMatchScalarPieces:
                 self.policy, self.stacks = policy, []
 
             def __getattr__(self, name):
-                if name in ("thresholds", "tables"):
+                if name in ("stack", "tables"):
                     raise AssertionError("the evaluator read a single piece's rule")
                 return getattr(self.policy, name)
 
@@ -443,6 +443,12 @@ class TestPieceStacksMatchScalarPieces:
                 (0.0, 2.0 / k, 1.0),
                 tuple((ValueBuckets((), (float(g),)), top) for g in (early, late)))
             self.assert_same(inst, policy, np.array([0.0, 0.5, 1.0, 1.5, 2.0]))
+
+    def test_infinite_thresholds(self):
+        inst = make_instance([COIN, TRI], 2)
+        sched = ThresholdSchedule((0.0, 0.3, 0.6, 1.0),
+                                  ThresholdStack([math.inf, 1.0, -math.inf], [1.0, 0.5, 0.0]))
+        self.assert_same(inst, sched, np.array([0.0, 0.5, 1.0, 2.0]))
 
     def test_random_schedules_and_activation_tables(self):
         rng = np.random.default_rng(11)

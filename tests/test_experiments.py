@@ -115,7 +115,7 @@ def _unit_free_numbers(name, c):
     base = [_scaled(d, c) for d in dict(regression_instances())[name]]
     opt = opt_law(make_instance(base, 1))
     values = [opt.expected_value]
-    values += opt.quantile_arrays((0.25, 0.5, 0.9))[0].tolist()
+    values += opt.quantile_threshold((0.25, 0.5, 0.9))[0].tolist()
     inst = make_instance(base, 6)
     for cls in ("single", "blind"):
         policy = build_policy(inst, opt, cls, 0.01, 512)

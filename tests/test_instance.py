@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import is_discrete, opt_cdf_left, reference_quantile_threshold, sample_arrivals
+from oracles import (
+    RandomizedThreshold,
+    is_discrete,
+    opt_cdf_left,
+    reference_quantile_threshold,
+    sample_arrivals,
+)
 from test_distributions import atom_lists, discrete_laws, piecewise_laws, point_lists, same_law
 
 from prophetlab import (
@@ -19,7 +25,6 @@ from prophetlab import (
     InvalidQuantileError,
     McConfig,
     OptLaw,
-    RandomizedThreshold,
     instance_from_json,
     make_instance,
     nth_root,
@@ -121,8 +126,8 @@ def _bits(rt):
 
 
 def _rules(opt, qs):
-    """``opt.quantile_arrays(qs)``, one ``RandomizedThreshold`` per q."""
-    tau, accept = opt.quantile_arrays(qs)
+    """``opt.quantile_threshold(qs)``, one ``RandomizedThreshold`` per q."""
+    tau, accept = opt.quantile_threshold(qs)
     return [RandomizedThreshold(t, a) for t, a in zip(tau.tolist(), accept.tolist())]
 
 
@@ -179,7 +184,7 @@ class TestQuantileThresholds:
     @pytest.mark.parametrize("q", [1e-50, 1e-100, 1e-300, 5e-324])
     def test_tiny_q_is_the_first_double_at_or_above_q(self, c, q):
         opt = OptLaw([Distribution.piecewise([(0.0, 0.0), (c, 1.0)])])
-        tau = opt.quantile_threshold(q).tau
+        (tau,), _ = opt.quantile_threshold([q])
         assert opt.cdf(tau) >= q > opt.cdf(np.nextafter(tau, -np.inf))
 
     def test_law_from_negative_zero(self):
@@ -193,23 +198,26 @@ class TestQuantileThresholds:
         opt = OptLaw(regression_instances()[7][1])
         qs = [0.9, 0.1, 0.5, 0.1]
         batch = _rules(opt, qs)
-        assert [_bits(rt) for rt in batch] == [_bits(opt.quantile_threshold(q)) for q in qs]
+        assert [_bits(rt) for rt in batch] == [_bits(_rules(opt, [q])[0]) for q in qs]
+        # a lone q, inside a segment or at an atom, is the batch [q]
+        for q in (0.1, 0.9):
+            assert _bits(_rules(opt, q)[0]) == _bits(_rules(opt, [q])[0])
 
     @pytest.mark.parametrize("bad", [1.0, -0.1, float("nan")])
     def test_batch_with_bad_quantile_raises(self, bad):
         opt = OptLaw([COIN, ATOM1])
         with pytest.raises(InvalidQuantileError):
-            opt.quantile_arrays([0.25, bad, 0.5])
-        assert [a.shape for a in opt.quantile_arrays([])] == [(0,), (0,)]
+            opt.quantile_threshold([0.25, bad, 0.5])
+        assert [a.shape for a in opt.quantile_threshold([])] == [(0,), (0,)]
 
     def test_arrays_are_the_thresholds_and_name_a_bad_quantile_plainly(self):
         opt = OptLaw(regression_instances()[7][1])
         qs = np.array([0.9, 0.1, 0.5, 1e-300])
-        tau, accept = opt.quantile_arrays(qs)
+        tau, accept = opt.quantile_threshold(qs)
         assert list(zip(tau.tolist(), accept.tolist())) == [
-            (rt.tau, rt.accept_prob) for rt in map(opt.quantile_threshold, qs)]
+            (rt.tau, rt.accept_prob) for q in qs.tolist() for rt in _rules(opt, [q])]
         with pytest.raises(InvalidQuantileError, match=r"got 1\.0$"):
-            opt.quantile_arrays(np.array([0.5, 1.0, 2.0]))
+            opt.quantile_threshold(np.array([0.5, 1.0, 2.0]))
 
 
 def _shift(x: np.ndarray, ulps: int) -> np.ndarray:

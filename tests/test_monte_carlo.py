@@ -17,8 +17,8 @@ from prophetlab import (
     ActivationPolicy,
     Distribution,
     McConfig,
-    RandomizedThreshold,
     ThresholdSchedule,
+    ThresholdStack,
     ValueBuckets,
     estimate_exceedance,
     estimate_expected_value,
@@ -41,7 +41,7 @@ LUMP = Distribution.piecewise([(0.5, 0.3), (2.0, 1.0)])  # an atom of 0.3 at its
 
 
 def const_schedule(tau, accept_prob=0.0):
-    return ThresholdSchedule((0.0, 1.0), (RandomizedThreshold(tau, accept_prob),))
+    return ThresholdSchedule((0.0, 1.0), ThresholdStack([tau], [accept_prob]))
 
 
 class TestDeterminism:
@@ -96,7 +96,7 @@ class TestAgainstExact:
         d = Distribution.discrete([(1.0, 0.5), (2.0, 0.5)])
         inst = make_instance([d], 2)
         cfg = McConfig(20_000, 8)
-        low = ThresholdSchedule((0.0, 1.0), (RandomizedThreshold(0.0, 1.0),))
+        low = const_schedule(0.0, 1.0)
         assert estimate_value_and_no_stop(inst, low, cfg)[1].estimate == 0.0
         high = const_schedule(9.0)
         assert estimate_value_and_no_stop(inst, high, cfg)[1].estimate == 1.0
@@ -164,14 +164,10 @@ def _block_case(kind):
         return inst, ActivationPolicy((0.0, 0.3, 0.7, 1.0), tables)
     if kind == "atom-edge":  # both thresholds sit on atoms and accept part of them
         inst = make_instance([COIN, TRI], 4)
-        return inst, ThresholdSchedule(
-            (0.0, 0.5, 1.0), (RandomizedThreshold(1.0, 0.4), RandomizedThreshold(0.0, 0.7))
-        )
+        return inst, ThresholdSchedule((0.0, 0.5, 1.0), ThresholdStack([1.0, 0.0], [0.4, 0.7]))
     if kind == "piecewise-atom":
         inst = make_instance([LUMP, COIN], 4)
-        return inst, ThresholdSchedule(
-            (0.0, 0.6, 1.0), (RandomizedThreshold(0.5, 0.5), RandomizedThreshold(1.0, 0.25))
-        )
+        return inst, ThresholdSchedule((0.0, 0.6, 1.0), ThresholdStack([0.5, 1.0], [0.5, 0.25]))
     if kind == "activation-between":  # 0.5 between COIN's atoms, 2.0 between TRI's
         inst = make_instance([COIN, TRI], 3)
         tables = tuple(
@@ -305,7 +301,7 @@ def test_rules_are_read_only_through_the_piece_stacks(kind):
             self.policy, self.stacks = policy, []
 
         def __getattr__(self, name):
-            if name in ("thresholds", "tables", "tau1", "tau2"):
+            if name in ("stack", "tables"):
                 raise AssertionError("Monte Carlo read a single piece's rule")
             return getattr(self.policy, name)
 

@@ -1,6 +1,7 @@
 """Policy constructors, and the event-scan reference of tests/oracles.py."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from oracles import (
     constant_activation,
     later_log_q,
     piece_at,
+    rules_of,
     run_policy,
     sample_arrivals,
     switch_time_S,
@@ -26,8 +28,8 @@ from prophetlab import (
     Distribution,
     InvalidParameterError,
     PolicyMismatchError,
-    RandomizedThreshold,
     ThresholdSchedule,
+    ThresholdStack,
     ValueBuckets,
     make_adaptive,
     make_blind_schedule,
@@ -49,15 +51,15 @@ class TestSingleThreshold:
         opt = opt_law(make_instance([U01], 1))
         sched = make_single_threshold(opt)
         assert sched.num_pieces == 1
-        assert sched.thresholds[0].tau == pytest.approx(0.5, abs=1e-12)
+        assert sched.stack.tau[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_atom_median_randomizes(self):
         d = Distribution.discrete([(0.0, 0.25), (1.0, 0.75)])
         opt = opt_law(make_instance([d], 1))
-        rt = make_single_threshold(opt).thresholds[0]
-        assert rt.tau == 1.0
+        stack = make_single_threshold(opt).stack
+        assert stack.tau.tolist() == [1.0]
         # induced rejection probability is exactly 1/2
-        assert rt.rejected_mass(d) == pytest.approx(0.5, abs=1e-12)
+        assert stack.rejected_mass(d)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_median_property_on_random_laws(self):
         rng = np.random.default_rng(5)
@@ -66,8 +68,8 @@ class TestSingleThreshold:
             w = rng.integers(1, 6, size=3)
             d = Distribution.discrete(list(zip(vals, w / w.sum())))
             opt = opt_law(make_instance([d], 1))
-            rt = make_single_threshold(opt).thresholds[0]
-            assert abs(rt.rejected_mass(d) - 0.5) <= 1e-12
+            (rejected,) = make_single_threshold(opt).stack.rejected_mass(d)
+            assert abs(rejected - 0.5) <= 1e-12
 
 
 class TestBlindSchedule:
@@ -86,8 +88,7 @@ class TestBlindSchedule:
     def test_thresholds_nonincreasing(self):
         opt = opt_law(make_instance([TRI, COIN], 6))
         sched = make_blind_schedule(opt, 6, grid_resolution=64)
-        taus = [rt.tau for rt in sched.thresholds]
-        assert all(a >= b for a, b in zip(taus, taus[1:]))
+        assert (np.diff(sched.stack.tau) <= 0.0).all()
 
     def test_small_k_collapses_to_single(self):
         opt = opt_law(make_instance([U01], 1))
@@ -100,24 +101,23 @@ class TestBlindSchedule:
         opt = opt_law(make_instance(list(base), 6))
         sched = make_blind_schedule(opt, 6, grid_resolution=64)
         grid = np.linspace(2.0 / 6, 1.0, 65)
-        tau, accept = opt.quantile_arrays([0.5, *(1.0 / (grid[:-1] * 6))])
+        tau, accept = opt.quantile_threshold([0.5, *(1.0 / (grid[:-1] * 6))])
         bits = list(zip(tau.tolist(), accept.tolist()))
-        assert [(rt.tau, rt.accept_prob) for rt in sched.thresholds] == bits
+        b = sched.breakpoints
+        assert sched.pieces == tuple((lo, hi, *rt) for lo, hi, rt in zip(b, b[1:], bits))
         assert list(zip(sched.piece_stack(1).tau.tolist(),
                         sched.piece_stack(0).accept_prob.tolist())) == bits
-        assert all(type(rt.tau) is float for rt in sched.thresholds)
+        assert all(type(x) is float for piece in sched.pieces for x in piece)
 
     def test_one_stack_serves_every_identity(self):
         inst = make_instance([COIN, TRI, U01], 6)
         sched = make_blind_schedule(opt_law(inst), 6, grid_resolution=32)
         stacks = [sched.piece_stack(i) for i in range(inst.n)]
-        assert stacks[0] is stacks[1] is stacks[2]
-        assert stacks[0].tau.tolist() == [rt.tau for rt in sched.thresholds]
-        assert stacks[0].accept_prob.tolist() == [rt.accept_prob for rt in sched.thresholds]
+        assert stacks[0] is stacks[1] is stacks[2] is sched.stack
 
     def test_shared_stack_is_a_read_only_copy(self):
         tau, accept = np.array([1.0, 0.5]), np.array([0.25, 1.0])
-        stack = policies.ThresholdStack(tau, accept)
+        stack = ThresholdStack(tau, accept)
         tau[0], accept[0] = np.nan, 1.5  # the caller's arrays are not the stack's
         assert stack.tau.tolist() == [1.0, 0.5] and stack.accept_prob.tolist() == [0.25, 1.0]
         for arr in (stack.tau, stack.accept_prob):
@@ -131,8 +131,17 @@ class TestAdaptive:
         opt = opt_law(inst)
         pol = make_adaptive(opt, inst, math.exp(-4))
         assert pol.ell == 2
-        assert pol.tau1.tau == pytest.approx(0.75, abs=1e-12)
-        assert pol.tau2.tau == pytest.approx(math.exp(-2), abs=1e-12)
+        tau1, tau2 = pol.stack.tau
+        assert tau1 == pytest.approx(0.75, abs=1e-12)
+        assert tau2 == pytest.approx(math.exp(-2), abs=1e-12)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_needs_two_thresholds(self, rows):
+        # Monte Carlo broadcast a one-row stack to both phases and estimated
+        # a value for a rule with no tau2
+        with pytest.raises(InvalidParameterError, match="two-row stack"):
+            AdaptiveTwoThreshold(math.exp(-2), 1, ThresholdStack([0.5] * rows, [1.0] * rows),
+                                 (0.5,), 4)
 
     def test_rejection_product_is_quantile(self):
         inst = make_instance([COIN, TRI, U01], 16)
@@ -167,6 +176,7 @@ class TestAdaptive:
         # and the accumulated float in the executor can land on either side.
         inst = make_instance([COIN, TRI], 8)
         pol = make_adaptive(opt_law(inst), inst, 0.018)
+        tau1, tau2 = rules_of(pol.stack)
         rng = np.random.default_rng(31)
         switched = 0
         for _ in range(10_000):
@@ -175,7 +185,7 @@ class TestAdaptive:
             got = run_policy(pol, seq)
             expect = None
             for pos in range(len(seq)):
-                rt = pol.tau1 if seq.times[pos] < S else pol.tau2
+                rt = tau1 if seq.times[pos] < S else tau2
                 av = AugmentedValue(float(seq.values[pos]), float(seq.tiebreaks[pos]))
                 if accepts(rt, av):
                     expect = (float(seq.times[pos]), av.value)
@@ -192,7 +202,7 @@ class TestRunPolicy:
     def test_accepts_single_event(self):
         inst = make_instance([Distribution.discrete([(1.0, 1.0)])], 1)
         seq = sample_arrivals(inst, np.random.default_rng(0))
-        sched = ThresholdSchedule((0.0, 1.0), (RandomizedThreshold(0.5, 0.0),))
+        sched = ThresholdSchedule((0.0, 1.0), ThresholdStack([0.5], [0.0]))
         out = run_policy(sched, seq)
         assert out.stopped and out.selected_value == 1.0
 
@@ -200,17 +210,14 @@ class TestRunPolicy:
         inst = make_instance([COIN, TRI], 2)
         seq = sample_arrivals(inst, np.random.default_rng(1))
         act = constant_activation([activation_from_threshold(
-            ThresholdSchedule((0.0, 1.0), (RandomizedThreshold(0.0, 1.0),)), 3).tables[0][0]] * 3)
+            ThresholdSchedule((0.0, 1.0), ThresholdStack([0.0], [1.0])), 3).tables[0][0]] * 3)
         with pytest.raises(PolicyMismatchError):
             run_policy(act, seq)
 
     def test_activation_contains_threshold_class(self):
         # indicator tables must replay the threshold run event for event
         inst = make_instance([COIN, TRI], 3)
-        sched = ThresholdSchedule(
-            (0.0, 0.35, 1.0),
-            (RandomizedThreshold(1.0, 0.25), RandomizedThreshold(0.0, 0.8)),
-        )
+        sched = ThresholdSchedule((0.0, 0.35, 1.0), ThresholdStack([1.0, 0.0], [0.25, 0.8]))
         act = activation_from_threshold(sched, inst.n)
         rng = np.random.default_rng(17)
         for _ in range(1000):
@@ -224,14 +231,8 @@ class TestRunPolicy:
 
     def test_lowering_a_threshold_stops_no_later(self):
         inst = make_instance([COIN, TRI], 3)
-        high = ThresholdSchedule(
-            (0.0, 0.5, 1.0),
-            (RandomizedThreshold(1.0, 0.0), RandomizedThreshold(0.5, 0.0)),
-        )
-        low = ThresholdSchedule(
-            (0.0, 0.5, 1.0),
-            (RandomizedThreshold(1.0, 0.0), RandomizedThreshold(0.0, 0.0)),
-        )
+        high = ThresholdSchedule((0.0, 0.5, 1.0), ThresholdStack([1.0, 0.5], [0.0, 0.0]))
+        low = ThresholdSchedule((0.0, 0.5, 1.0), ThresholdStack([1.0, 0.0], [0.0, 0.0]))
         rng = np.random.default_rng(23)
         for _ in range(1000):
             seq = sample_arrivals(inst, rng)
@@ -240,14 +241,9 @@ class TestRunPolicy:
     def test_increasing_transform_invariance(self):
         # squaring values and thresholds together cannot change the outcome
         inst = make_instance([COIN, TRI], 2)
-        sched = ThresholdSchedule(
-            (0.0, 0.6, 1.0),
-            (RandomizedThreshold(1.0, 0.4), RandomizedThreshold(0.5, 0.7)),
-        )
+        sched = ThresholdSchedule((0.0, 0.6, 1.0), ThresholdStack([1.0, 0.5], [0.4, 0.7]))
         squared = ThresholdSchedule(
-            sched.breakpoints,
-            tuple(RandomizedThreshold(rt.tau**2, rt.accept_prob) for rt in sched.thresholds),
-        )
+            sched.breakpoints, ThresholdStack(sched.stack.tau**2, sched.stack.accept_prob))
         rng = np.random.default_rng(29)
         for _ in range(500):
             seq = sample_arrivals(inst, rng)
@@ -257,18 +253,33 @@ class TestRunPolicy:
 
 
 def test_sort_nonincreasing_preserves_lengths():
-    sched = ThresholdSchedule(
-        (0.0, 0.25, 0.5, 1.0),
-        (
-            RandomizedThreshold(0.2, 0.0),
-            RandomizedThreshold(1.5, 0.5),
-            RandomizedThreshold(0.8, 0.0),
-        ),
-    )
+    sched = ThresholdSchedule((0.0, 0.25, 0.5, 1.0),
+                              ThresholdStack([0.2, 1.5, 0.8], [0.0, 0.5, 0.0]))
     out = sort_nonincreasing(sched)
-    taus = [rt.tau for rt in out.thresholds]
+    taus = out.stack.tau.tolist()
     assert taus == sorted(taus, reverse=True)
     assert sorted(np.diff(out.breakpoints)) == pytest.approx(sorted(np.diff(sched.breakpoints)))
+
+
+@pytest.mark.parametrize("breakpoints, taus", [
+    ((0.0, 2.0**-60, 1.0 - 2.0**-53, 1.0), [0.0, 1.0, 2.0]),  # two sums round to 1.0
+    ((0.0, 2.0**-60, 0.5, 1.0), [1.0, 2.0, 0.0]),  # 0.5 + 2^-60 rounds to 0.5
+    ((0.0, 0.1, 0.35, 0.7, 1.0), [0.5, 2.0, 1.0, 0.0]),  # every sum increases
+], ids=["at-one", "inside", "no-rounding"])
+def test_sort_nonincreasing_moves_a_breakpoint_only_where_its_sum_stalls(breakpoints, taus):
+    # a rearranged sum that rounded up to its successor refused the sorted
+    # schedule as not strictly increasing
+    sched = ThresholdSchedule(breakpoints, ThresholdStack(taus, [0.0] * len(taus)))
+    out = sort_nonincreasing(sched)
+    order = np.argsort(taus)[::-1]
+    assert out.stack.tau.tolist() == sorted(taus, reverse=True)
+    sums = [0.0, *itertools.accumulate(np.diff(breakpoints)[order].tolist())]
+    sums[-1] = 1.0
+    for r, (got, want) in enumerate(zip(out.breakpoints, sums)):
+        if r == len(sums) - 1 or want < sums[r + 1]:
+            assert got == want, r
+        else:
+            assert want - 4 * math.ulp(want) <= got < want, r
 
 
 @pytest.mark.parametrize(
@@ -279,53 +290,49 @@ def test_sort_nonincreasing_preserves_lengths():
 def test_time_pieces_validated_for_both_classes(breakpoints):
     m = len(breakpoints) - 1
     with pytest.raises(InvalidParameterError):
-        ThresholdSchedule(breakpoints, (RandomizedThreshold(0.5, 0.0),) * m)
+        ThresholdSchedule(breakpoints, ThresholdStack([0.5] * m, [0.0] * m))
     with pytest.raises(InvalidParameterError):
         ActivationPolicy(breakpoints, ((ValueBuckets((), (1.0,)),),) * m)
 
 
 class TestThresholdRulesRefuseNonsense:
     """A threshold accepts with a probability in [0, 1] at a tau that is a
-    number, whether built as one rule or as a stack."""
+    number, in a stack of one row or of several."""
 
     @pytest.mark.parametrize("tau, accept_prob", [
         (1.0, 1.5), (1.0, -0.25), (1.0, float("nan")), (float("nan"), 0.5),
     ], ids=["above-one", "negative", "nan-prob", "nan-tau"])
     def test_rule_and_stack_refuse(self, tau, accept_prob):
         with pytest.raises(InvalidParameterError):
-            RandomizedThreshold(tau, accept_prob)
+            ThresholdStack([tau], [accept_prob])
         with pytest.raises(InvalidParameterError):
-            policies.ThresholdStack([0.5, tau], [0.0, accept_prob])
+            ThresholdStack([0.5, tau], [0.0, accept_prob])
         with pytest.raises(InvalidParameterError):
-            ThresholdSchedule((0.0, 0.5, 1.0), policies.ThresholdStack([0.5, tau],
+            ThresholdSchedule((0.0, 0.5, 1.0), ThresholdStack([0.5, tau],
                                                                       [0.0, accept_prob]))
 
     def test_over_accepting_rule_cannot_beat_the_prophet(self):
         # accepting the top atom w.p. 1.5 read E[ALG] = 0.984 on three fair
         # coins, above E[max of all three] = 0.875
         with pytest.raises(InvalidParameterError, match=r"\[0, 1\], got 1.5"):
-            ThresholdSchedule((0.0, 1.0), (RandomizedThreshold(1.0, 1.5),))
+            ThresholdSchedule((0.0, 1.0), ThresholdStack([1.0], [1.5]))
 
     def test_stack_needs_one_accept_probability_per_threshold(self):
         for tau, accept_prob in (([0.5, 1.0], [0.5]), ([[0.5]], [[0.5]]), (0.5, 0.5)):
             with pytest.raises(InvalidParameterError):
-                policies.ThresholdStack(tau, accept_prob)
+                ThresholdStack(tau, accept_prob)
 
     def test_edges_of_the_ranges_are_rules(self):
-        for tau, accept_prob in ((0.0, 0.0), (math.inf, 1.0), (2.0, 1.0)):
-            rt = RandomizedThreshold(tau, accept_prob)
-            sched = ThresholdSchedule((0.0, 1.0), (rt,))
-            assert sched.thresholds == (rt,)
+        for tau, accept_prob in ((0.0, 0.0), (math.inf, 1.0), (-math.inf, 0.0), (2.0, 1.0)):
+            sched = ThresholdSchedule((0.0, 1.0), ThresholdStack([tau], [accept_prob]))
+            assert sched.pieces == ((0.0, 1.0, tau, accept_prob),)
 
-    def test_stack_and_rules_build_the_same_schedule(self):
-        rules = (RandomizedThreshold(1.0, 0.25), RandomizedThreshold(0.5, 1.0))
-        from_rules = ThresholdSchedule((0.0, 0.4, 1.0), rules)
-        from_stack = ThresholdSchedule((0.0, 0.4, 1.0),
-                                       policies.ThresholdStack([1.0, 0.5], [0.25, 1.0]))
-        assert from_rules.thresholds == from_stack.thresholds == rules
-        for d in (COIN, TRI, U01):
-            assert np.array_equal(from_rules.piece_stack(0).accepted_mean(d),
-                                  from_stack.piece_stack(0).accepted_mean(d))
+    @pytest.mark.parametrize("rules", [
+        ((1.0, 0.25), (0.5, 1.0)), [[1.0, 0.5], [0.25, 1.0]], None,
+    ], ids=["pairs", "lists", "none"])
+    def test_schedule_takes_only_a_stack(self, rules):
+        with pytest.raises(InvalidParameterError, match="needs a ThresholdStack"):
+            ThresholdSchedule((0.0, 0.4, 1.0), rules)
 
 
 @pytest.mark.parametrize("kind", ["blind", "activation", "adaptive"])
@@ -341,11 +348,11 @@ def test_each_stack_is_built_once(kind):
 
 
 def test_threshold_buckets_are_its_indicator_table():
-    stack = policies.ThresholdStack([1.0, 0.5], [0.25, 1.0])
+    stack = ThresholdStack([1.0, 0.5], [0.25, 1.0])
     edges, probs = stack.buckets()
     assert edges.tolist() == [[1.0, np.nextafter(1.0, np.inf)], [0.5, np.nextafter(0.5, np.inf)]]
     assert probs.tolist() == [[0.0, 0.25, 1.0], [0.0, 1.0, 1.0]]
-    for r, rt in enumerate((RandomizedThreshold(1.0, 0.25), RandomizedThreshold(0.5, 1.0))):
+    for r, rt in enumerate(rules_of(stack)):
         vb = ValueBuckets(tuple(edges[r].tolist()), tuple(probs[r].tolist()))
         got = policies.BucketStack([vb]).buckets()
         assert [a.tolist() for a in got] == [edges[r:r + 1].tolist(), probs[r:r + 1].tolist()]
@@ -369,6 +376,8 @@ def test_bucket_stack_pads_its_pieces_to_one_width():
 
 class TestPiecesAt:
     """Every policy's ``pieces_at`` against the piece the event scan uses."""
+
+    TAUS = ThresholdStack([1.0, 1.0], [0.5, 0.5])  # the phases do not read them
 
     @pytest.mark.parametrize(
         "name", ["fair-coin", "det-plus-risky", "uniform", "three-point", "tiered"]
@@ -408,8 +417,7 @@ class TestPiecesAt:
         rng = np.random.default_rng(N)
         identities = rng.integers(0, 3, N)
         q = tuple(math.exp(-c * 8.0 / N) for c in (0.5, 1.0, 1.5))  # ln q sums to about -8
-        tau = RandomizedThreshold(1.0, 0.5)
-        pol = AdaptiveTwoThreshold(math.exp(-4), 2, tau, tau, q, N)
+        pol = AdaptiveTwoThreshold(math.exp(-4), 2, self.TAUS, q, N)
         times = rng.random((40, N))
         times[20:] = np.floor(times[20:] * 8) / 8
         times[0] = np.where(rng.random(N) < 0.5, 0.0, np.nextafter(1.0, 0.0))  # the extreme keys
@@ -432,8 +440,7 @@ class TestPiecesAt:
         q = math.exp(-8.0 / N) if q is None else q
         rng = np.random.default_rng(N)
         identities = rng.integers(0, 3, N)
-        tau = RandomizedThreshold(1.0, 0.5)
-        pol = AdaptiveTwoThreshold(epsilon, 2, tau, tau, (q,) * 3, N)
+        pol = AdaptiveTwoThreshold(epsilon, 2, self.TAUS, (q,) * 3, N)
         r0 = policies._rank_step(math.log(q), math.log(epsilon), N)
         if step == "first":
             assert r0 == 0
@@ -461,8 +468,7 @@ class TestPiecesAt:
             N = 2049 if kind == "argsort" else 48
             identities = np.arange(N) % 3
             q = (math.exp(-8.0 / N),) * 3 if kind == "equal-q" else (0.7, 0.8, 0.9)
-            tau = RandomizedThreshold(1.0, 0.5)
-            pol = AdaptiveTwoThreshold(math.exp(-4), 2, tau, tau, q, N)
+            pol = AdaptiveTwoThreshold(math.exp(-4), 2, self.TAUS, q, N)
         times = np.random.default_rng(23).random((30, N))
         out = np.full((40, N), -7, dtype=np.intp)
         rows = out[:30]
@@ -475,8 +481,7 @@ class TestPiecesAt:
         # a time off the 2^-53 grid counts as the grid time below it: scaled
         # by 2^55 before truncating, 2^-54 and 3 * 2^-55 reached the column
         # bits of a 4-column row, and a column's phase went unwritten
-        tau = RandomizedThreshold(1.0, 0.5)
-        pol = AdaptiveTwoThreshold(math.exp(-2), 1, tau, tau, q, 2)
+        pol = AdaptiveTwoThreshold(math.exp(-2), 1, self.TAUS, q, 2)
         identities = np.repeat(np.arange(2), 2)
         times = np.random.default_rng(8).random((36, 4))
         for r, t in enumerate((2.0**-54, 3 * 2.0**-55, 5e-324) * 12):

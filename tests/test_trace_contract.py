@@ -20,13 +20,16 @@ from prophetlab import (
     Distribution,
     ExactEvaluator,
     McConfig,
-    RandomizedThreshold,
+    OptLaw,
     ThresholdSchedule,
+    ThresholdStack,
     ValueBuckets,
     estimate_exceedance,
     estimate_value_and_no_stop,
     make_adaptive,
+    make_blind_schedule,
     make_instance,
+    make_single_threshold,
     opt_law,
 )
 
@@ -86,6 +89,27 @@ def test_evaluator_takes_its_nodes_through_the_module_name(monkeypatch, family):
     assert calls == [g]
 
 
+@pytest.mark.parametrize("build", [
+    lambda opt, inst: make_single_threshold(opt),
+    lambda opt, inst: make_blind_schedule(opt, inst.copies),
+    lambda opt, inst: make_adaptive(opt, inst, math.exp(-4)),
+], ids=["single", "blind", "adaptive"])
+def test_each_constructor_asks_its_quantiles_in_one_call(monkeypatch, build):
+    # the tracer counts instance.quantile_calls by wrapping this method; a
+    # constructor that searched its quantiles some other way went uncounted
+    calls = []
+    search = OptLaw.quantile_threshold
+
+    def counting(self, qs):
+        calls.append(np.size(qs))
+        return search(self, qs)
+
+    monkeypatch.setattr(OptLaw, "quantile_threshold", counting)
+    inst = make_instance([COIN, TRI], 6)
+    policy = build(opt_law(inst), inst)
+    assert calls == [policy.num_pieces if hasattr(policy, "breakpoints") else 2]
+
+
 def test_retired_names_are_gone():
     for name in RETIRED:
         with pytest.raises(AttributeError):
@@ -98,9 +122,7 @@ U02 = Distribution.piecewise([(0.0, 0.0), (2.0, 1.0)])
 
 
 def _policies(inst):
-    sched = ThresholdSchedule(
-        (0.0, 0.4, 1.0), (RandomizedThreshold(1.0, 0.3), RandomizedThreshold(0.5, 0.0))
-    )
+    sched = ThresholdSchedule((0.0, 0.4, 1.0), ThresholdStack([1.0, 0.5], [0.3, 0.0]))
     act = ActivationPolicy(
         (0.0, 0.5, 1.0),
         tuple(
