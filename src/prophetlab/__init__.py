@@ -33,9 +33,9 @@ from .monte_carlo import (
 from .policies import (
     ActivationPolicy,
     AdaptiveTwoThreshold,
+    BucketStack,
     ThresholdSchedule,
     ThresholdStack,
-    ValueBuckets,
     make_adaptive,
     make_blind_schedule,
     make_single_threshold,

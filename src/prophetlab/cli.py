@@ -55,7 +55,7 @@ from .experiments import (
 )
 from .instance import Instance, OptLaw, instance_from_json, make_instance, opt_law
 from .monte_carlo import McConfig
-from .policies import ActivationPolicy, Policy, ValueBuckets
+from .policies import ActivationPolicy, BucketStack, Policy
 
 OUTPUT_DIR_ENV = "PROPHETLAB_OUT"
 
@@ -156,11 +156,15 @@ def _activation_from_json(obj: dict, n: int) -> ActivationPolicy:
     Each (identity, edge, prob) triple contributes one value bucket closed on
     the left at the previous edge; the tail bucket uses ``null`` as its edge
     and must come last for every identity that appears.  Identities must be
-    integers (``1.0`` reads as 1) in 0..n-1; one with no entries in a piece
-    never activates there.
+    integers (``1.0`` reads as 1) in 0..n-1, each with one ``BucketStack`` of
+    its buckets in all pieces; one with no entries in a piece never
+    activates there.
     """
     try:
-        pieces = sorted(obj["pieces"], key=lambda p: float(p["t0"]))
+        pieces = obj.get("pieces") if isinstance(obj, dict) else None
+        if not (isinstance(pieces, list) and pieces and all(isinstance(p, dict) for p in pieces)):
+            raise ConfigError('"pieces" must be a non-empty list of {"t0", "t1", "g"} objects')
+        pieces = sorted(pieces, key=lambda p: float(p["t0"]))
         for piece, nxt in zip(pieces, pieces[1:]):
             if float(piece["t1"]) != float(nxt["t0"]):
                 raise ConfigError(
@@ -168,35 +172,41 @@ def _activation_from_json(obj: dict, n: int) -> ActivationPolicy:
                     f"next piece starts ({nxt['t0']})"
                 )
         breakpoints = [float(p["t0"]) for p in pieces] + [float(pieces[-1]["t1"])]
-        tables = []
+        rows: list[list] = [[] for _ in range(n)]  # per identity, (edges, probs) per piece
         for piece in pieces:
+            if not isinstance(piece["g"], list):
+                raise ConfigError('"g" must be a list of [identity, edge, prob] entries')
             per_id: dict[int, list[tuple[float | None, float]]] = {}
-            for ident, edge, prob in piece["g"]:
+            for entry in piece["g"]:
+                if not (isinstance(entry, list) and len(entry) == 3):
+                    raise ConfigError(
+                        f"activation entry {json.dumps(entry)} is not [identity, edge, prob]")
+                ident, edge, prob = entry
                 if isinstance(ident, float) and ident.is_integer():
                     ident = int(ident)
                 if type(ident) is not int or not 0 <= ident < n:
                     raise ConfigError(
-                        f"activation identity {ident!r} is not an integer in 0..{n - 1}"
-                    )
+                        f"activation identity {ident!r} is not an integer in 0..{n - 1}")
+                # float reads true as 1, so JSON's booleans are refused as numbers here
+                if isinstance(edge, bool) or isinstance(prob, (bool, type(None))):
+                    raise ConfigError(f"activation entry {json.dumps(entry)} needs a number as "
+                                      "prob and as edge (null for the tail)")
                 entry = (None if edge is None else float(edge), float(prob))
                 per_id.setdefault(ident, []).append(entry)
-            row = []
-            for i in range(n):
+            for i, row in enumerate(rows):
                 entries = per_id.get(i)
                 if not entries:
-                    row.append(ValueBuckets((), (0.0,)))
+                    row.append(((), (0.0,)))
                     continue
                 if entries[-1][0] is not None or any(e is None for e, _ in entries[:-1]):
                     raise ConfigError(
                         "activation bucket lists must end with a single null-edge tail entry"
                     )
-                edges = tuple(e for e, _ in entries[:-1])
-                probs = tuple(p for _, p in entries)
-                row.append(ValueBuckets(edges, probs))
-            tables.append(tuple(row))
+                row.append((tuple(e for e, _ in entries[:-1]), tuple(p for _, p in entries)))
+        stacks = tuple(BucketStack(row) for row in rows)
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ConfigError(f"malformed activation policy spec: {exc}") from exc
-    return ActivationPolicy(tuple(breakpoints), tuple(tables))
+    return ActivationPolicy(tuple(breakpoints), stacks)
 
 
 def _load_problem(args: argparse.Namespace) -> tuple[Instance, OptLaw, Policy]:

@@ -112,10 +112,12 @@ class ExactEvaluator:
     probability, so it is Monte Carlo only.
 
     ``policies`` is one policy or a sequence of policies with one number of
-    time pieces; their breakpoints may differ.  Every table has a leading
-    policy axis, and each answer of a sequence holds one value per policy,
-    each the bits of evaluating that policy alone; a single policy is the
-    family of one, answered without the policy axis.
+    time pieces; their breakpoints may differ, and a piece stack they share
+    (one of the switch sweep's three, the activation sweep's top stack) is
+    asked once per law.  Every table has a leading policy axis, and each
+    answer of a sequence holds one value per policy, each the bits of
+    evaluating that policy alone; a single policy is the family of one,
+    answered without the policy axis.
     """
 
     def __init__(self, inst: Instance, policies):

@@ -37,10 +37,10 @@ from .monte_carlo import McConfig, estimate_exceedance, estimate_expected_value
 from .policies import (
     ActivationPolicy,
     AdaptiveTwoThreshold,
+    BucketStack,
     Policy,
     ThresholdSchedule,
     ThresholdStack,
-    ValueBuckets,
     adaptive_ell,
     log_inverse,
     make_adaptive,
@@ -451,13 +451,12 @@ def hardness_activation(k: int = 61, grid_points: int = 11) -> CheckReport:
         eps = mp.exp(-L)
         s = mp.sqrt(eps)
         p = 1 / L
-        top_buckets = ValueBuckets((0.5,), (0.0, 1.0))
+        # one top stack for the whole family, so each law is asked about it once
+        top = BucketStack([((0.5,), (0.0, 1.0))] * 2)
         gs = [float(g) for g in np.linspace(0.0, 1.0, grid_points)]
         grid = [(ge, gl) for ge in gs for gl in gs]
         policies = (
-            ActivationPolicy(
-                (0.0, 2.0 / k, 1.0), tuple((ValueBuckets((), (g,)), top_buckets) for g in pair)
-            )
+            ActivationPolicy((0.0, 2.0 / k, 1.0), (BucketStack([((), (g,)) for g in pair]), top))
             for pair in grid
         )
         channels = _two_type_sweep(k, p, s, eps, policies)

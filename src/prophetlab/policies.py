@@ -5,8 +5,10 @@ tau with probability accept_prob.  It has one form, a row of a
 ``ThresholdStack``: a single-threshold rule is a one-row stack, a blind
 schedule one row per time piece, and the adaptive rule two rows (tau1, then
 tau2) between which it switches online, at a data-dependent time set by the
-identities of the rewards still to arrive.  Activation policies attach
-per-identity, piecewise-constant-in-time activation tables.
+identities of the rewards still to arrive.  An activation rule has one form
+too, a row of a ``BucketStack`` (value buckets, each activating with its own
+probability): an activation policy holds one stack per identity with one row
+per time piece, and policies may share a stack.
 
 Every policy answers ``num_pieces``, ``pieces_at(times, identities, out=None)``
 (the piece of every arrival in a block of replications, written into ``out``
@@ -38,7 +40,6 @@ from .instance import Instance, OptLaw
 
 __all__ = [
     "ThresholdSchedule",
-    "ValueBuckets",
     "ThresholdStack",
     "BucketStack",
     "ActivationPolicy",
@@ -106,27 +107,6 @@ class ThresholdSchedule(_TimePieces):
         return self.stack
 
 
-@dataclass(frozen=True)
-class ValueBuckets:
-    """Piecewise-constant activation probability over the value axis.
-
-    ``edges`` ascending; a value v falls in bucket ``searchsorted(edges, v,
-    'right')`` so buckets are closed on the left:  (-inf, e0), [e0, e1), ...
-    """
-
-    edges: tuple[float, ...]
-    probs: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.probs) != len(self.edges) + 1:
-            raise InvalidParameterError("need len(edges) + 1 bucket probabilities")
-        if not all(0.0 <= p <= 1.0 for p in self.probs):  # NaN fails too
-            raise InvalidParameterError("activation probabilities must lie in [0, 1]")
-        edges = np.asarray(self.edges, dtype=float)
-        if not (np.isfinite(edges).all() and (np.diff(edges) > 0).all()):
-            raise InvalidParameterError("bucket edges must be finite and strictly increasing")
-
-
 # The rules of all pieces at once.  Each answers a question for every piece
 # with the arithmetic of asking each piece's rule alone, bit for bit, and
 # ``buckets()`` gives them as (edges, probs), one row per piece: a value's
@@ -189,19 +169,30 @@ class ThresholdStack:
 
 
 class BucketStack:
-    """``ValueBuckets``, one per piece, as one read-only table padded to a
-    common width with edges +inf (no value reaches them) and probs 0; bucket
-    b of a piece is [lo, hi) with lo clipped at 0."""
+    """Activation probabilities over the value axis, one row per piece:
+    ``pieces`` gives each row's (edges, probs), edges finite and strictly
+    increasing and one more prob than edges, each in [0, 1].  A value's
+    bucket is the number of edges at or below it, so buckets are closed on
+    the left: (-inf, e0), [e0, e1), ...  The rows are one read-only table
+    padded to a common width with edges +inf (no value reaches them) and
+    probs 0; bucket b of a piece is [lo, hi) with lo clipped at 0."""
 
-    def __init__(self, buckets):
-        width = max(len(vb.edges) for vb in buckets)
-        pads = [(math.inf,) * (width - len(vb.edges)) for vb in buckets]
-        edges = np.array([vb.edges + pad for vb, pad in zip(buckets, pads)])
-        self.edges = edges.reshape(len(buckets), width)
-        self.probs = np.array([vb.probs + (0.0,) * len(pad) for vb, pad in zip(buckets, pads)])
-        inf = np.full((len(buckets), 1), math.inf)
-        self.lo = np.maximum(np.concatenate([-inf, self.edges], axis=1), 0.0)
-        self.hi = np.concatenate([self.edges, inf], axis=1)
+    def __init__(self, pieces):
+        pieces = list(pieces)
+        width = max((len(edges) for edges, _ in pieces), default=0)
+        self.edges = np.full((len(pieces), width), math.inf)
+        self.probs = np.zeros((len(pieces), width + 1))
+        for r, (edges, probs) in enumerate(pieces):
+            if len(probs) != len(edges) + 1:
+                raise InvalidParameterError("need len(edges) + 1 bucket probabilities")
+            e, p = self.edges[r, :len(edges)], self.probs[r, :len(probs)]
+            e[:], p[:] = edges, probs
+            if not ((p >= 0.0) & (p <= 1.0)).all():  # NaN fails too
+                raise InvalidParameterError("activation probabilities must lie in [0, 1]")
+            if not (np.isfinite(e).all() and (np.diff(e) > 0).all()):
+                raise InvalidParameterError("bucket edges must be finite and strictly increasing")
+        self.lo = np.concatenate([np.zeros((len(pieces), 1)), np.maximum(self.edges, 0.0)], axis=1)
+        self.hi = np.concatenate([self.edges, np.full((len(pieces), 1), math.inf)], axis=1)
         for table in (self.edges, self.probs, self.lo, self.hi):
             table.setflags(write=False)
 
@@ -239,28 +230,24 @@ class BucketStack:
 
 @dataclass(frozen=True)
 class ActivationPolicy(_TimePieces):
-    """Per-identity activation tables, piecewise constant in time."""
+    """Per-identity activation tables, piecewise constant in time: identity
+    i's is the ``BucketStack`` ``stacks[i]``, one row per time piece."""
 
     breakpoints: tuple[float, ...]
-    tables: tuple[tuple[ValueBuckets, ...], ...]  # [piece][identity]
+    stacks: tuple[BucketStack, ...]
 
     def __post_init__(self):
         super().__post_init__()
-        if len(self.tables) != len(self.breakpoints) - 1:
-            raise InvalidParameterError("need one table per time piece")
-        if len({len(row) for row in self.tables}) != 1:
-            raise InvalidParameterError("every time piece needs the same identities")
+        if not all(isinstance(stack, BucketStack) and len(stack.edges) == self.num_pieces
+                   for stack in self.stacks):
+            raise InvalidParameterError("need a BucketStack per identity, one row per time piece")
 
     @property
     def n(self) -> int:
-        return len(self.tables[0])
-
-    @cached_property
-    def _stacks(self) -> tuple[BucketStack, ...]:
-        return tuple(BucketStack([row[i] for row in self.tables]) for i in range(self.n))
+        return len(self.stacks)
 
     def piece_stack(self, identity: int) -> BucketStack:
-        return self._stacks[identity]
+        return self.stacks[identity]
 
 
 @dataclass(frozen=True)

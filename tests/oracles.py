@@ -10,15 +10,19 @@ arrival sequence forward, one reward at a time, and is what the vectorized
 Monte Carlo block must reproduce replication for replication.  Both it and
 the enumeration read a policy's rules from its own data (``rule_of``: row r
 of a schedule's or the adaptive rule's ``stack``, read from its arrays
-``tau`` and ``accept_prob`` as a ``RandomizedThreshold``, or an activation
-policy's ``tables``), never from a stack's answers (``buckets()``,
-``accepted_*``), and decide through ``acceptance_prob``, from ``tau`` and
-``accept_prob`` or from the bucket edges directly.
+``tau`` and ``accept_prob`` as a ``RandomizedThreshold``, or row r of an
+activation policy's ``stacks[i]``, read from its arrays ``edges`` and
+``probs`` as a ``ValueBuckets``), never from a stack's answers
+(``buckets()``, ``accepted_*``), and decide through ``acceptance_prob``,
+from ``tau`` and ``accept_prob`` or from the bucket edges directly.
 
-``RandomizedThreshold`` is the scalar reference rule, retired from the
-library, whose one threshold form is a row of ``policies.ThresholdStack``:
-it asks a law one question at a time for its ``rejected_mass`` and
-``accepted_mass``.  ``rules_of`` reads a stack's rows as such rules.
+``RandomizedThreshold`` and ``ValueBuckets`` are the scalar reference rules,
+retired from the library, whose one threshold form is a row of
+``policies.ThresholdStack`` and whose one bucket form is a row of
+``policies.BucketStack``: each asks a law one question at a time.
+``rules_of`` reads a threshold stack's rows as such rules, and
+``buckets_of`` one row of a bucket stack, its padding stripped;
+``assert_stack_matches_rules`` holds a bucket stack's answers to its rows'.
 
 ``acceptance_table`` builds Monte Carlo's acceptance table from those rules,
 one ``bucket_form`` per (piece, identity) cell, padded by ``bucket_table``:
@@ -79,11 +83,11 @@ import numpy as np
 from prophetlab import (
     ActivationPolicy,
     AdaptiveTwoThreshold,
+    BucketStack,
     Distribution,
     Instance,
     ThresholdSchedule,
     ThresholdStack,
-    ValueBuckets,
 )
 from prophetlab import distributions
 from prophetlab.instance import _bisect
@@ -124,16 +128,36 @@ class RandomizedThreshold:
         return 1.0 - self.rejected_mass(d)
 
 
+@dataclass(frozen=True)
+class ValueBuckets:
+    """Piecewise-constant activation probability over the value axis: a value
+    v falls in bucket ``searchsorted(edges, v, 'right')``, so buckets are
+    closed on the left: (-inf, e0), [e0, e1), ...  One row of a
+    ``BucketStack``, asked one scalar question at a time."""
+
+    edges: tuple[float, ...]
+    probs: tuple[float, ...]
+
+
 def rules_of(stack: ThresholdStack) -> tuple[RandomizedThreshold, ...]:
     """The rows of a stack as rules, read from its arrays in Python floats."""
     return tuple(map(RandomizedThreshold, stack.tau.tolist(), stack.accept_prob.tolist()))
+
+
+def buckets_of(stack: BucketStack, piece: int) -> ValueBuckets:
+    """Row ``piece`` of a bucket stack as a rule, read from its arrays in
+    Python floats with the padding stripped: the +inf edges and as many
+    trailing 0 probs."""
+    edges = stack.edges[piece].tolist()
+    width = sum(map(math.isfinite, edges))
+    return ValueBuckets(tuple(edges[:width]), tuple(stack.probs[piece, :width + 1].tolist()))
 
 
 def rule_of(policy, piece: int, identity: int):
     """Identity ``identity``'s rule in ``piece`` (a phase, for the adaptive
     rule), read from the policy's own data."""
     if isinstance(policy, ActivationPolicy):
-        return policy.tables[piece][identity]
+        return buckets_of(policy.stacks[identity], piece)
     stack = policy.stack
     return RandomizedThreshold(stack.tau[piece].item(), stack.accept_prob[piece].item())
 
@@ -480,6 +504,28 @@ def accepted_mean(rule, d) -> float:
     return sum(p * mean_between(d, lo, hi) for lo, hi, p in bucket_bounds(rule))
 
 
+def assert_stack_matches_rules(stack: BucketStack, laws) -> None:
+    """Each row of ``stack`` answers as its reference rule (``buckets_of``),
+    bit for bit: ``acceptance_prob`` against the row of ``buckets()`` at 0,
+    at every edge and at the double either side of it, and ``accepted_mass``
+    and ``accepted_mean`` against the stack's per-piece answers on each law
+    of ``laws``."""
+    edges, probs = stack.buckets()
+    finite = edges[np.isfinite(edges)]
+    values = np.unique(np.concatenate(
+        [[0.0], finite, np.nextafter(finite, -np.inf), np.nextafter(finite, np.inf)])).tolist()
+    answers = [(d, stack.accepted_mass(d).tolist(), stack.accepted_mean(d).tolist())
+               for d in laws]
+    for r in range(len(edges)):
+        rule = buckets_of(stack, r)
+        for v in values:
+            want = probs[r, np.searchsorted(edges[r], v, side="right")].item()
+            assert acceptance_prob(rule, v).hex() == want.hex(), (rule, v)
+        for d, mass, mean in answers:
+            assert float(accepted_mass(rule, d)).hex() == mass[r].hex(), (rule, d)
+            assert float(accepted_mean(rule, d)).hex() == mean[r].hex(), (rule, d)
+
+
 def accepted_mass_above(rule, d, xs: np.ndarray) -> np.ndarray:
     """Pr[``rule`` accepts V and V > x] for each x of ``xs``."""
     if isinstance(rule, RandomizedThreshold):
@@ -645,17 +691,16 @@ def threshold_at(schedule: ThresholdSchedule, t: float) -> RandomizedThreshold:
 
 
 def constant_activation(buckets_per_identity) -> ActivationPolicy:
-    """One activation table for all of [0, 1]."""
-    return ActivationPolicy((0.0, 1.0), (tuple(buckets_per_identity),))
+    """One activation table for all of [0, 1]: each identity's (edges, probs)."""
+    return ActivationPolicy((0.0, 1.0), tuple(BucketStack([b]) for b in buckets_per_identity))
 
 
 def activation_from_threshold(schedule: ThresholdSchedule, n: int) -> ActivationPolicy:
     """The indicator-of-exceeding-tau activation table of a schedule, from
-    its stack's ``buckets()``."""
+    its stack's ``buckets()``, one stack shared by every identity."""
     edges, probs = schedule.piece_stack(0).buckets()
-    tables = tuple((ValueBuckets(tuple(e), tuple(p)),) * n
-                   for e, p in zip(edges.tolist(), probs.tolist()))
-    return ActivationPolicy(tuple(schedule.breakpoints), tables)
+    stack = BucketStack(zip(edges.tolist(), probs.tolist()))
+    return ActivationPolicy(tuple(schedule.breakpoints), (stack,) * n)
 
 
 @dataclass(frozen=True)

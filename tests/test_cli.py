@@ -693,6 +693,48 @@ class TestActivationTables:
         assert err.startswith("error: ") and err.count("\n") == 1 and why in err
         assert not (out / "results.csv").exists() and not (out / "summary.json").exists()
 
+    @staticmethod
+    def refused(coins_file, tmp_path, capsys, spec):
+        """The one line ``eval`` prints when it refuses the table ``spec``."""
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(spec))
+        out = tmp_path / "run"
+        args = ["eval", "--instance", coins_file, "--class", "activation", "--policy", str(table)]
+        assert run(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (out / "results.csv").exists() and not (out / "summary.json").exists()
+        return err
+
+    @pytest.mark.parametrize("spec, why", [
+        ({"pieces": []}, '"pieces" must be a non-empty list'),
+        ({"pieces": {"t0": 0.0, "t1": 1.0, "g": [[0, None, 1.0]]}},
+         '"pieces" must be a non-empty list'),
+        ({"pieces": [[0.0, 1.0]]}, '"pieces" must be a non-empty list'),
+        ({"pieces": [{"t0": 0.0, "t1": 1.0, "g": [[0, None]]}]},
+         "activation entry [0, null] is not [identity, edge, prob]"),
+        ({"pieces": [{"t0": 0.0, "t1": 1.0, "g": [[0, 0.5, 0.0, 1.0]]}]},
+         "activation entry [0, 0.5, 0.0, 1.0] is not [identity, edge, prob]"),
+        ({"pieces": [{"t0": 0.0, "t1": 1.0, "g": {"0": [None, 1.0]}}]},
+         '"g" must be a list of [identity, edge, prob] entries'),
+    ], ids=["no-pieces", "pieces-object", "piece-list", "short-entry", "long-entry", "g-object"])
+    def test_malformed_spec_is_named_plainly(self, coins_file, tmp_path, capsys, spec, why):
+        # these leaked Python's messages: "list index out of range", "not
+        # enough values to unpack", "string indices must be integers"
+        assert why in self.refused(coins_file, tmp_path, capsys, spec)
+
+    @pytest.mark.parametrize("g, bad", [
+        ([[0, True, 0.5], [0, None, 1.0]], "[0, true, 0.5]"),
+        ([[0, None, True]], "[0, null, true]"),
+        ([[0, 0.5, False], [0, None, 1.0]], "[0, 0.5, false]"),
+        ([[0, None, None]], "[0, null, null]"),
+    ], ids=["true-edge", "true-probability", "false-probability", "null-probability"])
+    def test_booleans_are_not_bucket_numbers(self, coins_file, tmp_path, capsys, g, bad):
+        # float(True) is 1.0, so true read as an edge or a probability of 1
+        spec = {"pieces": [{"t0": 0.0, "t1": 1.0, "g": g}]}
+        err = self.refused(coins_file, tmp_path, capsys, spec)
+        assert f"activation entry {bad} needs a number as prob and as edge" in err
+
     def test_integral_float_identity_reads_as_integer(self, coins_file, tmp_path):
         estimates = []
         for name, ids in (("ints", (0, 1)), ("floats", (0.0, 1.0))):

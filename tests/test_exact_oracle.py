@@ -38,8 +38,8 @@ from prophetlab import exact_oracle, experiments
 from prophetlab.experiments import regression_instances
 from prophetlab.policies import (
     ActivationPolicy,
+    BucketStack,
     ThresholdStack,
-    ValueBuckets,
     make_blind_schedule,
     sort_nonincreasing,
 )
@@ -110,7 +110,7 @@ class TestPTau:
                 assert got.hex() == want.hex(), (trial, t)
 
     @pytest.mark.parametrize("policy", [
-        ActivationPolicy((0.0, 1.0), ((ValueBuckets((0.5,), (0.0, 1.0)),),)),
+        ActivationPolicy((0.0, 1.0), (BucketStack([((0.5,), (0.0, 1.0))]),)),
         make_adaptive(opt_law(make_instance([COIN], 2)), make_instance([COIN], 2), 0.05),
     ], ids=["activation", "adaptive"])
     def test_a_policy_without_one_threshold_per_piece_is_refused(self, policy):
@@ -217,14 +217,14 @@ class TestActivation:
 
     def test_never_activate(self):
         inst = make_instance([COIN, TRI], 2)
-        act = constant_activation([ValueBuckets((), (0.0,))] * 2)
+        act = constant_activation([((), (0.0,))] * 2)
         assert expected_value(inst, act).estimate == 0.0
 
     def test_one_greedy_identity(self):
         # identity 0 always activates, identity 1 never: ALG gets V_0 always
         inst = make_instance([TRI, COIN], 1)
         act = constant_activation(
-            [ValueBuckets((), (1.0,)), ValueBuckets((), (0.0,))]
+            [((), (1.0,)), ((), (0.0,))]
         )
         got = expected_value(inst, act).estimate
         assert got == pytest.approx(enumerate_expected_value(inst, act), abs=1e-10)
@@ -237,7 +237,7 @@ class TestShapeGuard:
     @pytest.mark.parametrize("tables", [2, 4])
     def test_activation_identity_count_must_match(self, tables):
         inst = make_instance([COIN, TRI, ATOM1], 2)
-        act = constant_activation([ValueBuckets((), (1.0,))] * tables)
+        act = constant_activation([((), (1.0,))] * tables)
         for evaluate in (
             lambda: ExactEvaluator(inst, act),
             lambda: expected_value(inst, act),
@@ -372,16 +372,14 @@ def _random_activation(rng, n):
     m = int(rng.integers(1, 5))
     cuts = np.sort(rng.choice(np.linspace(0.05, 0.95, 19), size=m - 1, replace=False))
     pool = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.7, 3.0]
-    tables = []
+    rows = [[] for _ in range(n)]  # per identity, (edges, probs) per piece
     for _ in range(m):
-        row = []
-        for _ in range(n):
+        for row in rows:
             edges = tuple(sorted(rng.choice(pool, size=int(rng.integers(0, 4)), replace=False)))
             probs = tuple(float(rng.choice([0.0, 0.3, 1.0, rng.random()]))
                           for _ in range(len(edges) + 1))
-            row.append(ValueBuckets(tuple(map(float, edges)), probs))
-        tables.append(tuple(row))
-    return ActivationPolicy((0.0, *map(float, cuts), 1.0), tuple(tables))
+            row.append((tuple(map(float, edges)), probs))
+    return ActivationPolicy((0.0, *map(float, cuts), 1.0), tuple(map(BucketStack, rows)))
 
 
 class TestPieceStacksMatchScalarPieces:
@@ -406,15 +404,15 @@ class TestPieceStacksMatchScalarPieces:
     def test_each_law_is_asked_once_per_question(self):
         class Counting:
             def __init__(self, policy):
-                self.policy, self.stacks = policy, []
+                self.policy, self.asked = policy, []
 
             def __getattr__(self, name):
-                if name in ("stack", "tables"):
+                if name in ("stack", "tables", "stacks"):
                     raise AssertionError("the evaluator read a single piece's rule")
                 return getattr(self.policy, name)
 
             def piece_stack(self, identity):
-                self.stacks.append(identity)
+                self.asked.append(identity)
                 return self.policy.piece_stack(identity)
 
         base = regression_instances()[7][1]  # mixed-four: four laws
@@ -423,7 +421,7 @@ class TestPieceStacksMatchScalarPieces:
         ev = ExactEvaluator(inst, policy)
         ev.expected_value()
         ev.exceedance_many([0.5, 1.0])
-        assert policy.stacks == [0, 1, 2, 3] * 3  # rate, mean, exceedance
+        assert policy.asked == [0, 1, 2, 3] * 3  # rate, mean, exceedance
 
     @pytest.mark.parametrize("k", [1, 2, 6, 64])
     def test_blind_schedules_on_the_regression_laws(self, k):
@@ -436,12 +434,11 @@ class TestPieceStacksMatchScalarPieces:
         k = 61
         p = float(1 / experiments._fixed_point_L(k))
         inst = make_instance([ATOM1, Distribution.discrete([(0.0, p), (2.0, 1.0 - p)])], k)
-        top = ValueBuckets((0.5,), (0.0, 1.0))
+        top = BucketStack([((0.5,), (0.0, 1.0))] * 2)
         gs = np.linspace(0.0, 1.0, 11)
         for early, late in itertools.product(gs, gs):
             policy = ActivationPolicy(
-                (0.0, 2.0 / k, 1.0),
-                tuple((ValueBuckets((), (float(g),)), top) for g in (early, late)))
+                (0.0, 2.0 / k, 1.0), (BucketStack([((), (float(g),)) for g in (early, late)]), top))
             self.assert_same(inst, policy, np.array([0.0, 0.5, 1.0, 1.5, 2.0]))
 
     def test_infinite_thresholds(self):
@@ -551,10 +548,10 @@ class TestFamilies:
         k = 61
         p = float(1 / experiments._fixed_point_L(k))
         inst = make_instance([ATOM1, Distribution.discrete([(0.0, p), (2.0, 1.0 - p)])], k)
-        top = ValueBuckets((0.5,), (0.0, 1.0))
+        top = BucketStack([((0.5,), (0.0, 1.0))] * 2)
         gs = np.linspace(0.0, 1.0, 11).tolist()
         family = [ActivationPolicy((0.0, 2.0 / k, 1.0),
-                                   tuple((ValueBuckets((), (g,)), top) for g in pair))
+                                   (BucketStack([((), (g,)) for g in pair]), top))
                   for pair in itertools.product(gs, gs)]
         self.assert_each_alone(inst, family)
 
@@ -571,9 +568,9 @@ class TestFamilies:
         adaptive = make_adaptive(opt_law(inst), inst, math.exp(-4))
         with pytest.raises(PolicyMismatchError, match="Monte Carlo"):
             ExactEvaluator(inst, [const_schedule(0.5), adaptive])
-        act = constant_activation([ValueBuckets((), (1.0,))] * 3)
+        act = constant_activation([((), (1.0,))] * 3)
         with pytest.raises(PolicyMismatchError, match="n=3"):
-            ExactEvaluator(inst, [constant_activation([ValueBuckets((), (1.0,))] * 2), act])
+            ExactEvaluator(inst, [constant_activation([((), (1.0,))] * 2), act])
 
     def test_sliced_tables_bound_the_memory(self):
         # 1,001 switch schedules at k = 25: a (policy, identity, piece, node)

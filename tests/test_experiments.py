@@ -279,6 +279,12 @@ class TestHardnessReports:
         assert report.failure == ("hardness suite 'activation': every gap is positive, but "
                                   "these arithmetic checks fail: 3p < 1/(10k)")
 
+    def test_activation_sweep_shares_one_top_stack(self, built_stacks):
+        # the 121 policies of the default grid held a top stack each, 242
+        # stacks in all; one low stack per policy and the one top stack suffice
+        hardness_activation()
+        assert len(built_stacks) == 121 + 1
+
     def test_time_based_closed_form_cross_check(self):
         summary = hardness_time_based(k=6, grid_points=51).summary
         assert summary["closed_form_abs_err"] <= 1e-10

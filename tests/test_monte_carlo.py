@@ -15,11 +15,11 @@ from oracles import ArrivalSequence, run_policy
 
 from prophetlab import (
     ActivationPolicy,
+    BucketStack,
     Distribution,
     McConfig,
     ThresholdSchedule,
     ThresholdStack,
-    ValueBuckets,
     estimate_exceedance,
     estimate_expected_value,
     estimate_value_and_no_stop,
@@ -153,15 +153,13 @@ def _block_case(kind):
         return inst, make_blind_schedule(opt_law(inst), 8)
     if kind == "activation":
         inst = make_instance([COIN, TRI, U02], 3)
-        tables = tuple(
-            (
-                ValueBuckets((1.0,), (0.0, g)),
-                ValueBuckets((1.0, 3.0), (0.1, g, 1.0 - g)),
-                ValueBuckets((0.5, 1.0, 1.5), (0.0, 0.3, g, 1.0)),
-            )
-            for g in (0.2, 0.5, 0.9)
+        gs = (0.2, 0.5, 0.9)
+        stacks = (
+            BucketStack([((1.0,), (0.0, g)) for g in gs]),
+            BucketStack([((1.0, 3.0), (0.1, g, 1.0 - g)) for g in gs]),
+            BucketStack([((0.5, 1.0, 1.5), (0.0, 0.3, g, 1.0)) for g in gs]),
         )
-        return inst, ActivationPolicy((0.0, 0.3, 0.7, 1.0), tables)
+        return inst, ActivationPolicy((0.0, 0.3, 0.7, 1.0), stacks)
     if kind == "atom-edge":  # both thresholds sit on atoms and accept part of them
         inst = make_instance([COIN, TRI], 4)
         return inst, ThresholdSchedule((0.0, 0.5, 1.0), ThresholdStack([1.0, 0.0], [0.4, 0.7]))
@@ -170,11 +168,10 @@ def _block_case(kind):
         return inst, ThresholdSchedule((0.0, 0.6, 1.0), ThresholdStack([0.5, 1.0], [0.5, 0.25]))
     if kind == "activation-between":  # 0.5 between COIN's atoms, 2.0 between TRI's
         inst = make_instance([COIN, TRI], 3)
-        tables = tuple(
-            (ValueBuckets((0.5,), (0.2, g)), ValueBuckets((2.0,), (0.1, g)))
-            for g in (0.6, 0.9)
-        )
-        return inst, ActivationPolicy((0.0, 0.5, 1.0), tables)
+        gs = (0.6, 0.9)
+        stacks = (BucketStack([((0.5,), (0.2, g)) for g in gs]),
+                  BucketStack([((2.0,), (0.1, g)) for g in gs]))
+        return inst, ActivationPolicy((0.0, 0.5, 1.0), stacks)
     # epsilon = 0.018 keeps ln(eps) away from the suffix products, whose float
     # sums can land on either side of an exact tie at eps = e^(-ell^2)
     inst = make_instance([COIN, TRI], 8)
@@ -263,12 +260,12 @@ def _table_case(base, kind):
         return inst, make_blind_schedule(opt, k)
     if kind == "adaptive":
         return inst, make_adaptive(opt, inst, math.exp(-4))
-    early, late = [], []
+    stacks = []
     for d in base:
         edges = np.unique(np.concatenate((d.xs, (d.xs[:-1] + d.xs[1:]) / 2)))
-        early.append(ValueBuckets(tuple(edges), tuple(np.linspace(0.1, 0.9, len(edges) + 1))))
-        late.append(ValueBuckets(tuple(d.xs), tuple(np.linspace(0.8, 0.2, len(d.xs) + 1))))
-    return inst, ActivationPolicy((0.0, 0.4, 1.0), (tuple(early), tuple(late)))
+        stacks.append(BucketStack([(edges, np.linspace(0.1, 0.9, len(edges) + 1)),
+                                   (d.xs, np.linspace(0.8, 0.2, len(d.xs) + 1))]))
+    return inst, ActivationPolicy((0.0, 0.4, 1.0), tuple(stacks))
 
 
 @pytest.mark.parametrize("kind", ["single", "blind", "adaptive", "activation"])
@@ -289,7 +286,7 @@ def test_integer_bucket_edges_read_as_their_floats():
     # a fair coin with edge 1 was accepted at 0 too (no-stop 0, not 1/4)
     inst, cfg = make_instance([COIN], 2), McConfig(20_000, 1)
     got = [estimate_value_and_no_stop(
-        inst, ActivationPolicy((0.0, 1.0), ((ValueBuckets(edges, probs),),)), cfg)
+        inst, ActivationPolicy((0.0, 1.0), (BucketStack([(edges, probs)]),)), cfg)
         for edges, probs in (((1,), (0, 1)), ((1.0,), (0.0, 1.0)))]
     assert got[0] == got[1]
 
@@ -298,21 +295,21 @@ def test_integer_bucket_edges_read_as_their_floats():
 def test_rules_are_read_only_through_the_piece_stacks(kind):
     class Guarded:
         def __init__(self, policy):
-            self.policy, self.stacks = policy, []
+            self.policy, self.asked = policy, []
 
         def __getattr__(self, name):
-            if name in ("stack", "tables"):
+            if name in ("stack", "tables", "stacks"):
                 raise AssertionError("Monte Carlo read a single piece's rule")
             return getattr(self.policy, name)
 
         def piece_stack(self, identity):
-            self.stacks.append(identity)
+            self.asked.append(identity)
             return self.policy.piece_stack(identity)
 
     inst, policy = _table_case(regression_instances()[7][1], kind)  # mixed-four
     guarded, cfg = Guarded(policy), McConfig(3000, 5)
     assert estimate_expected_value(inst, guarded, cfg) == estimate_expected_value(inst, policy, cfg)
-    assert guarded.stacks == list(range(inst.n))
+    assert guarded.asked == list(range(inst.n))
 
 
 @pytest.mark.parametrize("kind", ["single", "blind", "adaptive", "activation"])

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from oracles import (
     accepts,
     activation_from_threshold,
     adaptive_phases,
+    buckets_of,
     constant_activation,
     later_log_q,
     piece_at,
@@ -25,12 +27,12 @@ from oracles import (
 from prophetlab import (
     ActivationPolicy,
     AdaptiveTwoThreshold,
+    BucketStack,
     Distribution,
     InvalidParameterError,
     PolicyMismatchError,
     ThresholdSchedule,
     ThresholdStack,
-    ValueBuckets,
     make_adaptive,
     make_blind_schedule,
     make_instance,
@@ -209,8 +211,7 @@ class TestRunPolicy:
     def test_shape_mismatch_raises(self):
         inst = make_instance([COIN, TRI], 2)
         seq = sample_arrivals(inst, np.random.default_rng(1))
-        act = constant_activation([activation_from_threshold(
-            ThresholdSchedule((0.0, 1.0), ThresholdStack([0.0], [1.0])), 3).tables[0][0]] * 3)
+        act = constant_activation([((0.0,), (0.0, 1.0))] * 3)
         with pytest.raises(PolicyMismatchError):
             run_policy(act, seq)
 
@@ -292,7 +293,7 @@ def test_time_pieces_validated_for_both_classes(breakpoints):
     with pytest.raises(InvalidParameterError):
         ThresholdSchedule(breakpoints, ThresholdStack([0.5] * m, [0.0] * m))
     with pytest.raises(InvalidParameterError):
-        ActivationPolicy(breakpoints, ((ValueBuckets((), (1.0,)),),) * m)
+        ActivationPolicy(breakpoints, (BucketStack([((), (1.0,))] * m),))
 
 
 class TestThresholdRulesRefuseNonsense:
@@ -344,7 +345,7 @@ def test_each_stack_is_built_once(kind):
               "adaptive": lambda: make_adaptive(opt, inst, math.exp(-4))}[kind]()
     stacks = [policy.piece_stack(i) for i in range(inst.n)]
     assert all(policy.piece_stack(i) is stack for i, stack in enumerate(stacks))
-    assert (stacks[0] is stacks[1]) == (kind != "activation")
+    assert stacks[0] is stacks[1]  # each of these serves every identity with one stack
 
 
 def test_threshold_buckets_are_its_indicator_table():
@@ -353,9 +354,10 @@ def test_threshold_buckets_are_its_indicator_table():
     assert edges.tolist() == [[1.0, np.nextafter(1.0, np.inf)], [0.5, np.nextafter(0.5, np.inf)]]
     assert probs.tolist() == [[0.0, 0.25, 1.0], [0.0, 1.0, 1.0]]
     for r, rt in enumerate(rules_of(stack)):
-        vb = ValueBuckets(tuple(edges[r].tolist()), tuple(probs[r].tolist()))
-        got = policies.BucketStack([vb]).buckets()
+        row = BucketStack([(edges[r], probs[r])])
+        got = row.buckets()
         assert [a.tolist() for a in got] == [edges[r:r + 1].tolist(), probs[r:r + 1].tolist()]
+        vb = buckets_of(row, 0)
         for value in (0.0, 0.5, 1.0, np.nextafter(rt.tau, np.inf), 3.0):
             for tie in (0.0, 0.2, 0.25, 0.9, np.nextafter(1.0, 0.0)):
                 av = AugmentedValue(float(value), tie)
@@ -363,15 +365,39 @@ def test_threshold_buckets_are_its_indicator_table():
 
 
 def test_bucket_stack_pads_its_pieces_to_one_width():
-    pieces = [ValueBuckets((), (0.5,)), ValueBuckets((1.0, 2.0), (0.0, 0.3, 1.0))]
-    edges, probs = policies.BucketStack(pieces).buckets()
+    pieces = [((), (0.5,)), ((1.0, 2.0), (0.0, 0.3, 1.0))]
+    edges, probs = BucketStack(pieces).buckets()
     assert edges.tolist() == [[math.inf, math.inf], [1.0, 2.0]]
     assert probs.tolist() == [[0.5, 0.0, 0.0], [0.0, 0.3, 1.0]]
     for table in (edges, probs):
         with pytest.raises(ValueError):
             table[0, 0] = 0.25
-    edges, probs = policies.BucketStack([ValueBuckets((), (0.5,))] * 2).buckets()
+    edges, probs = BucketStack([((), (0.5,))] * 2).buckets()
     assert edges.shape == (2, 0) and probs.tolist() == [[0.5], [0.5]]
+
+
+@pytest.mark.parametrize("bad, why", [
+    (((0.5,), (0.0,)), "need len(edges) + 1 bucket probabilities"),
+    (((), (1.5,)), "activation probabilities must lie in [0, 1]"),
+    (((), (math.nan,)), "activation probabilities must lie in [0, 1]"),
+    (((1.0, 0.5), (0.0, 0.5, 1.0)), "bucket edges must be finite and strictly increasing"),
+    (((0.5, 0.5), (0.0, 0.5, 1.0)), "bucket edges must be finite and strictly increasing"),
+    (((math.inf,), (0.0, 1.0)), "bucket edges must be finite and strictly increasing"),
+], ids=["short-probs", "prob-above-one", "nan-prob", "decreasing", "repeated", "inf-edge"])
+def test_bucket_stack_refuses_a_bad_piece(bad, why):
+    for pieces in ([bad], [((), (0.5,)), bad]):  # the first piece or a later one
+        with pytest.raises(InvalidParameterError, match=re.escape(why)):
+            BucketStack(pieces)
+
+
+def test_activation_policy_takes_one_bucket_stack_per_identity_with_a_row_per_piece():
+    stack = BucketStack([((), (0.5,))] * 2)
+    assert ActivationPolicy((0.0, 0.5, 1.0), (stack, stack)).n == 2
+    others = (BucketStack([]), BucketStack([((), (0.5,))]), BucketStack([((), (0.5,))] * 3),
+              ThresholdStack([0.5, 1.0], [0.0, 0.0]), (((), (0.5,)),) * 2)
+    for other in others:
+        with pytest.raises(InvalidParameterError, match="BucketStack per identity, one row per"):
+            ActivationPolicy((0.0, 0.5, 1.0), (stack, other))
 
 
 class TestPiecesAt:

@@ -17,13 +17,13 @@ import pytest
 from prophetlab import exact_oracle, monte_carlo
 from prophetlab import (
     ActivationPolicy,
+    BucketStack,
     Distribution,
     ExactEvaluator,
     McConfig,
     OptLaw,
     ThresholdSchedule,
     ThresholdStack,
-    ValueBuckets,
     estimate_exceedance,
     estimate_value_and_no_stop,
     make_adaptive,
@@ -125,10 +125,8 @@ def _policies(inst):
     sched = ThresholdSchedule((0.0, 0.4, 1.0), ThresholdStack([1.0, 0.5], [0.3, 0.0]))
     act = ActivationPolicy(
         (0.0, 0.5, 1.0),
-        tuple(
-            tuple(ValueBuckets((0.5, 1.5), (0.0, g, 1.0)) for _ in range(inst.n))
-            for g in (0.25, 0.75)
-        ),
+        tuple(BucketStack([((0.5, 1.5), (0.0, g, 1.0)) for g in (0.25, 0.75)])
+              for _ in range(inst.n)),
     )
     return {
         "threshold": sched,
