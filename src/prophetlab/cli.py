@@ -164,6 +164,11 @@ def _activation_from_json(obj: dict, n: int) -> ActivationPolicy:
         pieces = obj.get("pieces") if isinstance(obj, dict) else None
         if not (isinstance(pieces, list) and pieces and all(isinstance(p, dict) for p in pieces)):
             raise ConfigError('"pieces" must be a non-empty list of {"t0", "t1", "g"} objects')
+        for piece in pieces:  # float reads true as 1, so JSON's booleans are refused as times
+            for key in ("t0", "t1"):
+                if isinstance(piece.get(key), bool):
+                    raise ConfigError(f"activation piece time {key} must be a number, "
+                                      f"not {json.dumps(piece[key])}")
         pieces = sorted(pieces, key=lambda p: float(p["t0"]))
         for piece, nxt in zip(pieces, pieces[1:]):
             if float(piece["t1"]) != float(nxt["t0"]):

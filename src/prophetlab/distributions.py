@@ -324,6 +324,13 @@ def nth_root(d: Distribution, n: int, extra_points=None) -> Distribution:
 # --------------------------------------------------------------------- JSON
 
 
+def _json_number(value) -> float:
+    """``float(value)``, refusing JSON's true and false, which float reads as 1 and 0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{str(value).lower()} is not a number")
+    return float(value)
+
+
 def distribution_from_json(obj: dict) -> Distribution:
     """Load a distribution; numbers may be doubles or decimal strings."""
     try:
@@ -336,7 +343,7 @@ def distribution_from_json(obj: dict) -> Distribution:
         raise InvalidInstanceError(f"unknown distribution type {kind!r}")
     key, build = builders[kind]
     try:
-        pairs = [(float(a), float(b)) for a, b in obj[key]]
+        pairs = [(_json_number(a), _json_number(b)) for a, b in obj[key]]
     except (TypeError, KeyError, ValueError) as exc:
         raise InvalidInstanceError(f"{kind} law needs '{key}' as number pairs: {exc}") from exc
     return build(pairs, tol=1e-9)

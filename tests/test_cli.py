@@ -174,13 +174,14 @@ _LOADED_AFTER = """
 import json, sys
 from prophetlab.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, sorted(m for m in ("mpmath", "numpy.ma") if m in sys.modules)]))
+print(json.dumps([codes, sorted(m for m in ("mpmath", "numpy.ma", "multiprocessing")
+                                 if m in sys.modules)]))
 """
 
 
 def _loaded_after(*argvs):
-    """(exit codes, which of mpmath and numpy.ma are loaded) after a fresh
-    interpreter ran each argv through ``main``."""
+    """(exit codes, which of mpmath, numpy.ma and multiprocessing are loaded)
+    after a fresh interpreter ran each argv through ``main``."""
     src = os.path.dirname(os.path.dirname(prophetlab.__file__))
     proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER, json.dumps(argvs)],
                           capture_output=True, text=True, timeout=120,
@@ -198,6 +199,11 @@ class TestWhatALaunchLoads:
             ["dominance", "--instance", coins_file, "--epsilon", "0.3", "--k", "3", *out],
         ]
         assert _loaded_after(*argvs) == ([0, 0, 0], [])
+
+    def test_lemmas_forks_without_multiprocessing(self, tmp_path):
+        # the trials are worked out in a child of os.fork, fed by os.pipe
+        argv = ["lemmas", "--trials", "20", "--out", str(tmp_path)]
+        assert _loaded_after(argv) == ([0], [])
 
     def test_hardness_loads_mpmath(self, tmp_path):
         argv = ["hardness", "--class", "general", "--out", str(tmp_path)]
@@ -560,6 +566,22 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("law, bad", [
+        ({"type": "discrete", "atoms": [[0.0, 0.5], [True, 0.5]]}, "true"),
+        ({"type": "discrete", "atoms": [[0.0, 0.0], [1.0, True]]}, "true"),
+        ({"type": "piecewise", "points": [[False, 0.0], [1.0, 1.0]]}, "false"),
+        ({"type": "piecewise", "points": [[0.0, False], [1.0, True]]}, "false"),
+    ], ids=["atom-value", "atom-mass", "point-value", "point-cdf"])
+    def test_booleans_are_not_law_numbers(self, tmp_path, capsys, law, bad):
+        # float(True) is 1.0: each of these loaded, and eval exited 0
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps({"base": [law], "copies": 1}))
+        out = tmp_path / "run"
+        assert run(["eval", "--instance", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"number pairs: {bad} is not a number" in err
+        assert not (out / "summary.json").exists()
+
     def test_instance_directory_exits_1(self, tmp_path, capsys):
         assert run(["eval", "--instance", str(tmp_path), "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
@@ -734,6 +756,16 @@ class TestActivationTables:
         spec = {"pieces": [{"t0": 0.0, "t1": 1.0, "g": g}]}
         err = self.refused(coins_file, tmp_path, capsys, spec)
         assert f"activation entry {bad} needs a number as prob and as edge" in err
+
+    @pytest.mark.parametrize("times, bad", [
+        ({"t0": False, "t1": 1.0}, "t0 must be a number, not false"),
+        ({"t0": 0.0, "t1": True}, "t1 must be a number, not true"),
+        ({"t0": False, "t1": True}, "t0 must be a number, not false"),
+    ], ids=["false-t0", "true-t1", "both"])
+    def test_booleans_are_not_piece_times(self, coins_file, tmp_path, capsys, times, bad):
+        # float reads false as 0 and true as 1: each piece ran as [0, 1)
+        spec = {"pieces": [{**times, "g": [[0, None, 1.0]]}]}
+        assert f"activation piece time {bad}" in self.refused(coins_file, tmp_path, capsys, spec)
 
     def test_integral_float_identity_reads_as_integer(self, coins_file, tmp_path):
         estimates = []

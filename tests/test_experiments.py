@@ -3,6 +3,9 @@
 import hashlib
 import itertools
 import math
+import os
+import threading
+import time
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -355,3 +358,114 @@ class TestLemmaSuite:
         assert isinstance(summary["min_slack"], np.floating)
         assert isinstance(summary["max_symmetric_gap"], np.floating)
         assert summary["all_hold"] is False
+
+
+def _bits(report):
+    """A report's rows and summary, each float as its hex digits."""
+    def bits(v):
+        return (type(v).__name__, float(v).hex()) if isinstance(v, (float, np.floating)) else v
+    return ([tuple(map(bits, row)) for row in report.rows],
+            {key: bits(v) for key, v in report.summary.items()}, report.failure)
+
+
+class TestLemmaChild:
+    """The lemma trials are worked out in one forked child; it gives the
+    in-process bits, brings its exceptions back, and is always reaped."""
+
+    @pytest.fixture(autouse=True)
+    def forks(self, monkeypatch):
+        """The pids of the children forked during a test; after the test no
+        child of this process is left, running or unreaped."""
+        pids, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        yield pids
+        try:
+            left = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        for pid in pids:  # leave nothing running, then fail
+            try:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
+        pytest.fail(f"a child was left behind: waitpid gave {left}")
+
+    @staticmethod
+    def _in_process(monkeypatch, *args):
+        def no_fork():
+            raise OSError("fork refused")
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "fork", no_fork)
+            return lemma_suite(*args)
+
+    @pytest.mark.parametrize("seed, trials", [(7, 200), (3, 25), (0, 1000)])
+    def test_child_gives_the_in_process_bits(self, forks, monkeypatch, seed, trials):
+        forked = lemma_suite(seed, trials)
+        assert len(forks) == 1
+        assert _bits(forked) == _bits(self._in_process(monkeypatch, seed, trials))
+
+    def test_no_fork_while_another_thread_is_alive(self, forks, monkeypatch):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            report = lemma_suite(3, 25)
+        finally:
+            stop.set()
+            thread.join()
+        assert forks == []
+        assert _bits(report) == _bits(self._in_process(monkeypatch, 3, 25))
+
+    @pytest.mark.parametrize("trials", [25, 1000])
+    def test_child_exception_is_raised_in_the_parent(self, forks, monkeypatch, trials):
+        # the fifth call is trial 1's first; at 1000 trials the child stops
+        # reading while the parent still draws
+        p_tau_multi, calls = experiments.p_tau_multi, itertools.count(1)
+
+        def fifth_fails(*args):
+            if next(calls) == 5:
+                raise InvalidParameterError("fifth call refused")
+            return p_tau_multi(*args)
+
+        monkeypatch.setattr(experiments, "p_tau_multi", fifth_fails)
+        with pytest.raises(InvalidParameterError, match="^fifth call refused$"):
+            lemma_suite(0, trials)
+        assert len(forks) == 1
+
+    def test_sorted_pair_failure_kills_the_child(self, forks, monkeypatch):
+        def stuck(drawn):  # reads every trial, then would outlive the test
+            list(drawn)
+            time.sleep(60)
+
+        def fails(sched):
+            raise RuntimeError("sorted pair refused")
+
+        monkeypatch.setattr(experiments, "_work_trials", stuck)
+        monkeypatch.setattr(experiments, "sort_nonincreasing", fails)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="sorted pair refused"):
+            lemma_suite(3, 25)
+        assert len(forks) == 1
+        assert time.monotonic() - t0 < 30
+
+    def test_child_leaves_by_os_exit(self, forks, monkeypatch):
+        # a result that does not pickle fails in the child after the work;
+        # the child still exits (code 1) rather than return into this test
+        monkeypatch.setattr(experiments, "_work_trials", lambda drawn: (list(drawn), lambda: 0))
+        me = os.getpid()
+        try:
+            with pytest.raises(ChildProcessError, match="exited with code 1 and sent no result"):
+                lemma_suite(3, 25)
+        finally:
+            if os.getpid() != me:  # a child that returned here must not run on
+                os._exit(3)
+        assert len(forks) == 1
